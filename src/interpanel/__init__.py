@@ -22,8 +22,7 @@ from .harness import (ExperimentConfig, MonteCarloReport, convergence_table,
 from .inference import (SeResult, bootstrap_cite, cite_kappa_se,
                         cite_theta_se, cluster_robust_se, first_stage_se,
                         fit_cite_weighted, ite_se)
-from .linalg import (LeastSquaresFit, RankDeficient, gram_det, residual_maker,
-                     solve_ols)
+from .linalg import LeastSquaresFit, RankDeficient, gram_det, solve_ols
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,7 @@ __all__ = [
     "drop_failing_units", "evaluate_contracts", "first_stage_se", "fit_cite",
     "fit_cite_weighted", "gram_det", "ite", "ite_se", "load_csv",
     "load_dgp_config", "load_experiment_config", "make_dataset",
-    "mean_effect", "plim_targets", "residual_maker", "run_experiment",
+    "mean_effect", "plim_targets", "run_experiment",
     "simulate", "solve_ols", "subset_units", "validate", "within_transform",
     "write_csv",
 ]

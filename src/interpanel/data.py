@@ -3,15 +3,16 @@
 The observed sample is a balanced panel (Y, X, G, Z, H). X carries the
 unit-specific random coefficients, G and H are time-varying and
 time-invariant interaction variables, Z are additive controls. This
-module builds the per-unit interaction blocks and projection matrices
-that both estimators consume.
+module builds the per-unit interaction blocks and projects each unit's
+own X_i (CITE) or X_{i,-1} (ITE) out of them and out of Y_i, once; both
+estimators and their standard errors consume the projected blocks.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -178,12 +179,19 @@ def make_dataset(Y, X, G=None, Z=None, H=None, unit_labels=None, time_labels=Non
     )
 
 
-def _label_sort_key(labels):
-    # Sort numerically when every label parses as a number, else as text.
+def _sorted_labels(labels):
+    """Distinct labels ordered by one key over the whole set.
+
+    The key is numeric only when every label is a number, otherwise text,
+    so a column mixing numbers and text never compares the two. Equal
+    numeric keys (1 and "1.0") fall back to the text.
+    """
+    distinct = set(labels)
     try:
-        return [float(v) for v in labels]
+        key = {v: float(v) for v in distinct}
     except (TypeError, ValueError):
-        return [str(v) for v in labels]
+        key = {v: str(v) for v in distinct}
+    return sorted(distinct, key=lambda v: (key[v], str(v)))
 
 
 def _parse_label(text):
@@ -258,8 +266,8 @@ def load_csv(path, schema=None):
                 raise NonFiniteValue(row=r + 2, column=col)
             values[r, c] = v
 
-    unit_labels = sorted(set(units), key=lambda u: _label_sort_key([u])[0])
-    time_labels = sorted(set(times), key=lambda t: _label_sort_key([t])[0])
+    unit_labels = _sorted_labels(units)
+    time_labels = _sorted_labels(times)
     n, T = len(unit_labels), len(time_labels)
     uidx = {u: i for i, u in enumerate(unit_labels)}
     tidx = {t: j for j, t in enumerate(time_labels)}
@@ -334,20 +342,29 @@ def add_intercept_h(ds, name="h_const"):
 
 @dataclass(frozen=True)
 class DerivedRegressors:
-    """Per-unit regressor blocks and projection matrices.
+    """Per-unit regressor blocks and their projections.
 
     Psi is (n, T, K_x*K_g + K_z): row t holds (X_t kron G_t, Z_t).
     PsiTilde is (n, T, K_h + K_x*K_g + K_z): row t holds (X_t1 * H, Psi_t).
-    M annihilates X_i per unit; M_minus1 annihilates X_i minus its first
-    column. q_x/r_x cache the per-unit QR of X_i for downstream solves.
+    MPsi and MY are Psi_i and Y_i with X_i projected out (M_i Psi_i,
+    M_i Y_i); M1PsiTilde and M1Y are PsiTilde_i and Y_i with X_i minus
+    its first column projected out. q_x/r_x cache the per-unit QR of X_i
+    for downstream solves. Every field is indexed by unit first.
     """
 
     Psi: np.ndarray
     PsiTilde: np.ndarray
-    M: np.ndarray
-    M_minus1: np.ndarray
+    MPsi: np.ndarray
+    MY: np.ndarray
+    M1PsiTilde: np.ndarray
+    M1Y: np.ndarray
     q_x: np.ndarray
     r_x: np.ndarray
+
+    def take(self, idx):
+        """Blocks of the units at positions `idx` (repeats allowed)."""
+        return DerivedRegressors(**{f.name: getattr(self, f.name)[idx]
+                                    for f in fields(self)})
 
 
 def interaction_block(X, G):
@@ -358,29 +375,31 @@ def interaction_block(X, G):
 
 
 def build_regressors(ds):
-    """Construct Psi, PsiTilde and the per-unit residual makers.
+    """Construct Psi, PsiTilde and their per-unit projections.
 
-    Raises RankDeficient (with the offending unit's label) when some
-    X_i'X_i or X_{i,-1}'X_{i,-1} is numerically singular.
+    The only place that projects: each (n, T, T) residual maker is
+    applied to its block and to Y, then dropped. Raises RankDeficient
+    (with the offending unit's label) when some X_i'X_i or
+    X_{i,-1}'X_{i,-1} is numerically singular.
     """
     d = ds.dims
     Psi = np.concatenate([interaction_block(ds.X, ds.G), ds.Z], axis=2)
     x1_h = ds.X[:, :, 0:1] * ds.H[:, None, :]
     PsiTilde = np.concatenate([x1_h, Psi], axis=2)
+    projected = []
     try:
-        M = residual_makers(ds.X)
+        for X, block in ((ds.X, Psi), (ds.X[:, :, 1:], PsiTilde)):
+            M = residual_makers(X)
+            projected += [np.einsum("nij,njp->nip", M, block),
+                          np.einsum("nij,nj->ni", M, ds.Y)]
     except Exception as exc:
         _attach_unit_label(exc, ds)
         raise
-    try:
-        M_minus1 = residual_makers(ds.X[:, :, 1:])
-    except Exception as exc:
-        _attach_unit_label(exc, ds)
-        raise
+    MPsi, MY, M1PsiTilde, M1Y = projected
     q_x, r_x = np.linalg.qr(ds.X)
     assert Psi.shape[2] == d.n_psi and PsiTilde.shape[2] == d.n_psi_tilde
-    return DerivedRegressors(Psi=Psi, PsiTilde=PsiTilde, M=M, M_minus1=M_minus1,
-                             q_x=q_x, r_x=r_x)
+    return DerivedRegressors(Psi=Psi, PsiTilde=PsiTilde, MPsi=MPsi, MY=MY,
+                             M1PsiTilde=M1PsiTilde, M1Y=M1Y, q_x=q_x, r_x=r_x)
 
 
 def _attach_unit_label(exc, ds):
@@ -479,10 +498,8 @@ def validate(ds, h_min=DEFAULT_H_MIN, rank_tol=RANK_TOL):
             # Retained units still fail at solver tolerance; leave margins 0.
             dr = None
         if dr is not None:
-            MPsi = np.einsum("nij,njp->nip", dr.M, dr.Psi)
-            S1 = np.einsum("nip,niq->pq", MPsi, MPsi) / keep.size
-            M1Pt = np.einsum("nij,njp->nip", dr.M_minus1, dr.PsiTilde)
-            S2 = np.einsum("nip,niq->pq", M1Pt, M1Pt) / keep.size
+            S1 = np.einsum("nip,niq->pq", dr.MPsi, dr.MPsi) / keep.size
+            S2 = np.einsum("nip,niq->pq", dr.M1PsiTilde, dr.M1PsiTilde) / keep.size
             S3 = sub.H.T @ sub.H / keep.size
             pooled = {
                 "psi_m_psi": _min_eig_margin(S1),

@@ -91,13 +91,6 @@ class IteResult:
         return list(self.labels), self.theta_tilde_hat
 
 
-def _stack_projected(Mats, block):
-    """Stack per-unit M_i @ block_i into a pooled (n*T, p) design."""
-    proj = np.einsum("nij,njp->nip", Mats, block)
-    n, T, p = proj.shape
-    return proj.reshape(n * T, p)
-
-
 def cite_theta(ds, dr=None):
     """Pooled-stage coefficients: OLS of M_i Y_i on M_i Psi_i across units.
 
@@ -109,9 +102,9 @@ def cite_theta(ds, dr=None):
         dr = build_regressors(ds)
     if dr.Psi.shape[2] == 0:
         return np.zeros(0)
-    design = _stack_projected(dr.M, dr.Psi)
-    response = np.einsum("nij,nj->ni", dr.M, ds.Y).reshape(-1)
-    return solve_ols(design, response).coefficients
+    d = ds.dims
+    design = dr.MPsi.reshape(d.n * d.T, d.n_psi)
+    return solve_ols(design, dr.MY.reshape(-1)).coefficients
 
 
 def cite_delta(ds, dr, theta_hat):
@@ -149,28 +142,21 @@ def cite_kappa(delta1, H, weights=None, mode="none"):
     return solve_ols(H * sw[:, None], delta1 * sw).coefficients
 
 
-def fit_cite(ds, dr=None, weight_mode="none", first_stage_se=None):
-    """Run the full two-step pipeline and package the results.
-
-    `first_stage_se` must be supplied when weight_mode is not "none"
-    (see inference.first_stage_se).
+def fit_cite(ds, dr=None):
+    """Run the full two-step pipeline (unweighted second stage) and
+    package the results; inference.fit_cite_weighted adds the weighting.
     """
     if dr is None:
         dr = build_regressors(ds)
     theta = cite_theta(ds, dr)
     delta = cite_delta(ds, dr, theta)
-    if ds.dims.K_h > 0:
-        kappa = cite_kappa(delta[:, 0], ds.H, weights=first_stage_se,
-                           mode=weight_mode)
-    else:
-        kappa = np.zeros(0)
+    kappa = cite_kappa(delta[:, 0], ds.H) if ds.dims.K_h > 0 else np.zeros(0)
     return CiteResult(
         theta_hat=theta,
         delta_hat=delta,
         kappa_hat=kappa,
         theta_labels=tuple(theta_labels(ds)),
         kappa_labels=tuple(kappa_labels(ds)),
-        weight_mode=weight_mode,
     )
 
 
@@ -183,9 +169,8 @@ def ite(ds, dr=None):
     if dr is None:
         dr = build_regressors(ds)
     d = ds.dims
-    design = _stack_projected(dr.M_minus1, dr.PsiTilde)
-    response = np.einsum("nij,nj->ni", dr.M_minus1, ds.Y).reshape(-1)
-    tt = solve_ols(design, response).coefficients
+    design = dr.M1PsiTilde.reshape(d.n * d.T, d.n_psi_tilde)
+    tt = solve_ols(design, dr.M1Y.reshape(-1)).coefficients
     K_h = d.K_h
     return IteResult(
         theta_tilde_hat=tt,

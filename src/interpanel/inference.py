@@ -120,20 +120,14 @@ def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
     )
 
 
-def _stack(Mats, block):
-    proj = np.einsum("nij,njp->nip", Mats, block)
-    return proj.reshape(-1, proj.shape[2])
-
-
 def _unit_ids(ds):
     return np.repeat(np.arange(ds.dims.n), ds.dims.T)
 
 
 def ite_se(ds, dr, result, small_sample=True):
     """Unit-clustered SEs for the one-step estimates."""
-    design = _stack(dr.M_minus1, dr.PsiTilde)
-    response = np.einsum("nij,nj->ni", dr.M_minus1, ds.Y).reshape(-1)
-    resid = response - design @ result.theta_tilde_hat
+    design = dr.M1PsiTilde.reshape(-1, dr.M1PsiTilde.shape[2])
+    resid = dr.M1Y.reshape(-1) - design @ result.theta_tilde_hat
     return cluster_robust_se(design, resid, _unit_ids(ds),
                              estimates=result.theta_tilde_hat,
                              labels=result.labels, small_sample=small_sample)
@@ -141,9 +135,8 @@ def ite_se(ds, dr, result, small_sample=True):
 
 def cite_theta_se(ds, dr, result, small_sample=True):
     """Unit-clustered SEs for the pooled stage of the two-step estimator."""
-    design = _stack(dr.M, dr.Psi)
-    response = np.einsum("nij,nj->ni", dr.M, ds.Y).reshape(-1)
-    resid = response - design @ result.theta_hat
+    design = dr.MPsi.reshape(-1, dr.MPsi.shape[2])
+    resid = dr.MY.reshape(-1) - design @ result.theta_hat
     return cluster_robust_se(design, resid, _unit_ids(ds),
                              estimates=result.theta_hat,
                              labels=result.theta_labels,
@@ -177,9 +170,11 @@ def bootstrap_cite(ds, replications, seed, weight_mode="none"):
     """Unit bootstrap of the full two-step pipeline.
 
     Resamples units with replacement `replications` times, refits CITE on
-    each draw, and reports the empirical SD of kappa_hat. Draws that fail
-    rank checks are redrawn; the total number of redraws is capped at
-    BOOTSTRAP_REDRAW_FACTOR * replications.
+    each draw, and reports the empirical SD of kappa_hat. The regressor
+    blocks are built once and reindexed per draw (DerivedRegressors.take)
+    rather than reprojected. Draws that fail rank checks are redrawn; the
+    total number of redraws is capped at BOOTSTRAP_REDRAW_FACTOR *
+    replications.
 
     Each draw's randomness depends only on (seed, replication index,
     attempt), so results are reproducible and independent of execution
@@ -187,7 +182,8 @@ def bootstrap_cite(ds, replications, seed, weight_mode="none"):
     """
     if replications < 50:
         raise ValueError(f"need at least 50 replications, got {replications}")
-    full = fit_cite_weighted(ds, weight_mode=weight_mode)
+    dr = build_regressors(ds)
+    full = fit_cite_weighted(ds, dr, weight_mode=weight_mode)
     n = ds.dims.n
     max_redraws = BOOTSTRAP_REDRAW_FACTOR * replications
     redraws = 0
@@ -200,8 +196,8 @@ def bootstrap_cite(ds, replications, seed, weight_mode="none"):
                                        spawn_key=(r, attempt)))
             idx = rng.integers(0, n, size=n)
             try:
-                sub = subset_units(ds, idx)
-                draws[r] = fit_cite_weighted(sub, weight_mode=weight_mode).kappa_hat
+                draws[r] = fit_cite_weighted(subset_units(ds, idx), dr.take(idx),
+                                             weight_mode=weight_mode).kappa_hat
                 break
             except (RankDeficient, np.linalg.LinAlgError):
                 redraws += 1

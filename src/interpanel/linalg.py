@@ -89,34 +89,6 @@ def solve_ols(design, response):
     return LeastSquaresFit(coef, y - A @ coef, float((sv[0] / sv[-1]) ** 2))
 
 
-def residual_maker(A):
-    """Projection matrix onto the orthogonal complement of col(A).
-
-    Returns M = I - A (A'A)^{-1} A', a symmetric idempotent T x T matrix
-    with M @ A = 0. An empty A (zero columns) yields the identity.
-
-    Raises
-    ------
-    RankDeficient
-        If A'A is numerically singular.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("A must be 2-dimensional")
-    T, k = A.shape
-    if k == 0:
-        return np.eye(T)
-    if T < k:
-        raise RankDeficient(f"more columns ({k}) than rows ({T})", unit=None)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < RANK_TOL * sv[0]:
-        cond = np.inf if sv[-1] == 0.0 else (sv[0] / sv[-1]) ** 2
-        raise RankDeficient("A'A is numerically singular", condition=cond)
-    Q, _ = np.linalg.qr(A)
-    M = np.eye(T) - Q @ Q.T
-    return 0.5 * (M + M.T)
-
-
 def residual_makers(X):
     """Batched residual makers for a stack of unit design matrices.
 

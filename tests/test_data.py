@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -98,6 +100,19 @@ class TestLoadCsv:
         assert ds.dims.K_g == 1 and ds.dims.K_h == 1
         assert ds.columns["x"] == ["tax"]
 
+    @pytest.mark.parametrize("units, want", [
+        ((10, 2), (2, 10)),                # all numeric: numeric order
+        (("u10", "u2"), ("u10", "u2")),    # all text: text order
+        ((10, "a", 2), (10, 2, "a")),      # mixed: text order, no TypeError
+    ])
+    def test_label_order(self, tmp_path, units, want):
+        path = tmp_path / "p.csv"
+        rows = [[u, t, 1.0, 2.0] for u in units for t in ("b", 1)]
+        write_rows(path, ["unit", "time", "y", "x1"], rows)
+        ds = load_csv(path)
+        assert ds.unit_labels == want
+        assert ds.time_labels == (1, "b")
+
     def test_round_trip_bit_identical(self, tmp_path):
         cfg = packaged_config("baseline")
         from dataclasses import replace
@@ -139,11 +154,22 @@ class TestBuildRegressors:
         assert dr.PsiTilde.shape[2] == 3 + 2 * 2 + 1
 
     def test_annihilation_invariants(self):
+        # each stored projection is orthogonal to the X block it removes
         ds = random_panel(4, n=20, K_x=2)
         dr = build_regressors(ds)
-        assert np.max(np.abs(np.einsum("nij,njk->nik", dr.M, ds.X))) < 1e-9
-        MX1 = np.einsum("nij,njk->nik", dr.M_minus1, ds.X[:, :, 1:])
-        assert np.max(np.abs(MX1)) < 1e-9
+        X, X1 = ds.X, ds.X[:, :, 1:]
+        for A, B in ((X, dr.MPsi), (X, dr.MY[:, :, None]),
+                     (X1, dr.M1PsiTilde), (X1, dr.M1Y[:, :, None])):
+            assert np.max(np.abs(np.einsum("ntk,ntp->nkp", A, B))) < 1e-9
+
+    def test_take_matches_rebuild_on_subset(self):
+        ds = random_panel(6, n=10, K_x=2)
+        idx = np.array([3, 0, 3, 9, 9, 1])
+        taken = build_regressors(ds).take(idx)
+        rebuilt = build_regressors(subset_units(ds, idx))
+        for f in fields(taken):
+            assert_allclose(getattr(taken, f.name), getattr(rebuilt, f.name),
+                            atol=1e-12, err_msg=f.name)
 
     def test_rank_deficient_unit_is_named(self):
         ds = random_panel(5, n=6)

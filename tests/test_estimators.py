@@ -12,7 +12,7 @@ from interpanel.estimators import (LengthMismatch, MissingWeights,
                                    NoConstantColumn, cite_delta, cite_kappa,
                                    cite_theta, fit_cite, ite, mean_effect,
                                    within_transform)
-from interpanel.linalg import residual_maker, solve_ols
+from interpanel.linalg import residual_makers, solve_ols
 
 from conftest import dummy_variable_oracle, random_panel, within_ols_oracle
 
@@ -205,7 +205,7 @@ class TestWithinTransform:
     def test_matches_demeaning_projector(self):
         ds = random_panel(62, K_x=2, constant_col=1)
         out = within_transform(ds)
-        M = residual_maker(np.ones((ds.dims.T, 1)))
+        M = residual_makers(np.ones((1, ds.dims.T, 1)))[0]
         for i in range(ds.dims.n):
             assert_allclose(out.Y[i], M @ ds.Y[i], atol=1e-10)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from interpanel.data import build_regressors, make_dataset
+from interpanel.data import build_regressors, make_dataset, subset_units
 from interpanel.dgp import packaged_config, simulate
 from interpanel.estimators import fit_cite
 from interpanel.inference import (DegenerateResample, TooFewClusters,
@@ -148,6 +148,24 @@ class TestBootstrap:
         b = bootstrap_cite(ds, replications=60, seed=5)
         assert np.array_equal(a.se, b.se)
         assert np.array_equal(a.vcov, b.vcov)
+
+    def test_replays_documented_draws(self):
+        # draw r uses SeedSequence(seed, spawn_key=(r, 0)) unless it had
+        # to be redrawn; none is at this size
+        ds = small_baseline(n=40, seed=17)
+        n, reps, seed = ds.dims.n, 60, 5
+        boot = bootstrap_cite(ds, replications=reps, seed=seed,
+                              weight_mode="inv_se")
+        draws = []
+        for r in range(reps):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(r, 0)))
+            idx = rng.integers(0, n, size=n)
+            draws.append(fit_cite_weighted(subset_units(ds, idx),
+                                           weight_mode="inv_se").kappa_hat)
+        assert_allclose(boot.se, np.std(draws, axis=0, ddof=1), rtol=1e-12)
+        assert np.array_equal(
+            boot.estimates, fit_cite_weighted(ds, weight_mode="inv_se").kappa_hat)
 
     def test_minimum_replications(self):
         ds = small_baseline(n=30, seed=13)
