@@ -67,7 +67,8 @@ def _cmd_estimate(args):
     if dropped:
         print(f"warning: dropped {len(dropped)} units failing the per-unit "
               f"variation check: {list(dropped)}", file=sys.stderr)
-    dr = build_regressors(ds)
+    # validate's blocks; building anew only raises its rank error, by unit
+    dr = report.regressors or build_regressors(ds)
 
     which = ("cite", "ite") if args.estimator == "both" else (args.estimator,)
     out = {
@@ -85,33 +86,28 @@ def _cmd_estimate(args):
             labels, values = res.coefficients()
             entry = {
                 "labels": labels,
-                "estimates": [float(v) for v in values],
+                "estimates": values.tolist(),
                 "weight_mode": res.weight_mode,
-                "delta_hat": [[float(v) for v in row]
-                              for row in res.delta_hat],
+                "delta_hat": res.delta_hat.tolist(),
                 "delta_units": list(ds.unit_labels),
             }
             if args.se == "cluster":
                 k_se = cite_kappa_se(ds, res) if ds.dims.K_h else None
                 t_se = cite_theta_se(ds, dr, res) if res.theta_hat.size else None
-                se = ([float(v) for v in k_se.se] if k_se else []) + \
-                     ([float(v) for v in t_se.se] if t_se else [])
-                entry["se"] = se
+                entry["se"] = (k_se.se.tolist() if k_se else []) + \
+                    (t_se.se.tolist() if t_se else [])
                 entry["se_method"] = "hc_robust (kappa), cluster_robust (theta)"
             elif args.se == "bootstrap":
-                b = bootstrap_cite(ds, replications=args.bootstrap_reps,
-                                   seed=args.seed, weight_mode=args.weight_mode)
-                entry["se"] = [float(v) for v in b.se] + \
-                    [None] * len(res.theta_hat)
+                b = bootstrap_cite(ds, args.bootstrap_reps, args.seed,
+                                   weight_mode=args.weight_mode, dr=dr)
+                entry["se"] = b.se.tolist() + [None] * len(res.theta_hat)
                 entry["se_method"] = "bootstrap (kappa only)"
         else:
             res = ite(ds, dr)
             labels, values = res.coefficients()
-            entry = {"labels": labels,
-                     "estimates": [float(v) for v in values]}
+            entry = {"labels": labels, "estimates": values.tolist()}
             if args.se == "cluster":
-                s = ite_se(ds, dr, res)
-                entry["se"] = [float(v) for v in s.se]
+                entry["se"] = ite_se(ds, dr, res).se.tolist()
                 entry["se_method"] = "cluster_robust"
         results[est] = res
         out["estimators"][est] = entry
@@ -151,10 +147,10 @@ def _cmd_simulate(args):
     sidecar = args.truth or (args.output + ".truth.json")
     _write_json({
         "config": cfg.to_dict(),
-        "delta": [[float(v) for v in row] for row in truth.delta],
-        "eps": [float(v) for v in truth.eps],
-        "h_full": [[float(v) for v in row] for row in truth.h_full],
-        "kappa_full": [float(v) for v in truth.kappa_full],
+        "delta": truth.delta.tolist(),
+        "eps": truth.eps.tolist(),
+        "h_full": truth.h_full.tolist(),
+        "kappa_full": truth.kappa_full.tolist(),
     }, sidecar)
     print(f"wrote {args.output} and {sidecar}")
     return 0
@@ -195,8 +191,8 @@ def _cmd_mean_effect(args):
     print(f"{summary.mean_effect:.6g}")
     if args.output:
         _write_json({
-            "coefficients": [float(v) for v in summary.interaction_coefficients],
-            "means": [float(v) for v in summary.interaction_means],
+            "coefficients": summary.interaction_coefficients.tolist(),
+            "means": summary.interaction_means.tolist(),
             "constant": summary.constant,
             "mean_effect": summary.mean_effect,
         }, args.output)
@@ -217,8 +213,8 @@ def build_parser():
                        help="column mapping, e.g. y=rate or x=tax|inc "
                             "(repeatable)")
         p.add_argument("--h-min", type=float, default=DEFAULT_H_MIN,
-                       help="per-unit Gram determinant threshold "
-                            "(default %(default)s)")
+                       help="threshold on each unit's det(X'X) / (T * mean"
+                            "(X^2))^K_x (default %(default)s)")
 
     p = sub.add_parser("estimate", help="fit the estimators on a CSV panel")
     panel_args(p)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .linalg import RANK_TOL, RankDeficient, residual_makers
+from .linalg import RANK_TOL, RankDeficient, gram_det, residual_makers
 
 # Numeric text format used by the CSV writer; round-trips float64 exactly.
 FLOAT_FORMAT = "%.17g"
@@ -348,8 +348,8 @@ class DerivedRegressors:
     PsiTilde is (n, T, K_h + K_x*K_g + K_z): row t holds (X_t1 * H, Psi_t).
     MPsi and MY are Psi_i and Y_i with X_i projected out (M_i Psi_i,
     M_i Y_i); M1PsiTilde and M1Y are PsiTilde_i and Y_i with X_i minus
-    its first column projected out. q_x/r_x cache the per-unit QR of X_i
-    for downstream solves. Every field is indexed by unit first.
+    its first column projected out. q_x/r_x are the QR factors of X_i
+    that M_i was made from. Every field is indexed by unit first.
     """
 
     Psi: np.ndarray
@@ -377,29 +377,29 @@ def interaction_block(X, G):
 def build_regressors(ds):
     """Construct Psi, PsiTilde and their per-unit projections.
 
-    The only place that projects: each (n, T, T) residual maker is
-    applied to its block and to Y, then dropped. Raises RankDeficient
-    (with the offending unit's label) when some X_i'X_i or
-    X_{i,-1}'X_{i,-1} is numerically singular.
+    The only place that projects: X_i and X_{i,-1} are each factored
+    once, and each (n, T, T) residual maker is applied to its block and
+    to Y, then dropped. Raises RankDeficient (with the offending unit's
+    label) when some X_i'X_i or X_{i,-1}'X_{i,-1} is numerically singular.
     """
     d = ds.dims
     Psi = np.concatenate([interaction_block(ds.X, ds.G), ds.Z], axis=2)
     x1_h = ds.X[:, :, 0:1] * ds.H[:, None, :]
     PsiTilde = np.concatenate([x1_h, Psi], axis=2)
-    projected = []
     try:
-        for X, block in ((ds.X, Psi), (ds.X[:, :, 1:], PsiTilde)):
-            M = residual_makers(X)
-            projected += [np.einsum("nij,njp->nip", M, block),
-                          np.einsum("nij,nj->ni", M, ds.Y)]
+        MPsi, MY, q_x, r_x = _project(ds.X, Psi, ds.Y)
+        M1PsiTilde, M1Y, _, _ = _project(ds.X[:, :, 1:], PsiTilde, ds.Y)
     except Exception as exc:
         _attach_unit_label(exc, ds)
         raise
-    MPsi, MY, M1PsiTilde, M1Y = projected
-    q_x, r_x = np.linalg.qr(ds.X)
     assert Psi.shape[2] == d.n_psi and PsiTilde.shape[2] == d.n_psi_tilde
     return DerivedRegressors(Psi=Psi, PsiTilde=PsiTilde, MPsi=MPsi, MY=MY,
                              M1PsiTilde=M1PsiTilde, M1Y=M1Y, q_x=q_x, r_x=r_x)
+
+
+def _project(X, block, Y):
+    M, Q, R = residual_makers(X)  # the (n, T, T) M is dropped on return
+    return np.einsum("nij,njp->nip", M, block), np.einsum("nij,nj->ni", M, Y), Q, R
 
 
 def _attach_unit_label(exc, ds):
@@ -412,11 +412,13 @@ def _attach_unit_label(exc, ds):
 class ValidationReport:
     """Sample-analogue checks of the estimators' rank conditions.
 
-    Per-unit Gram determinants are normalized by (T * rms(X)^2)^k so the
-    h_min threshold is scale free. Pooled checks report the smallest
-    eigenvalue of the sample matrices (1/n) sum Psi'M Psi,
+    Unit i's Gram determinants are normalized by (T * mean(X_i^2))^k, so
+    the h_min threshold is scale free per unit. Pooled checks report the
+    smallest eigenvalue of the sample matrices (1/n) sum Psi'M Psi,
     (1/n) sum PsiTilde'M_-1 PsiTilde and (1/n) sum H'H relative to the
-    largest.
+    largest, over the passing units: `panel` (the input itself when none
+    fails), whose blocks are `regressors` (None if they fail the solver's
+    rank rule). Estimation reuses both; `to_dict` omits them.
     """
 
     h_min: float
@@ -428,6 +430,8 @@ class ValidationReport:
     failing_units_x_minus1: tuple
     pooled_margins: dict
     checks: dict
+    panel: PanelDataset = field(default=None, repr=False, compare=False)
+    regressors: DerivedRegressors = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -441,8 +445,8 @@ class ValidationReport:
             "pooled_margins": {k: float(v) for k, v in self.pooled_margins.items()},
             "failing_units_x": list(self.failing_units_x),
             "failing_units_x_minus1": list(self.failing_units_x_minus1),
-            "unit_gram_det_x": [float(v) for v in self.unit_gram_det_x],
-            "unit_gram_det_x_minus1": [float(v) for v in self.unit_gram_det_x_minus1],
+            "unit_gram_det_x": self.unit_gram_det_x.tolist(),
+            "unit_gram_det_x_minus1": self.unit_gram_det_x_minus1.tolist(),
         }
 
 
@@ -462,26 +466,16 @@ def validate(ds, h_min=DEFAULT_H_MIN, rank_tol=RANK_TOL):
     Reporting only; nothing is raised. Units whose normalized Gram
     determinant falls below h_min are listed and excluded from the pooled
     sample matrices (downstream estimation conditions on the passing
-    subpopulation).
+    subpopulation), whose regressors are built here, once.
     """
     d = ds.dims
     X = ds.X
-    scale2 = float(np.mean(X * X)) if X.size else 1.0
-    if scale2 == 0.0:
-        scale2 = 1.0
-
-    XtX = np.einsum("ntk,ntl->nkl", X, X)
-    det_x = np.linalg.det(XtX)
+    scale2 = np.mean(X * X, axis=(1, 2))
+    scale2[scale2 == 0.0] = 1.0
+    det_x = gram_det(X)
+    det_x1 = gram_det(X[:, :, 1:])
     margin_x = det_x / (d.T * scale2) ** d.K_x
-
-    X1 = X[:, :, 1:]
-    if d.K_x > 1:
-        X1tX1 = np.einsum("ntk,ntl->nkl", X1, X1)
-        det_x1 = np.linalg.det(X1tX1)
-        margin_x1 = det_x1 / (d.T * scale2) ** (d.K_x - 1)
-    else:
-        det_x1 = np.ones(d.n)
-        margin_x1 = np.ones(d.n)
+    margin_x1 = det_x1 / (d.T * scale2) ** (d.K_x - 1)
 
     ok_x = margin_x > h_min
     ok_x1 = margin_x1 > h_min
@@ -490,17 +484,18 @@ def validate(ds, h_min=DEFAULT_H_MIN, rank_tol=RANK_TOL):
 
     keep = np.flatnonzero(ok_x & ok_x1)
     pooled = {"psi_m_psi": 0.0, "psi_tilde_m1_psi_tilde": 0.0, "hth": 0.0}
+    panel = dr = None
     if keep.size >= 2:
         try:
-            sub = subset_units(ds, keep)
-            dr = build_regressors(sub)
+            # ds itself, not a copy: einsum would sum M @ Y in another order
+            panel = ds if keep.size == d.n else subset_units(ds, keep)
+            dr = build_regressors(panel)
         except (RankDeficient, ValueError):
-            # Retained units still fail at solver tolerance; leave margins 0.
-            dr = None
+            pass  # retained units still fail at solver tolerance; margins stay 0
         if dr is not None:
             S1 = np.einsum("nip,niq->pq", dr.MPsi, dr.MPsi) / keep.size
             S2 = np.einsum("nip,niq->pq", dr.M1PsiTilde, dr.M1PsiTilde) / keep.size
-            S3 = sub.H.T @ sub.H / keep.size
+            S3 = panel.H.T @ panel.H / keep.size
             pooled = {
                 "psi_m_psi": _min_eig_margin(S1),
                 "psi_tilde_m1_psi_tilde": _min_eig_margin(S2),
@@ -524,14 +519,15 @@ def validate(ds, h_min=DEFAULT_H_MIN, rank_tol=RANK_TOL):
         failing_units_x_minus1=fail_x1,
         pooled_margins=pooled,
         checks=checks,
+        panel=panel,
+        regressors=dr,
     )
 
 
 def drop_failing_units(ds, report):
-    """Remove units flagged by `validate`; returns (dataset, dropped labels)."""
+    """Remove the units flagged by `report = validate(ds)`; returns
+    (report.panel, dropped labels), the panel validate built regressors on."""
     bad = set(report.failing_units_x) | set(report.failing_units_x_minus1)
-    if not bad:
-        return ds, ()
     keep = [i for i, u in enumerate(ds.unit_labels) if u not in bad]
     dropped = tuple(u for u in ds.unit_labels if u in bad)
     if len(keep) < 2:
@@ -539,4 +535,5 @@ def drop_failing_units(ds, report):
             f"fewer than 2 units remain after dropping {len(dropped)} "
             "rank-deficient units"
         )
-    return subset_units(ds, keep), dropped
+    # no panel only if validate caught the error forming it: raise it here
+    return report.panel or subset_units(ds, keep), dropped

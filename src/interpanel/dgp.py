@@ -250,8 +250,8 @@ class DgpConfig:
 
 
 def _plain(v):
-    arr = np.asarray(v)
-    return [float(x) for x in arr] if arr.ndim else float(arr)
+    # JSON ints in a config still print as floats
+    return np.asarray(v, dtype=float).tolist()
 
 
 def load_dgp_config(path):
@@ -413,8 +413,8 @@ class PlimTargets:
 
     def to_dict(self):
         return {
-            "kappa_tilde": [float(v) for v in self.kappa_tilde],
-            "kappa_tilde_se": [float(v) for v in self.kappa_tilde_se],
+            "kappa_tilde": self.kappa_tilde.tolist(),
+            "kappa_tilde_se": self.kappa_tilde_se.tolist(),
             "ite_plim_kappa1": self.ite_plim_kappa1,
             "ite_plim_kappa1_se": self.ite_plim_kappa1_se,
             "oracle_draws": self.oracle_draws,

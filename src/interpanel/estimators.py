@@ -37,21 +37,20 @@ class NoConstantColumn(ValueError):
     pass
 
 
-def theta_labels(ds):
+def theta_labels(columns):
     """Labels for the pooled-stage coefficients: phi block then gamma."""
-    cols = ds.columns
-    labels = [f"phi[{x}:{g}]" for x in cols["x"] for g in cols["g"]]
-    labels += [f"gamma[{z}]" for z in cols["z"]]
+    labels = [f"phi[{x}:{g}]" for x in columns["x"] for g in columns["g"]]
+    labels += [f"gamma[{z}]" for z in columns["z"]]
     return labels
 
 
-def kappa_labels(ds):
-    return [f"kappa[{h}]" for h in ds.columns["h"]]
+def kappa_labels(columns):
+    return [f"kappa[{h}]" for h in columns["h"]]
 
 
-def theta_tilde_labels(ds):
+def theta_tilde_labels(columns):
     """Labels for the one-step coefficients: kappa block first."""
-    return kappa_labels(ds) + theta_labels(ds)
+    return kappa_labels(columns) + theta_labels(columns)
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,8 @@ def fit_cite(ds, dr=None):
         theta_hat=theta,
         delta_hat=delta,
         kappa_hat=kappa,
-        theta_labels=tuple(theta_labels(ds)),
-        kappa_labels=tuple(kappa_labels(ds)),
+        theta_labels=tuple(theta_labels(ds.columns)),
+        kappa_labels=tuple(kappa_labels(ds.columns)),
     )
 
 
@@ -177,7 +176,7 @@ def ite(ds, dr=None):
         kappa_hat=tt[:K_h],
         phi_hat=tt[K_h:K_h + d.K_x * d.K_g].reshape(d.K_x, d.K_g),
         gamma_hat=tt[K_h + d.K_x * d.K_g:],
-        labels=tuple(theta_tilde_labels(ds)),
+        labels=tuple(theta_tilde_labels(ds.columns)),
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .data import build_regressors, default_columns
 from .dgp import DgpConfig, plim_targets, simulate
 from .estimators import ite as _fit_ite
-from .estimators import theta_labels as _theta_labels
+from .estimators import theta_tilde_labels
 from .inference import fit_cite_weighted
 from .linalg import RankDeficient
 
@@ -26,16 +26,9 @@ ESTIMATORS = ("cite", "ite")
 FAILURE_RATE_LIMIT = 0.01
 
 
-class _LabelStub:
-    # theta/kappa label helpers only need .columns; avoids building a panel.
-    def __init__(self, dims):
-        self.columns = default_columns(dims)
-
-
 def parameter_labels(dims):
     """Labels in (kappa, phi, gamma) order for a given dimension set."""
-    stub = _LabelStub(dims)
-    return [f"kappa[{h}]" for h in stub.columns["h"]] + _theta_labels(stub)
+    return theta_tilde_labels(default_columns(dims))
 
 
 def true_parameters(cfg):
@@ -145,7 +138,7 @@ class MonteCarloReport:
             "replications": self.replications,
             "estimators": list(self.estimators),
             "parameters": list(self.parameter_names),
-            "truth": [float(v) for v in self.truth],
+            "truth": self.truth.tolist(),
             "cells": [c.to_dict() for c in self.cells],
             "sign_agreement": {str(k): v for k, v in self.sign_agreement.items()},
             "targets": self.targets.to_dict() if self.targets is not None else None,

@@ -51,8 +51,8 @@ class SeResult:
     def to_dict(self):
         return {
             "labels": list(self.labels),
-            "estimates": [float(v) for v in self.estimates],
-            "se": [float(v) for v in self.se],
+            "estimates": self.estimates.tolist(),
+            "se": self.se.tolist(),
             "method": self.method,
             "n_clusters": self.n_clusters,
         }
@@ -166,15 +166,15 @@ def cite_kappa_se(ds, result):
     )
 
 
-def bootstrap_cite(ds, replications, seed, weight_mode="none"):
+def bootstrap_cite(ds, replications, seed, weight_mode="none", dr=None):
     """Unit bootstrap of the full two-step pipeline.
 
     Resamples units with replacement `replications` times, refits CITE on
     each draw, and reports the empirical SD of kappa_hat. The regressor
-    blocks are built once and reindexed per draw (DerivedRegressors.take)
-    rather than reprojected. Draws that fail rank checks are redrawn; the
-    total number of redraws is capped at BOOTSTRAP_REDRAW_FACTOR *
-    replications.
+    blocks `dr` (built here when not given) are reindexed per draw
+    (DerivedRegressors.take) rather than reprojected. Draws that fail
+    rank checks are redrawn; the total number of redraws is capped at
+    BOOTSTRAP_REDRAW_FACTOR * replications.
 
     Each draw's randomness depends only on (seed, replication index,
     attempt), so results are reproducible and independent of execution
@@ -182,7 +182,8 @@ def bootstrap_cite(ds, replications, seed, weight_mode="none"):
     """
     if replications < 50:
         raise ValueError(f"need at least 50 replications, got {replications}")
-    dr = build_regressors(ds)
+    if dr is None:
+        dr = build_regressors(ds)
     full = fit_cite_weighted(ds, dr, weight_mode=weight_mode)
     n = ds.dims.n
     max_redraws = BOOTSTRAP_REDRAW_FACTOR * replications

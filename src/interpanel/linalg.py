@@ -23,9 +23,11 @@ class RankDeficient(np.linalg.LinAlgError):
     def __init__(self, message, condition=np.inf, unit=None):
         self.condition = float(condition)
         self.unit = unit
-        if unit is not None:
-            message = f"{message} (unit {unit})"
         super().__init__(message)
+
+    def __str__(self):  # formatted late, so a unit label attached later shows
+        where = "" if self.unit is None else f" (unit {self.unit})"
+        return super().__str__() + where
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,9 @@ def solve_ols(design, response):
 
 
 def residual_makers(X):
-    """Batched residual makers for a stack of unit design matrices.
+    """Batched residual makers M_i = I - Q_i Q_i' from one reduced QR per
+    unit, X_i = Q_i R_i. Rank is checked on the singular values of the
+    k x k R_i, which are those of X_i.
 
     Parameters
     ----------
@@ -99,7 +103,8 @@ def residual_makers(X):
 
     Returns
     -------
-    (n, T, T) ndarray of projection matrices.
+    (M, Q, R): (n, T, T) projection matrices and the (n, T, k), (n, k, k)
+    QR factors.
 
     Raises
     ------
@@ -108,25 +113,22 @@ def residual_makers(X):
     """
     X = np.asarray(X, dtype=float)
     n, T, k = X.shape
-    if k == 0:
-        return np.broadcast_to(np.eye(T), (n, T, T)).copy()
     if T < k:
         raise RankDeficient(f"unit designs have more columns ({k}) than rows ({T})")
-    sv = np.linalg.svd(X, compute_uv=False)
-    bad = (sv[:, 0] == 0.0) | (sv[:, -1] < RANK_TOL * sv[:, 0])
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        s = sv[i]
-        cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
-        raise RankDeficient("X_i'X_i is numerically singular", condition=cond, unit=i)
-    Q, _ = np.linalg.qr(X)
+    Q, R = np.linalg.qr(X)
+    if k:
+        sv = np.linalg.svd(R, compute_uv=False)
+        bad = (sv[:, 0] == 0.0) | (sv[:, -1] < RANK_TOL * sv[:, 0])
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            s = sv[i]
+            cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
+            raise RankDeficient("X_i'X_i is numerically singular", condition=cond, unit=i)
     M = np.eye(T) - np.einsum("nik,njk->nij", Q, Q)
-    return 0.5 * (M + M.transpose(0, 2, 1))
+    return 0.5 * (M + M.transpose(0, 2, 1)), Q, R
 
 
 def gram_det(A):
-    """Determinant of the Gram matrix A'A (1.0 for an empty A)."""
+    """det(A'A) for each matrix of a stack A (..., m, k); 1.0 when k = 0."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("A must be 2-dimensional")
-    return float(np.linalg.det(A.T @ A))
+    return np.linalg.det(np.einsum("...tk,...tl->...kl", A, A))

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -96,6 +97,53 @@ class TestEstimate:
         doc = json.loads(out_path.read_text())
         se = doc["estimators"]["cite"]["se"]
         assert len([v for v in se if v is not None]) == 2  # K_h kappa entries
+
+
+class TestBuildsOnce:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # count build_regressors calls under every interpanel alias
+        from interpanel import data
+        original = data.build_regressors
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "interpanel" or name.startswith("interpanel."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("extra", [
+        ("--estimator", "both"),
+        ("--estimator", "cite", "--se", "bootstrap", "--bootstrap-reps", "50"),
+    ])
+    def test_estimate_builds_regressors_once(self, sim_csv, capsys, builds,
+                                             extra):
+        path, _ = sim_csv
+        code, _, _ = run(capsys, "estimate", "--input", path, *extra)
+        assert code == 0
+        assert len(builds) == 1
+
+    def test_rank_error_names_the_unit_label(self, tmp_path, capsys):
+        # labels 1..6; the fifth unit (label 5) has collinear x columns,
+        # and --h-min -1 keeps it past validate
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(6, 5, 2))
+        X[4, :, 1] = 2.0 * X[4, :, 0]
+        ds = make_dataset(rng.normal(size=(6, 5)), X,
+                          unit_labels=[1, 2, 3, 4, 5, 6])
+        path = tmp_path / "collinear.csv"
+        write_csv(ds, path)
+        code, out, err = run(capsys, "estimate", "--input", str(path),
+                             "--h-min", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: X_i'X_i is numerically singular (unit 5)\n"
 
 
 class TestValidate:

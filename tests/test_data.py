@@ -180,6 +180,7 @@ class TestBuildRegressors:
         with pytest.raises(RankDeficient) as err:
             build_regressors(bad)
         assert err.value.unit == "e"
+        assert "unit e" in str(err.value)
 
 
 class TestValidate:
@@ -221,6 +222,44 @@ class TestValidate:
         kept, dropped = drop_failing_units(ds, report)
         assert dropped == (3,)
         assert kept.dims.n == 5
+        assert kept is report.panel
+        assert kept.unit_labels == (1, 2, 4, 5, 6)
+
+    def test_regressors_built_on_the_input_when_nothing_fails(self):
+        ds = random_panel(13, n=10)
+        report = validate(ds)
+        assert report.panel is ds
+        assert drop_failing_units(ds, report) == (ds, ())
+        rebuilt = build_regressors(ds)
+        for f in fields(rebuilt):
+            assert np.array_equal(getattr(report.regressors, f.name),
+                                  getattr(rebuilt, f.name)), f.name
+        assert not {"panel", "regressors"} & set(report.to_dict())
+
+    def test_no_regressors_when_kept_units_fail_the_rank_rule(self):
+        # h_min < 0 keeps every unit, but unit 5 is exactly collinear
+        ds = random_panel(14, n=6)
+        X = ds.X.copy()
+        X[4, :, 1] = 3.0 * X[4, :, 0]
+        bad = make_dataset(ds.Y, X, ds.G, ds.Z, ds.H)
+        report = validate(bad, h_min=-1.0)
+        assert report.panel is bad
+        assert report.regressors is None
+        assert report.pooled_margins["psi_m_psi"] == 0.0
+
+    @pytest.mark.parametrize("factor", [1e3, 1e-3])
+    def test_rescaling_one_unit_moves_no_verdict(self, baseline_config, factor):
+        from dataclasses import replace
+        cfg = replace(baseline_config,
+                      dims=replace(baseline_config.dims, n=300, T=6), seed=3)
+        ds = simulate(cfg).dataset
+        X = ds.X.copy()
+        X[7] *= factor
+        scaled = make_dataset(ds.Y, X, ds.G, ds.Z, ds.H)
+        before, after = validate(ds), validate(scaled)
+        assert after.failing_units_x == before.failing_units_x == ()
+        assert after.failing_units_x_minus1 == before.failing_units_x_minus1
+        assert_allclose(after.unit_margin_x, before.unit_margin_x, rtol=1e-9)
 
 
 class TestHelpers:

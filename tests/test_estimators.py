@@ -205,7 +205,7 @@ class TestWithinTransform:
     def test_matches_demeaning_projector(self):
         ds = random_panel(62, K_x=2, constant_col=1)
         out = within_transform(ds)
-        M = residual_makers(np.ones((1, ds.dims.T, 1)))[0]
+        M = residual_makers(np.ones((1, ds.dims.T, 1)))[0][0]
         for i in range(ds.dims.n):
             assert_allclose(out.Y[i], M @ ds.Y[i], atol=1e-10)
 

@@ -53,20 +53,20 @@ class TestSolveOls:
 
 class TestResidualMaker:
     def test_demeaning_projector_T2(self):
-        M = residual_makers(np.ones((1, 2, 1)))[0]
+        M = residual_makers(np.ones((1, 2, 1)))[0][0]
         assert_allclose(M, [[0.5, -0.5], [-0.5, 0.5]])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_annihilates_columns(self, seed):
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(4, 7, 3))
-        M = residual_makers(A)
+        M, _, _ = residual_makers(A)
         assert np.max(np.abs(M @ A)) < 1e-10
 
     def test_idempotent_direct_multiplication(self):
         rng = np.random.default_rng(11)
         A = rng.normal(size=(3, 5, 2))
-        M = residual_makers(A)
+        M, _, _ = residual_makers(A)
         assert_allclose(M @ M, M, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -74,7 +74,7 @@ class TestResidualMaker:
         rng = np.random.default_rng(100 + seed)
         n, T, k = 5, 8, 3
         A = rng.normal(size=(n, T, k))
-        M = residual_makers(A)
+        M, _, _ = residual_makers(A)
         assert np.max(np.abs(M - M.transpose(0, 2, 1))) < 1e-8
         assert np.max(np.abs(M @ M - M)) < 1e-8
         assert np.max(np.abs(M @ A)) < 1e-8
@@ -85,11 +85,24 @@ class TestResidualMaker:
         rng = np.random.default_rng(200 + seed)
         A = rng.normal(size=(3, 6, 2))
         C = rng.normal(size=(3, 2, 2)) + 2 * np.eye(2)
-        assert np.max(np.abs(residual_makers(A @ C) - residual_makers(A))) < 1e-8
+        assert np.max(np.abs(residual_makers(A @ C)[0] - residual_makers(A)[0])) < 1e-8
 
     def test_empty_columns_is_identity(self):
-        assert_allclose(residual_makers(np.empty((3, 4, 0))),
-                        np.broadcast_to(np.eye(4), (3, 4, 4)))
+        M, Q, R = residual_makers(np.empty((3, 4, 0)))
+        assert_allclose(M, np.broadcast_to(np.eye(4), (3, 4, 4)))
+        assert Q.shape == (3, 4, 0) and R.shape == (3, 0, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_factors_reproduce_design(self, seed):
+        # the returned QR is the factorization M was made from
+        rng = np.random.default_rng(300 + seed)
+        A = rng.normal(size=(4, 7, 3))
+        M, Q, R = residual_makers(A)
+        assert_allclose(Q @ R, A, atol=1e-12)
+        assert_allclose(Q.transpose(0, 2, 1) @ Q,
+                        np.broadcast_to(np.eye(3), (4, 3, 3)), atol=1e-12)
+        assert np.all(np.tril(R, -1) == 0.0)
+        assert_allclose(M, np.eye(7) - Q @ Q.transpose(0, 2, 1), atol=1e-14)
 
     def test_singular_raises(self):
         A = np.column_stack([np.ones(4), 2 * np.ones(4)])[None]
@@ -123,3 +136,9 @@ class TestGramDet:
 
     def test_empty_matrix(self):
         assert gram_det(np.empty((4, 0))) == 1.0
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(5, 6, 3))
+        assert_allclose(gram_det(A), [gram_det(a) for a in A], rtol=1e-12)
+        assert_allclose(gram_det(A[:, :, :0]), np.ones(5))
