@@ -98,8 +98,7 @@ def _cmd_estimate(args):
                     (t_se.se.tolist() if t_se else [])
                 entry["se_method"] = "hc_robust (kappa), cluster_robust (theta)"
             elif args.se == "bootstrap":
-                b = bootstrap_cite(ds, args.bootstrap_reps, args.seed,
-                                   weight_mode=args.weight_mode, dr=dr)
+                b = bootstrap_cite(ds, dr, res, args.bootstrap_reps, args.seed)
                 entry["se"] = b.se.tolist() + [None] * len(res.theta_hat)
                 entry["se_method"] = "bootstrap (kappa only)"
         else:

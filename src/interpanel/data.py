@@ -342,7 +342,8 @@ def add_intercept_h(ds, name="h_const"):
 
 @dataclass(frozen=True)
 class DerivedRegressors:
-    """Per-unit regressor blocks and their projections.
+    """Every per-unit array a fit reads: the panel's own Y, X and H
+    (not copies), the regressor blocks and their projections.
 
     Psi is (n, T, K_x*K_g + K_z): row t holds (X_t kron G_t, Z_t).
     PsiTilde is (n, T, K_h + K_x*K_g + K_z): row t holds (X_t1 * H, Psi_t).
@@ -352,6 +353,9 @@ class DerivedRegressors:
     that M_i was made from. Every field is indexed by unit first.
     """
 
+    Y: np.ndarray
+    X: np.ndarray
+    H: np.ndarray
     Psi: np.ndarray
     PsiTilde: np.ndarray
     MPsi: np.ndarray
@@ -393,8 +397,9 @@ def build_regressors(ds):
         _attach_unit_label(exc, ds)
         raise
     assert Psi.shape[2] == d.n_psi and PsiTilde.shape[2] == d.n_psi_tilde
-    return DerivedRegressors(Psi=Psi, PsiTilde=PsiTilde, MPsi=MPsi, MY=MY,
-                             M1PsiTilde=M1PsiTilde, M1Y=M1Y, q_x=q_x, r_x=r_x)
+    return DerivedRegressors(Y=ds.Y, X=ds.X, H=ds.H, Psi=Psi, PsiTilde=PsiTilde,
+                             MPsi=MPsi, MY=MY, M1PsiTilde=M1PsiTilde, M1Y=M1Y,
+                             q_x=q_x, r_x=r_x)
 
 
 def _project(X, block, Y):

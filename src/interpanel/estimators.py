@@ -60,6 +60,7 @@ class CiteResult:
     theta_hat stacks the phi blocks (one per x column) and gamma.
     delta_hat is (n, K_x): the per-unit slope estimates. kappa_hat is the
     cross-sectional projection of delta_hat[:, 0] on H (empty if K_h=0).
+    weights holds the w_i of a weighted kappa stage (None if unweighted).
     """
 
     theta_hat: np.ndarray
@@ -68,6 +69,7 @@ class CiteResult:
     theta_labels: tuple
     kappa_labels: tuple
     weight_mode: str = "none"
+    weights: np.ndarray = None
 
     def coefficients(self):
         """(labels, values) with kappa first, matching the one-step order."""
@@ -101,14 +103,13 @@ def cite_theta(ds, dr=None):
         dr = build_regressors(ds)
     if dr.Psi.shape[2] == 0:
         return np.zeros(0)
-    d = ds.dims
-    design = dr.MPsi.reshape(d.n * d.T, d.n_psi)
+    design = dr.MPsi.reshape(dr.MY.size, -1)
     return solve_ols(design, dr.MY.reshape(-1)).coefficients
 
 
 def cite_delta(ds, dr, theta_hat):
     """Per-unit slopes: delta_i = (X_i'X_i)^{-1} X_i'(Y_i - Psi_i theta)."""
-    resid = ds.Y - dr.Psi @ theta_hat
+    resid = dr.Y - dr.Psi @ theta_hat
     rhs = np.einsum("ntk,nt->nk", dr.q_x, resid)
     return np.linalg.solve(dr.r_x, rhs[..., None])[..., 0]
 
@@ -136,9 +137,13 @@ def cite_kappa(delta1, H, weights=None, mode="none"):
         raise LengthMismatch("weights length must match delta1")
     if np.any(se <= 0) or not np.all(np.isfinite(se)):
         raise MissingWeights("weights must be strictly positive and finite")
-    w = 1.0 / se if mode == "inv_se" else 1.0 / se**2
-    sw = np.sqrt(w)
+    sw = np.sqrt(second_stage_weights(se, mode))
     return solve_ols(H * sw[:, None], delta1 * sw).coefficients
+
+
+def second_stage_weights(se, mode):
+    """Weights w_i = 1/se_i ("inv_se") or 1/se_i^2 ("inv_var")."""
+    return 1.0 / se if mode == "inv_se" else 1.0 / se**2
 
 
 def fit_cite(ds, dr=None):
@@ -149,7 +154,7 @@ def fit_cite(ds, dr=None):
         dr = build_regressors(ds)
     theta = cite_theta(ds, dr)
     delta = cite_delta(ds, dr, theta)
-    kappa = cite_kappa(delta[:, 0], ds.H) if ds.dims.K_h > 0 else np.zeros(0)
+    kappa = cite_kappa(delta[:, 0], dr.H) if ds.dims.K_h > 0 else np.zeros(0)
     return CiteResult(
         theta_hat=theta,
         delta_hat=delta,
@@ -168,7 +173,7 @@ def ite(ds, dr=None):
     if dr is None:
         dr = build_regressors(ds)
     d = ds.dims
-    design = dr.M1PsiTilde.reshape(d.n * d.T, d.n_psi_tilde)
+    design = dr.M1PsiTilde.reshape(dr.M1Y.size, d.n_psi_tilde)
     tt = solve_ols(design, dr.M1Y.reshape(-1)).coefficients
     K_h = d.K_h
     return IteResult(

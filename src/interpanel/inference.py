@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .data import build_regressors, subset_units
-from .estimators import cite_kappa, fit_cite
+from .data import build_regressors
+from .estimators import cite_kappa, fit_cite, second_stage_weights
 from .linalg import RankDeficient
 
 BOOTSTRAP_REDRAW_FACTOR = 10
@@ -65,14 +65,14 @@ def first_stage_se(ds, dr, cite):
     s_i^2 = RSS_i / (T - K_x) from the residuals of
     Y_i - Psi_i theta_hat - X_i delta_hat_i.
     """
-    d = ds.dims
-    if d.T <= d.K_x:
+    n, T, K_x = dr.X.shape
+    if T <= K_x:
         raise ZeroDegreesOfFreedom(unit=ds.unit_labels[0])
-    resid = ds.Y - dr.Psi @ cite.theta_hat \
-        - np.einsum("ntk,nk->nt", ds.X, cite.delta_hat)
-    s2 = np.sum(resid * resid, axis=1) / (d.T - d.K_x)
+    resid = dr.Y - dr.Psi @ cite.theta_hat \
+        - np.einsum("ntk,nk->nt", dr.X, cite.delta_hat)
+    s2 = np.sum(resid * resid, axis=1) / (T - K_x)
     # (X'X)^{-1} = R^{-1} R^{-T} from the cached per-unit QR.
-    eye = np.broadcast_to(np.eye(d.K_x), (d.n, d.K_x, d.K_x))
+    eye = np.broadcast_to(np.eye(K_x), (n, K_x, K_x))
     r_inv = np.linalg.solve(dr.r_x, eye)
     inv11 = np.einsum("nk,nk->n", r_inv[:, 0, :], r_inv[:, 0, :])
     return np.sqrt(s2 * inv11)
@@ -144,14 +144,16 @@ def cite_theta_se(ds, dr, result, small_sample=True):
 
 
 def cite_kappa_se(ds, result):
-    """HC-robust SEs for the delta-on-H second stage, treating the
-    estimated slopes as data (first-step noise is ignored; use
-    bootstrap_cite to propagate it)."""
-    H = ds.H
-    n = H.shape[0]
+    """HC0 SEs for the delta-on-H second stage, treating the estimated
+    slopes as data (first-step noise is ignored; use bootstrap_cite to
+    propagate it). A weighted fit's sandwich is formed on sqrt(w) H and
+    sqrt(w) e with the fit's own weights w."""
+    n = ds.H.shape[0]
     if n <= 1:
         raise TooFewClusters("need at least 2 units")
-    e = result.delta_hat[:, 0] - H @ result.kappa_hat
+    sw = np.ones(n) if result.weights is None else np.sqrt(result.weights)
+    H = ds.H * sw[:, None]
+    e = (result.delta_hat[:, 0] - ds.H @ result.kappa_hat) * sw
     bread = np.linalg.inv(H.T @ H)
     meat = (H * e[:, None]).T @ (H * e[:, None])
     V = bread @ meat @ bread
@@ -166,15 +168,15 @@ def cite_kappa_se(ds, result):
     )
 
 
-def bootstrap_cite(ds, replications, seed, weight_mode="none", dr=None):
+def bootstrap_cite(ds, dr, fit, replications, seed):
     """Unit bootstrap of the full two-step pipeline.
 
-    Resamples units with replacement `replications` times, refits CITE on
-    each draw, and reports the empirical SD of kappa_hat. The regressor
-    blocks `dr` (built here when not given) are reindexed per draw
-    (DerivedRegressors.take) rather than reprojected. Draws that fail
-    rank checks are redrawn; the total number of redraws is capped at
-    BOOTSTRAP_REDRAW_FACTOR * replications.
+    `fit` is the full-sample fit on the blocks `dr`; its kappa_hat,
+    labels and weight mode are reported and reused. Resamples units with
+    replacement `replications` times, refits CITE on each draw's blocks
+    (`dr.take`, no reprojection), and reports the empirical SD of
+    kappa_hat. Draws that fail rank checks are redrawn; the total number
+    of redraws is capped at BOOTSTRAP_REDRAW_FACTOR * replications.
 
     Each draw's randomness depends only on (seed, replication index,
     attempt), so results are reproducible and independent of execution
@@ -182,9 +184,6 @@ def bootstrap_cite(ds, replications, seed, weight_mode="none", dr=None):
     """
     if replications < 50:
         raise ValueError(f"need at least 50 replications, got {replications}")
-    if dr is None:
-        dr = build_regressors(ds)
-    full = fit_cite_weighted(ds, dr, weight_mode=weight_mode)
     n = ds.dims.n
     max_redraws = BOOTSTRAP_REDRAW_FACTOR * replications
     redraws = 0
@@ -197,8 +196,8 @@ def bootstrap_cite(ds, replications, seed, weight_mode="none", dr=None):
                                        spawn_key=(r, attempt)))
             idx = rng.integers(0, n, size=n)
             try:
-                draws[r] = fit_cite_weighted(subset_units(ds, idx), dr.take(idx),
-                                             weight_mode=weight_mode).kappa_hat
+                draws[r] = fit_cite_weighted(ds, dr.take(idx),
+                                             weight_mode=fit.weight_mode).kappa_hat
                 break
             except (RankDeficient, np.linalg.LinAlgError):
                 redraws += 1
@@ -210,8 +209,8 @@ def bootstrap_cite(ds, replications, seed, weight_mode="none", dr=None):
                     ) from None
     vcov = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
     return SeResult(
-        labels=tuple(full.kappa_labels),
-        estimates=full.kappa_hat,
+        labels=tuple(fit.kappa_labels),
+        estimates=fit.kappa_hat,
         se=draws.std(axis=0, ddof=1),
         vcov=0.5 * (vcov + vcov.T),
         method="bootstrap",
@@ -232,5 +231,6 @@ def fit_cite_weighted(ds, dr=None, weight_mode="none"):
     if weight_mode == "none" or ds.dims.K_h == 0:
         return res
     se = first_stage_se(ds, dr, res)
-    kappa = cite_kappa(res.delta_hat[:, 0], ds.H, weights=se, mode=weight_mode)
-    return _dc_replace(res, kappa_hat=kappa, weight_mode=weight_mode)
+    kappa = cite_kappa(res.delta_hat[:, 0], dr.H, weights=se, mode=weight_mode)
+    return _dc_replace(res, kappa_hat=kappa, weight_mode=weight_mode,
+                       weights=second_stage_weights(se, weight_mode))

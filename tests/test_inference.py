@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from interpanel.data import build_regressors, make_dataset, subset_units
+from interpanel.data import (add_intercept_h, build_regressors, make_dataset,
+                             subset_units)
 from interpanel.dgp import packaged_config, simulate
-from interpanel.estimators import fit_cite
+from interpanel.estimators import fit_cite, ite
 from interpanel.inference import (DegenerateResample, TooFewClusters,
                                   ZeroDegreesOfFreedom, bootstrap_cite,
                                   cite_kappa_se, cite_theta_se,
@@ -20,6 +21,13 @@ def small_baseline(n=80, seed=21, **overrides):
     cfg = packaged_config("baseline")
     cfg = replace(cfg, dims=replace(cfg.dims, n=n), seed=seed, **overrides)
     return simulate(cfg).dataset
+
+
+def bootstrap(ds, replications, seed, weight_mode="none"):
+    """bootstrap_cite around a full-sample fit made here."""
+    dr = build_regressors(ds)
+    return bootstrap_cite(ds, dr, fit_cite_weighted(ds, dr, weight_mode),
+                          replications, seed)
 
 
 class TestFirstStageSe:
@@ -124,7 +132,6 @@ class TestClusterRobust:
         ds = small_baseline(n=50, seed=9)
         dr = build_regressors(ds)
         res = fit_cite(ds, dr)
-        from interpanel.estimators import ite
         for se in (ite_se(ds, dr, ite(ds, dr)),
                    cite_theta_se(ds, dr, res),
                    cite_kappa_se(ds, res)):
@@ -139,13 +146,13 @@ class TestBootstrap:
         cfg = replace(cfg, dims=replace(cfg.dims, n=30), seed=11,
                       u_scale=0.0, v_scale=0.0, eps_scale=0.0)
         ds = simulate(cfg).dataset
-        se = bootstrap_cite(ds, replications=50, seed=1)
+        se = bootstrap(ds, replications=50, seed=1)
         assert np.max(se.se) < 1e-8
 
     def test_seeded_runs_are_bit_identical(self):
         ds = small_baseline(n=40, seed=12)
-        a = bootstrap_cite(ds, replications=60, seed=5)
-        b = bootstrap_cite(ds, replications=60, seed=5)
+        a = bootstrap(ds, replications=60, seed=5)
+        b = bootstrap(ds, replications=60, seed=5)
         assert np.array_equal(a.se, b.se)
         assert np.array_equal(a.vcov, b.vcov)
 
@@ -154,8 +161,7 @@ class TestBootstrap:
         # to be redrawn; none is at this size
         ds = small_baseline(n=40, seed=17)
         n, reps, seed = ds.dims.n, 60, 5
-        boot = bootstrap_cite(ds, replications=reps, seed=seed,
-                              weight_mode="inv_se")
+        boot = bootstrap(ds, replications=reps, seed=seed, weight_mode="inv_se")
         draws = []
         for r in range(reps):
             rng = np.random.default_rng(
@@ -170,7 +176,7 @@ class TestBootstrap:
     def test_minimum_replications(self):
         ds = small_baseline(n=30, seed=13)
         with pytest.raises(ValueError):
-            bootstrap_cite(ds, replications=10, seed=0)
+            bootstrap(ds, replications=10, seed=0)
 
     def test_matches_monte_carlo_sd(self):
         # bootstrap SE at n=400 vs the SD of kappa_hat across independent
@@ -183,7 +189,7 @@ class TestBootstrap:
             draws.append(fit_cite(ds).kappa_hat)
         mc_sd = np.array(draws).std(axis=0, ddof=1)
         ds = simulate(replace(cfg, seed=123)).dataset
-        boot = bootstrap_cite(ds, replications=200, seed=9)
+        boot = bootstrap(ds, replications=200, seed=9)
         assert np.all(np.abs(boot.se - mc_sd) < 0.25 * mc_sd)
 
     def test_degenerate_resample_cap(self):
@@ -198,7 +204,7 @@ class TestBootstrap:
         H = rng.normal(size=(n, 5))
         ds = make_dataset(Y, X, H=H)
         with pytest.raises(DegenerateResample):
-            bootstrap_cite(ds, replications=50, seed=3)
+            bootstrap(ds, replications=50, seed=3)
 
 
 class TestWeightedFit:
@@ -221,3 +227,40 @@ class TestWeightedFit:
         assert fit_cite_weighted(ds, weight_mode="none") is not None
         with pytest.raises(ZeroDegreesOfFreedom):
             fit_cite_weighted(ds, weight_mode="inv_se")
+
+    @pytest.mark.parametrize("mode", ["none", "inv_se", "inv_var"])
+    def test_fits_read_units_from_the_blocks(self, mode):
+        # a resample is a reindex of the blocks; ds only carries labels
+        ds = small_baseline(n=40, seed=18)
+        idx = np.random.default_rng(2).integers(0, 40, size=50)
+        assert np.unique(idx).size < idx.size
+        got = fit_cite_weighted(ds, build_regressors(ds).take(idx), mode)
+        want = fit_cite_weighted(subset_units(ds, idx), weight_mode=mode)
+        for name in ("theta_hat", "delta_hat", "kappa_hat"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_ite_reads_units_from_the_blocks(self):
+        ds = small_baseline(n=40, seed=18)
+        idx = np.random.default_rng(2).integers(0, 40, size=50)
+        got = ite(ds, build_regressors(ds).take(idx))
+        want = ite(subset_units(ds, idx))
+        assert np.array_equal(got.theta_tilde_hat, want.theta_tilde_hat)
+
+
+class TestKappaSe:
+    @pytest.mark.parametrize("mode", ["none", "inv_se", "inv_var"])
+    def test_sandwich_at_the_fit_weights(self, mode):
+        # HC0 on sqrt(w) H and sqrt(w) e, with w from the first-stage SEs
+        ds = add_intercept_h(small_baseline(n=80, seed=3))
+        dr = build_regressors(ds)
+        res = fit_cite_weighted(ds, dr, weight_mode=mode)
+        se = first_stage_se(ds, dr, fit_cite(ds, dr))
+        w = {"none": np.ones_like(se), "inv_se": 1.0 / se,
+             "inv_var": 1.0 / se**2}[mode]
+        sw = np.sqrt(w)
+        e = res.delta_hat[:, 0] - ds.H @ res.kappa_hat
+        want = cluster_robust_se(ds.H * sw[:, None], e * sw,
+                                 np.arange(ds.dims.n), small_sample=False)
+        got = cite_kappa_se(ds, res)
+        assert_allclose(got.vcov, want.vcov, rtol=0, atol=1e-12)
+        assert_allclose(got.se, want.se, rtol=0, atol=1e-12)

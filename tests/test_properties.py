@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from interpanel.data import build_regressors, make_dataset
+from interpanel.data import build_regressors, make_dataset, subset_units
 from interpanel.estimators import cite_theta, ite
 
 from conftest import random_panel
@@ -21,17 +21,38 @@ COEF = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def panels(draw):
+def panels(draw, max_K_g=2):
     K_x = draw(st.integers(1, 3))
     return random_panel(draw(st.integers(0, 2**32 - 1)),
                         n=draw(st.integers(5, 9)),
                         T=K_x + draw(st.integers(2, 4)), K_x=K_x,
-                        K_g=draw(st.integers(0, 2)), K_z=draw(st.integers(0, 2)),
-                        K_h=draw(st.integers(0, 2)))
+                        K_g=draw(st.integers(0, max_K_g)),
+                        K_z=draw(st.integers(0, 2)), K_h=draw(st.integers(0, 2)))
+
+
+@st.composite
+def invertible(draw, n, k):
+    """n matrices L D U: unit-triangular L, U and a diagonal D, |D| in [1/2, 2]."""
+    off = draw(arrays(float, (2, n, k, k), elements=st.floats(-1, 1)))
+    d = draw(arrays(float, (n, k), elements=st.floats(0.5, 2)))
+    sign = draw(arrays(bool, (n, k)))
+    L = np.tril(off[0], -1) + np.eye(k)
+    U = np.triu(off[1], 1) + np.eye(k)
+    return L @ (np.where(sign, -d, d)[:, :, None] * U)
 
 
 def with_y(ds, Y):
     return make_dataset(Y, ds.X, ds.G, ds.Z, ds.H)
+
+
+def with_x(ds, X):
+    return make_dataset(ds.Y, X, ds.G, ds.Z, ds.H)
+
+
+def assert_same_estimates(a, b):
+    assert_allclose(cite_theta(a), cite_theta(b), rtol=0, atol=1e-8)
+    assert_allclose(ite(a).theta_tilde_hat, ite(b).theta_tilde_hat,
+                    rtol=0, atol=1e-8)
 
 
 @PROPERTY
@@ -59,3 +80,41 @@ def test_cite_theta_shifts_by_psi_coefficients(data, ds):
     Psi = build_regressors(ds).Psi
     shifted = with_y(ds, ds.Y + Psi @ b)
     assert_allclose(cite_theta(shifted), cite_theta(ds) + b, rtol=0, atol=1e-8)
+
+
+@PROPERTY
+@given(data=st.data(), ds=panels())
+def test_estimates_ignore_unit_order(data, ds):
+    perm = data.draw(st.permutations(range(ds.dims.n)))
+    assert_same_estimates(subset_units(ds, perm), ds)
+
+
+@PROPERTY
+@given(data=st.data(), ds=panels())
+def test_estimates_ignore_period_order_within_units(data, ds):
+    T = ds.dims.T
+    order = np.array([data.draw(st.permutations(range(T)))
+                      for _ in range(ds.dims.n)])
+    rows = np.arange(ds.dims.n)[:, None]
+    shuffled = make_dataset(ds.Y[rows, order], ds.X[rows, order],
+                            ds.G[rows, order], ds.Z[rows, order], ds.H)
+    assert_same_estimates(shuffled, ds)
+
+
+@PROPERTY
+@given(data=st.data(), ds=panels(max_K_g=0))
+def test_cite_theta_ignores_own_x_basis(data, ds):
+    # with K_g = 0, Psi holds no X column, so only span(X_i) matters
+    A = data.draw(invertible(ds.dims.n, ds.dims.K_x))
+    moved = with_x(ds, np.einsum("ntk,nkj->ntj", ds.X, A))
+    assert_allclose(cite_theta(moved), cite_theta(ds), rtol=0, atol=1e-8)
+
+
+@PROPERTY
+@given(data=st.data(), ds=panels(max_K_g=0))
+def test_ite_ignores_x_minus1_basis(data, ds):
+    A = data.draw(invertible(ds.dims.n, ds.dims.K_x - 1))
+    X = ds.X.copy()
+    X[:, :, 1:] = np.einsum("ntk,nkj->ntj", ds.X[:, :, 1:], A)
+    assert_allclose(ite(with_x(ds, X)).theta_tilde_hat,
+                    ite(ds).theta_tilde_hat, rtol=0, atol=1e-8)
