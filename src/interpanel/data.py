@@ -348,9 +348,9 @@ class DerivedRegressors:
     Psi is (n, T, K_x*K_g + K_z): row t holds (X_t kron G_t, Z_t).
     PsiTilde is (n, T, K_h + K_x*K_g + K_z): row t holds (X_t1 * H, Psi_t).
     MPsi and MY are Psi_i and Y_i with X_i projected out (M_i Psi_i,
-    M_i Y_i); M1PsiTilde and M1Y are PsiTilde_i and Y_i with X_i minus
-    its first column projected out. q_x/r_x are the QR factors of X_i
-    that M_i was made from. Every field is indexed by unit first.
+    M_i Y_i); M1PsiTilde and M1Y are PsiTilde_i and Y_i with X_{i,-1}
+    projected out (PsiTilde and Y themselves when K_x = 1). q_x/r_x are
+    the QR factors of X_i that M_i was made from. Indexed by unit first.
     """
 
     Y: np.ndarray
@@ -381,9 +381,9 @@ def interaction_block(X, G):
 def build_regressors(ds):
     """Construct Psi, PsiTilde and their per-unit projections.
 
-    The only place that projects: X_i and X_{i,-1} are each factored
-    once, and each (n, T, T) residual maker is applied to its block and
-    to Y, then dropped. Raises RankDeficient (with the offending unit's
+    The only place that projects: X_i and a nonempty X_{i,-1} are each
+    factored once, and each (n, T, T) residual maker is applied to its
+    block and to Y, then dropped. Raises RankDeficient (with the unit's
     label) when some X_i'X_i or X_{i,-1}'X_{i,-1} is numerically singular.
     """
     d = ds.dims
@@ -403,6 +403,8 @@ def build_regressors(ds):
 
 
 def _project(X, block, Y):
+    if not X.shape[2]:  # X_{i,-1} at K_x = 1 has no columns: M_i = I, nothing to do
+        return block, Y, None, None
     M, Q, R = residual_makers(X)  # the (n, T, T) M is dropped on return
     return np.einsum("nij,njp->nip", M, block), np.einsum("nij,nj->ni", M, Y), Q, R
 

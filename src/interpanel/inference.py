@@ -21,11 +21,14 @@ BOOTSTRAP_REDRAW_FACTOR = 10
 
 
 class ZeroDegreesOfFreedom(ValueError):
-    def __init__(self, unit):
-        self.unit = unit
+    """T <= K_x, which in a balanced panel holds for every unit or none."""
+
+    def __init__(self, T, K_x):
+        self.T, self.K_x = T, K_x
         super().__init__(
-            f"unit {unit!r} has T == K_x: residuals are identically zero and "
-            "first-stage standard errors are undefined"
+            f"every unit has T <= K_x (T = {T}, K_x = {K_x}): first-stage "
+            "residuals have no degrees of freedom and their standard errors "
+            "are undefined"
         )
 
 
@@ -67,7 +70,7 @@ def first_stage_se(ds, dr, cite):
     """
     n, T, K_x = dr.X.shape
     if T <= K_x:
-        raise ZeroDegreesOfFreedom(unit=ds.unit_labels[0])
+        raise ZeroDegreesOfFreedom(T, K_x)
     resid = dr.Y - dr.Psi @ cite.theta_hat \
         - np.einsum("ntk,nk->nt", dr.X, cite.delta_hat)
     s2 = np.sum(resid * resid, axis=1) / (T - K_x)

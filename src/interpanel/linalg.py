@@ -93,8 +93,9 @@ def solve_ols(design, response):
 
 def residual_makers(X):
     """Batched residual makers M_i = I - Q_i Q_i' from one reduced QR per
-    unit, X_i = Q_i R_i. Rank is checked on the singular values of the
-    k x k R_i, which are those of X_i.
+    unit, X_i = Q_i R_i, exactly symmetric: entries (s, t) and (t, s) of
+    Q_i Q_i' sum the same products in the same order. Rank is checked on
+    the singular values of R_i, which are those of X_i (|r_i| at k = 1).
 
     Parameters
     ----------
@@ -117,15 +118,14 @@ def residual_makers(X):
         raise RankDeficient(f"unit designs have more columns ({k}) than rows ({T})")
     Q, R = np.linalg.qr(X)
     if k:
-        sv = np.linalg.svd(R, compute_uv=False)
+        sv = np.abs(R[:, :, 0]) if k == 1 else np.linalg.svd(R, compute_uv=False)
         bad = (sv[:, 0] == 0.0) | (sv[:, -1] < RANK_TOL * sv[:, 0])
         if np.any(bad):
             i = int(np.argmax(bad))
             s = sv[i]
             cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
             raise RankDeficient("X_i'X_i is numerically singular", condition=cond, unit=i)
-    M = np.eye(T) - np.einsum("nik,njk->nij", Q, Q)
-    return 0.5 * (M + M.transpose(0, 2, 1)), Q, R
+    return np.eye(T) - np.einsum("nik,njk->nij", Q, Q), Q, R
 
 
 def gram_det(A):

@@ -9,7 +9,7 @@ from interpanel.data import (Dims, MissingColumn, NonConstantH,
                              build_regressors, drop_failing_units, load_csv,
                              make_dataset, subset_units, validate, write_csv)
 from interpanel.dgp import packaged_config, simulate
-from interpanel.linalg import RankDeficient
+from interpanel.linalg import RankDeficient, residual_makers
 
 from conftest import kron_block_loops, random_panel
 
@@ -170,6 +170,21 @@ class TestBuildRegressors:
         for f in fields(taken):
             assert_allclose(getattr(taken, f.name), getattr(rebuilt, f.name),
                             atol=1e-12, err_msg=f.name)
+
+    def test_empty_design_is_not_factored(self, monkeypatch):
+        # K_x = 1: X_{i,-1} has no columns, so M_i = I and only X_i is factored
+        shapes = []
+
+        def counting(X):
+            shapes.append(X.shape)
+            return residual_makers(X)
+
+        monkeypatch.setattr("interpanel.data.residual_makers", counting)
+        ds = random_panel(7, K_x=1)
+        dr = build_regressors(ds)
+        assert shapes == [ds.X.shape]
+        assert np.array_equal(dr.M1PsiTilde, dr.PsiTilde)
+        assert np.array_equal(dr.M1Y, dr.Y)
 
     def test_rank_deficient_unit_is_named(self):
         ds = random_panel(5, n=6)

@@ -220,6 +220,16 @@ class TestWeightedFit:
         assert not np.array_equal(plain.kappa_hat, inv_se.kappa_hat)
         assert not np.array_equal(inv_se.kappa_hat, inv_var.kappa_hat)
 
+    def test_zero_degrees_of_freedom_blames_no_unit(self):
+        # T <= K_x holds for every unit of a balanced panel, not for one
+        ds = random_panel(16, n=8, T=2, K_x=2, K_g=0, K_z=0, K_h=1)
+        ds = make_dataset(ds.Y, ds.X, ds.G, ds.Z, ds.H, unit_labels=list("abcdefgh"))
+        with pytest.raises(ZeroDegreesOfFreedom) as err:
+            fit_cite_weighted(ds, weight_mode="inv_se")
+        msg = str(err.value)
+        assert not any(f"unit '{u}'" in msg for u in "abcdefgh")
+        assert "every unit has T <= K_x (T = 2, K_x = 2)" in msg
+
     def test_weighting_rejected_when_residuals_are_exact(self):
         # T == K_x: per-unit fits are exactly identified, so first-stage
         # SEs (and thus weighted modes) are undefined

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from interpanel.linalg import RankDeficient, gram_det, residual_makers, solve_ols
+from interpanel.linalg import (RANK_TOL, RankDeficient, gram_det, residual_makers,
+                              solve_ols)
 
 from conftest import inv3_cofactor
 
@@ -103,6 +104,49 @@ class TestResidualMaker:
                         np.broadcast_to(np.eye(3), (4, 3, 3)), atol=1e-12)
         assert np.all(np.tril(R, -1) == 0.0)
         assert_allclose(M, np.eye(7) - Q @ Q.transpose(0, 2, 1), atol=1e-14)
+
+    @pytest.mark.parametrize("T, k", [(T, k) for T in (2, 6, 50) for k in (1, 2, 3)
+                                      if k <= T])
+    def test_exactly_symmetric(self, T, k):
+        # entries (s, t) and (t, s) of Q_i Q_i' sum the same products in the
+        # same order, so M needs no symmetrizing; strided and rescaled inputs
+        rng = np.random.default_rng(10 * T + k)
+        scales = np.logspace(-3, 4, 8)[:, None, None]
+        wide = rng.normal(size=(8, T, 2 * k)) * scales
+        tall = rng.normal(size=(k, T, 8)).transpose(2, 1, 0) * scales
+        for A in (wide[:, :, ::2], tall, tall[::-1] * 1e4, wide[:, :, 1::2] * 1e-3):
+            M = residual_makers(A)[0]
+            assert np.array_equal(M, M.transpose(0, 2, 1))
+
+    def test_one_column_zero_unit_raises(self):
+        X = np.random.default_rng(9).normal(size=(6, 5, 1))
+        X[2] = 0.0
+        with pytest.raises(RankDeficient) as err:
+            residual_makers(X)
+        assert err.value.unit == 2
+        assert err.value.condition == np.inf
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_column_verdict_matches_svd_rule(self, seed):
+        # at k = 1 the singular value of R_i = [r_i] is |r_i|, so the rank
+        # rule must give the verdict the SVD of R_i gives
+        rng = np.random.default_rng(400 + seed)
+        n = 60
+        X = rng.normal(size=(n, 6, 1)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1, 1))
+        X[rng.random(n) < 0.2] = 0.0
+        X[rng.random(n) < 0.1] = 1e-310  # subnormal
+        sv = np.linalg.svd(np.linalg.qr(X)[1], compute_uv=False)
+        want = (sv[:, 0] == 0.0) | (sv[:, -1] < RANK_TOL * sv[:, 0])
+        got = np.zeros(n, dtype=bool)
+        for i in range(n):
+            try:
+                residual_makers(X[i:i + 1])
+            except RankDeficient:
+                got[i] = True
+        assert np.array_equal(got, want) and want.any()
+        with pytest.raises(RankDeficient) as err:
+            residual_makers(X)
+        assert err.value.unit == int(np.argmax(want))
 
     def test_singular_raises(self):
         A = np.column_stack([np.ones(4), 2 * np.ones(4)])[None]
