@@ -92,8 +92,8 @@ def _cmd_estimate(args):
                 "delta_units": list(ds.unit_labels),
             }
             if args.se == "cluster":
-                k_se = cite_kappa_se(ds, res) if ds.dims.K_h else None
-                t_se = cite_theta_se(ds, dr, res) if res.theta_hat.size else None
+                k_se = cite_kappa_se(dr, res) if ds.dims.K_h else None
+                t_se = cite_theta_se(dr, res) if res.theta_hat.size else None
                 entry["se"] = (k_se.se.tolist() if k_se else []) + \
                     (t_se.se.tolist() if t_se else [])
                 entry["se_method"] = "hc_robust (kappa), cluster_robust (theta)"
@@ -106,7 +106,7 @@ def _cmd_estimate(args):
             labels, values = res.coefficients()
             entry = {"labels": labels, "estimates": values.tolist()}
             if args.se == "cluster":
-                entry["se"] = ite_se(ds, dr, res).se.tolist()
+                entry["se"] = ite_se(dr, res).se.tolist()
                 entry["se_method"] = "cluster_robust"
         results[est] = res
         out["estimators"][est] = entry

@@ -62,6 +62,14 @@ class NonFiniteValue(PanelDataError):
         super().__init__(f"non-finite value at {where}")
 
 
+class MissingField(PanelDataError):
+    def __init__(self, row, column):
+        self.row = row
+        self.column = column
+        super().__init__(f"row {row} has fewer fields than the header: "
+                         f"no value for column {column!r}")
+
+
 @dataclass(frozen=True)
 class Dims:
     """Dimension bookkeeping for a balanced panel.
@@ -247,6 +255,7 @@ def load_csv(path, schema=None):
         if reader.fieldnames is None:
             raise PanelDataError(f"empty CSV: {path}")
         roles = _resolve_schema(reader.fieldnames, schema)
+        last = reader.fieldnames[-1]
         rows = list(reader)
     if not rows:
         raise PanelDataError(f"no data rows in {path}")
@@ -255,12 +264,14 @@ def load_csv(path, schema=None):
     units, times = [], []
     values = np.empty((len(rows), len(value_cols)))
     for r, row in enumerate(rows):
+        if row[last] is None:  # a short row: DictReader pads its end with None
+            raise MissingField(r + 2, next(c for c, v in row.items() if v is None))
         units.append(_parse_label(row[roles["unit"]]))
         times.append(_parse_label(row[roles["time"]]))
         for c, col in enumerate(value_cols):
             try:
                 v = float(row[col])
-            except (TypeError, ValueError):
+            except ValueError:
                 raise NonFiniteValue(row=r + 2, column=col) from None
             if not np.isfinite(v):
                 raise NonFiniteValue(row=r + 2, column=col)
@@ -331,11 +342,11 @@ def subset_units(ds, keep):
     )
 
 
-def add_intercept_h(ds, name="h_const"):
-    """Append a constant 1 column to H (an intercept in H is never implicit)."""
+def add_intercept_h(ds):
+    """Put a constant 1 column "h_const" first in H (never implicit)."""
     H = np.column_stack([np.ones(ds.dims.n), ds.H])
     columns = dict(ds.columns)
-    columns["h"] = [name] + list(ds.columns["h"])
+    columns["h"] = ["h_const"] + list(ds.columns["h"])
     return make_dataset(ds.Y, ds.X, ds.G, ds.Z, H, ds.unit_labels,
                         ds.time_labels, columns=columns)
 
@@ -467,7 +478,7 @@ def _min_eig_margin(S):
     return float(ev[0] / top)
 
 
-def validate(ds, h_min=DEFAULT_H_MIN, rank_tol=RANK_TOL):
+def validate(ds, h_min=DEFAULT_H_MIN):
     """Check per-unit X variation and the pooled rank conditions.
 
     Reporting only; nothing is raised. Units whose normalized Gram
@@ -512,9 +523,9 @@ def validate(ds, h_min=DEFAULT_H_MIN, rank_tol=RANK_TOL):
     checks = {
         "unit_x_variation": len(fail_x) == 0,
         "unit_x_minus1_variation": len(fail_x1) == 0,
-        "pooled_psi_rank": pooled["psi_m_psi"] > rank_tol,
-        "pooled_psi_tilde_rank": pooled["psi_tilde_m1_psi_tilde"] > rank_tol,
-        "h_rank": pooled["hth"] > rank_tol if d.K_h > 0 else True,
+        "pooled_psi_rank": pooled["psi_m_psi"] > RANK_TOL,
+        "pooled_psi_tilde_rank": pooled["psi_tilde_m1_psi_tilde"] > RANK_TOL,
+        "h_rank": pooled["hth"] > RANK_TOL if d.K_h > 0 else True,
     }
     return ValidationReport(
         h_min=h_min,

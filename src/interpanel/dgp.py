@@ -428,17 +428,16 @@ def _ite_plim_shape_ok(cfg):
             and cfg.dims.K_h >= 1)
 
 
-def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20,
-                 ite_plim="auto"):
+def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20):
     """Estimate the projection target and the one-step limit by simulation.
 
     Fresh draws only (never the estimation sample): `oracle_draws` units
     are simulated in `n_blocks` independent blocks; each block yields one
     estimate of each target, and the block spread gives the simulation SE.
 
-    ite_plim: "auto" computes the one-step limit when the model has
-    exactly one non-constant x column and skips it otherwise; "require"
-    raises ScenarioUnsupported in that case; "skip" never computes it.
+    The one-step limit is computed only when the model has exactly one
+    non-constant x column; otherwise ite_plim_kappa1 and its SE are None.
+    Each block builds its own regressors for the one-step fit.
     """
     if cfg.dims.K_h < 1:
         raise ScenarioUnsupported("plim targets need at least one H column")
@@ -446,13 +445,6 @@ def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20,
         raise ValueError("need at least 2 oracle blocks")
     block_n = max(oracle_draws // n_blocks, 2)
     want_ite = _ite_plim_shape_ok(cfg)
-    if ite_plim == "require" and not want_ite:
-        raise ScenarioUnsupported(
-            "the one-step limit is computed only for shapes with exactly "
-            "one non-constant x column"
-        )
-    if ite_plim == "skip":
-        want_ite = False
 
     if seed is None:
         seed = int(cfg.seed)

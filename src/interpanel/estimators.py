@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import build_regressors, make_dataset
+from .data import make_dataset
 from .linalg import solve_ols
 
 WEIGHT_MODES = ("none", "inv_se", "inv_var")
@@ -92,22 +92,20 @@ class IteResult:
         return list(self.labels), self.theta_tilde_hat
 
 
-def cite_theta(ds, dr=None):
+def cite_theta(dr):
     """Pooled-stage coefficients: OLS of M_i Y_i on M_i Psi_i across units.
 
     Solves (sum_i Psi_i'M_i Psi_i)^{-1} sum_i Psi_i'M_i Y_i through one
     stacked least-squares problem. Raises RankDeficient when the pooled
     transformed Gram is singular.
     """
-    if dr is None:
-        dr = build_regressors(ds)
     if dr.Psi.shape[2] == 0:
         return np.zeros(0)
     design = dr.MPsi.reshape(dr.MY.size, -1)
     return solve_ols(design, dr.MY.reshape(-1)).coefficients
 
 
-def cite_delta(ds, dr, theta_hat):
+def cite_delta(dr, theta_hat):
     """Per-unit slopes: delta_i = (X_i'X_i)^{-1} X_i'(Y_i - Psi_i theta)."""
     resid = dr.Y - dr.Psi @ theta_hat
     rhs = np.einsum("ntk,nt->nk", dr.q_x, resid)
@@ -126,8 +124,7 @@ def cite_kappa(delta1, H, weights=None, mode="none"):
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != delta1.shape[0]:
         raise LengthMismatch("H and delta1 must have matching unit counts")
-    if mode not in WEIGHT_MODES:
-        raise ValueError(f"unknown weight mode {mode!r}; choose from {WEIGHT_MODES}")
+    check_weight_mode(mode)
     if mode == "none":
         return solve_ols(H, delta1).coefficients
     if weights is None:
@@ -141,19 +138,23 @@ def cite_kappa(delta1, H, weights=None, mode="none"):
     return solve_ols(H * sw[:, None], delta1 * sw).coefficients
 
 
+def check_weight_mode(mode):
+    """Raise ValueError, naming WEIGHT_MODES, for any other mode."""
+    if mode not in WEIGHT_MODES:
+        raise ValueError(f"unknown weight mode {mode!r}; choose from {WEIGHT_MODES}")
+
+
 def second_stage_weights(se, mode):
     """Weights w_i = 1/se_i ("inv_se") or 1/se_i^2 ("inv_var")."""
     return 1.0 / se if mode == "inv_se" else 1.0 / se**2
 
 
-def fit_cite(ds, dr=None):
-    """Run the full two-step pipeline (unweighted second stage) and
-    package the results; inference.fit_cite_weighted adds the weighting.
-    """
-    if dr is None:
-        dr = build_regressors(ds)
-    theta = cite_theta(ds, dr)
-    delta = cite_delta(ds, dr, theta)
+def fit_cite(ds, dr):
+    """Run the full two-step pipeline (unweighted second stage) on the
+    blocks `dr` and package the results; inference.fit_cite_weighted adds
+    the weighting."""
+    theta = cite_theta(dr)
+    delta = cite_delta(dr, theta)
     kappa = cite_kappa(delta[:, 0], dr.H) if ds.dims.K_h > 0 else np.zeros(0)
     return CiteResult(
         theta_hat=theta,
@@ -164,14 +165,12 @@ def fit_cite(ds, dr=None):
     )
 
 
-def ite(ds, dr=None):
-    """One-step estimator of (kappa, phi, gamma).
+def ite(ds, dr):
+    """One-step estimator of (kappa, phi, gamma) on the blocks `dr`.
 
     Solves (sum_i PsiTilde_i'M_{i,-1} PsiTilde_i)^{-1}
     sum_i PsiTilde_i'M_{i,-1} Y_i as one stacked least-squares problem.
     """
-    if dr is None:
-        dr = build_regressors(ds)
     d = ds.dims
     design = dr.M1PsiTilde.reshape(dr.M1Y.size, d.n_psi_tilde)
     tt = solve_ols(design, dr.M1Y.reshape(-1)).coefficients

@@ -18,7 +18,7 @@ import numpy as np
 from .data import build_regressors, default_columns
 from .dgp import DgpConfig, plim_targets, simulate
 from .estimators import ite as _fit_ite
-from .estimators import theta_tilde_labels
+from .estimators import check_weight_mode, theta_tilde_labels
 from .inference import fit_cite_weighted
 from .linalg import RankDeficient
 
@@ -64,6 +64,7 @@ class ExperimentConfig:
         if any(e not in ESTIMATORS for e in ests):
             raise ValueError(f"estimators must be among {ESTIMATORS}")
         object.__setattr__(self, "estimators", ests)
+        check_weight_mode(self.weight_mode)
 
     @classmethod
     def from_dict(cls, raw):
@@ -240,7 +241,7 @@ def run_experiment(cfg):
     )
 
 
-def _target_for(estimator, j, labels, truth, targets, dgp):
+def _target_for(estimator, j, truth, targets, dgp):
     """Large-n target for parameter j: the plim when known, else the truth."""
     K_h = dgp.dims.K_h
     if targets is None or j >= K_h:
@@ -261,7 +262,7 @@ def _summarize(estimator, n, labels, truth, good, targets, dgp):
         sd = float(col.std(ddof=0)) if R else float("nan")
         bias = mean - float(truth[j])
         rmse = float(np.sqrt(np.mean((col - truth[j]) ** 2))) if R else float("nan")
-        target = _target_for(estimator, j, labels, truth, targets, dgp)
+        target = _target_for(estimator, j, truth, targets, dgp)
         out.append(CellStats(
             estimator=estimator, n=int(n), parameter=name,
             truth=float(truth[j]), target=target, mean=mean, bias=bias,

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .data import build_regressors
-from .estimators import cite_kappa, fit_cite, second_stage_weights
+from .estimators import (check_weight_mode, cite_kappa, fit_cite,
+                         second_stage_weights)
 from .linalg import RankDeficient
 
 BOOTSTRAP_REDRAW_FACTOR = 10
@@ -61,7 +61,7 @@ class SeResult:
         }
 
 
-def first_stage_se(ds, dr, cite):
+def first_stage_se(dr, cite):
     """Standard error of each unit's first slope estimate.
 
     For unit i: se_i = sqrt(s_i^2 * [(X_i'X_i)^{-1}]_{11}) with
@@ -123,52 +123,40 @@ def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
     )
 
 
-def _unit_ids(ds):
-    return np.repeat(np.arange(ds.dims.n), ds.dims.T)
+def _unit_clustered_se(design, y, estimates, labels):
+    """cluster_robust_se of a stacked fit on (n, T, k) blocks, by unit."""
+    n, T, k = design.shape
+    X = design.reshape(n * T, k)
+    return cluster_robust_se(X, y.reshape(-1) - X @ estimates,
+                             np.repeat(np.arange(n), T),
+                             estimates=estimates, labels=labels)
 
 
-def ite_se(ds, dr, result, small_sample=True):
+def ite_se(dr, result):
     """Unit-clustered SEs for the one-step estimates."""
-    design = dr.M1PsiTilde.reshape(-1, dr.M1PsiTilde.shape[2])
-    resid = dr.M1Y.reshape(-1) - design @ result.theta_tilde_hat
-    return cluster_robust_se(design, resid, _unit_ids(ds),
-                             estimates=result.theta_tilde_hat,
-                             labels=result.labels, small_sample=small_sample)
+    return _unit_clustered_se(dr.M1PsiTilde, dr.M1Y, result.theta_tilde_hat,
+                              result.labels)
 
 
-def cite_theta_se(ds, dr, result, small_sample=True):
+def cite_theta_se(dr, result):
     """Unit-clustered SEs for the pooled stage of the two-step estimator."""
-    design = dr.MPsi.reshape(-1, dr.MPsi.shape[2])
-    resid = dr.MY.reshape(-1) - design @ result.theta_hat
-    return cluster_robust_se(design, resid, _unit_ids(ds),
-                             estimates=result.theta_hat,
-                             labels=result.theta_labels,
-                             small_sample=small_sample)
+    return _unit_clustered_se(dr.MPsi, dr.MY, result.theta_hat,
+                              result.theta_labels)
 
 
-def cite_kappa_se(ds, result):
+def cite_kappa_se(dr, result):
     """HC0 SEs for the delta-on-H second stage, treating the estimated
     slopes as data (first-step noise is ignored; use bootstrap_cite to
-    propagate it). A weighted fit's sandwich is formed on sqrt(w) H and
-    sqrt(w) e with the fit's own weights w."""
-    n = ds.H.shape[0]
-    if n <= 1:
-        raise TooFewClusters("need at least 2 units")
+    propagate it): cluster_robust_se on sqrt(w) H and sqrt(w) e with one
+    unit per cluster and no small-sample factor, where w are the fit's
+    own weights (all 1 when unweighted)."""
+    n = dr.H.shape[0]
     sw = np.ones(n) if result.weights is None else np.sqrt(result.weights)
-    H = ds.H * sw[:, None]
-    e = (result.delta_hat[:, 0] - ds.H @ result.kappa_hat) * sw
-    bread = np.linalg.inv(H.T @ H)
-    meat = (H * e[:, None]).T @ (H * e[:, None])
-    V = bread @ meat @ bread
-    V = 0.5 * (V + V.T)
-    return SeResult(
-        labels=tuple(result.kappa_labels),
-        estimates=result.kappa_hat,
-        se=np.sqrt(np.clip(np.diag(V), 0.0, None)),
-        vcov=V,
-        method="hc_robust",
-        n_clusters=n,
-    )
+    e = result.delta_hat[:, 0] - dr.H @ result.kappa_hat
+    se = cluster_robust_se(dr.H * sw[:, None], e * sw, np.arange(n),
+                           estimates=result.kappa_hat,
+                           labels=result.kappa_labels, small_sample=False)
+    return _dc_replace(se, method="hc_robust")
 
 
 def bootstrap_cite(ds, dr, fit, replications, seed):
@@ -221,19 +209,18 @@ def bootstrap_cite(ds, dr, fit, replications, seed):
     )
 
 
-def fit_cite_weighted(ds, dr=None, weight_mode="none"):
+def fit_cite_weighted(ds, dr, weight_mode="none"):
     """Two-step fit where the second stage may weight by first-stage SEs.
 
     The unweighted pipeline runs first; for weight modes other than
     "none" the kappa stage is then redone with w_i = 1/se_i ("inv_se")
-    or 1/se_i^2 ("inv_var").
+    or 1/se_i^2 ("inv_var"). An unknown mode raises ValueError.
     """
-    if dr is None:
-        dr = build_regressors(ds)
+    check_weight_mode(weight_mode)
     res = fit_cite(ds, dr)
     if weight_mode == "none" or ds.dims.K_h == 0:
         return res
-    se = first_stage_se(ds, dr, res)
+    se = first_stage_se(dr, res)
     kappa = cite_kappa(res.delta_hat[:, 0], dr.H, weights=se, mode=weight_mode)
     return _dc_replace(res, kappa_hat=kappa, weight_mode=weight_mode,
                        weights=second_stage_weights(se, weight_mode))

@@ -89,8 +89,8 @@ def test_criterion_01_fwl_oracle_equivalence():
     for seed in range(100):
         ds = random_panel(seed, n=30, T=8, K_x=2, K_g=1, K_z=1, K_h=2)
         dr = build_regressors(ds)
-        theta = cite_theta(ds, dr)
-        delta = cite_delta(ds, dr, theta)
+        theta = cite_theta(dr)
+        delta = cite_delta(dr, theta)
         theta_o, delta_o = dummy_variable_oracle(ds)
         worst = max(worst,
                     float(np.max(np.abs(theta - theta_o))),
@@ -107,7 +107,7 @@ def test_criterion_02_within_transformation_oracle():
     for seed in range(100):
         ds = random_panel(1000 + seed, n=14, T=5, K_x=2, K_g=0, K_z=0,
                           K_h=1, constant_col=1)
-        got = ite(ds).kappa_hat[0]
+        got = ite(ds, build_regressors(ds)).kappa_hat[0]
         worst = max(worst, abs(got - within_ols_oracle(ds)))
     assert worst < 1e-9, f"max abs difference {worst:.3e}"
     _report("2 (within-transformation oracle)",
@@ -121,7 +121,7 @@ def test_criterion_03_special_case_reductions():
     for seed in range(50):
         ds = random_panel(2000 + seed, n=16, T=5, K_x=1, K_g=0, K_z=2,
                           K_h=1, constant_col=0)
-        theta = cite_theta(ds)
+        theta = cite_theta(build_regressors(ds))
         Yd = ds.Y - ds.Y.mean(axis=1, keepdims=True)
         Zd = ds.Z - ds.Z.mean(axis=1, keepdims=True)
         within = solve_ols(Zd.reshape(-1, 2), Yd.reshape(-1)).coefficients
@@ -132,7 +132,7 @@ def test_criterion_03_special_case_reductions():
     for seed in range(50):
         ds = random_panel(3000 + seed, n=16, T=5, K_x=1, K_g=0, K_z=2,
                           K_h=2, constant_col=0)
-        got = ite(ds).theta_tilde_hat
+        got = ite(ds, build_regressors(ds)).theta_tilde_hat
         n, T = ds.dims.n, ds.dims.T
         design = np.column_stack([np.repeat(ds.H, T, axis=0),
                                   ds.Z.reshape(n * T, -1)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from interpanel.cli import main
-from interpanel.data import load_csv, make_dataset, write_csv
+from interpanel.data import build_regressors, load_csv, make_dataset, write_csv
 from interpanel.dgp import packaged_config, packaged_config_path, simulate
 from interpanel.estimators import fit_cite, ite
 
@@ -68,8 +68,9 @@ class TestEstimate:
         doc = json.loads(out_path.read_text())
         assert set(doc["estimators"]) == {"cite", "ite"}
         back = load_csv(path)
-        want_cite = fit_cite(back)
-        want_ite = ite(back)
+        dr = build_regressors(back)
+        want_cite = fit_cite(back, dr)
+        want_ite = ite(back, dr)
         got_cite = doc["estimators"]["cite"]
         np.testing.assert_allclose(
             got_cite["estimates"],
@@ -184,20 +185,40 @@ class TestSimulateCommand:
         assert ds.dims.K_h == 1              # but absent from the panel
 
 
+class TestMalformedCsv:
+    @pytest.mark.parametrize("sub", ["estimate", "validate"])
+    def test_short_row_is_exit_1_naming_row_and_column(self, sub, tmp_path,
+                                                       capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("y,x1,time,unit\n1.0,2.0,1,1\n1.5,2.5,2,1\n"
+                        "2.0,3.0,1,2\n3.0,4.0,2\n")
+        code, out, err = run(capsys, sub, "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: row 5 has fewer fields than the header: "
+                       "no value for column 'unit'\n")
+
+
+def mini_mc_config(tmp_path, **extra):
+    cfg = {
+        "dgp": replace(packaged_config("baseline"),
+                       dims=replace(packaged_config("baseline").dims,
+                                    n=50)).to_dict(),
+        "sample_sizes": [40],
+        "replications": 10,
+        "estimators": ["cite"],
+        "seed": 3,
+        "oracle": {"draws": 2000, "blocks": 2},
+        **extra,
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
 class TestMc:
     def test_mini_run_writes_table_and_report(self, tmp_path, capsys):
-        cfg = {
-            "dgp": replace(packaged_config("baseline"),
-                           dims=replace(packaged_config("baseline").dims,
-                                        n=50)).to_dict(),
-            "sample_sizes": [40],
-            "replications": 10,
-            "estimators": ["cite"],
-            "seed": 3,
-            "oracle": {"draws": 2000, "blocks": 2},
-        }
-        cfg_path = tmp_path / "exp.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path = mini_mc_config(tmp_path)
         out_json = tmp_path / "mc.json"
         out_txt = tmp_path / "mc.txt"
         code, _, err = run(capsys, "mc", "--config", str(cfg_path),
@@ -207,6 +228,21 @@ class TestMc:
         assert doc["cells"]
         assert "contracts" in doc
         assert "parameter" in out_txt.read_text()
+
+    def test_unknown_weight_mode_fails_before_simulating(self, tmp_path, capsys,
+                                                         monkeypatch):
+        from interpanel import harness
+
+        def no_simulation(cfg):
+            raise AssertionError("simulated before the weight mode was checked")
+
+        monkeypatch.setattr(harness, "simulate", no_simulation)
+        cfg_path = mini_mc_config(tmp_path, weight_mode="bogus")
+        code, out, err = run(capsys, "mc", "--config", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: unknown weight mode 'bogus'; choose from "
+                       "('none', 'inv_se', 'inv_var')\n")
 
 
 class TestUsage:

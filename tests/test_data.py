@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from interpanel.data import (Dims, MissingColumn, NonConstantH,
+from interpanel.data import (Dims, MissingColumn, MissingField, NonConstantH,
                              NonFiniteValue, UnbalancedPanel, add_intercept_h,
                              build_regressors, drop_failing_units, load_csv,
                              make_dataset, subset_units, validate, write_csv)
@@ -87,6 +87,15 @@ class TestLoadCsv:
         write_rows(path, ["unit", "time", "y", "x1"], rows)
         with pytest.raises(NonFiniteValue):
             load_csv(path)
+
+    def test_short_row_names_row_and_column(self, tmp_path):
+        path = tmp_path / "p.csv"
+        rows = [[1.0, 2.0, 1, 1], [1.5, 2.5, 2, 1], [2.0, 3.0, 1, 2],
+                [3.0, 4.0, 2]]
+        write_rows(path, ["y", "x1", "time", "unit"], rows)
+        with pytest.raises(MissingField) as err:
+            load_csv(path)
+        assert (err.value.row, err.value.column) == (5, "unit")
 
     def test_schema_mapping(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from interpanel.data import Dims
-from interpanel.dgp import (ConfigInvalid, DgpConfig, ScenarioUnsupported,
-                            load_dgp_config, packaged_config, plim_targets,
-                            simulate)
+from interpanel.dgp import (ConfigInvalid, DgpConfig, load_dgp_config,
+                            packaged_config, plim_targets, simulate)
 
 
 def scalar_config(**overrides):
@@ -175,9 +174,6 @@ class TestPlimTargets:
         assert t.ite_plim_kappa1 is not None
         wide = scalar_config(dims=Dims(n=100, T=4, K_x=2, K_g=1, K_z=1, K_h=1),
                              phi=((0.5,), (0.0,)))
-        with pytest.raises(ScenarioUnsupported):
-            plim_targets(wide, oracle_draws=4_000, seed=13, n_blocks=4,
-                         ite_plim="require")
         t2 = plim_targets(wide, oracle_draws=4_000, seed=13, n_blocks=4)
         assert t2.ite_plim_kappa1 is None
 
@@ -207,7 +203,7 @@ class TestPlimTargets:
         ds = simulate(cfg).dataset
         dr = build_regressors(ds)
         res = ite(ds, dr)
-        est_se = float(ite_se(ds, dr, res).se[0])
+        est_se = float(ite_se(dr, res).se[0])
         t = plim_targets(cfg, oracle_draws=200_000, seed=78, n_blocks=20)
         # both the estimate and the oracle carry simulation noise
         se = np.hypot(est_se, t.ite_plim_kappa1_se)

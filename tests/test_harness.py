@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from interpanel.dgp import packaged_config
+from interpanel.estimators import WEIGHT_MODES
 from interpanel.harness import (ExperimentConfig, convergence_table,
                                 evaluate_contracts, replication_seed,
                                 run_experiment)
@@ -36,6 +37,12 @@ class TestConfig:
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
             mini_experiment(estimators=("cite", "gmm"))
+
+    def test_unknown_weight_mode(self):
+        with pytest.raises(ValueError) as err:
+            mini_experiment(weight_mode="bogus")
+        assert "'bogus'" in str(err.value)
+        assert str(WEIGHT_MODES) in str(err.value)
 
     def test_from_dict(self):
         raw = {

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from interpanel.data import (add_intercept_h, build_regressors, make_dataset,
                              subset_units)
 from interpanel.dgp import packaged_config, simulate
-from interpanel.estimators import fit_cite, ite
+from interpanel.estimators import WEIGHT_MODES, fit_cite, ite
 from interpanel.inference import (DegenerateResample, TooFewClusters,
                                   ZeroDegreesOfFreedom, bootstrap_cite,
                                   cite_kappa_se, cite_theta_se,
@@ -21,6 +21,11 @@ def small_baseline(n=80, seed=21, **overrides):
     cfg = packaged_config("baseline")
     cfg = replace(cfg, dims=replace(cfg.dims, n=n), seed=seed, **overrides)
     return simulate(cfg).dataset
+
+
+def weighted_fit(ds, weight_mode):
+    """fit_cite_weighted on blocks built here."""
+    return fit_cite_weighted(ds, build_regressors(ds), weight_mode)
 
 
 def bootstrap(ds, replications, seed, weight_mode="none"):
@@ -37,7 +42,7 @@ class TestFirstStageSe:
                       u_scale=0.0, v_scale=0.0, eps_scale=0.0)
         ds = simulate(cfg).dataset
         dr = build_regressors(ds)
-        se = first_stage_se(ds, dr, fit_cite(ds, dr))
+        se = first_stage_se(dr, fit_cite(ds, dr))
         assert np.max(np.abs(se)) < 1e-8
 
     def test_mean_reduction_when_x_is_ones(self):
@@ -47,7 +52,7 @@ class TestFirstStageSe:
         ds = make_dataset(Y, np.ones((n, T, 1)), Z=rng.normal(size=(n, T, 1)))
         dr = build_regressors(ds)
         res = fit_cite(ds, dr)
-        se = first_stage_se(ds, dr, res)
+        se = first_stage_se(dr, res)
         resid = Y - dr.Psi @ res.theta_hat - res.delta_hat[:, :1]
         s = np.sqrt((resid**2).sum(axis=1) / (T - 1))
         assert_allclose(se, s / np.sqrt(T), atol=1e-12)
@@ -56,7 +61,7 @@ class TestFirstStageSe:
         ds = small_baseline(n=25, seed=4)
         dr = build_regressors(ds)
         res = fit_cite(ds, dr)
-        se = first_stage_se(ds, dr, res)
+        se = first_stage_se(dr, res)
         T, K_x = ds.dims.T, ds.dims.K_x
         for i in range(ds.dims.n):
             # regress unit i's net outcome on its own X from scratch
@@ -72,7 +77,7 @@ class TestFirstStageSe:
         ds = random_panel(5, n=8, T=2, K_x=2, K_g=0, K_z=0, K_h=1)
         dr = build_regressors(ds)
         with pytest.raises(ZeroDegreesOfFreedom):
-            first_stage_se(ds, dr, fit_cite(ds, dr))
+            first_stage_se(dr, fit_cite(ds, dr))
 
 
 class TestClusterRobust:
@@ -132,9 +137,9 @@ class TestClusterRobust:
         ds = small_baseline(n=50, seed=9)
         dr = build_regressors(ds)
         res = fit_cite(ds, dr)
-        for se in (ite_se(ds, dr, ite(ds, dr)),
-                   cite_theta_se(ds, dr, res),
-                   cite_kappa_se(ds, res)):
+        for se in (ite_se(dr, ite(ds, dr)),
+                   cite_theta_se(dr, res),
+                   cite_kappa_se(dr, res)):
             assert np.max(np.abs(se.vcov - se.vcov.T)) < 1e-10
             assert np.all(np.diag(se.vcov) >= 0)
             assert_allclose(se.se, np.sqrt(np.diag(se.vcov)))
@@ -167,11 +172,10 @@ class TestBootstrap:
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(r, 0)))
             idx = rng.integers(0, n, size=n)
-            draws.append(fit_cite_weighted(subset_units(ds, idx),
-                                           weight_mode="inv_se").kappa_hat)
+            draws.append(weighted_fit(subset_units(ds, idx), "inv_se").kappa_hat)
         assert_allclose(boot.se, np.std(draws, axis=0, ddof=1), rtol=1e-12)
         assert np.array_equal(
-            boot.estimates, fit_cite_weighted(ds, weight_mode="inv_se").kappa_hat)
+            boot.estimates, weighted_fit(ds, "inv_se").kappa_hat)
 
     def test_minimum_replications(self):
         ds = small_baseline(n=30, seed=13)
@@ -186,7 +190,7 @@ class TestBootstrap:
         draws = []
         for r in range(150):
             ds = simulate(replace(cfg, seed=40_000 + r)).dataset
-            draws.append(fit_cite(ds).kappa_hat)
+            draws.append(fit_cite(ds, build_regressors(ds)).kappa_hat)
         mc_sd = np.array(draws).std(axis=0, ddof=1)
         ds = simulate(replace(cfg, seed=123)).dataset
         boot = bootstrap(ds, replications=200, seed=9)
@@ -210,9 +214,9 @@ class TestBootstrap:
 class TestWeightedFit:
     def test_weight_modes_change_kappa(self):
         ds = small_baseline(n=60, seed=15)
-        plain = fit_cite_weighted(ds, weight_mode="none")
-        inv_se = fit_cite_weighted(ds, weight_mode="inv_se")
-        inv_var = fit_cite_weighted(ds, weight_mode="inv_var")
+        plain = weighted_fit(ds, "none")
+        inv_se = weighted_fit(ds, "inv_se")
+        inv_var = weighted_fit(ds, "inv_var")
         assert plain.weight_mode == "none"
         assert inv_se.weight_mode == "inv_se"
         # theta and delta stages are shared; only kappa differs
@@ -225,7 +229,7 @@ class TestWeightedFit:
         ds = random_panel(16, n=8, T=2, K_x=2, K_g=0, K_z=0, K_h=1)
         ds = make_dataset(ds.Y, ds.X, ds.G, ds.Z, ds.H, unit_labels=list("abcdefgh"))
         with pytest.raises(ZeroDegreesOfFreedom) as err:
-            fit_cite_weighted(ds, weight_mode="inv_se")
+            weighted_fit(ds, "inv_se")
         msg = str(err.value)
         assert not any(f"unit '{u}'" in msg for u in "abcdefgh")
         assert "every unit has T <= K_x (T = 2, K_x = 2)" in msg
@@ -234,9 +238,17 @@ class TestWeightedFit:
         # T == K_x: per-unit fits are exactly identified, so first-stage
         # SEs (and thus weighted modes) are undefined
         ds = random_panel(16, n=10, T=2, K_x=2, K_g=0, K_z=0, K_h=1)
-        assert fit_cite_weighted(ds, weight_mode="none") is not None
+        assert weighted_fit(ds, "none") is not None
         with pytest.raises(ZeroDegreesOfFreedom):
-            fit_cite_weighted(ds, weight_mode="inv_se")
+            weighted_fit(ds, "inv_se")
+
+    def test_unknown_weight_mode_is_rejected(self):
+        # K_h = 0 skips the kappa stage, which must not hide the bad mode
+        ds = random_panel(19, n=10, T=4, K_h=0)
+        with pytest.raises(ValueError) as err:
+            fit_cite_weighted(ds, build_regressors(ds), "bogus")
+        assert "'bogus'" in str(err.value)
+        assert str(WEIGHT_MODES) in str(err.value)
 
     @pytest.mark.parametrize("mode", ["none", "inv_se", "inv_var"])
     def test_fits_read_units_from_the_blocks(self, mode):
@@ -245,7 +257,7 @@ class TestWeightedFit:
         idx = np.random.default_rng(2).integers(0, 40, size=50)
         assert np.unique(idx).size < idx.size
         got = fit_cite_weighted(ds, build_regressors(ds).take(idx), mode)
-        want = fit_cite_weighted(subset_units(ds, idx), weight_mode=mode)
+        want = weighted_fit(subset_units(ds, idx), mode)
         for name in ("theta_hat", "delta_hat", "kappa_hat"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -253,24 +265,31 @@ class TestWeightedFit:
         ds = small_baseline(n=40, seed=18)
         idx = np.random.default_rng(2).integers(0, 40, size=50)
         got = ite(ds, build_regressors(ds).take(idx))
-        want = ite(subset_units(ds, idx))
+        sub = subset_units(ds, idx)
+        want = ite(sub, build_regressors(sub))
         assert np.array_equal(got.theta_tilde_hat, want.theta_tilde_hat)
 
 
 class TestKappaSe:
     @pytest.mark.parametrize("mode", ["none", "inv_se", "inv_var"])
     def test_sandwich_at_the_fit_weights(self, mode):
-        # HC0 on sqrt(w) H and sqrt(w) e, with w from the first-stage SEs
+        # HC0 at the fit's weights w (from the first-stage SEs), written out
+        # with e_i = sqrt(w_i) u_i, u_i the raw residual of unit i:
+        # (H'WH)^{-1} (sum_i w_i e_i^2 h_i h_i') (H'WH)^{-1}
         ds = add_intercept_h(small_baseline(n=80, seed=3))
         dr = build_regressors(ds)
         res = fit_cite_weighted(ds, dr, weight_mode=mode)
-        se = first_stage_se(ds, dr, fit_cite(ds, dr))
+        se = first_stage_se(dr, fit_cite(ds, dr))
         w = {"none": np.ones_like(se), "inv_se": 1.0 / se,
              "inv_var": 1.0 / se**2}[mode]
-        sw = np.sqrt(w)
-        e = res.delta_hat[:, 0] - ds.H @ res.kappa_hat
-        want = cluster_robust_se(ds.H * sw[:, None], e * sw,
-                                 np.arange(ds.dims.n), small_sample=False)
-        got = cite_kappa_se(ds, res)
-        assert_allclose(got.vcov, want.vcov, rtol=0, atol=1e-12)
-        assert_allclose(got.se, want.se, rtol=0, atol=1e-12)
+        H = ds.H
+        e = np.sqrt(w) * (res.delta_hat[:, 0] - H @ res.kappa_hat)
+        bread = np.linalg.inv(H.T @ (w[:, None] * H))
+        meat = np.zeros((H.shape[1], H.shape[1]))
+        for i in range(ds.dims.n):
+            meat += w[i] * e[i] ** 2 * np.outer(H[i], H[i])
+        want = bread @ meat @ bread
+        got = cite_kappa_se(dr, res)
+        assert_allclose(got.vcov, want, rtol=0, atol=1e-12)
+        assert_allclose(got.se, np.sqrt(np.diag(want)), rtol=0, atol=1e-12)
+        assert (got.method, got.n_clusters) == ("hc_robust", ds.dims.n)

@@ -49,9 +49,17 @@ def with_x(ds, X):
     return make_dataset(ds.Y, X, ds.G, ds.Z, ds.H)
 
 
+def theta_of(ds):
+    return cite_theta(build_regressors(ds))
+
+
+def ite_of(ds):
+    return ite(ds, build_regressors(ds)).theta_tilde_hat
+
+
 def assert_same_estimates(a, b):
-    assert_allclose(cite_theta(a), cite_theta(b), rtol=0, atol=1e-8)
-    assert_allclose(ite(a).theta_tilde_hat, ite(b).theta_tilde_hat,
+    assert_allclose(theta_of(a), theta_of(b), rtol=0, atol=1e-8)
+    assert_allclose(ite_of(a), ite_of(b),
                     rtol=0, atol=1e-8)
 
 
@@ -60,7 +68,7 @@ def assert_same_estimates(a, b):
 def test_cite_theta_ignores_own_x_shift(data, ds):
     c = data.draw(arrays(float, (ds.dims.n, ds.dims.K_x), elements=COEF))
     shifted = with_y(ds, ds.Y + np.einsum("ntk,nk->nt", ds.X, c))
-    assert_allclose(cite_theta(shifted), cite_theta(ds), rtol=0, atol=1e-8)
+    assert_allclose(theta_of(shifted), theta_of(ds), rtol=0, atol=1e-8)
 
 
 @PROPERTY
@@ -69,7 +77,7 @@ def test_ite_ignores_shift_along_x_minus1(data, ds):
     X1 = ds.X[:, :, 1:]
     c = data.draw(arrays(float, (ds.dims.n, X1.shape[2]), elements=COEF))
     shifted = with_y(ds, ds.Y + np.einsum("ntk,nk->nt", X1, c))
-    assert_allclose(ite(shifted).theta_tilde_hat, ite(ds).theta_tilde_hat,
+    assert_allclose(ite_of(shifted), ite_of(ds),
                     rtol=0, atol=1e-8)
 
 
@@ -79,7 +87,7 @@ def test_cite_theta_shifts_by_psi_coefficients(data, ds):
     b = data.draw(arrays(float, (ds.dims.n_psi,), elements=COEF))
     Psi = build_regressors(ds).Psi
     shifted = with_y(ds, ds.Y + Psi @ b)
-    assert_allclose(cite_theta(shifted), cite_theta(ds) + b, rtol=0, atol=1e-8)
+    assert_allclose(theta_of(shifted), theta_of(ds) + b, rtol=0, atol=1e-8)
 
 
 @PROPERTY
@@ -107,7 +115,7 @@ def test_cite_theta_ignores_own_x_basis(data, ds):
     # with K_g = 0, Psi holds no X column, so only span(X_i) matters
     A = data.draw(invertible(ds.dims.n, ds.dims.K_x))
     moved = with_x(ds, np.einsum("ntk,nkj->ntj", ds.X, A))
-    assert_allclose(cite_theta(moved), cite_theta(ds), rtol=0, atol=1e-8)
+    assert_allclose(theta_of(moved), theta_of(ds), rtol=0, atol=1e-8)
 
 
 @PROPERTY
@@ -116,5 +124,5 @@ def test_ite_ignores_x_minus1_basis(data, ds):
     A = data.draw(invertible(ds.dims.n, ds.dims.K_x - 1))
     X = ds.X.copy()
     X[:, :, 1:] = np.einsum("ntk,nkj->ntj", ds.X[:, :, 1:], A)
-    assert_allclose(ite(with_x(ds, X)).theta_tilde_hat,
-                    ite(ds).theta_tilde_hat, rtol=0, atol=1e-8)
+    assert_allclose(ite_of(with_x(ds, X)),
+                    ite_of(ds), rtol=0, atol=1e-8)
