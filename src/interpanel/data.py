@@ -70,6 +70,22 @@ class MissingField(PanelDataError):
                          f"no value for column {column!r}")
 
 
+class ExtraField(PanelDataError):
+    def __init__(self, row, found, expected):
+        self.row = row
+        self.found = found
+        self.expected = expected
+        super().__init__(f"row {row} has {found} fields, more than the "
+                         f"header's {expected}")
+
+
+class DuplicateColumn(PanelDataError):
+    def __init__(self, column, count):
+        self.column = column
+        self.count = count
+        super().__init__(f"column {column!r} appears {count} times in the header")
+
+
 @dataclass(frozen=True)
 class Dims:
     """Dimension bookkeeping for a balanced panel.
@@ -238,6 +254,10 @@ def _resolve_schema(header, schema):
                 raise MissingColumn(c)
     if not roles["x"]:
         raise MissingColumn("x1")
+    for c in [roles["unit"], roles["time"], roles["y"], *roles["x"], *roles["g"],
+              *roles["z"], *roles["h"]]:
+        if header.count(c) > 1:
+            raise DuplicateColumn(c, header.count(c))
     return roles
 
 
@@ -247,51 +267,48 @@ def load_csv(path, schema=None):
     Required columns: unit, time, y, and x1..xK (or the names given in
     `schema`, a mapping with keys among unit/time/y/x/g/z/h where the
     block entries are lists of column names). Optional blocks g*, z*, h*.
-    Rows may be in any order; they are sorted by (unit, time). h columns
-    must be constant within each unit.
+    A column with a role must appear once in the header. Rows may be in
+    any order; they are sorted by (unit, time). Blank lines are skipped.
+    Values are read as Python's `float()` reads text and must be finite.
+    h columns must be constant within each unit.
+
+    The file is read by column: one `csv.reader` pass, one cast per value
+    column, one scatter into the (unit, time) grid. Only if that fails does
+    a row scan run, to raise the error of the first bad record in file
+    order; its `row` is the file line where the record ends.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise PanelDataError(f"empty CSV: {path}")
-        roles = _resolve_schema(reader.fieldnames, schema)
-        last = reader.fieldnames[-1]
-        rows = list(reader)
-    if not rows:
+        roles = _resolve_schema(header, schema)
+        records, lines = [], []
+        for rec in reader:
+            if rec:  # skip blank lines
+                records.append(rec)
+                lines.append(reader.line_num)
+    if not records:
         raise PanelDataError(f"no data rows in {path}")
 
     value_cols = [roles["y"]] + roles["x"] + roles["g"] + roles["z"] + roles["h"]
-    units, times = [], []
-    values = np.empty((len(rows), len(value_cols)))
-    for r, row in enumerate(rows):
-        if row[last] is None:  # a short row: DictReader pads its end with None
-            raise MissingField(r + 2, next(c for c, v in row.items() if v is None))
-        units.append(_parse_label(row[roles["unit"]]))
-        times.append(_parse_label(row[roles["time"]]))
-        for c, col in enumerate(value_cols):
-            try:
-                v = float(row[col])
-            except ValueError:
-                raise NonFiniteValue(row=r + 2, column=col) from None
-            if not np.isfinite(v):
-                raise NonFiniteValue(row=r + 2, column=col)
-            values[r, c] = v
+    values = None
+    if set(map(len, records)) == {len(header)}:
+        cols = list(zip(*records))
+        values = _finite_floats([cols[header.index(c)] for c in value_cols])
+    if values is None:
+        _raise_first_bad_record(records, lines, header, value_cols)
 
-    unit_labels = _sorted_labels(units)
-    time_labels = _sorted_labels(times)
+    unit_labels, ui = _label_positions(cols[header.index(roles["unit"])])
+    time_labels, ti = _label_positions(cols[header.index(roles["time"])])
     n, T = len(unit_labels), len(time_labels)
-    uidx = {u: i for i, u in enumerate(unit_labels)}
-    tidx = {t: j for j, t in enumerate(time_labels)}
-
-    counts = np.zeros(n, dtype=int)
     grid = np.full((n, T, len(value_cols)), np.nan)
-    for r in range(len(rows)):
-        i, j = uidx[units[r]], tidx[times[r]]
-        counts[i] += 1
-        grid[i, j] = values[r]
-    for i, u in enumerate(unit_labels):
-        if counts[i] != T or np.any(np.isnan(grid[i, :, 0])):
-            raise UnbalancedPanel(unit=u, expected=T, found=int(counts[i]))
+    grid[ui, ti] = values
+    counts = np.bincount(ui, minlength=n)
+    unbalanced = (counts != T) | np.isnan(grid[:, :, 0]).any(axis=1)
+    if unbalanced.any():
+        i = int(np.argmax(unbalanced))
+        raise UnbalancedPanel(unit=unit_labels[i], expected=T, found=int(counts[i]))
 
     K_x, K_g, K_z, K_h = (len(roles[b]) for b in ("x", "g", "z", "h"))
     ofs = 1
@@ -312,6 +329,47 @@ def load_csv(path, schema=None):
         Y, X, G, Z, H, unit_labels, time_labels,
         columns={"x": roles["x"], "g": roles["g"], "z": roles["z"], "h": roles["h"]},
     )
+
+
+def _finite_floats(cols):
+    """Text columns as one (rows, columns) float block, or None if some text
+    is not a finite float. `np.array(dtype=float)` reads str as `float()`."""
+    try:
+        values = np.column_stack([np.array(col, dtype=float) for col in cols])
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _raise_first_bad_record(records, lines, header, value_cols):
+    """Raise the error of the first record that is not the header's width
+    or holds a value that is not a finite float; lines[r] numbers record r."""
+    for rec, line in zip(records, lines):
+        if len(rec) < len(header):
+            missing = set(header[len(rec):])
+            raise MissingField(line, next(c for c in header if c in missing))
+        if len(rec) > len(header):
+            raise ExtraField(line, len(rec), len(header))
+        for col in value_cols:
+            try:
+                v = float(rec[header.index(col)])
+            except ValueError:
+                raise NonFiniteValue(row=line, column=col) from None
+            if not np.isfinite(v):
+                raise NonFiniteValue(row=line, column=col)
+    raise AssertionError("the column pass rejected a file with no bad record")
+
+
+def _label_positions(texts):
+    """Sorted distinct labels of a text column, and each text's position
+    among them. Each distinct text is parsed once; texts that parse to one
+    label ("1", "01") share its position."""
+    parsed = {s: _parse_label(s) for s in set(texts)}
+    labels = _sorted_labels(parsed.values())
+    pos = {label: i for i, label in enumerate(labels)}
+    code = {s: pos[label] for s, label in parsed.items()}
+    return labels, np.fromiter(map(code.__getitem__, texts), dtype=np.intp,
+                               count=len(texts))
 
 
 def write_csv(ds, path):

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -170,6 +171,40 @@ class TestValidate:
         assert json.loads(out)["passed"] is True
 
 
+class TestSchema:
+    NAMES = {"unit": "state", "time": "year", "y": "rate", "x1": "tax",
+             "x2": "one", "g1": "unemp", "z1": "ctrl", "h1": "mormon",
+             "h2": "south"}
+    SCHEMA = ["--schema", "unit=state", "--schema", "time=year",
+              "--schema", "y=rate", "--schema", "x=tax|one",
+              "--schema", "g=unemp", "--schema", "z=ctrl",
+              "--schema", "h=mormon|south"]
+
+    def test_schema_reads_renamed_columns(self, sim_csv, capsys, tmp_path):
+        path, _ = sim_csv
+        header, body = open(path, encoding="utf-8").read().split("\n", 1)
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(",".join(self.NAMES[c] for c in header.split(","))
+                           + "\n" + body)
+        docs = []
+        for sub in ("validate", "estimate"):
+            outs = []
+            for argv in (["--input", path],
+                         ["--input", str(renamed), *self.SCHEMA]):
+                out = tmp_path / f"{sub}{len(outs)}.json"
+                assert run(capsys, sub, *argv, "--output", str(out))[0] == 0
+                outs.append(out.read_text())
+            docs.append(outs)
+        assert docs[0][0] == docs[0][1]  # validate names no column
+        want, got = (json.loads(text)["estimators"] for text in docs[1])
+        for name in ("cite", "ite"):
+            assert got[name]["estimates"] == want[name]["estimates"]
+            assert got[name]["se"] == want[name]["se"]
+            assert got[name]["labels"] == [
+                re.sub(r"\w+", lambda m: self.NAMES.get(m.group(), m.group()),
+                       label) for label in want[name]["labels"]]
+
+
 class TestSimulateCommand:
     def test_writes_csv_and_truth(self, tmp_path, capsys):
         out_csv = tmp_path / "sim.csv"
@@ -197,6 +232,17 @@ class TestMalformedCsv:
         assert out == ""
         assert err == ("error: row 5 has fewer fields than the header: "
                        "no value for column 'unit'\n")
+
+    @pytest.mark.parametrize("sub", ["estimate", "validate"])
+    def test_long_row_is_exit_1_naming_row_and_counts(self, sub, tmp_path,
+                                                      capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("unit,time,y,x1\n1,1,1.0,2.0,99\n1,2,1.5,2.5\n"
+                        "2,1,2.0,3.0\n2,2,3.0,4.5\n")
+        code, out, err = run(capsys, sub, "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: row 2 has 5 fields, more than the header's 4\n"
 
 
 def mini_mc_config(tmp_path, **extra):

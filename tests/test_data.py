@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from interpanel.data import (Dims, MissingColumn, MissingField, NonConstantH,
-                             NonFiniteValue, UnbalancedPanel, add_intercept_h,
+from interpanel.data import (Dims, DuplicateColumn, ExtraField, MissingColumn,
+                             MissingField, NonConstantH, NonFiniteValue,
+                             PanelDataError, UnbalancedPanel, add_intercept_h,
                              build_regressors, drop_failing_units, load_csv,
                              make_dataset, subset_units, validate, write_csv)
 from interpanel.dgp import packaged_config, simulate
@@ -96,6 +97,94 @@ class TestLoadCsv:
         with pytest.raises(MissingField) as err:
             load_csv(path)
         assert (err.value.row, err.value.column) == (5, "unit")
+
+    def test_long_row_names_row_and_field_counts(self, tmp_path):
+        path = tmp_path / "p.csv"
+        rows = [[1, 1, 1.0, 2.0, 99], [1, 2, 1.5, 2.5], [2, 1, 2.0, 3.0],
+                [2, 2, 3.0, 4.5]]
+        write_rows(path, ["unit", "time", "y", "x1"], rows)
+        with pytest.raises(ExtraField) as err:
+            load_csv(path)
+        assert isinstance(err.value, PanelDataError)
+        assert (err.value.row, err.value.found, err.value.expected) == (2, 5, 4)
+        assert str(err.value) == "row 2 has 5 fields, more than the header's 4"
+
+    def test_rows_are_numbered_by_file_line(self, tmp_path):
+        # record 1 spans lines 2-3, so the nan in record 3 is on line 5
+        path = tmp_path / "p.csv"
+        path.write_text('unit,time,y,x1,note\n1,1,1.0,2.0,"two\nlines"\n'
+                        "1,2,1.5,2.5,b\n2,1,nan,3.0,c\n2,2,3.0,4.5,d\n")
+        with pytest.raises(NonFiniteValue) as err:
+            load_csv(path)
+        assert str(err.value) == "non-finite value at row 5, column 'y'"
+
+    def test_role_column_named_twice(self, tmp_path):
+        path = tmp_path / "p.csv"
+        rows = [[u, t, 1.0, 2.0, 3.0] for u in (1, 2) for t in (1, 2)]
+        write_rows(path, ["unit", "time", "y", "x1", "x1"], rows)
+        with pytest.raises(DuplicateColumn) as err:
+            load_csv(path)
+        assert err.value.column == "x1"
+        assert str(err.value) == "column 'x1' appears 2 times in the header"
+
+    def test_repeated_names_without_a_role_are_allowed(self, tmp_path):
+        path = tmp_path / "p.csv"
+        rows = [["a", u, t, u + t, u * t, "b"] for u in (1, 2) for t in (1, 2)]
+        write_rows(path, ["note", "unit", "time", "y", "x1", "note"], rows)
+        assert_allclose(load_csv(path).Y, [[2, 3], [3, 4]])
+
+    def test_quoted_fields_and_blank_lines(self, tmp_path):
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        rows = [["a", 1, 0.25, 1.5], ["a", 2, 1e-3, -2.0],
+                ["b", 1, 3.0, 7.125], ["b", 2, -0.5, 4.0]]
+        write_rows(plain, ["unit", "time", "y", "x1"], rows)
+        quoted.write_text('"unit","time","y","x1"\n\n' + "".join(
+            ",".join(f'"{"b,c" if v == "b" else v}"' for v in row) + "\n\n"
+            for row in rows))
+        a, b = load_csv(plain), load_csv(quoted)
+        for name in ("Y", "X", "G", "Z", "H"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert b.unit_labels == ("a", "b,c")
+        assert b.time_labels == a.time_labels == (1, 2)
+
+    def test_texts_of_one_label_are_one_unit(self, tmp_path):
+        path = tmp_path / "p.csv"
+        rows = [["1", 1, 1.0, 2.0], ["01", 2, 1.5, 2.5], [" 2", 1, 2.0, 3.0],
+                ["2", 2, 3.0, 4.5]]
+        write_rows(path, ["unit", "time", "y", "x1"], rows)
+        ds = load_csv(path)
+        assert ds.unit_labels == (1, 2)
+        assert [type(u) for u in ds.unit_labels] == [int, int]
+        assert_allclose(ds.Y, [[1.0, 1.5], [2.0, 3.0]])
+
+    def test_number_text_is_read_as_float_reads_it(self, tmp_path):
+        path = tmp_path / "p.csv"
+        texts = [" 1.5 ", "1_000", "\uff12.\uff15", "+7e-1"]
+        rows = [[u, t, texts[2 * (u - 1) + t - 1], 1.0] for u in (1, 2)
+                for t in (1, 2)]
+        write_rows(path, ["unit", "time", "y", "x1"], rows)
+        assert np.array_equal(load_csv(path).Y.ravel(), [float(v) for v in texts])
+
+    @pytest.mark.parametrize("first, second", [
+        (a, b) for a in ("short", "nan", "text")
+        for b in ("short", "nan", "text", "gone") if a != b])
+    def test_first_bad_record_in_file_order_wins(self, tmp_path, first, second):
+        bad = {"short": "1,2", "nan": "1,2,nan,2.5", "text": "1,2,1.5,abc"}
+        messages = {
+            "short": "row 3 has fewer fields than the header: "
+                     "no value for column 'y'",
+            "nan": "non-finite value at row 3, column 'y'",
+            "text": "non-finite value at row 3, column 'x1'",
+        }
+        lines = ["1,1,1.0,2.0", bad[first], "2,1,2.0,3.0",
+                 bad.get(second, "2,2,3.0,4.5")]
+        if second == "gone":
+            lines.pop()
+        path = tmp_path / "p.csv"
+        path.write_text("unit,time,y,x1\n" + "\n".join(lines) + "\n")
+        with pytest.raises(PanelDataError) as err:
+            load_csv(path)
+        assert str(err.value) == messages[first]
 
     def test_schema_mapping(self, tmp_path):
         path = tmp_path / "p.csv"

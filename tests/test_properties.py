@@ -4,13 +4,18 @@ Each property holds exactly in exact arithmetic; the tolerances only
 absorb rounding in the per-unit projections and the pooled solve.
 """
 
+import csv
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from interpanel.data import build_regressors, make_dataset, subset_units
+from interpanel.data import (_parse_label, _sorted_labels, build_regressors,
+                             load_csv, make_dataset, subset_units, write_csv)
 from interpanel.estimators import cite_theta, ite
 
 from conftest import random_panel
@@ -126,3 +131,44 @@ def test_ite_ignores_x_minus1_basis(data, ds):
     X[:, :, 1:] = np.einsum("ntk,nkj->ntj", ds.X[:, :, 1:], A)
     assert_allclose(ite_of(with_x(ds, X)),
                     ite_of(ds), rtol=0, atol=1e-8)
+
+
+# Text labels that stay text: quoting, commas and line breaks included.
+TEXT_LABEL = st.text(alphabet='ab ,"\n1', min_size=1, max_size=4).filter(
+    lambda s: _parse_label(s) == s)
+
+
+@st.composite
+def unit_labels(draw, n):
+    kind = draw(st.sampled_from(["int", "text", "mixed"]))
+    ints = st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n,
+                    unique=True)
+    if kind == "int":
+        return draw(ints)
+    texts = draw(st.lists(TEXT_LABEL, min_size=n, max_size=n, unique=True))
+    if kind == "text":
+        return texts
+    return draw(ints)[: n // 2] + texts[n // 2:]
+
+
+@PROPERTY
+@given(data=st.data(), base=panels())
+def test_csv_round_trip_is_bit_exact(data, base):
+    labels = _sorted_labels(data.draw(unit_labels(base.dims.n)))
+    ds = make_dataset(base.Y, base.X, base.G, base.Z, base.H, labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        write_csv(ds, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *records = csv.reader(fh)
+        order = data.draw(st.permutations(range(len(records))))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + [records[r] for r in order])
+        back = load_csv(path)
+    for name in ("Y", "X", "G", "Z", "H"):
+        assert np.array_equal(getattr(back, name), getattr(ds, name)), name
+    assert back.unit_labels == ds.unit_labels
+    assert back.time_labels == ds.time_labels
+    assert back.columns == ds.columns
+    assert all(type(label) in (int, str)
+               for label in back.unit_labels + back.time_labels)
