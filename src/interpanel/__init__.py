@@ -8,7 +8,8 @@ correlated-random-coefficient simulator, large-n moment oracles, and a
 Monte Carlo harness.
 """
 
-from .data import (Dims, DerivedRegressors, PanelDataset, ValidationReport,
+from .data import (CiteBlocks, Dims, DerivedRegressors, IteBlocks,
+                   PanelDataset, ValidationReport,
                    add_intercept_h, build_regressors, drop_failing_units,
                    load_csv, make_dataset, subset_units, validate, write_csv)
 from .dgp import (DgpConfig, PlimTargets, SimulatedTruth, load_dgp_config,
@@ -27,8 +28,8 @@ from .linalg import LeastSquaresFit, RankDeficient, gram_det, solve_ols
 __version__ = "0.1.0"
 
 __all__ = [
-    "CiteResult", "DerivedRegressors", "DgpConfig", "Dims", "ExperimentConfig",
-    "IteResult", "LeastSquaresFit", "MeanEffectSummary", "MonteCarloReport",
+    "CiteBlocks", "CiteResult", "DerivedRegressors", "DgpConfig", "Dims",
+    "ExperimentConfig", "IteBlocks", "IteResult", "LeastSquaresFit", "MeanEffectSummary", "MonteCarloReport",
     "PanelDataset", "PlimTargets", "RankDeficient", "SeResult",
     "SimulatedTruth", "ValidationReport", "add_intercept_h", "bootstrap_cite",
     "build_regressors", "cite_delta", "cite_kappa", "cite_kappa_se",

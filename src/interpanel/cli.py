@@ -82,7 +82,7 @@ def _cmd_estimate(args):
     results = {}
     for est in which:
         if est == "cite":
-            res = fit_cite_weighted(ds, dr, weight_mode=args.weight_mode)
+            res = fit_cite_weighted(ds, dr.cite, weight_mode=args.weight_mode)
             labels, values = res.coefficients()
             entry = {
                 "labels": labels,
@@ -92,21 +92,21 @@ def _cmd_estimate(args):
                 "delta_units": list(ds.unit_labels),
             }
             if args.se == "cluster":
-                k_se = cite_kappa_se(dr, res) if ds.dims.K_h else None
-                t_se = cite_theta_se(dr, res) if res.theta_hat.size else None
+                k_se = cite_kappa_se(dr.cite, res) if ds.dims.K_h else None
+                t_se = cite_theta_se(dr.cite, res) if res.theta_hat.size else None
                 entry["se"] = (k_se.se.tolist() if k_se else []) + \
                     (t_se.se.tolist() if t_se else [])
                 entry["se_method"] = "hc_robust (kappa), cluster_robust (theta)"
             elif args.se == "bootstrap":
-                b = bootstrap_cite(ds, dr, res, args.bootstrap_reps, args.seed)
+                b = bootstrap_cite(ds, dr.cite, res, args.bootstrap_reps, args.seed)
                 entry["se"] = b.se.tolist() + [None] * len(res.theta_hat)
                 entry["se_method"] = "bootstrap (kappa only)"
         else:
-            res = ite(ds, dr)
+            res = ite(ds, dr.ite)
             labels, values = res.coefficients()
             entry = {"labels": labels, "estimates": values.tolist()}
             if args.se == "cluster":
-                entry["se"] = ite_se(dr, res).se.tolist()
+                entry["se"] = ite_se(dr.ite, res).se.tolist()
                 entry["se_method"] = "cluster_robust"
         results[est] = res
         out["estimators"][est] = entry

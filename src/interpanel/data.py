@@ -4,19 +4,22 @@ The observed sample is a balanced panel (Y, X, G, Z, H). X carries the
 unit-specific random coefficients, G and H are time-varying and
 time-invariant interaction variables, Z are additive controls. This
 module builds the per-unit interaction blocks and projects each unit's
-own X_i (CITE) or X_{i,-1} (ITE) out of them and out of Y_i, once; both
-estimators and their standard errors consume the projected blocks.
+own X_i (CITE) or X_{i,-1} (ITE) out of them and out of Y_i, once. Each
+estimator and its standard errors read their own part of the blocks, and
+a part is built only as far as its fit reads it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .linalg import RANK_TOL, RankDeficient, gram_det, residual_makers
+from .linalg import RANK_TOL, RankDeficient, gram_det, qr_factors, residual_makers
 
 # Numeric text format used by the CSV writer; round-trips float64 exactly.
 FLOAT_FORMAT = "%.17g"
@@ -206,14 +209,18 @@ def make_dataset(Y, X, G=None, Z=None, H=None, unit_labels=None, time_labels=Non
 def _sorted_labels(labels):
     """Distinct labels ordered by one key over the whole set.
 
-    The key is numeric only when every label is a number, otherwise text,
-    so a column mixing numbers and text never compares the two. Equal
-    numeric keys (1 and "1.0") fall back to the text.
+    The key is numeric only when every label is a finite number, otherwise
+    text, so a column mixing numbers and text never compares the two, and
+    a NaN key ("nan") never makes the order follow the set's hash order.
+    Equal numeric keys (1 and "1.0") fall back to the text.
     """
     distinct = set(labels)
     try:
         key = {v: float(v) for v in distinct}
-    except (TypeError, ValueError):
+        numeric = all(map(math.isfinite, key.values()))
+    except (TypeError, ValueError, OverflowError):
+        numeric = False
+    if not numeric:
         key = {v: str(v) for v in distinct}
     return sorted(distinct, key=lambda v: (key[v], str(v)))
 
@@ -409,35 +416,59 @@ def add_intercept_h(ds):
                         ds.time_labels, columns=columns)
 
 
-@dataclass(frozen=True)
-class DerivedRegressors:
-    """Every per-unit array a fit reads: the panel's own Y, X and H
-    (not copies), the regressor blocks and their projections.
+class _UnitBlocks:
+    """Per-unit arrays, indexed by unit first."""
 
-    Psi is (n, T, K_x*K_g + K_z): row t holds (X_t kron G_t, Z_t).
-    PsiTilde is (n, T, K_h + K_x*K_g + K_z): row t holds (X_t1 * H, Psi_t).
-    MPsi and MY are Psi_i and Y_i with X_i projected out (M_i Psi_i,
-    M_i Y_i); M1PsiTilde and M1Y are PsiTilde_i and Y_i with X_{i,-1}
-    projected out (PsiTilde and Y themselves when K_x = 1). q_x/r_x are
-    the QR factors of X_i that M_i was made from. Indexed by unit first.
+    def take(self, idx):
+        """Blocks of the units at positions `idx` (repeats allowed); a
+        field that is None stays None."""
+        return type(self)(**{f.name: None if (v := getattr(self, f.name)) is None
+                             else v[idx] for f in fields(self)})
+
+
+@dataclass(frozen=True)
+class CiteBlocks(_UnitBlocks):
+    """Every per-unit array the two-step (CITE) fit and its standard
+    errors read: the panel's own Y, X and H (not copies), Psi and its
+    projection.
+
+    Psi is (n, T, K_x*K_g + K_z): row t holds (X_t kron G_t, Z_t). MPsi
+    and MY are Psi_i and Y_i with X_i projected out (M_i Psi_i, M_i Y_i).
+    When Psi has no columns no M_i is formed: MPsi is the empty Psi and
+    MY is None, since only the pooled stage reads it. q_x/r_x are the QR
+    factors of X_i, made in every case.
     """
 
     Y: np.ndarray
     X: np.ndarray
     H: np.ndarray
     Psi: np.ndarray
-    PsiTilde: np.ndarray
     MPsi: np.ndarray
-    MY: np.ndarray
-    M1PsiTilde: np.ndarray
-    M1Y: np.ndarray
+    MY: np.ndarray | None
     q_x: np.ndarray
     r_x: np.ndarray
 
-    def take(self, idx):
-        """Blocks of the units at positions `idx` (repeats allowed)."""
-        return DerivedRegressors(**{f.name: getattr(self, f.name)[idx]
-                                    for f in fields(self)})
+
+@dataclass(frozen=True)
+class IteBlocks(_UnitBlocks):
+    """The per-unit arrays the one-step (ITE) fit reads: PsiTilde_i and
+    Y_i with X_{i,-1} projected out, where PsiTilde is
+    (n, T, K_h + K_x*K_g + K_z) and row t holds (X_t1 * H, Psi_t). At
+    K_x = 1, M_{i,-1} = I and the two are PsiTilde and Y themselves."""
+
+    M1PsiTilde: np.ndarray
+    M1Y: np.ndarray
+
+
+@dataclass(frozen=True)
+class DerivedRegressors:
+    """The blocks of both estimators, built once from one panel: `cite`
+    for `fit_cite` and its standard errors, `ite` for `ite` and `ite_se`.
+    A fit takes only its own part; a bootstrap draw is `cite.take(idx)`.
+    """
+
+    cite: CiteBlocks
+    ite: IteBlocks
 
 
 def interaction_block(X, G):
@@ -447,41 +478,67 @@ def interaction_block(X, G):
     return (X[:, :, :, None] * G[:, :, None, :]).reshape(n, T, K_x * K_g)
 
 
+def psi_block(ds):
+    """Psi, (n, T, K_x*K_g + K_z): row t holds (X_t kron G_t, Z_t)."""
+    return np.concatenate([interaction_block(ds.X, ds.G), ds.Z], axis=2)
+
+
 def build_regressors(ds):
-    """Construct Psi, PsiTilde and their per-unit projections.
-
-    The only place that projects: X_i and a nonempty X_{i,-1} are each
-    factored once, and each (n, T, T) residual maker is applied to its
-    block and to Y, then dropped. Raises RankDeficient (with the unit's
-    label) when some X_i'X_i or X_{i,-1}'X_{i,-1} is numerically singular.
+    """Both estimators' blocks, Psi made once: `build_cite_blocks` and
+    `build_ite_blocks`. The one call that orchestrators make. Raises
+    RankDeficient (with the unit's label) when some X_i'X_i or
+    X_{i,-1}'X_{i,-1} is numerically singular.
     """
-    d = ds.dims
-    Psi = np.concatenate([interaction_block(ds.X, ds.G), ds.Z], axis=2)
-    x1_h = ds.X[:, :, 0:1] * ds.H[:, None, :]
-    PsiTilde = np.concatenate([x1_h, Psi], axis=2)
+    Psi = psi_block(ds)
+    assert Psi.shape[2] == ds.dims.n_psi
+    return DerivedRegressors(cite=build_cite_blocks(ds, Psi),
+                             ite=build_ite_blocks(ds, Psi))
+
+
+def build_cite_blocks(ds, Psi):
+    """CITE blocks from the panel and its `psi_block`.
+
+    Each X_i is factored once, with the rank rule. Only when Psi has
+    columns is the (n, T, T) residual maker formed, applied to Psi and Y,
+    and dropped; otherwise X_i is only factored, for the per-unit slopes.
+    """
+    MPsi, MY = Psi, None
+    with _unit_labels(ds):
+        if Psi.shape[2]:
+            M, q_x, r_x = residual_makers(ds.X)
+            MPsi, MY = _apply(M, Psi, ds.Y)
+        else:
+            q_x, r_x = qr_factors(ds.X)
+    return CiteBlocks(Y=ds.Y, X=ds.X, H=ds.H, Psi=Psi, MPsi=MPsi, MY=MY,
+                      q_x=q_x, r_x=r_x)
+
+
+def build_ite_blocks(ds, Psi):
+    """ITE blocks from the panel and its `psi_block`. X_i itself is never
+    factored; a nonempty X_{i,-1} is, and its residual maker is applied to
+    PsiTilde and Y and dropped."""
+    PsiTilde = np.concatenate([ds.X[:, :, 0:1] * ds.H[:, None, :], Psi], axis=2)
+    X1 = ds.X[:, :, 1:]
+    if not X1.shape[2]:  # K_x = 1: M_{i,-1} = I, nothing to do
+        return IteBlocks(M1PsiTilde=PsiTilde, M1Y=ds.Y)
+    with _unit_labels(ds):
+        M, _, _ = residual_makers(X1)
+        return IteBlocks(*_apply(M, PsiTilde, ds.Y))
+
+
+def _apply(M, block, Y):
+    return np.einsum("nij,njp->nip", M, block), np.einsum("nij,nj->ni", M, Y)
+
+
+@contextmanager
+def _unit_labels(ds):
+    """Put the panel's label on the unit index of a RankDeficient."""
     try:
-        MPsi, MY, q_x, r_x = _project(ds.X, Psi, ds.Y)
-        M1PsiTilde, M1Y, _, _ = _project(ds.X[:, :, 1:], PsiTilde, ds.Y)
-    except Exception as exc:
-        _attach_unit_label(exc, ds)
+        yield
+    except RankDeficient as exc:
+        if isinstance(exc.unit, int) and 0 <= exc.unit < ds.dims.n:
+            exc.unit = ds.unit_labels[exc.unit]
         raise
-    assert Psi.shape[2] == d.n_psi and PsiTilde.shape[2] == d.n_psi_tilde
-    return DerivedRegressors(Y=ds.Y, X=ds.X, H=ds.H, Psi=Psi, PsiTilde=PsiTilde,
-                             MPsi=MPsi, MY=MY, M1PsiTilde=M1PsiTilde, M1Y=M1Y,
-                             q_x=q_x, r_x=r_x)
-
-
-def _project(X, block, Y):
-    if not X.shape[2]:  # X_{i,-1} at K_x = 1 has no columns: M_i = I, nothing to do
-        return block, Y, None, None
-    M, Q, R = residual_makers(X)  # the (n, T, T) M is dropped on return
-    return np.einsum("nij,njp->nip", M, block), np.einsum("nij,nj->ni", M, Y), Q, R
-
-
-def _attach_unit_label(exc, ds):
-    unit = getattr(exc, "unit", None)
-    if isinstance(unit, int) and 0 <= unit < ds.dims.n:
-        exc.unit = ds.unit_labels[unit]
 
 
 @dataclass(frozen=True)
@@ -569,8 +626,9 @@ def validate(ds, h_min=DEFAULT_H_MIN):
         except (RankDeficient, ValueError):
             pass  # retained units still fail at solver tolerance; margins stay 0
         if dr is not None:
-            S1 = np.einsum("nip,niq->pq", dr.MPsi, dr.MPsi) / keep.size
-            S2 = np.einsum("nip,niq->pq", dr.M1PsiTilde, dr.M1PsiTilde) / keep.size
+            MPsi, M1PsiTilde = dr.cite.MPsi, dr.ite.M1PsiTilde
+            S1 = np.einsum("nip,niq->pq", MPsi, MPsi) / keep.size
+            S2 = np.einsum("nip,niq->pq", M1PsiTilde, M1PsiTilde) / keep.size
             S3 = panel.H.T @ panel.H / keep.size
             pooled = {
                 "psi_m_psi": _min_eig_margin(S1),

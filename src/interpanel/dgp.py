@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dims, build_regressors, default_columns, make_dataset
+from .data import Dims, build_ite_blocks, default_columns, make_dataset, psi_block
 from .estimators import ite
 from .linalg import solve_ols
 
@@ -304,7 +304,7 @@ class SimulatedTruth:
 
 
 def _broadcast(value, shape):
-    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+    return np.full(shape, value, dtype=float)
 
 
 def simulate(cfg):
@@ -353,11 +353,11 @@ def simulate(cfg):
     x_mean = _broadcast(cfg.x_mean, (d.K_x,))
     x_scale = _broadcast(cfg.x_scale, (d.K_x,))
     xi = rng.standard_normal((d.n, d.T, d.K_x))
-    sd = np.broadcast_to(x_scale, (d.n, d.T, d.K_x)).copy()
+    sd = x_scale  # broadcast against xi, never copied out
     if cfg.scenario == "omitted_variable" and cfg.x_hidden_scale_slope != 0.0:
         unit_sd = np.sqrt(x_scale[None, :] ** 2
                           + (cfg.x_hidden_scale_slope * hidden[:, None]) ** 2)
-        sd = np.broadcast_to(unit_sd[:, None, :], sd.shape).copy()
+        sd = unit_sd[:, None, :]
     X = x_mean + sd * xi
     if cfg.x_fe_loading != 0.0 and const.size > 0:
         X = X + cfg.x_fe_loading * delta[:, const[0]][:, None, None]
@@ -376,9 +376,13 @@ def simulate(cfg):
     U = float(cfg.u_scale) * rng.standard_normal((d.n, d.T))
 
     phi = np.asarray(cfg.phi, dtype=float).reshape(d.K_x, d.K_g)
-    beta = delta[:, None, :] + np.einsum("ntg,kg->ntk", G, phi) + V
+    if d.K_g:
+        beta = delta[:, None, :] + np.einsum("ntg,kg->ntk", G, phi) + V
+    else:  # the einsum is all +0.0 here: adding 0.0 keeps its one effect
+        beta = (delta + 0.0)[:, None, :] + V
     gamma = np.asarray(cfg.gamma, dtype=float)
-    Y = np.einsum("ntk,ntk->nt", X, beta) + Z @ gamma + U
+    # with no Z, Z @ gamma is all +0.0: adding 0.0 keeps its one effect
+    Y = np.einsum("ntk,ntk->nt", X, beta) + (Z @ gamma if d.K_z else 0.0) + U
 
     H_obs = H.copy()
     if cfg.scenario == "measurement_error" and d.K_h > 0:
@@ -437,7 +441,7 @@ def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20):
 
     The one-step limit is computed only when the model has exactly one
     non-constant x column; otherwise ite_plim_kappa1 and its SE are None.
-    Each block builds its own regressors for the one-step fit.
+    Each block builds only the one-step fit's blocks: no X_i is factored.
     """
     if cfg.dims.K_h < 1:
         raise ScenarioUnsupported("plim targets need at least one H column")
@@ -460,7 +464,7 @@ def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20):
         ds = truth.dataset
         kt_blocks[b] = solve_ols(ds.H, truth.delta[:, 0]).coefficients
         if want_ite:
-            ite_blocks[b] = ite(ds, build_regressors(ds)).kappa_hat[0]
+            ite_blocks[b] = ite(ds, build_ite_blocks(ds, psi_block(ds))).kappa_hat[0]
 
     kt = kt_blocks.mean(axis=0)
     kt_se = kt_blocks.std(axis=0, ddof=1) / np.sqrt(n_blocks)

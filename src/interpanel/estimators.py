@@ -93,7 +93,8 @@ class IteResult:
 
 
 def cite_theta(dr):
-    """Pooled-stage coefficients: OLS of M_i Y_i on M_i Psi_i across units.
+    """Pooled-stage coefficients: OLS of M_i Y_i on M_i Psi_i across units,
+    from the CITE blocks `dr`; empty, without reading MY, when Psi is.
 
     Solves (sum_i Psi_i'M_i Psi_i)^{-1} sum_i Psi_i'M_i Y_i through one
     stacked least-squares problem. Raises RankDeficient when the pooled
@@ -151,8 +152,8 @@ def second_stage_weights(se, mode):
 
 def fit_cite(ds, dr):
     """Run the full two-step pipeline (unweighted second stage) on the
-    blocks `dr` and package the results; inference.fit_cite_weighted adds
-    the weighting."""
+    CITE blocks `dr` and package the results; inference.fit_cite_weighted
+    adds the weighting."""
     theta = cite_theta(dr)
     delta = cite_delta(dr, theta)
     kappa = cite_kappa(delta[:, 0], dr.H) if ds.dims.K_h > 0 else np.zeros(0)
@@ -166,7 +167,7 @@ def fit_cite(ds, dr):
 
 
 def ite(ds, dr):
-    """One-step estimator of (kappa, phi, gamma) on the blocks `dr`.
+    """One-step estimator of (kappa, phi, gamma) on the ITE blocks `dr`.
 
     Solves (sum_i PsiTilde_i'M_{i,-1} PsiTilde_i)^{-1}
     sum_i PsiTilde_i'M_{i,-1} Y_i as one stacked least-squares problem.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,7 +113,13 @@ class CellStats:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """All cells of one experiment plus the attached large-n targets."""
+    """All cells of one experiment plus the attached large-n targets.
+
+    failures[(estimator, n)] counts the failed replications of a cell and
+    failure_types[(estimator, n)] is a Counter of their exception class
+    names; a failed regressor build counts under every estimator.
+    `to_dict` leaves failure_types out.
+    """
 
     scenario: str
     sample_sizes: tuple
@@ -124,6 +131,7 @@ class MonteCarloReport:
     sign_agreement: dict
     targets: object
     failures: dict
+    failure_types: dict = field(default_factory=dict)
     config: ExperimentConfig = field(repr=False, default=None)
 
     def cell(self, estimator, n, parameter):
@@ -158,9 +166,9 @@ def replication_seed(seed, scenario, n, rep):
 
 def _fit_one(estimator, ds, dr, weight_mode):
     if estimator == "cite":
-        res = fit_cite_weighted(ds, dr, weight_mode=weight_mode)
+        res = fit_cite_weighted(ds, dr.cite, weight_mode=weight_mode)
         return np.concatenate([res.kappa_hat, res.theta_hat])
-    res = _fit_ite(ds, dr)
+    res = _fit_ite(ds, dr.ite)
     return res.theta_tilde_hat
 
 
@@ -176,28 +184,33 @@ def run_experiment(cfg):
     all_draws = {}
     all_ok = {}
     failures = {}
+    failure_types = {}
     sign_agreement = {}
     for n in cfg.sample_sizes:
         draws = {e: np.full((cfg.replications, n_params), np.nan)
                  for e in cfg.estimators}
         ok = {e: np.zeros(cfg.replications, dtype=bool) for e in cfg.estimators}
+        types = {e: Counter() for e in cfg.estimators}
         for r in range(cfg.replications):
             seed_r = replication_seed(cfg.seed, dgp.scenario, n, r)
             cfg_r = replace(dgp, dims=replace(dgp.dims, n=int(n)), seed=seed_r)
             ds = simulate(cfg_r).dataset
             try:
                 dr = build_regressors(ds)
-            except RankDeficient:
+            except RankDeficient as exc:
+                for est in cfg.estimators:
+                    types[est][type(exc).__name__] += 1
                 continue
             for est in cfg.estimators:
                 try:
                     draws[est][r] = _fit_one(est, ds, dr, cfg.weight_mode)
                     ok[est][r] = True
-                except (RankDeficient, np.linalg.LinAlgError):
-                    pass
+                except (RankDeficient, np.linalg.LinAlgError) as exc:
+                    types[est][type(exc).__name__] += 1
         for est in cfg.estimators:
             n_bad = int(cfg.replications - ok[est].sum())
             failures[(est, n)] = n_bad
+            failure_types[(est, n)] = types[est]
             if n_bad > FAILURE_RATE_LIMIT * cfg.replications:
                 raise RuntimeError(
                     f"estimator {est!r} failed {n_bad}/{cfg.replications} "
@@ -237,6 +250,7 @@ def run_experiment(cfg):
         sign_agreement=sign_agreement,
         targets=targets,
         failures=failures,
+        failure_types=failure_types,
         config=cfg,
     )
 

@@ -42,7 +42,9 @@ class DegenerateResample(RuntimeError):
 
 @dataclass(frozen=True)
 class SeResult:
-    """Point estimates with a variance matrix and its method tag."""
+    """Point estimates with a variance matrix and its method tag.
+    `redraws` counts the bootstrap's redrawn samples (0 for a sandwich);
+    `to_dict` leaves it out."""
 
     labels: tuple
     estimates: np.ndarray
@@ -50,6 +52,7 @@ class SeResult:
     vcov: np.ndarray
     method: str
     n_clusters: int
+    redraws: int = 0
 
     def to_dict(self):
         return {
@@ -134,12 +137,18 @@ def _unit_clustered_se(design, y, estimates, labels):
 
 def ite_se(dr, result):
     """Unit-clustered SEs for the one-step estimates."""
-    return _unit_clustered_se(dr.M1PsiTilde, dr.M1Y, result.theta_tilde_hat,
-                              result.labels)
+    return _unit_clustered_se(dr.M1PsiTilde, dr.M1Y,
+                              result.theta_tilde_hat, result.labels)
 
 
 def cite_theta_se(dr, result):
-    """Unit-clustered SEs for the pooled stage of the two-step estimator."""
+    """Unit-clustered SEs for the pooled stage of the two-step estimator;
+    empty when Psi has no columns (theta is empty, and there is no MY)."""
+    if dr.MY is None:
+        return SeResult(labels=tuple(result.theta_labels),
+                        estimates=result.theta_hat, se=np.zeros(0),
+                        vcov=np.zeros((0, 0)), method="cluster_robust",
+                        n_clusters=dr.Y.shape[0])
     return _unit_clustered_se(dr.MPsi, dr.MY, result.theta_hat,
                               result.theta_labels)
 
@@ -162,12 +171,13 @@ def cite_kappa_se(dr, result):
 def bootstrap_cite(ds, dr, fit, replications, seed):
     """Unit bootstrap of the full two-step pipeline.
 
-    `fit` is the full-sample fit on the blocks `dr`; its kappa_hat,
+    `fit` is the full-sample fit on the CITE blocks `dr`; its kappa_hat,
     labels and weight mode are reported and reused. Resamples units with
     replacement `replications` times, refits CITE on each draw's blocks
     (`dr.take`, no reprojection), and reports the empirical SD of
     kappa_hat. Draws that fail rank checks are redrawn; the total number
-    of redraws is capped at BOOTSTRAP_REDRAW_FACTOR * replications.
+    of redraws is capped at BOOTSTRAP_REDRAW_FACTOR * replications and
+    reported as the result's `redraws`.
 
     Each draw's randomness depends only on (seed, replication index,
     attempt), so results are reproducible and independent of execution
@@ -206,6 +216,7 @@ def bootstrap_cite(ds, dr, fit, replications, seed):
         vcov=0.5 * (vcov + vcov.T),
         method="bootstrap",
         n_clusters=n,
+        redraws=redraws,
     )
 
 

@@ -32,21 +32,20 @@ class RankDeficient(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class LeastSquaresFit:
-    """Solution of a least-squares problem.
+    """Solution of a least-squares problem. Residuals are not kept: no
+    caller reads them, and a caller that needs them forms
+    `response - design @ coefficients` itself.
 
     Attributes
     ----------
     coefficients : (k,) ndarray
         Minimizer of ||design @ b - response||^2.
-    residuals : (m,) ndarray
-        response - design @ coefficients.
     gram_condition : float
         Condition number estimate of the Gram matrix (squared singular
         value ratio); 1.0 for an empty design.
     """
 
     coefficients: np.ndarray
-    residuals: np.ndarray
     gram_condition: float
 
 
@@ -79,7 +78,7 @@ def solve_ols(design, response):
     if m < k:
         raise ValueError(f"underdetermined system: {m} rows < {k} columns")
     if k == 0:
-        return LeastSquaresFit(np.zeros(0), y.copy(), 1.0)
+        return LeastSquaresFit(np.zeros(0), 1.0)
 
     coef, _, rank, sv = np.linalg.lstsq(A, y, rcond=None)
     if sv[0] == 0.0 or sv[-1] < RANK_TOL * sv[0] or rank < k:
@@ -88,14 +87,13 @@ def solve_ols(design, response):
             f"design is numerically rank deficient (gram condition ~ {cond:.3e})",
             condition=cond,
         )
-    return LeastSquaresFit(coef, y - A @ coef, float((sv[0] / sv[-1]) ** 2))
+    return LeastSquaresFit(coef, float((sv[0] / sv[-1]) ** 2))
 
 
-def residual_makers(X):
-    """Batched residual makers M_i = I - Q_i Q_i' from one reduced QR per
-    unit, X_i = Q_i R_i, exactly symmetric: entries (s, t) and (t, s) of
-    Q_i Q_i' sum the same products in the same order. Rank is checked on
-    the singular values of R_i, which are those of X_i (|r_i| at k = 1).
+def qr_factors(X):
+    """One reduced QR per unit, X_i = Q_i R_i, with the rank rule: rank is
+    checked on the singular values of R_i, which are those of X_i (|r_i|
+    at k = 1).
 
     Parameters
     ----------
@@ -104,8 +102,7 @@ def residual_makers(X):
 
     Returns
     -------
-    (M, Q, R): (n, T, T) projection matrices and the (n, T, k), (n, k, k)
-    QR factors.
+    (Q, R): the (n, T, k) and (n, k, k) QR factors.
 
     Raises
     ------
@@ -125,7 +122,31 @@ def residual_makers(X):
             s = sv[i]
             cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
             raise RankDeficient("X_i'X_i is numerically singular", condition=cond, unit=i)
-    return np.eye(T) - np.einsum("nik,njk->nij", Q, Q), Q, R
+    return Q, R
+
+
+def residual_makers(X):
+    """Batched residual makers M_i = I - Q_i Q_i' from `qr_factors(X)`,
+    exactly symmetric: entries (s, t) and (t, s) of Q_i Q_i' sum the same
+    products in the same order.
+
+    Parameters
+    ----------
+    X : (n, T, k) ndarray
+        One T x k design per unit. k may be 0.
+
+    Returns
+    -------
+    (M, Q, R): (n, T, T) projection matrices and the (n, T, k), (n, k, k)
+    QR factors.
+
+    Raises
+    ------
+    RankDeficient
+        As `qr_factors`.
+    """
+    Q, R = qr_factors(X)
+    return np.eye(Q.shape[1]) - np.einsum("nik,njk->nij", Q, Q), Q, R
 
 
 def gram_det(A):

@@ -88,7 +88,7 @@ def test_criterion_01_fwl_oracle_equivalence():
     worst = 0.0
     for seed in range(100):
         ds = random_panel(seed, n=30, T=8, K_x=2, K_g=1, K_z=1, K_h=2)
-        dr = build_regressors(ds)
+        dr = build_regressors(ds).cite
         theta = cite_theta(dr)
         delta = cite_delta(dr, theta)
         theta_o, delta_o = dummy_variable_oracle(ds)
@@ -107,7 +107,7 @@ def test_criterion_02_within_transformation_oracle():
     for seed in range(100):
         ds = random_panel(1000 + seed, n=14, T=5, K_x=2, K_g=0, K_z=0,
                           K_h=1, constant_col=1)
-        got = ite(ds, build_regressors(ds)).kappa_hat[0]
+        got = ite(ds, build_regressors(ds).ite).kappa_hat[0]
         worst = max(worst, abs(got - within_ols_oracle(ds)))
     assert worst < 1e-9, f"max abs difference {worst:.3e}"
     _report("2 (within-transformation oracle)",
@@ -121,7 +121,7 @@ def test_criterion_03_special_case_reductions():
     for seed in range(50):
         ds = random_panel(2000 + seed, n=16, T=5, K_x=1, K_g=0, K_z=2,
                           K_h=1, constant_col=0)
-        theta = cite_theta(build_regressors(ds))
+        theta = cite_theta(build_regressors(ds).cite)
         Yd = ds.Y - ds.Y.mean(axis=1, keepdims=True)
         Zd = ds.Z - ds.Z.mean(axis=1, keepdims=True)
         within = solve_ols(Zd.reshape(-1, 2), Yd.reshape(-1)).coefficients
@@ -132,7 +132,7 @@ def test_criterion_03_special_case_reductions():
     for seed in range(50):
         ds = random_panel(3000 + seed, n=16, T=5, K_x=1, K_g=0, K_z=2,
                           K_h=2, constant_col=0)
-        got = ite(ds, build_regressors(ds)).theta_tilde_hat
+        got = ite(ds, build_regressors(ds).ite).theta_tilde_hat
         n, T = ds.dims.n, ds.dims.T
         design = np.column_stack([np.repeat(ds.H, T, axis=0),
                                   ds.Z.reshape(n * T, -1)])
@@ -154,11 +154,11 @@ def test_criterion_04_noiseless_exact_recovery():
     phi = np.asarray(cfg.phi)
     gamma = np.asarray(cfg.gamma)
 
-    c = fit_cite(ds, dr)
+    c = fit_cite(ds, dr.cite)
     errs = [np.max(np.abs(c.kappa_hat - kappa)),
             np.max(np.abs(c.theta_hat
                           - np.concatenate([phi.reshape(-1), gamma])))]
-    r = ite(ds, dr)
+    r = ite(ds, dr.ite)
     errs += [np.max(np.abs(r.kappa_hat - kappa)),
              np.max(np.abs(r.phi_hat - phi)),
              np.max(np.abs(r.gamma_hat - gamma))]

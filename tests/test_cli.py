@@ -70,8 +70,8 @@ class TestEstimate:
         assert set(doc["estimators"]) == {"cite", "ite"}
         back = load_csv(path)
         dr = build_regressors(back)
-        want_cite = fit_cite(back, dr)
-        want_ite = ite(back, dr)
+        want_cite = fit_cite(back, dr.cite)
+        want_ite = ite(back, dr.ite)
         got_cite = doc["estimators"]["cite"]
         np.testing.assert_allclose(
             got_cite["estimates"],

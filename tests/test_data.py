@@ -1,15 +1,21 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from interpanel.data import (Dims, DuplicateColumn, ExtraField, MissingColumn,
-                             MissingField, NonConstantH, NonFiniteValue,
-                             PanelDataError, UnbalancedPanel, add_intercept_h,
+from interpanel.data import (CiteBlocks, Dims, DuplicateColumn, ExtraField,
+                             IteBlocks, MissingColumn, MissingField,
+                             NonConstantH, NonFiniteValue, PanelDataError,
+                             UnbalancedPanel, add_intercept_h,
                              build_regressors, drop_failing_units, load_csv,
                              make_dataset, subset_units, validate, write_csv)
 from interpanel.dgp import packaged_config, simulate
+from interpanel.estimators import fit_cite, ite
 from interpanel.linalg import RankDeficient, residual_makers
 
 from conftest import kron_block_loops, random_panel
@@ -226,51 +232,104 @@ class TestLoadCsv:
         assert back.time_labels == ds.time_labels
 
 
+class TestLabelOrder:
+    SCRIPT = ("import sys; from interpanel.data import load_csv; "
+              "print(load_csv(sys.argv[1]).unit_labels)")
+
+    def test_order_does_not_follow_the_hash_seed(self, tmp_path):
+        # a NaN key ("nan") would leave the order to set iteration order;
+        # a non-finite numeric key sorts the whole column as text
+        path = tmp_path / "panel.csv"
+        write_rows(path, ["unit", "time", "y", "x1"],
+                   [[u, t, 0.5 * t, t] for u in ("2", "nan", "1", "inf")
+                    for t in (1, 2)])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        orders = set()
+        for hash_seed in ("0", "1", "2", "3", "5", "6"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", self.SCRIPT, str(path)],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            orders.add(run.stdout.strip())
+        assert orders == {"(1, 2, 'inf', 'nan')"}
+
+    def test_non_finite_number_sorts_the_column_as_text(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        write_rows(path, ["unit", "time", "y", "x1"],
+                   [[u, t, 0.5 * t, t] for u in ("10", "2", "inf")
+                    for t in (1, 2)])
+        assert load_csv(path).unit_labels == (10, 2, "inf")
+        # an integer too large for a float has no finite numeric key either
+        big = "1" * 400
+        write_rows(path, ["unit", "time", "y", "x1"],
+                   [[u, t, 0.5 * t, t] for u in ("2", big) for t in (1, 2)])
+        assert load_csv(path).unit_labels == (int(big), 2)
+
+
 class TestBuildRegressors:
     def test_no_g_means_psi_is_z(self):
         ds = random_panel(0, K_g=0, K_z=1)
         dr = build_regressors(ds)
-        assert_allclose(dr.Psi, ds.Z)
+        assert_allclose(dr.cite.Psi, ds.Z)
 
     def test_scalar_case_column_layout(self):
         ds = random_panel(1, K_x=1, K_g=1, K_z=1, K_h=1)
         dr = build_regressors(ds)
-        assert_allclose(dr.Psi[:, :, 0], ds.X[:, :, 0] * ds.G[:, :, 0])
-        assert_allclose(dr.Psi[:, :, 1], ds.Z[:, :, 0])
-        assert_allclose(dr.PsiTilde[:, :, 0],
+        assert_allclose(dr.cite.Psi[:, :, 0], ds.X[:, :, 0] * ds.G[:, :, 0])
+        assert_allclose(dr.cite.Psi[:, :, 1], ds.Z[:, :, 0])
+        # K_x = 1: M_{i,-1} = I, so M1PsiTilde is PsiTilde
+        assert_allclose(dr.ite.M1PsiTilde[:, :, 0],
                         ds.X[:, :, 0] * ds.H[:, 0][:, None])
 
     def test_kron_block_double_loop_oracle(self):
         ds = random_panel(2, K_x=3, K_g=2, K_z=0)
         dr = build_regressors(ds)
-        assert_allclose(dr.Psi, kron_block_loops(ds.X, ds.G), atol=1e-14)
+        assert_allclose(dr.cite.Psi, kron_block_loops(ds.X, ds.G), atol=1e-14)
 
     def test_column_counts(self):
         ds = random_panel(3, K_x=2, K_g=2, K_z=1, K_h=3)
         dr = build_regressors(ds)
-        assert dr.Psi.shape[2] == 2 * 2 + 1
-        assert dr.PsiTilde.shape[2] == 3 + 2 * 2 + 1
+        assert dr.cite.Psi.shape[2] == 2 * 2 + 1
+        assert dr.ite.M1PsiTilde.shape[2] == 3 + 2 * 2 + 1
 
     def test_annihilation_invariants(self):
         # each stored projection is orthogonal to the X block it removes
         ds = random_panel(4, n=20, K_x=2)
         dr = build_regressors(ds)
         X, X1 = ds.X, ds.X[:, :, 1:]
-        for A, B in ((X, dr.MPsi), (X, dr.MY[:, :, None]),
-                     (X1, dr.M1PsiTilde), (X1, dr.M1Y[:, :, None])):
+        for A, B in ((X, dr.cite.MPsi), (X, dr.cite.MY[:, :, None]),
+                     (X1, dr.ite.M1PsiTilde), (X1, dr.ite.M1Y[:, :, None])):
             assert np.max(np.abs(np.einsum("ntk,ntp->nkp", A, B))) < 1e-9
 
     def test_take_matches_rebuild_on_subset(self):
         ds = random_panel(6, n=10, K_x=2)
         idx = np.array([3, 0, 3, 9, 9, 1])
-        taken = build_regressors(ds).take(idx)
+        built = build_regressors(ds)
         rebuilt = build_regressors(subset_units(ds, idx))
-        for f in fields(taken):
-            assert_allclose(getattr(taken, f.name), getattr(rebuilt, f.name),
-                            atol=1e-12, err_msg=f.name)
+        for part in ("cite", "ite"):
+            taken = getattr(built, part).take(idx)
+            for f in fields(taken):
+                assert_allclose(getattr(taken, f.name),
+                                getattr(getattr(rebuilt, part), f.name),
+                                atol=1e-12, err_msg=f.name)
 
-    def test_empty_design_is_not_factored(self, monkeypatch):
-        # K_x = 1: X_{i,-1} has no columns, so M_i = I and only X_i is factored
+    def test_take_keeps_the_missing_my(self):
+        # with no Psi columns there is no MY; a take carries the None
+        ds = random_panel(6, n=10, K_x=2, K_g=0, K_z=0)
+        idx = np.array([3, 0, 3, 9, 9, 1])
+        taken = build_regressors(ds).cite.take(idx)
+        rebuilt = build_regressors(subset_units(ds, idx)).cite
+        assert taken.MY is None and rebuilt.MY is None
+        for f in fields(taken):
+            if f.name != "MY":
+                assert np.array_equal(getattr(taken, f.name),
+                                      getattr(rebuilt, f.name)), f.name
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Shapes of the designs build_regressors forms an M for."""
         shapes = []
 
         def counting(X):
@@ -278,11 +337,64 @@ class TestBuildRegressors:
             return residual_makers(X)
 
         monkeypatch.setattr("interpanel.data.residual_makers", counting)
+        return shapes
+
+    def test_empty_design_is_not_factored(self, made):
+        # K_x = 1: X_{i,-1} has no columns, so M_i = I and only X_i is factored
         ds = random_panel(7, K_x=1)
         dr = build_regressors(ds)
-        assert shapes == [ds.X.shape]
-        assert np.array_equal(dr.M1PsiTilde, dr.PsiTilde)
-        assert np.array_equal(dr.M1Y, dr.Y)
+        assert made == [ds.X.shape]
+        PsiTilde = np.concatenate([ds.X * ds.H[:, None, :], dr.cite.Psi], axis=2)
+        assert np.array_equal(dr.ite.M1PsiTilde, PsiTilde)
+        assert dr.ite.M1Y is ds.Y
+
+    @pytest.mark.parametrize("K_x", [1, 2])
+    def test_empty_psi_forms_no_residual_maker_of_x(self, made, K_x):
+        # K_g = K_z = 0: Psi has no columns, so X_i is only factored (for
+        # the slopes) and no M_i is formed; the fits match, bit for bit,
+        # the dense path that applies M_i = I - Q_i Q_i' to every block
+        ds = random_panel(8, n=15, K_x=K_x, K_g=0, K_z=0, K_h=2)
+        dr = build_regressors(ds)
+        assert made == ([] if K_x == 1 else [ds.X[:, :, 1:].shape])
+        assert dr.cite.MY is None and dr.cite.MPsi.shape == (15, 6, 0)
+
+        M, Q, R = residual_makers(ds.X)
+        M1 = residual_makers(ds.X[:, :, 1:])[0]
+        Psi = np.zeros((15, 6, 0))
+        PsiTilde = ds.X[:, :, 0:1] * ds.H[:, None, :]
+        dense_cite = CiteBlocks(
+            Y=ds.Y, X=ds.X, H=ds.H, Psi=Psi,
+            MPsi=np.einsum("nij,njp->nip", M, Psi),
+            MY=np.einsum("nij,nj->ni", M, ds.Y), q_x=Q, r_x=R)
+        dense_ite = IteBlocks(M1PsiTilde=np.einsum("nij,njp->nip", M1, PsiTilde),
+                              M1Y=np.einsum("nij,nj->ni", M1, ds.Y))
+        got, want = fit_cite(ds, dr.cite), fit_cite(ds, dense_cite)
+        for name in ("theta_hat", "delta_hat", "kappa_hat"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(ite(ds, dr.ite).theta_tilde_hat,
+                              ite(ds, dense_ite).theta_tilde_hat)
+
+    def test_split_blocks_match_the_dense_projections(self):
+        # every block equals the residual-maker-then-einsum expressions
+        ds = random_panel(9, n=14, K_x=2, K_g=1, K_z=1, K_h=2)
+        dr = build_regressors(ds)
+        M, Q, R = residual_makers(ds.X)
+        M1 = residual_makers(ds.X[:, :, 1:])[0]
+        Psi = np.concatenate([ds.X * ds.G, ds.Z], axis=2)
+        PsiTilde = np.concatenate([ds.X[:, :, 0:1] * ds.H[:, None, :], Psi],
+                                  axis=2)
+        want = {
+            "Y": ds.Y, "X": ds.X, "H": ds.H, "Psi": Psi,
+            "MPsi": np.einsum("nij,njp->nip", M, Psi),
+            "MY": np.einsum("nij,nj->ni", M, ds.Y), "q_x": Q, "r_x": R,
+            "M1PsiTilde": np.einsum("nij,njp->nip", M1, PsiTilde),
+            "M1Y": np.einsum("nij,nj->ni", M1, ds.Y),
+        }
+        got = {f.name: getattr(part, f.name)
+               for part in (dr.cite, dr.ite) for f in fields(part)}
+        assert set(got) == set(want)
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
 
     def test_rank_deficient_unit_is_named(self):
         ds = random_panel(5, n=6)
@@ -344,9 +456,11 @@ class TestValidate:
         assert report.panel is ds
         assert drop_failing_units(ds, report) == (ds, ())
         rebuilt = build_regressors(ds)
-        for f in fields(rebuilt):
-            assert np.array_equal(getattr(report.regressors, f.name),
-                                  getattr(rebuilt, f.name)), f.name
+        for part in ("cite", "ite"):
+            got, want = getattr(report.regressors, part), getattr(rebuilt, part)
+            for f in fields(want):
+                assert np.array_equal(getattr(got, f.name),
+                                      getattr(want, f.name)), f.name
         assert not {"panel", "regressors"} & set(report.to_dict())
 
     def test_no_regressors_when_kept_units_fail_the_rank_rule(self):

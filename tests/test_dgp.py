@@ -191,6 +191,27 @@ class TestPlimTargets:
         assert np.array_equal(a.kappa_tilde, b.kappa_tilde)
         assert a.ite_plim_kappa1 == b.ite_plim_kappa1
 
+    def test_oracle_factors_no_x(self, monkeypatch):
+        # K_x = 1: the one-step fit reads PsiTilde and Y only (M_{i,-1} = I),
+        # so the oracle blocks factor no X_i, and its values are those of
+        # ite on the blocks of a full build
+        from interpanel.data import build_regressors
+
+        cfg = packaged_config("ite_gap")
+        assert cfg.dims.K_x == 1
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda *a, **k: calls.append(a[0].shape) or qr(*a, **k))
+        t = plim_targets(cfg, oracle_draws=4_000, seed=16, n_blocks=4)
+        assert calls == []
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr("interpanel.dgp.build_ite_blocks",
+                            lambda ds, Psi: build_regressors(ds).ite)
+        full = plim_targets(cfg, oracle_draws=4_000, seed=16, n_blocks=4)
+        assert np.array_equal(t.ite_blocks, full.ite_blocks)
+        assert np.array_equal(t.kappa_tilde_blocks, full.kappa_tilde_blocks)
+
     def test_large_sample_ite_tracks_its_own_limit(self):
         # one n=20000 draw from the omitted-variable calibration: the
         # one-step estimate sits on its own limit, far from kappa_tilde
@@ -202,8 +223,8 @@ class TestPlimTargets:
         cfg = replace(cfg, dims=replace(cfg.dims, n=20_000), seed=77)
         ds = simulate(cfg).dataset
         dr = build_regressors(ds)
-        res = ite(ds, dr)
-        est_se = float(ite_se(dr, res).se[0])
+        res = ite(ds, dr.ite)
+        est_se = float(ite_se(dr.ite, res).se[0])
         t = plim_targets(cfg, oracle_draws=200_000, seed=78, n_blocks=20)
         # both the estimate and the oracle carry simulation noise
         se = np.hypot(est_se, t.ite_plim_kappa1_se)

@@ -34,14 +34,14 @@ class TestCiteTheta:
     def test_noiseless_exact_recovery(self):
         cfg = noiseless_config()
         ds = simulate(cfg).dataset
-        theta = cite_theta(build_regressors(ds))
+        theta = cite_theta(build_regressors(ds).cite)
         truth = np.concatenate([np.asarray(cfg.phi).reshape(-1), cfg.gamma])
         assert np.max(np.abs(theta - truth)) < 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dummy_variable_oracle(self, seed):
         ds = random_panel(seed, n=15, T=7)
-        dr = build_regressors(ds)
+        dr = build_regressors(ds).cite
         theta = cite_theta(dr)
         delta = cite_delta(dr, theta)
         theta_o, delta_o = dummy_variable_oracle(ds)
@@ -50,7 +50,7 @@ class TestCiteTheta:
 
     def test_golden_value_confirmed_against_oracle(self):
         ds = simulate(golden_cite_case()).dataset
-        dr = build_regressors(ds)
+        dr = build_regressors(ds).cite
         theta = cite_theta(dr)
         theta_o, _ = dummy_variable_oracle(ds)
         assert np.max(np.abs(theta - theta_o)) < 1e-8
@@ -67,14 +67,14 @@ class TestCiteDelta:
         X = np.ones((n, T, 1))
         Z = rng.normal(size=(n, T, 1))
         ds = make_dataset(Y, X, Z=Z)
-        dr = build_regressors(ds)
+        dr = build_regressors(ds).cite
         delta = cite_delta(dr, np.zeros(1))
         assert_allclose(delta[:, 0], Y.mean(axis=1), atol=1e-12)
 
     def test_noiseless_recovers_true_delta(self):
         truth = simulate(noiseless_config())
         ds = truth.dataset
-        dr = build_regressors(ds)
+        dr = build_regressors(ds).cite
         delta = cite_delta(dr, cite_theta(dr))
         assert np.max(np.abs(delta - truth.delta)) < 1e-10
 
@@ -128,7 +128,7 @@ class TestIte:
     def test_noiseless_exact_recovery(self):
         cfg = noiseless_config()
         ds = simulate(cfg).dataset
-        res = ite(ds, build_regressors(ds))
+        res = ite(ds, build_regressors(ds).ite)
         assert np.max(np.abs(res.kappa_hat - cfg.kappa)) < 1e-10
         assert np.max(np.abs(res.phi_hat - np.asarray(cfg.phi))) < 1e-10
         assert np.max(np.abs(res.gamma_hat - cfg.gamma)) < 1e-10
@@ -137,7 +137,7 @@ class TestIte:
     def test_within_transformation_oracle(self, seed):
         ds = random_panel(seed, n=14, T=5, K_x=2, K_g=0, K_z=0, K_h=1,
                           constant_col=1)
-        res = ite(ds, build_regressors(ds))
+        res = ite(ds, build_regressors(ds).ite)
         assert abs(res.kappa_hat[0] - within_ols_oracle(ds)) < 1e-9
 
     def test_pooled_ols_reduction_when_x_is_constant(self):
@@ -145,7 +145,7 @@ class TestIte:
         # is pooled OLS of Y on (H, Z).
         ds = random_panel(9, n=20, T=4, K_x=1, K_g=0, K_z=2, K_h=2,
                           constant_col=0)
-        res = ite(ds, build_regressors(ds))
+        res = ite(ds, build_regressors(ds).ite)
         n, T = ds.dims.n, ds.dims.T
         design = np.column_stack([
             np.repeat(ds.H, T, axis=0), ds.Z.reshape(n * T, -1)])
@@ -159,7 +159,7 @@ class TestSpecialCases:
         # K_x = 1 with x identically 1: gamma_hat is the within estimator.
         ds = random_panel(30 + seed, n=18, T=5, K_x=1, K_g=0, K_z=2, K_h=1,
                           constant_col=0)
-        theta = cite_theta(build_regressors(ds))
+        theta = cite_theta(build_regressors(ds).cite)
         Yd = ds.Y - ds.Y.mean(axis=1, keepdims=True)
         Zd = ds.Z - ds.Z.mean(axis=1, keepdims=True)
         within = solve_ols(Zd.reshape(-1, 2), Yd.reshape(-1)).coefficients
@@ -172,8 +172,8 @@ class TestSpecialCases:
         H2 = ds.H.copy()
         H2[:, col] = c * H2[:, col]
         scaled = make_dataset(ds.Y, ds.X, ds.G, ds.Z, H2)
-        for fit in (lambda d: fit_cite(d, build_regressors(d)).kappa_hat,
-                    lambda d: ite(d, build_regressors(d)).kappa_hat):
+        for fit in (lambda d: fit_cite(d, build_regressors(d).cite).kappa_hat,
+                    lambda d: ite(d, build_regressors(d).ite).kappa_hat):
             k1, k2 = fit(ds), fit(scaled)
             expect = k1.copy()
             expect[col] /= c
@@ -182,11 +182,11 @@ class TestSpecialCases:
     def test_determinism(self):
         ds = random_panel(50)
         dr = build_regressors(ds)
-        a = fit_cite(ds, dr)
-        b = fit_cite(ds, dr)
+        a = fit_cite(ds, dr.cite)
+        b = fit_cite(ds, dr.cite)
         assert np.array_equal(a.theta_hat, b.theta_hat)
         assert np.array_equal(a.kappa_hat, b.kappa_hat)
-        r1, r2 = ite(ds, dr), ite(ds, dr)
+        r1, r2 = ite(ds, dr.ite), ite(ds, dr.ite)
         assert np.array_equal(r1.theta_tilde_hat, r2.theta_tilde_hat)
 
 

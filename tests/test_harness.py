@@ -128,6 +128,40 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="failed"):
             run_experiment(cfg)
 
+    def test_failures_by_exception_type(self, monkeypatch):
+        # a failed build counts under both estimators, a failed fit under its own
+        from interpanel import harness
+        from interpanel.linalg import RankDeficient
+
+        def failing(fn, bad_calls, exc):
+            calls = []
+
+            def wrapped(*args, **kwargs):
+                calls.append(None)
+                if len(calls) - 1 in bad_calls:
+                    raise exc("injected")
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(harness, "FAILURE_RATE_LIMIT", 1.0)
+        monkeypatch.setattr(harness, "build_regressors", failing(
+            harness.build_regressors, {2}, RankDeficient))
+        monkeypatch.setattr(harness, "fit_cite_weighted", failing(
+            harness.fit_cite_weighted, {0}, RankDeficient))
+        monkeypatch.setattr(harness, "_fit_ite", failing(
+            harness._fit_ite, {1, 4}, np.linalg.LinAlgError))
+        report = run_experiment(mini_experiment(replications=10,
+                                                oracle_draws=2_000,
+                                                oracle_blocks=2))
+        assert report.failures == {("cite", 50): 2, ("ite", 50): 3}
+        assert report.failure_types == {
+            ("cite", 50): {"RankDeficient": 2},
+            ("ite", 50): {"RankDeficient": 1, "LinAlgError": 2},
+        }
+        for key, types in report.failure_types.items():
+            assert sum(types.values()) == report.failures[key]
+        assert "failure_types" not in report.to_dict()
+
     def test_golden_mini_run(self):
         report = run_experiment(mini_experiment())
         got = json.dumps(report.to_dict(), sort_keys=True, indent=2)

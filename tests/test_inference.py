@@ -25,12 +25,12 @@ def small_baseline(n=80, seed=21, **overrides):
 
 def weighted_fit(ds, weight_mode):
     """fit_cite_weighted on blocks built here."""
-    return fit_cite_weighted(ds, build_regressors(ds), weight_mode)
+    return fit_cite_weighted(ds, build_regressors(ds).cite, weight_mode)
 
 
 def bootstrap(ds, replications, seed, weight_mode="none"):
     """bootstrap_cite around a full-sample fit made here."""
-    dr = build_regressors(ds)
+    dr = build_regressors(ds).cite
     return bootstrap_cite(ds, dr, fit_cite_weighted(ds, dr, weight_mode),
                           replications, seed)
 
@@ -41,7 +41,7 @@ class TestFirstStageSe:
         cfg = replace(cfg, dims=replace(cfg.dims, n=40), seed=2,
                       u_scale=0.0, v_scale=0.0, eps_scale=0.0)
         ds = simulate(cfg).dataset
-        dr = build_regressors(ds)
+        dr = build_regressors(ds).cite
         se = first_stage_se(dr, fit_cite(ds, dr))
         assert np.max(np.abs(se)) < 1e-8
 
@@ -50,7 +50,7 @@ class TestFirstStageSe:
         n, T = 10, 6
         Y = rng.normal(size=(n, T))
         ds = make_dataset(Y, np.ones((n, T, 1)), Z=rng.normal(size=(n, T, 1)))
-        dr = build_regressors(ds)
+        dr = build_regressors(ds).cite
         res = fit_cite(ds, dr)
         se = first_stage_se(dr, res)
         resid = Y - dr.Psi @ res.theta_hat - res.delta_hat[:, :1]
@@ -59,7 +59,7 @@ class TestFirstStageSe:
 
     def test_per_unit_reregression_oracle(self):
         ds = small_baseline(n=25, seed=4)
-        dr = build_regressors(ds)
+        dr = build_regressors(ds).cite
         res = fit_cite(ds, dr)
         se = first_stage_se(dr, res)
         T, K_x = ds.dims.T, ds.dims.K_x
@@ -75,7 +75,7 @@ class TestFirstStageSe:
 
     def test_zero_degrees_of_freedom(self):
         ds = random_panel(5, n=8, T=2, K_x=2, K_g=0, K_z=0, K_h=1)
-        dr = build_regressors(ds)
+        dr = build_regressors(ds).cite
         with pytest.raises(ZeroDegreesOfFreedom):
             first_stage_se(dr, fit_cite(ds, dr))
 
@@ -136,13 +136,22 @@ class TestClusterRobust:
     def test_variance_matrix_invariants(self):
         ds = small_baseline(n=50, seed=9)
         dr = build_regressors(ds)
-        res = fit_cite(ds, dr)
-        for se in (ite_se(dr, ite(ds, dr)),
-                   cite_theta_se(dr, res),
-                   cite_kappa_se(dr, res)):
+        res = fit_cite(ds, dr.cite)
+        for se in (ite_se(dr.ite, ite(ds, dr.ite)),
+                   cite_theta_se(dr.cite, res),
+                   cite_kappa_se(dr.cite, res)):
             assert np.max(np.abs(se.vcov - se.vcov.T)) < 1e-10
             assert np.all(np.diag(se.vcov) >= 0)
             assert_allclose(se.se, np.sqrt(np.diag(se.vcov)))
+
+    def test_theta_se_is_empty_without_psi(self):
+        # no G and no Z: theta is empty, and no MY is built for it
+        ds = random_panel(10, n=9, K_g=0, K_z=0)
+        dr = build_regressors(ds).cite
+        se = cite_theta_se(dr, fit_cite(ds, dr))
+        assert (se.labels, se.estimates.shape, se.se.shape, se.vcov.shape) \
+            == ((), (0,), (0,), (0, 0))
+        assert (se.method, se.n_clusters) == ("cluster_robust", 9)
 
 
 class TestBootstrap:
@@ -190,11 +199,34 @@ class TestBootstrap:
         draws = []
         for r in range(150):
             ds = simulate(replace(cfg, seed=40_000 + r)).dataset
-            draws.append(fit_cite(ds, build_regressors(ds)).kappa_hat)
+            draws.append(fit_cite(ds, build_regressors(ds).cite).kappa_hat)
         mc_sd = np.array(draws).std(axis=0, ddof=1)
         ds = simulate(replace(cfg, seed=123)).dataset
         boot = bootstrap(ds, replications=200, seed=9)
         assert np.all(np.abs(boot.se - mc_sd) < 0.25 * mc_sd)
+
+    def test_redraws_are_reported(self):
+        # K_h = 5 of n = 6 units: a draw fits only if it holds 5 distinct
+        # units (about one draw in four), so most draws are redrawn; replay
+        # the documented draws and count the rank-deficient ones
+        rng = np.random.default_rng(17)
+        n, T, K_h, reps, seed = 6, 5, 5, 50, 4
+        ds = make_dataset(rng.normal(size=(n, T)), rng.normal(size=(n, T, 1)),
+                          H=rng.normal(size=(n, K_h)))
+        want = 0
+        for r in range(reps):
+            for attempt in range(1000):
+                draw = np.random.default_rng(np.random.SeedSequence(
+                    entropy=seed, spawn_key=(r, attempt)))
+                idx = draw.integers(0, n, size=n)
+                if np.linalg.matrix_rank(ds.H[idx]) == K_h:
+                    break
+                want += 1
+        got = bootstrap(ds, replications=reps, seed=seed)
+        assert got.redraws == want > reps
+        assert "redraws" not in got.to_dict()
+        clean = bootstrap(small_baseline(n=40, seed=18), replications=50, seed=1)
+        assert clean.redraws == 0
 
     def test_degenerate_resample_cap(self):
         # With K_h == n the cross-sectional stage needs all n distinct
@@ -246,7 +278,7 @@ class TestWeightedFit:
         # K_h = 0 skips the kappa stage, which must not hide the bad mode
         ds = random_panel(19, n=10, T=4, K_h=0)
         with pytest.raises(ValueError) as err:
-            fit_cite_weighted(ds, build_regressors(ds), "bogus")
+            fit_cite_weighted(ds, build_regressors(ds).cite, "bogus")
         assert "'bogus'" in str(err.value)
         assert str(WEIGHT_MODES) in str(err.value)
 
@@ -256,7 +288,7 @@ class TestWeightedFit:
         ds = small_baseline(n=40, seed=18)
         idx = np.random.default_rng(2).integers(0, 40, size=50)
         assert np.unique(idx).size < idx.size
-        got = fit_cite_weighted(ds, build_regressors(ds).take(idx), mode)
+        got = fit_cite_weighted(ds, build_regressors(ds).cite.take(idx), mode)
         want = weighted_fit(subset_units(ds, idx), mode)
         for name in ("theta_hat", "delta_hat", "kappa_hat"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -264,9 +296,9 @@ class TestWeightedFit:
     def test_ite_reads_units_from_the_blocks(self):
         ds = small_baseline(n=40, seed=18)
         idx = np.random.default_rng(2).integers(0, 40, size=50)
-        got = ite(ds, build_regressors(ds).take(idx))
+        got = ite(ds, build_regressors(ds).ite.take(idx))
         sub = subset_units(ds, idx)
-        want = ite(sub, build_regressors(sub))
+        want = ite(sub, build_regressors(sub).ite)
         assert np.array_equal(got.theta_tilde_hat, want.theta_tilde_hat)
 
 
@@ -277,7 +309,7 @@ class TestKappaSe:
         # with e_i = sqrt(w_i) u_i, u_i the raw residual of unit i:
         # (H'WH)^{-1} (sum_i w_i e_i^2 h_i h_i') (H'WH)^{-1}
         ds = add_intercept_h(small_baseline(n=80, seed=3))
-        dr = build_regressors(ds)
+        dr = build_regressors(ds).cite
         res = fit_cite_weighted(ds, dr, weight_mode=mode)
         se = first_stage_se(dr, fit_cite(ds, dr))
         w = {"none": np.ones_like(se), "inv_se": 1.0 / se,

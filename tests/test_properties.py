@@ -55,11 +55,11 @@ def with_x(ds, X):
 
 
 def theta_of(ds):
-    return cite_theta(build_regressors(ds))
+    return cite_theta(build_regressors(ds).cite)
 
 
 def ite_of(ds):
-    return ite(ds, build_regressors(ds)).theta_tilde_hat
+    return ite(ds, build_regressors(ds).ite).theta_tilde_hat
 
 
 def assert_same_estimates(a, b):
@@ -90,7 +90,7 @@ def test_ite_ignores_shift_along_x_minus1(data, ds):
 @given(data=st.data(), ds=panels())
 def test_cite_theta_shifts_by_psi_coefficients(data, ds):
     b = data.draw(arrays(float, (ds.dims.n_psi,), elements=COEF))
-    Psi = build_regressors(ds).Psi
+    Psi = build_regressors(ds).cite.Psi
     shifted = with_y(ds, ds.Y + Psi @ b)
     assert_allclose(theta_of(shifted), theta_of(ds) + b, rtol=0, atol=1e-8)
 

@@ -6,13 +6,20 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_traced_function_exists():
+@pytest.fixture(scope="module")
+def tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists(tracer):
     assert tracer.FUNCTIONS
     missing = []
     for name in tracer.FUNCTIONS:
@@ -21,3 +28,13 @@ def test_every_traced_function_exists():
                                 function, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_every_measured_name_is_traced(tracer):
+    # latency, fit-ratio and byte metrics read the spans of FUNCTIONS only
+    measured = {"LATENCY": set(tracer.LATENCY), "FITS": set(tracer.FITS),
+                "BYTES": set(tracer.BYTES),
+                "BYTES_METRIC": set(tracer.BYTES_METRIC)}
+    untraced = {table: sorted(names - set(tracer.FUNCTIONS))
+                for table, names in measured.items()}
+    assert untraced == {table: [] for table in measured}
