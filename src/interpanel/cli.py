@@ -14,7 +14,7 @@ from .data import (PanelDataError, add_intercept_h, build_regressors,
                    drop_failing_units, load_csv, validate, write_csv,
                    DEFAULT_H_MIN)
 from .dgp import ConfigInvalid, load_dgp_config, simulate
-from .estimators import ite, mean_effect
+from .estimators import WEIGHT_MODES, ite, mean_effect
 from .harness import (convergence_table, evaluate_contracts,
                       load_experiment_config, run_experiment)
 from .inference import (bootstrap_cite, cite_kappa_se, cite_theta_se,
@@ -219,7 +219,7 @@ def build_parser():
     panel_args(p)
     p.add_argument("--estimator", choices=("cite", "ite", "both"),
                    default="both")
-    p.add_argument("--weight-mode", choices=("none", "inv_se", "inv_var"),
+    p.add_argument("--weight-mode", choices=WEIGHT_MODES,
                    default="none", help="second-stage weighting for cite")
     p.add_argument("--se", choices=("none", "cluster", "bootstrap"),
                    default="cluster")

@@ -35,7 +35,8 @@ correlated_x_delta
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -65,39 +66,115 @@ class ScenarioUnsupported(ValueError):
     pass
 
 
+_REAL = (int, float, np.integer, np.floating)
+_SEQUENCE = (list, tuple, np.ndarray)
+
+
+def _number(v, integer=False, low=-math.inf, high=math.inf, reason=None):
+    """v as a float in [low, high]; as an int if integer (v == int(v))."""
+    ok = isinstance(v, _REAL) and not isinstance(v, bool) and math.isfinite(v)
+    if not ok or integer and v != int(v):
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"must be {what}, got {v!r}")
+    if not low <= v <= high:
+        raise ValueError(reason)
+    return int(v) if integer else float(v)
+
+
+def _columns(v, k, low=-math.inf):
+    """A number >= low, or a flat list of k of them: one per column."""
+    if not isinstance(v, _SEQUENCE):
+        return _number(v, low=low, reason="scales must be nonnegative")
+    if len(v) != k or any(isinstance(x, _SEQUENCE) for x in v):
+        raise ValueError(f"scalar or length-{k} sequence required")
+    return tuple(_columns(x, k, low) for x in v)
+
+
+def _coefficients(v, k, dim):
+    n = len(v) if isinstance(v, _SEQUENCE) else f"of {v!r}"
+    if n != k:
+        raise ValueError(f"length {n} != {dim}={k}")
+    return tuple(map(_number, v))
+
+
+def _phi(v, d):
+    if not isinstance(v, _SEQUENCE) or len(v) != d.K_x or any(
+            not isinstance(row, _SEQUENCE) or len(row) != d.K_g for row in v):
+        raise ValueError(f"need shape ({d.K_x}, {d.K_g})")
+    return tuple(tuple(map(_number, row)) for row in v)
+
+
+def _constant_cols(v, d):
+    cols = isinstance(v, _SEQUENCE) and [_number(c, integer=True) for c in v]
+    if cols is False or len(cols) != len(set(cols) & {*range(1, d.K_x + 1)}):
+        raise ValueError(f"need distinct 1-based indices <= {d.K_x}")
+    return tuple(cols)
+
+
+def _scenario(v, d):
+    if v not in SCENARIOS:
+        raise ValueError(f"unknown scenario {v!r}")
+    return v
+
+
+def _scale(v, d):
+    return _number(v, low=0.0, reason="scale must be nonnegative")
+
+
+# Every DgpConfig field but dims, in JSON order: (JSON group, key, check),
+# where group None is the top level. Its name (_NAMES) is `key` at the top
+# level and in "noise", f"{group}_{key}" elsewhere. check(value, dims)
+# returns the value to store or raises ValueError with the reason.
+_FIELDS = (
+    (None, "kappa", lambda v, d: _coefficients(v, d.K_h, "K_h")),
+    (None, "phi", _phi),
+    (None, "gamma", lambda v, d: _coefficients(v, d.K_z, "K_z")),
+    (None, "scenario", _scenario),
+    (None, "seed", lambda v, d: _number(v, True, 0, reason="must be >= 0")),
+    ("x", "mean", lambda v, d: _columns(v, d.K_x)),
+    ("x", "scale", lambda v, d: _columns(v, d.K_x, 0.0)),
+    ("x", "constant_cols", _constant_cols),
+    ("x", "fe_loading", lambda v, d: _number(v)),
+    ("x", "eps_loading", lambda v, d: _number(v)),
+    ("x", "hidden_scale_slope", _scale),
+    ("g", "mean", lambda v, d: _columns(v, d.K_g)),
+    ("g", "scale", lambda v, d: _columns(v, d.K_g, 0.0)),
+    ("z", "mean", lambda v, d: _columns(v, d.K_z)),
+    ("z", "scale", lambda v, d: _columns(v, d.K_z, 0.0)),
+    ("h", "mean", lambda v, d: _columns(v, d.K_h)),
+    ("h", "scale", lambda v, d: _columns(v, d.K_h, 0.0)),
+    ("h", "noise_scale", _scale),
+    ("delta", "mean", lambda v, d: _columns(v, d.K_x - 1)),
+    ("delta", "scale", lambda v, d: _columns(v, d.K_x - 1, 0.0)),
+    ("noise", "u_scale", _scale),
+    ("noise", "v_scale", _scale),
+    ("noise", "eps_scale", _scale),
+    ("hidden", "kappa", lambda v, d: _number(v)),
+    ("hidden", "corr", lambda v, d: _number(
+        v, low=-1.0, high=1.0, reason="correlation must be in [-1, 1]")),
+)
+
+
+_NAMES = tuple(key if group in (None, "noise") else f"{group}_{key}"
+               for group, key, _ in _FIELDS)
+
+
+def _section(value, path):
+    if not isinstance(value, dict):
+        raise ConfigInvalid(path, f"must be an object, got {value!r}")
+    return dict(value)
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     """True parameters and shock distributions for the simulator.
 
-    JSON layout (see src/interpanel/configs/ for examples); defaults in
-    brackets, means/scales may be scalars or per-column lists:
-
-    dims            n, T, K_x, K_g, K_z, K_h (required)
-    kappa           coefficients on the *observed* H columns (length K_h)
-    phi             K_x rows of K_g coefficients [zeros]
-    gamma           coefficients on Z (length K_z) [empty]
-    scenario        one of SCENARIOS ["baseline"]
-    seed            integer [0]
-    x.mean, x.scale           regressor location/scale [0, 1]
-    x.constant_cols           1-based x columns pinned to 1.0 (additive
-                              fixed effects enter this way) [none]
-    x.fe_loading              loading of non-constant x columns on the
-                              first constant column's unit effect [0]
-    x.eps_loading             loading of x on eps, applied only under
-                              correlated_x_delta [0]
-    x.hidden_scale_slope      makes sd(x) = sqrt(scale^2 + (slope*hidden)^2)
-                              under omitted_variable [0]
-    g.mean, g.scale           [0, 1]
-    z.mean, z.scale           [0, 1]
-    h.mean, h.scale           [0, 1]
-    h.noise_scale             measurement noise added to the emitted h1
-                              under measurement_error [0]
-    delta.mean, delta.scale   unit effects for x columns 2..K_x [0, 1]
-    noise.u_scale             outcome shock sd [1]
-    noise.v_scale             idiosyncratic slope shock sd [0]
-    noise.eps_scale           unobserved slope heterogeneity sd [1]
-    hidden.kappa              coefficient on the hidden H column [0]
-    hidden.corr               corr(h1, hidden) under omitted_variable [0.6]
+    JSON fields (README's "Config fields" gives each one's meaning and
+    default): dims (n, T, K_x, K_g, K_z, K_h), kappa, phi, gamma, scenario,
+    seed, x.mean, x.scale, x.constant_cols, x.fe_loading, x.eps_loading,
+    x.hidden_scale_slope, g.mean, g.scale, z.mean, z.scale, h.mean,
+    h.scale, h.noise_scale, delta.mean, delta.scale, noise.u_scale,
+    noise.v_scale, noise.eps_scale, hidden.kappa and hidden.corr.
     """
 
     dims: Dims
@@ -128,130 +205,54 @@ class DgpConfig:
     hidden_corr: float = 0.6
 
     def __post_init__(self):
-        d = self.dims
-        if self.scenario not in SCENARIOS:
-            raise ConfigInvalid("scenario",
-                                f"unknown scenario {self.scenario!r}")
-        kappa = tuple(float(v) for v in self.kappa)
-        if len(kappa) != d.K_h:
-            raise ConfigInvalid("kappa", f"length {len(kappa)} != K_h={d.K_h}")
-        phi = tuple(tuple(float(v) for v in row) for row in self.phi)
-        if len(phi) != d.K_x or any(len(row) != d.K_g for row in phi):
-            raise ConfigInvalid("phi", f"need shape ({d.K_x}, {d.K_g})")
-        gamma = tuple(float(v) for v in self.gamma)
-        if len(gamma) != d.K_z:
-            raise ConfigInvalid("gamma", f"length {len(gamma)} != K_z={d.K_z}")
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "gamma", gamma)
-        const = tuple(int(c) for c in self.x_constant_cols)
-        if len(set(const)) != len(const) or any(
-                not (1 <= c <= d.K_x) for c in const):
-            raise ConfigInvalid("x.constant_cols",
-                                f"need distinct 1-based indices <= {d.K_x}")
-        object.__setattr__(self, "x_constant_cols", const)
-        scale_paths = {
-            "u_scale": "noise.u_scale",
-            "v_scale": "noise.v_scale",
-            "eps_scale": "noise.eps_scale",
-            "h_noise_scale": "h.noise_scale",
-            "x_hidden_scale_slope": "x.hidden_scale_slope",
-        }
-        for name, path in scale_paths.items():
-            if float(getattr(self, name)) < 0:
-                raise ConfigInvalid(path, "scale must be nonnegative")
-        if not (-1.0 <= float(self.hidden_corr) <= 1.0):
-            raise ConfigInvalid("hidden.corr", "correlation must be in [-1, 1]")
-        for block, K in (("x", d.K_x), ("g", d.K_g), ("z", d.K_z),
-                         ("h", d.K_h)):
-            for part in ("mean", "scale"):
-                v = np.asarray(getattr(self, f"{block}_{part}"), dtype=float)
-                if v.ndim > 1 or (v.ndim == 1 and v.shape[0] != K):
-                    raise ConfigInvalid(f"{block}.{part}",
-                                        f"scalar or length-{K} sequence required")
-                if part == "scale" and np.any(v < 0):
-                    raise ConfigInvalid(f"{block}.scale",
-                                        "scales must be nonnegative")
-        if self.scenario in _HIDDEN_SCENARIOS and d.K_h < 1:
+        for (group, key, check), name in zip(_FIELDS, _NAMES):
+            try:
+                value = check(getattr(self, name), self.dims)
+            except (ValueError, OverflowError) as exc:
+                path = key if group is None else f"{group}.{key}"
+                raise ConfigInvalid(path, exc) from None
+            object.__setattr__(self, name, value)
+        if self.scenario in _HIDDEN_SCENARIOS and self.dims.K_h < 1:
             raise ConfigInvalid("dims.K_h",
                                 "hidden-column scenarios need K_h >= 1")
 
     def to_dict(self):
-        d = self.dims
-        out = {
-            "dims": {"n": d.n, "T": d.T, "K_x": d.K_x, "K_g": d.K_g,
-                     "K_z": d.K_z, "K_h": d.K_h},
-            "kappa": list(self.kappa),
-            "phi": [list(r) for r in self.phi],
-            "gamma": list(self.gamma),
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "x": {"mean": _plain(self.x_mean), "scale": _plain(self.x_scale),
-                  "constant_cols": list(self.x_constant_cols),
-                  "fe_loading": self.x_fe_loading,
-                  "eps_loading": self.x_eps_loading,
-                  "hidden_scale_slope": self.x_hidden_scale_slope},
-            "g": {"mean": _plain(self.g_mean), "scale": _plain(self.g_scale)},
-            "z": {"mean": _plain(self.z_mean), "scale": _plain(self.z_scale)},
-            "h": {"mean": _plain(self.h_mean), "scale": _plain(self.h_scale),
-                  "noise_scale": self.h_noise_scale},
-            "delta": {"mean": _plain(self.delta_mean),
-                      "scale": _plain(self.delta_scale)},
-            "noise": {"u_scale": self.u_scale, "v_scale": self.v_scale,
-                      "eps_scale": self.eps_scale},
-            "hidden": {"kappa": self.hidden_kappa, "corr": self.hidden_corr},
-        }
+        out = {"dims": asdict(self.dims)}
+        for (group, key, _), name in zip(_FIELDS, _NAMES):
+            value = getattr(self, name)
+            if isinstance(value, tuple):  # JSON lists, phi's rows too
+                value = [list(v) if isinstance(v, tuple) else v for v in value]
+            (out if group is None else out.setdefault(group, {}))[key] = value
         return out
 
     @classmethod
     def from_dict(cls, raw):
         raw = dict(raw)
+        if "dims" not in raw:
+            raise ConfigInvalid("dims", "missing required section")
+        sizes = _section(raw.pop("dims"), "dims")
+        for key, value in sizes.items():
+            try:
+                sizes[key] = _number(value, integer=True)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigInvalid(f"dims.{key}", exc) from None
         try:
-            dims = Dims(**{k: int(v) for k, v in dict(raw.pop("dims")).items()})
-        except KeyError:
-            raise ConfigInvalid("dims", "missing required section") from None
+            dims = Dims(**sizes)
         except (TypeError, ValueError) as exc:
-            raise ConfigInvalid("dims", str(exc)) from None
-        kwargs = {
-            "dims": dims,
-            "kappa": raw.pop("kappa", [0.0] * dims.K_h),
-            "phi": raw.pop("phi",
-                           [[0.0] * dims.K_g for _ in range(dims.K_x)]),
-            "gamma": raw.pop("gamma", [0.0] * dims.K_z),
-            "scenario": raw.pop("scenario", "baseline"),
-            "seed": int(raw.pop("seed", 0)),
-        }
-        groups = {
-            "x": ("mean", "scale", "constant_cols", "fe_loading",
-                  "eps_loading", "hidden_scale_slope"),
-            "g": ("mean", "scale"),
-            "z": ("mean", "scale"),
-            "h": ("mean", "scale", "noise_scale"),
-            "delta": ("mean", "scale"),
-            "noise": ("u_scale", "v_scale", "eps_scale"),
-            "hidden": ("kappa", "corr"),
-        }
-        for group, keys in groups.items():
-            sub = dict(raw.pop(group, {}))
-            for key, value in sub.items():
-                if key not in keys:
-                    raise ConfigInvalid(f"{group}.{key}", "unknown field")
-                if group == "noise":
-                    kwargs[key] = float(value)
-                elif group == "hidden":
-                    kwargs[f"hidden_{key}"] = float(value)
-                elif key == "constant_cols":
-                    kwargs["x_constant_cols"] = tuple(value)
-                else:
-                    kwargs[f"{group}_{key}"] = value
-        if raw:
-            raise ConfigInvalid(sorted(raw)[0], "unknown field")
+            raise ConfigInvalid("dims", exc) from None
+        kwargs = {"dims": dims, "kappa": [0.0] * dims.K_h,
+                  "phi": [[0.0] * dims.K_g] * dims.K_x,
+                  "gamma": [0.0] * dims.K_z}
+        sections = {g: _section(raw.pop(g, {}), g)
+                    for g in dict.fromkeys(g for g, _, _ in _FIELDS) if g}
+        sections[None] = raw
+        for (group, key, _), name in zip(_FIELDS, _NAMES):
+            if key in sections[group]:
+                kwargs[name] = sections[group].pop(key)
+        unknown = [f"{g}.{k}" for g, s in sections.items() if g for k in s]
+        if unknown or raw:
+            raise ConfigInvalid((unknown or sorted(raw))[0], "unknown field")
         return cls(**kwargs)
-
-
-def _plain(v):
-    # JSON ints in a config still print as floats
-    return np.asarray(v, dtype=float).tolist()
 
 
 def load_dgp_config(path):
@@ -344,8 +345,7 @@ def simulate(cfg):
         kappa_full = np.asarray(cfg.kappa, dtype=float)
     else:
         h_used = np.column_stack([H, hidden])
-        kappa_full = np.append(np.asarray(cfg.kappa, dtype=float),
-                               float(cfg.hidden_kappa))
+        kappa_full = np.array(cfg.kappa + (cfg.hidden_kappa,))
     delta[:, 0] = h_used @ kappa_full + eps
 
     # 3. Regressors, with the scenario's scale/loading structure on X.
@@ -450,8 +450,7 @@ def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20):
     block_n = max(oracle_draws // n_blocks, 2)
     want_ite = _ite_plim_shape_ok(cfg)
 
-    if seed is None:
-        seed = int(cfg.seed)
+    seed = cfg.seed if seed is None else seed
     root = np.random.SeedSequence(entropy=int(seed), spawn_key=(0x0A11CE,))
     children = root.spawn(n_blocks)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import build_regressors, default_columns
-from .dgp import DgpConfig, plim_targets, simulate
+from .dgp import ConfigInvalid, DgpConfig, plim_targets, simulate
 from .estimators import ite as _fit_ite
 from .estimators import check_weight_mode, theta_tilde_labels
 from .inference import fit_cite_weighted
@@ -66,22 +66,34 @@ class ExperimentConfig:
             raise ValueError(f"estimators must be among {ESTIMATORS}")
         object.__setattr__(self, "estimators", ests)
         check_weight_mode(self.weight_mode)
+        if self.oracle_blocks < 2:
+            raise ConfigInvalid("oracle.blocks",
+                                "need at least 2 oracle blocks")
 
     @classmethod
     def from_dict(cls, raw):
         raw = dict(raw)
-        dgp = DgpConfig.from_dict(raw.pop("dgp"))
-        oracle = dict(raw.pop("oracle", {}))
-        return cls(
-            dgp=dgp,
+        for key in ("dgp", "sample_sizes", "replications"):
+            if key not in raw:
+                raise ConfigInvalid(key, "missing required field")
+        oracle = raw.pop("oracle", {})
+        if not isinstance(oracle, dict):
+            raise ConfigInvalid("oracle", f"must be an object, got {oracle!r}")
+        oracle = dict(oracle)
+        kwargs = dict(
+            dgp=DgpConfig.from_dict(raw.pop("dgp")),
             sample_sizes=tuple(raw.pop("sample_sizes")),
             replications=int(raw.pop("replications")),
             estimators=tuple(raw.pop("estimators", ESTIMATORS)),
             seed=int(raw.pop("seed", 0)),
             weight_mode=str(raw.pop("weight_mode", "none")),
-            oracle_draws=int(oracle.get("draws", 100_000)),
-            oracle_blocks=int(oracle.get("blocks", 20)),
+            oracle_draws=int(oracle.pop("draws", 100_000)),
+            oracle_blocks=int(oracle.pop("blocks", 20)),
         )
+        unknown = [f"oracle.{k}" for k in oracle] + sorted(raw)
+        if unknown:
+            raise ConfigInvalid(unknown[0], "unknown field")
+        return cls(**kwargs)
 
 
 def load_experiment_config(path):
@@ -187,14 +199,14 @@ def run_experiment(cfg):
     failure_types = {}
     sign_agreement = {}
     for n in cfg.sample_sizes:
+        dims_n = replace(dgp.dims, n=int(n))
         draws = {e: np.full((cfg.replications, n_params), np.nan)
                  for e in cfg.estimators}
         ok = {e: np.zeros(cfg.replications, dtype=bool) for e in cfg.estimators}
         types = {e: Counter() for e in cfg.estimators}
         for r in range(cfg.replications):
             seed_r = replication_seed(cfg.seed, dgp.scenario, n, r)
-            cfg_r = replace(dgp, dims=replace(dgp.dims, n=int(n)), seed=seed_r)
-            ds = simulate(cfg_r).dataset
+            ds = simulate(replace(dgp, dims=dims_n, seed=seed_r)).dataset
             try:
                 dr = build_regressors(ds)
             except RankDeficient as exc:

@@ -4,10 +4,47 @@ The oracles here are deliberately independent of the library internals:
 explicit loops, explicit inverses, pooled dummy-variable designs.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from interpanel.data import make_dataset
+from interpanel.dgp import packaged_config_path
+
+# Simulator configs with one bad field each: (packaged config, JSON path of
+# the field, value). Loading any of them must raise ConfigInvalid at that
+# path; each once crashed, named no path, or was accepted.
+BAD_DGP_FIELDS = [
+    ("baseline", "kappa", None),
+    ("baseline", "x.fe_loading", "abc"),
+    ("correlated_x", "x.eps_loading", None),
+    ("baseline", "h", [1]),
+    ("baseline", "noise.u_scale", "high"),
+    ("ite_gap", "kappa", ["a"]),
+    ("baseline", "seed", "abc"),
+    ("baseline", "x.constant_cols", ["a"]),
+    ("baseline", "delta.mean", [1.0, 2.0]),
+    ("ite_gap", "kappa", [float("nan")]),
+    ("ite_gap", "kappa", [float("inf")]),
+    ("baseline", "x.mean", None),
+    ("baseline", "noise.u_scale", float("nan")),
+    ("baseline", "seed", 1.7),
+    ("baseline", "dims.n", 50.9),
+    ("baseline", "delta.scale", -1),
+]
+
+
+def dgp_json_with(name, path, value):
+    """The JSON of a packaged simulator config with `path` set to value."""
+    with open(packaged_config_path(name), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    *groups, key = path.split(".")
+    section = raw
+    for group in groups:
+        section = section.setdefault(group, {})
+    section[key] = value
+    return raw
 
 
 def random_panel(seed, n=12, T=6, K_x=2, K_g=1, K_z=1, K_h=2,

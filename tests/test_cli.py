@@ -11,6 +11,8 @@ from interpanel.data import build_regressors, load_csv, make_dataset, write_csv
 from interpanel.dgp import packaged_config, packaged_config_path, simulate
 from interpanel.estimators import fit_cite, ite
 
+from conftest import BAD_DGP_FIELDS, dgp_json_with
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -219,6 +221,20 @@ class TestSimulateCommand:
         assert len(truth["h_full"][0]) == 2  # hidden column retained here
         assert ds.dims.K_h == 1              # but absent from the panel
 
+    @pytest.mark.parametrize("name, path, value", BAD_DGP_FIELDS)
+    def test_bad_field_is_exit_1_naming_its_path(self, name, path, value,
+                                                 tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dgp_json_with(name, path, value)))
+        out_csv = tmp_path / "sim.csv"
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path),
+                             "--output", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+
 
 class TestMalformedCsv:
     @pytest.mark.parametrize("sub", ["estimate", "validate"])
@@ -289,6 +305,37 @@ class TestMc:
         assert out == ""
         assert err == ("error: unknown weight mode 'bogus'; choose from "
                        "('none', 'inv_se', 'inv_var')\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.pop("dgp"), "dgp: missing required field"),
+        (lambda c: c.pop("sample_sizes"),
+         "sample_sizes: missing required field"),
+        (lambda c: c.pop("replications"),
+         "replications: missing required field"),
+        (lambda c: c.update(replication=5), "replication: unknown field"),
+        (lambda c: c["oracle"].update(block=4), "oracle.block: unknown field"),
+        (lambda c: c["oracle"].update(blocks=1),
+         "oracle.blocks: need at least 2 oracle blocks"),
+        (lambda c: c.update(oracle=[2000, 2]),
+         "oracle: must be an object, got [2000, 2]"),
+    ], ids=["no-dgp", "no-sample-sizes", "no-replications", "unknown-key",
+            "unknown-oracle-key", "one-oracle-block", "oracle-not-object"])
+    def test_bad_keys_fail_before_simulating(self, edit, message, tmp_path,
+                                             capsys, monkeypatch):
+        from interpanel import harness
+
+        def no_simulation(cfg):
+            raise AssertionError("simulated before the config was checked")
+
+        monkeypatch.setattr(harness, "simulate", no_simulation)
+        cfg_path = mini_mc_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        edit(cfg)
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "mc", "--config", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestUsage:

@@ -1,12 +1,18 @@
+import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from interpanel.data import Dims
-from interpanel.dgp import (ConfigInvalid, DgpConfig, load_dgp_config,
-                            packaged_config, plim_targets, simulate)
+from interpanel.dgp import (_FIELDS, ConfigInvalid, DgpConfig,
+                            load_dgp_config, packaged_config, plim_targets,
+                            simulate)
+
+from conftest import BAD_DGP_FIELDS, dgp_json_with
 
 
 def scalar_config(**overrides):
@@ -59,6 +65,56 @@ class TestConfig:
     def test_bad_constant_cols(self):
         with pytest.raises(ConfigInvalid):
             scalar_config(x_constant_cols=(2,))
+
+    @pytest.mark.parametrize("name, path, value", BAD_DGP_FIELDS)
+    def test_bad_field_fails_at_its_path(self, name, path, value):
+        with pytest.raises(ConfigInvalid) as err:
+            DgpConfig.from_dict(dgp_json_with(name, path, value))
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_values_are_stored_as_floats_and_tuples(self):
+        cfg = scalar_config(x_mean=np.array([2]), h_scale=[1], u_scale=1,
+                            x_fe_loading=np.float32(0.5), seed=np.int64(3),
+                            x_constant_cols=[1.0], kappa=np.array([0.8]))
+        assert cfg.x_mean == (2.0,) and type(cfg.x_mean[0]) is float
+        assert cfg.h_scale == (1.0,) and type(cfg.u_scale) is float
+        assert type(cfg.x_fe_loading) is float and cfg.x_fe_loading == 0.5
+        assert cfg.seed == 3 and type(cfg.seed) is int
+        assert cfg.x_constant_cols == (1,) and type(cfg.kappa) is tuple
+        assert replace(cfg, seed=4).x_mean == (2.0,)
+
+    def test_json_integers_print_as_floats(self):
+        raw = dgp_json_with("baseline", "x.fe_loading", 1)
+        raw["seed"] = 7.0  # an integral number is an integer
+        out = json.loads(json.dumps(DgpConfig.from_dict(raw).to_dict()))
+        assert out["x"]["fe_loading"] == 1.0
+        assert isinstance(out["x"]["fe_loading"], float)
+        assert out["seed"] == 7 and isinstance(out["seed"], int)
+
+    def test_to_dict_keeps_the_json_layout(self):
+        cfg = packaged_config("baseline")
+        out = cfg.to_dict()
+        assert list(out) == ["dims", "kappa", "phi", "gamma", "scenario",
+                             "seed", "x", "g", "z", "h", "delta", "noise",
+                             "hidden"]
+        assert out["h"] == {"mean": [1.0, 0.0], "scale": [1.0, 1.0],
+                            "noise_scale": 0.0}
+        assert out["noise"] == {"u_scale": 0.5, "v_scale": 0.2,
+                                "eps_scale": 0.3}
+        assert out["phi"] == [[0.8], [0.3]] and out["x"]["constant_cols"] == [2]
+
+    def test_every_field_is_documented(self):
+        # each JSON path of the field table is named in the class docstring
+        # and in README's "Config fields" paragraph
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        para = re.search(r"^Config fields.*?\n\n", readme, re.M | re.S)
+        assert para, "README has no 'Config fields' paragraph"
+        for group, key, _ in _FIELDS:
+            path = key if group is None else f"{group}.{key}"
+            assert re.search(rf"(?<![\w.]){re.escape(path)}(?!\w)",
+                             DgpConfig.__doc__), path
+            assert f"`{path}`" in para.group(), path
 
 
 class TestSimulate:

@@ -1,14 +1,17 @@
-"""Invariances of the two estimators, checked on random panels.
+"""Invariances of the two estimators, checked on random panels, and of
+the CSV and simulator-config round trips.
 
-Each property holds exactly in exact arithmetic; the tolerances only
-absorb rounding in the per-unit projections and the pooled solve.
+Each estimator property holds exactly in exact arithmetic; the tolerances
+only absorb rounding in the per-unit projections and the pooled solve.
 """
 
 import csv
+import json
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -16,6 +19,7 @@ from numpy.testing import assert_allclose
 
 from interpanel.data import (_parse_label, _sorted_labels, build_regressors,
                              load_csv, make_dataset, subset_units, write_csv)
+from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
 from interpanel.estimators import cite_theta, ite
 
 from conftest import random_panel
@@ -172,3 +176,77 @@ def test_csv_round_trip_is_bit_exact(data, base):
     assert back.columns == ds.columns
     assert all(type(label) in (int, str)
                for label in back.unit_labels + back.time_labels)
+
+
+REAL = st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6)
+SCALE = st.floats(0, 1e6) | st.integers(0, 10**6)
+# A value that no field of DgpConfig takes: no list has 4 entries.
+BAD = st.sampled_from([None, "abc", float("nan"), float("inf"), True, {},
+                       [0.0] * 4])
+
+
+@st.composite
+def dgp_json(draw):
+    """JSON of a valid DgpConfig: each optional field drawn or left out."""
+    K = {"K_x": draw(st.integers(1, 3)), "K_g": draw(st.integers(0, 2)),
+         "K_z": draw(st.integers(0, 2)), "K_h": draw(st.integers(0, 2))}
+    dims = {"n": draw(st.integers(10, 50)),
+            "T": K["K_x"] + draw(st.integers(0, 3)), **K}
+    scenarios = SCENARIOS if K["K_h"] else (
+        "baseline", "measurement_error", "correlated_random_effects",
+        "correlated_x_delta")
+
+    def reals(k, elements=REAL):
+        return st.lists(elements, min_size=k, max_size=k)
+
+    def columns(k, elements=REAL):
+        return elements | reals(k, elements)
+
+    valid = {"kappa": reals(K["K_h"]),
+             "phi": reals(K["K_x"], reals(K["K_g"])),
+             "gamma": reals(K["K_z"]),
+             "scenario": st.sampled_from(scenarios),
+             "seed": st.integers(0, 2**64 - 1),
+             "x.constant_cols": st.lists(st.integers(1, K["K_x"]), unique=True),
+             "x.fe_loading": REAL, "x.eps_loading": REAL,
+             "x.hidden_scale_slope": SCALE, "h.noise_scale": SCALE,
+             "noise.u_scale": SCALE, "noise.v_scale": SCALE,
+             "noise.eps_scale": SCALE, "hidden.kappa": REAL,
+             "hidden.corr": st.floats(-1, 1)}
+    for group, k in (("x", K["K_x"]), ("g", K["K_g"]), ("z", K["K_z"]),
+                     ("h", K["K_h"]), ("delta", K["K_x"] - 1)):
+        valid[f"{group}.mean"] = columns(k)
+        valid[f"{group}.scale"] = columns(k, SCALE)
+    assert set(valid) == {key if group is None else f"{group}.{key}"
+                          for group, key, _ in _FIELDS}
+    raw = {"dims": dims}
+    for path, values in valid.items():
+        if draw(st.booleans()):
+            set_field(raw, path, draw(values))
+    return raw
+
+
+def set_field(raw, path, value):
+    *groups, key = path.split(".")
+    for group in groups:
+        raw = raw.setdefault(group, {})
+    raw[key] = value
+
+
+@PROPERTY
+@given(raw=dgp_json())
+def test_dgp_config_json_round_trip(raw):
+    cfg = DgpConfig.from_dict(raw)
+    assert DgpConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@PROPERTY
+@given(raw=dgp_json(), field=st.sampled_from(_FIELDS), bad=BAD)
+def test_dgp_config_invalid_field_names_its_path(raw, field, bad):
+    group, key, _ = field
+    path = key if group is None else f"{group}.{key}"
+    set_field(raw, path, bad)
+    with pytest.raises(ConfigInvalid) as err:
+        DgpConfig.from_dict(raw)
+    assert err.value.path == path
+
