@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -55,7 +56,7 @@ def _floats(text):
 
 def _load_panel(args):
     ds = load_csv(args.input, schema=_parse_schema(args.schema))
-    if getattr(args, "add_intercept_h", False):
+    if args.add_intercept_h:
         ds = add_intercept_h(ds)
     return ds
 
@@ -258,13 +259,9 @@ def build_parser():
     p.add_argument("--constant", type=float, required=True)
     p.add_argument("--output", help="write JSON here")
     p.set_defaults(func=_cmd_mean_effect)
-    try:
-        # let values like "-1.146,0.805,-0.0274" pass as arguments rather
-        # than being mistaken for option names
-        import re
-        p._negative_number_matcher = re.compile(r"^-[\d.,eE+-]+$")
-    except AttributeError:  # pragma: no cover
-        pass
+    # let values like "-1.146,0.805,-0.0274" pass as arguments rather
+    # than being mistaken for option names
+    p._negative_number_matcher = re.compile(r"^-[\d.,eE+-]+$")
     return parser
 
 

@@ -155,14 +155,63 @@ _FIELDS = (
 )
 
 
-_NAMES = tuple(key if group in (None, "noise") else f"{group}_{key}"
-               for group, key, _ in _FIELDS)
+def _names(fields, flat=(None,)):
+    """Each field's name: `key` in the groups in flat, else group_key."""
+    return tuple(key if group in flat else f"{group}_{key}"
+                 for group, key, _ in fields)
+
+
+_NAMES = _names(_FIELDS, (None, "noise"))
+_DIM_NAMES = ("n", "T", "K_x", "K_g", "K_z", "K_h")  # read from "dims"
+_DIMS = tuple(("dims", k, lambda v, d: _number(v, integer=True))
+              for k in _DIM_NAMES)
+
+
+def _path(group, key):
+    return key if group is None else f"{group}.{key}"
 
 
 def _section(value, path):
     if not isinstance(value, dict):
         raise ConfigInvalid(path, f"must be an object, got {value!r}")
     return dict(value)
+
+
+def _read(raw, fields, names, required):
+    """The keywords that JSON object raw sets: raw[group][key] (raw[key]
+    for group None) of each (group, key, _) in fields, under its name.
+    Groups and paths in required must be present; no other key may be."""
+    top = _section(raw, "top level")
+    groups = {}
+    for group in dict.fromkeys(g for g, _, _ in fields if g):
+        if group in required and group not in top:
+            raise ConfigInvalid(group, "missing required section")
+        groups[group] = _section(top.pop(group, {}), group)
+    groups[None] = top
+    kwargs = {}
+    for (group, key, _), name in zip(fields, names):
+        if key in groups[group]:
+            kwargs[name] = groups[group].pop(key)
+        elif _path(group, key) in required:
+            raise ConfigInvalid(_path(group, key), "missing required field")
+    unknown = [f"{g}.{k}" for g, rest in groups.items() if g for k in rest]
+    if unknown or top:
+        raise ConfigInvalid((unknown or sorted(top))[0], "unknown field")
+    return kwargs
+
+
+def _check(values, fields, names, context):
+    """Set values[name] = check(values[name], context) where present (values
+    may be a frozen instance's __dict__); a check's ValueError becomes a
+    ConfigInvalid at the field's path."""
+    for (group, key, check), name in zip(fields, names):
+        if name in values:
+            try:
+                values[name] = check(values[name], context)
+            except ConfigInvalid:
+                raise
+            except (ValueError, OverflowError) as exc:
+                raise ConfigInvalid(_path(group, key), exc) from None
 
 
 @dataclass(frozen=True)
@@ -205,13 +254,7 @@ class DgpConfig:
     hidden_corr: float = 0.6
 
     def __post_init__(self):
-        for (group, key, check), name in zip(_FIELDS, _NAMES):
-            try:
-                value = check(getattr(self, name), self.dims)
-            except (ValueError, OverflowError) as exc:
-                path = key if group is None else f"{group}.{key}"
-                raise ConfigInvalid(path, exc) from None
-            object.__setattr__(self, name, value)
+        _check(self.__dict__, _FIELDS, _NAMES, self.dims)
         if self.scenario in _HIDDEN_SCENARIOS and self.dims.K_h < 1:
             raise ConfigInvalid("dims.K_h",
                                 "hidden-column scenarios need K_h >= 1")
@@ -227,32 +270,17 @@ class DgpConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        raw = dict(raw)
-        if "dims" not in raw:
-            raise ConfigInvalid("dims", "missing required section")
-        sizes = _section(raw.pop("dims"), "dims")
-        for key, value in sizes.items():
-            try:
-                sizes[key] = _number(value, integer=True)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigInvalid(f"dims.{key}", exc) from None
+        kwargs = _read(raw, _DIMS + _FIELDS, _DIM_NAMES + _NAMES,
+                       ("dims", "dims.n", "dims.T", "dims.K_x"))
+        sizes = {k: kwargs.pop(k) for k in _DIM_NAMES if k in kwargs}
+        _check(sizes, _DIMS, _DIM_NAMES, None)
         try:
             dims = Dims(**sizes)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigInvalid("dims", exc) from None
-        kwargs = {"dims": dims, "kappa": [0.0] * dims.K_h,
-                  "phi": [[0.0] * dims.K_g] * dims.K_x,
-                  "gamma": [0.0] * dims.K_z}
-        sections = {g: _section(raw.pop(g, {}), g)
-                    for g in dict.fromkeys(g for g, _, _ in _FIELDS) if g}
-        sections[None] = raw
-        for (group, key, _), name in zip(_FIELDS, _NAMES):
-            if key in sections[group]:
-                kwargs[name] = sections[group].pop(key)
-        unknown = [f"{g}.{k}" for g, s in sections.items() if g for k in s]
-        if unknown or raw:
-            raise ConfigInvalid((unknown or sorted(raw))[0], "unknown field")
-        return cls(**kwargs)
+        return cls(**{"dims": dims, "kappa": [0.0] * dims.K_h,
+                      "phi": [[0.0] * dims.K_g] * dims.K_x,
+                      "gamma": [0.0] * dims.K_z, **kwargs})
 
 
 def load_dgp_config(path):

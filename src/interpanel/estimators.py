@@ -140,9 +140,10 @@ def cite_kappa(delta1, H, weights=None, mode="none"):
 
 
 def check_weight_mode(mode):
-    """Raise ValueError, naming WEIGHT_MODES, for any other mode."""
+    """mode; ValueError, naming WEIGHT_MODES, for any other mode."""
     if mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight mode {mode!r}; choose from {WEIGHT_MODES}")
+    return mode
 
 
 def second_stage_weights(se, mode):

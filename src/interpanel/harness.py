@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import build_regressors, default_columns
-from .dgp import ConfigInvalid, DgpConfig, plim_targets, simulate
+from .dgp import (_SEQUENCE, DgpConfig, _check, _names, _number, _read,
+                  _section, plim_targets, simulate)
 from .estimators import ite as _fit_ite
 from .estimators import check_weight_mode, theta_tilde_labels
 from .inference import fit_cite_weighted
@@ -39,9 +40,61 @@ def true_parameters(cfg):
                            np.asarray(cfg.gamma, dtype=float)])
 
 
+def _sample_sizes(v, _):
+    if not isinstance(v, _SEQUENCE):
+        raise ValueError(f"must be a list, got {v!r}")
+    sizes = tuple(_number(n, True, 2, reason="sample sizes must be >= 2")
+                  for n in v)
+    if not sizes:
+        raise ValueError("need at least one sample size")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sample sizes must be strictly increasing")
+    return sizes
+
+
+def _estimators(v, _):
+    if not isinstance(v, _SEQUENCE):
+        raise ValueError(f"must be a list, got {v!r}")
+    names = tuple(e.lower() if isinstance(e, str) else e for e in v)
+    if any(e not in ESTIMATORS for e in names):
+        raise ValueError(f"estimators must be among {ESTIMATORS}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"each estimator at most once, got {list(v)!r}")
+    return names
+
+
+# Every ExperimentConfig field, in JSON order: (JSON group, key, check), as
+# dgp._FIELDS. Its name is `key` at the top level, f"{group}_{key}" in
+# "oracle". check(value, None) returns the value to store.
+_FIELDS = (
+    (None, "dgp", lambda v, _: v if isinstance(v, DgpConfig)
+     else DgpConfig.from_dict(_section(v, "dgp"))),
+    (None, "sample_sizes", _sample_sizes),
+    (None, "replications", lambda v, _: _number(
+        v, True, 2, reason="need at least 2 replications")),
+    (None, "estimators", _estimators),
+    (None, "seed", lambda v, _: _number(v, True, 0, reason="must be >= 0")),
+    (None, "weight_mode", lambda v, _: check_weight_mode(v)),
+    ("oracle", "draws", lambda v, _: _number(
+        v, True, 0, reason="must be >= 0")),
+    ("oracle", "blocks", lambda v, _: _number(
+        v, True, 2, reason="need at least 2 oracle blocks")),
+)
+_NAMES = _names(_FIELDS)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Monte Carlo design: DGP, sample sizes, replication count."""
+    """Monte Carlo design: DGP, sample sizes, replication count.
+
+    JSON fields, with their defaults: dgp, a DgpConfig or its JSON
+    object (required); sample_sizes, a nonempty, strictly increasing list
+    of integers >= 2 (required); replications, an integer >= 2 (required);
+    estimators, a list of distinct names among "cite" and "ite", in any
+    case [both]; seed, an integer >= 0 [0]; weight_mode, one of
+    WEIGHT_MODES ["none"]; oracle.draws, an integer >= 0 [100000];
+    oracle.blocks, an integer >= 2 [20].
+    """
 
     dgp: DgpConfig
     sample_sizes: tuple
@@ -53,47 +106,12 @@ class ExperimentConfig:
     oracle_blocks: int = 20
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sample_sizes)
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("sample sizes must be strictly increasing")
-        if not sizes:
-            raise ValueError("need at least one sample size")
-        object.__setattr__(self, "sample_sizes", sizes)
-        if self.replications < 2:
-            raise ValueError("need at least 2 replications")
-        ests = tuple(str(e).lower() for e in self.estimators)
-        if any(e not in ESTIMATORS for e in ests):
-            raise ValueError(f"estimators must be among {ESTIMATORS}")
-        object.__setattr__(self, "estimators", ests)
-        check_weight_mode(self.weight_mode)
-        if self.oracle_blocks < 2:
-            raise ConfigInvalid("oracle.blocks",
-                                "need at least 2 oracle blocks")
+        _check(self.__dict__, _FIELDS, _NAMES, None)
 
     @classmethod
     def from_dict(cls, raw):
-        raw = dict(raw)
-        for key in ("dgp", "sample_sizes", "replications"):
-            if key not in raw:
-                raise ConfigInvalid(key, "missing required field")
-        oracle = raw.pop("oracle", {})
-        if not isinstance(oracle, dict):
-            raise ConfigInvalid("oracle", f"must be an object, got {oracle!r}")
-        oracle = dict(oracle)
-        kwargs = dict(
-            dgp=DgpConfig.from_dict(raw.pop("dgp")),
-            sample_sizes=tuple(raw.pop("sample_sizes")),
-            replications=int(raw.pop("replications")),
-            estimators=tuple(raw.pop("estimators", ESTIMATORS)),
-            seed=int(raw.pop("seed", 0)),
-            weight_mode=str(raw.pop("weight_mode", "none")),
-            oracle_draws=int(oracle.pop("draws", 100_000)),
-            oracle_blocks=int(oracle.pop("blocks", 20)),
-        )
-        unknown = [f"oracle.{k}" for k in oracle] + sorted(raw)
-        if unknown:
-            raise ConfigInvalid(unknown[0], "unknown field")
-        return cls(**kwargs)
+        return cls(**_read(raw, _FIELDS, _NAMES,
+                           ("dgp", "sample_sizes", "replications")))
 
 
 def load_experiment_config(path):
@@ -199,7 +217,7 @@ def run_experiment(cfg):
     failure_types = {}
     sign_agreement = {}
     for n in cfg.sample_sizes:
-        dims_n = replace(dgp.dims, n=int(n))
+        dims_n = replace(dgp.dims, n=n)
         draws = {e: np.full((cfg.replications, n_params), np.nan)
                  for e in cfg.estimators}
         ok = {e: np.zeros(cfg.replications, dtype=bool) for e in cfg.estimators}

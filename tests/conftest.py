@@ -32,19 +32,46 @@ BAD_DGP_FIELDS = [
     ("baseline", "seed", 1.7),
     ("baseline", "dims.n", 50.9),
     ("baseline", "delta.scale", -1),
+    ("baseline", "dims.m", 1),
+]
+
+# Monte Carlo configs with one bad field each: (JSON path of the field in
+# the config, "" for the whole config; value; the error it must give). The
+# paths inside "dgp" are the simulator's own. Each once crashed with a
+# traceback, named no path, or was accepted.
+BAD_MC_FIELDS = [
+    ("sample_sizes", 500, "sample_sizes: must be a list, got 500"),
+    ("dgp", 5, "dgp: must be an object, got 5"),
+    ("oracle.draws", None, "oracle.draws: must be an integer, got None"),
+    ("replications", 2.5, "replications: must be an integer, got 2.5"),
+    ("sample_sizes", ["50", "100"],
+     "sample_sizes: must be an integer, got '50'"),
+    ("estimators", "cite", "estimators: must be a list, got 'cite'"),
+    ("seed", -1, "seed: must be >= 0"),
+    ("", [1], "top level: must be an object, got [1]"),
+    ("estimators", ["cite", "CITE"],
+     "estimators: each estimator at most once, got ['cite', 'CITE']"),
+    ("dgp.dims.m", 1, "dims.m: unknown field"),
+    ("dgp.dims", {"n": 50, "K_x": 2}, "dims.T: missing required field"),
 ]
 
 
-def dgp_json_with(name, path, value):
-    """The JSON of a packaged simulator config with `path` set to value."""
-    with open(packaged_config_path(name), encoding="utf-8") as fh:
-        raw = json.load(fh)
+def json_with(raw, path, value):
+    """raw with the field at `path` set to value; value itself for ""."""
+    if not path:
+        return value
     *groups, key = path.split(".")
     section = raw
     for group in groups:
         section = section.setdefault(group, {})
     section[key] = value
     return raw
+
+
+def dgp_json_with(name, path, value):
+    """The JSON of a packaged simulator config with `path` set to value."""
+    with open(packaged_config_path(name), encoding="utf-8") as fh:
+        return json_with(json.load(fh), path, value)
 
 
 def random_panel(seed, n=12, T=6, K_x=2, K_g=1, K_z=1, K_h=2,

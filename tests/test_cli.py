@@ -11,7 +11,7 @@ from interpanel.data import build_regressors, load_csv, make_dataset, write_csv
 from interpanel.dgp import packaged_config, packaged_config_path, simulate
 from interpanel.estimators import fit_cite, ite
 
-from conftest import BAD_DGP_FIELDS, dgp_json_with
+from conftest import BAD_DGP_FIELDS, BAD_MC_FIELDS, dgp_json_with, json_with
 
 
 def run(capsys, *argv):
@@ -235,6 +235,17 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert not out_csv.exists()
 
+    def test_top_level_not_an_object_is_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("[1]")
+        out_csv = tmp_path / "sim.csv"
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path),
+                             "--output", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert err == "error: top level: must be an object, got [1]\n"
+        assert not out_csv.exists()
+
 
 class TestMalformedCsv:
     @pytest.mark.parametrize("sub", ["estimate", "validate"])
@@ -259,6 +270,10 @@ class TestMalformedCsv:
         assert code == 1
         assert out == ""
         assert err == "error: row 2 has 5 fields, more than the header's 4\n"
+
+
+def without(key):
+    return lambda raw: {k: v for k, v in raw.items() if k != key}
 
 
 def mini_mc_config(tmp_path, **extra):
@@ -303,23 +318,29 @@ class TestMc:
         code, out, err = run(capsys, "mc", "--config", str(cfg_path))
         assert code == 1
         assert out == ""
-        assert err == ("error: unknown weight mode 'bogus'; choose from "
-                       "('none', 'inv_se', 'inv_var')\n")
+        assert err == ("error: weight_mode: unknown weight mode 'bogus'; "
+                       "choose from ('none', 'inv_se', 'inv_var')\n")
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda c: c.pop("dgp"), "dgp: missing required field"),
-        (lambda c: c.pop("sample_sizes"),
+        (without("dgp"), "dgp: missing required field"),
+        (without("sample_sizes"),
          "sample_sizes: missing required field"),
-        (lambda c: c.pop("replications"),
+        (without("replications"),
          "replications: missing required field"),
-        (lambda c: c.update(replication=5), "replication: unknown field"),
-        (lambda c: c["oracle"].update(block=4), "oracle.block: unknown field"),
-        (lambda c: c["oracle"].update(blocks=1),
+        (lambda c: json_with(c, "replication", 5),
+         "replication: unknown field"),
+        (lambda c: json_with(c, "oracle.block", 4),
+         "oracle.block: unknown field"),
+        (lambda c: json_with(c, "oracle.blocks", 1),
          "oracle.blocks: need at least 2 oracle blocks"),
-        (lambda c: c.update(oracle=[2000, 2]),
+        (lambda c: json_with(c, "oracle", [2000, 2]),
          "oracle: must be an object, got [2000, 2]"),
-    ], ids=["no-dgp", "no-sample-sizes", "no-replications", "unknown-key",
-            "unknown-oracle-key", "one-oracle-block", "oracle-not-object"])
+    ] + [(lambda c, path=path, value=value: json_with(c, path, value), message)
+         for path, value, message in BAD_MC_FIELDS],
+        ids=["no-dgp", "no-sample-sizes", "no-replications", "unknown-key",
+             "unknown-oracle-key", "one-oracle-block", "oracle-not-object"]
+        + [f"{path or 'top'}={json.dumps(value, separators=(',', ':'))}"
+           for path, value, _ in BAD_MC_FIELDS])
     def test_bad_keys_fail_before_simulating(self, edit, message, tmp_path,
                                              capsys, monkeypatch):
         from interpanel import harness
@@ -329,8 +350,7 @@ class TestMc:
 
         monkeypatch.setattr(harness, "simulate", no_simulation)
         cfg_path = mini_mc_config(tmp_path)
-        cfg = json.loads(cfg_path.read_text())
-        edit(cfg)
+        cfg = edit(json.loads(cfg_path.read_text()))
         cfg_path.write_text(json.dumps(cfg))
         code, out, err = run(capsys, "mc", "--config", str(cfg_path))
         assert code == 1

@@ -11,6 +11,7 @@ from interpanel.data import Dims
 from interpanel.dgp import (_FIELDS, ConfigInvalid, DgpConfig,
                             load_dgp_config, packaged_config, plim_targets,
                             simulate)
+from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
 
 from conftest import BAD_DGP_FIELDS, dgp_json_with
 
@@ -105,16 +106,20 @@ class TestConfig:
         assert out["phi"] == [[0.8], [0.3]] and out["x"]["constant_cols"] == [2]
 
     def test_every_field_is_documented(self):
-        # each JSON path of the field table is named in the class docstring
-        # and in README's "Config fields" paragraph
+        # each JSON path of a field table is named in its class docstring
+        # and, in backticks, in its README paragraph: "Config fields" for
+        # the simulator, "Config rules" for the Monte Carlo config
         readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
-        para = re.search(r"^Config fields.*?\n\n", readme, re.M | re.S)
-        assert para, "README has no 'Config fields' paragraph"
-        for group, key, _ in _FIELDS:
-            path = key if group is None else f"{group}.{key}"
-            assert re.search(rf"(?<![\w.]){re.escape(path)}(?!\w)",
-                             DgpConfig.__doc__), path
-            assert f"`{path}`" in para.group(), path
+        for cls, fields, title in ((DgpConfig, _FIELDS, "Config fields"),
+                                   (ExperimentConfig, MC_FIELDS,
+                                    "Config rules")):
+            para = re.search(rf"^{title}.*?\n\n", readme, re.M | re.S)
+            assert para, f"README has no {title!r} paragraph"
+            for group, key, _ in fields:
+                path = key if group is None else f"{group}.{key}"
+                assert re.search(rf"(?<![\w.]){re.escape(path)}(?!\w)",
+                                 cls.__doc__), path
+                assert f"`{path}`" in para.group(), path
 
 
 class TestSimulate:

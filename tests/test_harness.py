@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from interpanel.dgp import packaged_config
+from interpanel.dgp import ConfigInvalid, packaged_config
 from interpanel.estimators import WEIGHT_MODES
 from interpanel.harness import (ExperimentConfig, convergence_table,
                                 evaluate_contracts, replication_seed,
@@ -43,6 +43,23 @@ class TestConfig:
             mini_experiment(weight_mode="bogus")
         assert "'bogus'" in str(err.value)
         assert str(WEIGHT_MODES) in str(err.value)
+
+    def test_values_are_stored_as_ints_and_tuples(self):
+        cfg = mini_experiment(sample_sizes=[50.0, np.int64(80)],
+                              replications=np.int32(3), estimators=["CITE"],
+                              oracle_blocks=4.0)
+        assert cfg.sample_sizes == (50, 80)
+        assert all(type(n) is int for n in cfg.sample_sizes)
+        assert type(cfg.replications) is int and cfg.estimators == ("cite",)
+        assert type(cfg.oracle_blocks) is int
+
+    def test_python_callers_get_the_json_paths(self):
+        with pytest.raises(ConfigInvalid) as err:
+            mini_experiment(replications=2.5)
+        assert err.value.path == "replications"
+        with pytest.raises(ConfigInvalid) as err:
+            mini_experiment(estimators=("ite", "ITE"))
+        assert err.value.path == "estimators"
 
     def test_from_dict(self):
         raw = {

@@ -1,5 +1,5 @@
 """Invariances of the two estimators, checked on random panels, and of
-the CSV and simulator-config round trips.
+the CSV and simulator-config round trips, and of the config checks.
 
 Each estimator property holds exactly in exact arithmetic; the tolerances
 only absorb rounding in the per-unit projections and the pooled solve.
@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -20,7 +20,8 @@ from numpy.testing import assert_allclose
 from interpanel.data import (_parse_label, _sorted_labels, build_regressors,
                              load_csv, make_dataset, subset_units, write_csv)
 from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
-from interpanel.estimators import cite_theta, ite
+from interpanel.estimators import WEIGHT_MODES, cite_theta, ite
+from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
 
 from conftest import random_panel
 
@@ -180,7 +181,8 @@ def test_csv_round_trip_is_bit_exact(data, base):
 
 REAL = st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6)
 SCALE = st.floats(0, 1e6) | st.integers(0, 10**6)
-# A value that no field of DgpConfig takes: no list has 4 entries.
+# A value that no field of DgpConfig takes: no list has 4 entries. Of the
+# Monte Carlo fields, only dgp takes one of them: {}.
 BAD = st.sampled_from([None, "abc", float("nan"), float("inf"), True, {},
                        [0.0] * 4])
 
@@ -250,3 +252,38 @@ def test_dgp_config_invalid_field_names_its_path(raw, field, bad):
         DgpConfig.from_dict(raw)
     assert err.value.path == path
 
+
+@st.composite
+def mc_json(draw):
+    """JSON of a valid ExperimentConfig: each optional field drawn or left
+    out."""
+    sizes = draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=3,
+                          unique=True))
+    raw = {"dgp": draw(dgp_json()), "sample_sizes": sorted(sizes),
+           "replications": draw(st.integers(2, 10**6))}
+    valid = {"estimators": st.sampled_from(
+                 [[], ["cite"], ["ITE"], ["cite", "ite"], ["Ite", "cite"]]),
+             "seed": st.integers(0, 2**64 - 1),
+             "weight_mode": st.sampled_from(WEIGHT_MODES),
+             "oracle.draws": st.integers(0, 10**7),
+             "oracle.blocks": st.integers(2, 100)}
+    assert set(valid) | set(raw) == {key if group is None
+                                     else f"{group}.{key}"
+                                     for group, key, _ in MC_FIELDS}
+    for path, values in valid.items():
+        if draw(st.booleans()):
+            set_field(raw, path, draw(values))
+    return raw
+
+
+@PROPERTY
+@given(raw=mc_json(), field=st.sampled_from(MC_FIELDS), bad=BAD)
+def test_mc_config_invalid_field_names_its_path(raw, field, bad):
+    group, key, _ = field
+    path = key if group is None else f"{group}.{key}"
+    assume(not (path == "dgp" and bad == {}))  # an object: dgp's own errors
+    ExperimentConfig.from_dict(raw)
+    set_field(raw, path, bad)
+    with pytest.raises(ConfigInvalid) as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.path == path
