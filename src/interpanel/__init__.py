@@ -15,14 +15,13 @@ from .data import (CiteBlocks, Dims, DerivedRegressors, IteBlocks,
 from .dgp import (DgpConfig, PlimTargets, SimulatedTruth, load_dgp_config,
                   plim_targets, simulate)
 from .estimators import (CiteResult, IteResult, MeanEffectSummary, cite_delta,
-                         cite_kappa, cite_theta, fit_cite, ite, mean_effect,
-                         within_transform)
+                         cite_kappa, cite_theta, first_stage_se, fit_cite, ite,
+                         mean_effect, within_transform)
 from .harness import (ExperimentConfig, MonteCarloReport, convergence_table,
                       evaluate_contracts, load_experiment_config,
                       run_experiment)
 from .inference import (SeResult, bootstrap_cite, cite_kappa_se,
-                        cite_theta_se, cluster_robust_se, first_stage_se,
-                        fit_cite_weighted, ite_se)
+                        cite_theta_se, cluster_robust_se, ite_se)
 from .linalg import LeastSquaresFit, RankDeficient, gram_det, solve_ols
 
 __version__ = "0.1.0"
@@ -35,7 +34,7 @@ __all__ = [
     "build_regressors", "cite_delta", "cite_kappa", "cite_kappa_se",
     "cite_theta", "cite_theta_se", "cluster_robust_se", "convergence_table",
     "drop_failing_units", "evaluate_contracts", "first_stage_se", "fit_cite",
-    "fit_cite_weighted", "gram_det", "ite", "ite_se", "load_csv",
+    "gram_det", "ite", "ite_se", "load_csv",
     "load_dgp_config", "load_experiment_config", "make_dataset",
     "mean_effect", "plim_targets", "run_experiment",
     "simulate", "solve_ols", "subset_units", "validate", "within_transform",

@@ -15,11 +15,10 @@ from .data import (PanelDataError, add_intercept_h, build_regressors,
                    drop_failing_units, load_csv, validate, write_csv,
                    DEFAULT_H_MIN)
 from .dgp import ConfigInvalid, load_dgp_config, simulate
-from .estimators import WEIGHT_MODES, ite, mean_effect
+from .estimators import WEIGHT_MODES, fit_cite, ite, mean_effect
 from .harness import (convergence_table, evaluate_contracts,
                       load_experiment_config, run_experiment)
-from .inference import (bootstrap_cite, cite_kappa_se, cite_theta_se,
-                        fit_cite_weighted, ite_se)
+from .inference import bootstrap_cite, cite_kappa_se, cite_theta_se, ite_se
 from .linalg import RankDeficient
 
 
@@ -83,7 +82,7 @@ def _cmd_estimate(args):
     results = {}
     for est in which:
         if est == "cite":
-            res = fit_cite_weighted(ds, dr.cite, weight_mode=args.weight_mode)
+            res = fit_cite(ds, dr.cite, weight_mode=args.weight_mode)
             labels, values = res.coefficients()
             entry = {
                 "labels": labels,
@@ -93,10 +92,8 @@ def _cmd_estimate(args):
                 "delta_units": list(ds.unit_labels),
             }
             if args.se == "cluster":
-                k_se = cite_kappa_se(dr.cite, res) if ds.dims.K_h else None
-                t_se = cite_theta_se(dr.cite, res) if res.theta_hat.size else None
-                entry["se"] = (k_se.se.tolist() if k_se else []) + \
-                    (t_se.se.tolist() if t_se else [])
+                entry["se"] = cite_kappa_se(dr.cite, res).se.tolist() + \
+                    cite_theta_se(dr.cite, res).se.tolist()
                 entry["se_method"] = "hc_robust (kappa), cluster_robust (theta)"
             elif args.se == "bootstrap":
                 b = bootstrap_cite(ds, dr.cite, res, args.bootstrap_reps, args.seed)

@@ -163,8 +163,12 @@ def _names(fields, flat=(None,)):
 
 _NAMES = _names(_FIELDS, (None, "noise"))
 _DIM_NAMES = ("n", "T", "K_x", "K_g", "K_z", "K_h")  # read from "dims"
+# check(value, sizes checked so far). Dims bounds K_x, K_g and K_z by n and
+# T; K_h, the length of the kappa default, needs a bound of its own.
 _DIMS = tuple(("dims", k, lambda v, d: _number(v, integer=True))
-              for k in _DIM_NAMES)
+              for k in _DIM_NAMES[:-1]) + (
+    ("dims", "K_h", lambda v, d: _number(v, True, high=d["n"], reason=(
+        f"must be at most n = {d['n']} (kappa is fitted on n unit slopes)"))),)
 
 
 def _path(group, key):
@@ -273,7 +277,7 @@ class DgpConfig:
         kwargs = _read(raw, _DIMS + _FIELDS, _DIM_NAMES + _NAMES,
                        ("dims", "dims.n", "dims.T", "dims.K_x"))
         sizes = {k: kwargs.pop(k) for k in _DIM_NAMES if k in kwargs}
-        _check(sizes, _DIMS, _DIM_NAMES, None)
+        _check(sizes, _DIMS, _DIM_NAMES, sizes)
         try:
             dims = Dims(**sizes)
         except ValueError as exc:

@@ -37,6 +37,18 @@ class NoConstantColumn(ValueError):
     pass
 
 
+class ZeroDegreesOfFreedom(ValueError):
+    """T <= K_x, which in a balanced panel holds for every unit or none."""
+
+    def __init__(self, T, K_x):
+        self.T, self.K_x = T, K_x
+        super().__init__(
+            f"every unit has T <= K_x (T = {T}, K_x = {K_x}): first-stage "
+            "residuals have no degrees of freedom and their standard errors "
+            "are undefined"
+        )
+
+
 def theta_labels(columns):
     """Labels for the pooled-stage coefficients: phi block then gamma."""
     labels = [f"phi[{x}:{g}]" for x in columns["x"] for g in columns["g"]]
@@ -113,29 +125,25 @@ def cite_delta(dr, theta_hat):
     return np.linalg.solve(dr.r_x, rhs[..., None])[..., 0]
 
 
-def cite_kappa(delta1, H, weights=None, mode="none"):
+def cite_kappa(delta1, H, weights=None):
     """Cross-sectional projection of the unit slopes onto H.
 
-    mode "none" solves (sum H_i'H_i)^{-1} sum H_i' delta1_i. Modes
-    "inv_se" and "inv_var" run weighted least squares with observation
-    weights w_i = 1/se_i and w_i = 1/se_i^2 respectively, where `weights`
-    supplies the per-unit first-stage standard errors se_i.
+    Without `weights` it solves (sum H_i'H_i)^{-1} sum H_i' delta1_i;
+    with per-unit weights w_i (second_stage_weights) it runs weighted
+    least squares, (sum w_i H_i'H_i)^{-1} sum w_i H_i' delta1_i.
     """
     delta1 = np.asarray(delta1, dtype=float).reshape(-1)
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != delta1.shape[0]:
         raise LengthMismatch("H and delta1 must have matching unit counts")
-    check_weight_mode(mode)
-    if mode == "none":
-        return solve_ols(H, delta1).coefficients
     if weights is None:
-        raise MissingWeights(f"mode {mode!r} requires per-unit standard errors")
-    se = np.asarray(weights, dtype=float).reshape(-1)
-    if se.shape[0] != delta1.shape[0]:
+        return solve_ols(H, delta1).coefficients
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape[0] != delta1.shape[0]:
         raise LengthMismatch("weights length must match delta1")
-    if np.any(se <= 0) or not np.all(np.isfinite(se)):
+    if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise MissingWeights("weights must be strictly positive and finite")
-    sw = np.sqrt(second_stage_weights(se, mode))
+    sw = np.sqrt(w)
     return solve_ols(H * sw[:, None], delta1 * sw).coefficients
 
 
@@ -147,23 +155,56 @@ def check_weight_mode(mode):
 
 
 def second_stage_weights(se, mode):
-    """Weights w_i = 1/se_i ("inv_se") or 1/se_i^2 ("inv_var")."""
-    return 1.0 / se if mode == "inv_se" else 1.0 / se**2
+    """Weights w_i = 1/se_i ("inv_se") or 1/se_i^2 ("inv_var"); a zero or
+    tiny se_i gives an infinite w_i, which cite_kappa rejects."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / se if mode == "inv_se" else 1.0 / se**2
 
 
-def fit_cite(ds, dr):
-    """Run the full two-step pipeline (unweighted second stage) on the
-    CITE blocks `dr` and package the results; inference.fit_cite_weighted
-    adds the weighting."""
+def first_stage_se(dr, theta_hat, delta_hat):
+    """Standard error of each unit's first slope estimate.
+
+    For unit i: se_i = sqrt(s_i^2 * [(X_i'X_i)^{-1}]_{11}) with
+    s_i^2 = RSS_i / (T - K_x) from the residuals of
+    Y_i - Psi_i theta_hat - X_i delta_hat_i.
+    """
+    n, T, K_x = dr.X.shape
+    if T <= K_x:
+        raise ZeroDegreesOfFreedom(T, K_x)
+    resid = dr.Y - dr.Psi @ theta_hat - np.einsum("ntk,nk->nt", dr.X, delta_hat)
+    s2 = np.sum(resid * resid, axis=1) / (T - K_x)
+    # (X'X)^{-1} = R^{-1} R^{-T} from the cached per-unit QR.
+    eye = np.broadcast_to(np.eye(K_x), (n, K_x, K_x))
+    r_inv = np.linalg.solve(dr.r_x, eye)
+    inv11 = np.einsum("nk,nk->n", r_inv[:, 0, :], r_inv[:, 0, :])
+    return np.sqrt(s2 * inv11)
+
+
+def fit_cite(ds, dr, weight_mode="none"):
+    """Run the two-step pipeline on the CITE blocks `dr` and package the
+    results.
+
+    Under "inv_se" or "inv_var" with K_h > 0 the kappa stage weights unit
+    i by w_i = 1/se_i or 1/se_i^2, se_i from first_stage_se; otherwise it
+    is unweighted and the result's weight_mode is "none". An unknown mode
+    raises ValueError.
+    """
+    check_weight_mode(weight_mode)
     theta = cite_theta(dr)
     delta = cite_delta(dr, theta)
-    kappa = cite_kappa(delta[:, 0], dr.H) if ds.dims.K_h > 0 else np.zeros(0)
+    if ds.dims.K_h == 0:
+        weight_mode = "none"
+    weights = None if weight_mode == "none" else second_stage_weights(
+        first_stage_se(dr, theta, delta), weight_mode)
+    kappa = cite_kappa(delta[:, 0], dr.H, weights) if ds.dims.K_h else np.zeros(0)
     return CiteResult(
         theta_hat=theta,
         delta_hat=delta,
         kappa_hat=kappa,
         theta_labels=tuple(theta_labels(ds.columns)),
         kappa_labels=tuple(kappa_labels(ds.columns)),
+        weight_mode=weight_mode,
+        weights=weights,
     )
 
 

@@ -20,8 +20,7 @@ from .data import build_regressors, default_columns
 from .dgp import (_SEQUENCE, DgpConfig, _check, _names, _number, _read,
                   _section, plim_targets, simulate)
 from .estimators import ite as _fit_ite
-from .estimators import check_weight_mode, theta_tilde_labels
-from .inference import fit_cite_weighted
+from .estimators import check_weight_mode, fit_cite, theta_tilde_labels
 from .linalg import RankDeficient
 
 ESTIMATORS = ("cite", "ite")
@@ -196,7 +195,7 @@ def replication_seed(seed, scenario, n, rep):
 
 def _fit_one(estimator, ds, dr, weight_mode):
     if estimator == "cite":
-        res = fit_cite_weighted(ds, dr.cite, weight_mode=weight_mode)
+        res = fit_cite(ds, dr.cite, weight_mode=weight_mode)
         return np.concatenate([res.kappa_hat, res.theta_hat])
     res = _fit_ite(ds, dr.ite)
     return res.theta_tilde_hat

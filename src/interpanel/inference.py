@@ -1,5 +1,5 @@
-"""Standard errors: first-stage per-unit SEs, cluster-robust sandwiches,
-and a unit-level bootstrap for the two-step estimator.
+"""Standard errors: cluster-robust sandwiches and a unit-level bootstrap
+for the two-step estimator.
 
 The two-step point estimates treat the per-unit slopes as data in the
 second stage, so the default second-stage SEs (heteroskedasticity-robust
@@ -13,23 +13,13 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .estimators import (check_weight_mode, cite_kappa, fit_cite,
-                         second_stage_weights)
+from .estimators import (ZeroDegreesOfFreedom, first_stage_se,  # noqa: F401
+                         fit_cite)
 from .linalg import RankDeficient
 
 BOOTSTRAP_REDRAW_FACTOR = 10
 
-
-class ZeroDegreesOfFreedom(ValueError):
-    """T <= K_x, which in a balanced panel holds for every unit or none."""
-
-    def __init__(self, T, K_x):
-        self.T, self.K_x = T, K_x
-        super().__init__(
-            f"every unit has T <= K_x (T = {T}, K_x = {K_x}): first-stage "
-            "residuals have no degrees of freedom and their standard errors "
-            "are undefined"
-        )
+fit_cite_weighted = fit_cite  # the name perfbench/tracer.py traces CITE fits by
 
 
 class TooFewClusters(ValueError):
@@ -62,26 +52,6 @@ class SeResult:
             "method": self.method,
             "n_clusters": self.n_clusters,
         }
-
-
-def first_stage_se(dr, cite):
-    """Standard error of each unit's first slope estimate.
-
-    For unit i: se_i = sqrt(s_i^2 * [(X_i'X_i)^{-1}]_{11}) with
-    s_i^2 = RSS_i / (T - K_x) from the residuals of
-    Y_i - Psi_i theta_hat - X_i delta_hat_i.
-    """
-    n, T, K_x = dr.X.shape
-    if T <= K_x:
-        raise ZeroDegreesOfFreedom(T, K_x)
-    resid = dr.Y - dr.Psi @ cite.theta_hat \
-        - np.einsum("ntk,nk->nt", dr.X, cite.delta_hat)
-    s2 = np.sum(resid * resid, axis=1) / (T - K_x)
-    # (X'X)^{-1} = R^{-1} R^{-T} from the cached per-unit QR.
-    eye = np.broadcast_to(np.eye(K_x), (n, K_x, K_x))
-    r_inv = np.linalg.solve(dr.r_x, eye)
-    inv11 = np.einsum("nk,nk->n", r_inv[:, 0, :], r_inv[:, 0, :])
-    return np.sqrt(s2 * inv11)
 
 
 def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
@@ -197,8 +167,8 @@ def bootstrap_cite(ds, dr, fit, replications, seed):
                                        spawn_key=(r, attempt)))
             idx = rng.integers(0, n, size=n)
             try:
-                draws[r] = fit_cite_weighted(ds, dr.take(idx),
-                                             weight_mode=fit.weight_mode).kappa_hat
+                draws[r] = fit_cite(ds, dr.take(idx),
+                                    weight_mode=fit.weight_mode).kappa_hat
                 break
             except (RankDeficient, np.linalg.LinAlgError):
                 redraws += 1
@@ -218,20 +188,3 @@ def bootstrap_cite(ds, dr, fit, replications, seed):
         n_clusters=n,
         redraws=redraws,
     )
-
-
-def fit_cite_weighted(ds, dr, weight_mode="none"):
-    """Two-step fit where the second stage may weight by first-stage SEs.
-
-    The unweighted pipeline runs first; for weight modes other than
-    "none" the kappa stage is then redone with w_i = 1/se_i ("inv_se")
-    or 1/se_i^2 ("inv_var"). An unknown mode raises ValueError.
-    """
-    check_weight_mode(weight_mode)
-    res = fit_cite(ds, dr)
-    if weight_mode == "none" or ds.dims.K_h == 0:
-        return res
-    se = first_stage_se(dr, res)
-    kappa = cite_kappa(res.delta_hat[:, 0], dr.H, weights=se, mode=weight_mode)
-    return _dc_replace(res, kappa_hat=kappa, weight_mode=weight_mode,
-                       weights=second_stage_weights(se, weight_mode))

@@ -33,6 +33,7 @@ BAD_DGP_FIELDS = [
     ("baseline", "dims.n", 50.9),
     ("baseline", "delta.scale", -1),
     ("baseline", "dims.m", 1),
+    ("baseline", "dims.K_h", 1e300),
 ]
 
 # Monte Carlo configs with one bad field each: (JSON path of the field in
@@ -53,6 +54,8 @@ BAD_MC_FIELDS = [
      "estimators: each estimator at most once, got ['cite', 'CITE']"),
     ("dgp.dims.m", 1, "dims.m: unknown field"),
     ("dgp.dims", {"n": 50, "K_x": 2}, "dims.T: missing required field"),
+    ("dgp.dims.K_h", 1e300,
+     "dims.K_h: must be at most n = 50 (kappa is fitted on n unit slopes)"),
 ]
 
 

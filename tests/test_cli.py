@@ -10,8 +10,10 @@ from interpanel.cli import main
 from interpanel.data import build_regressors, load_csv, make_dataset, write_csv
 from interpanel.dgp import packaged_config, packaged_config_path, simulate
 from interpanel.estimators import fit_cite, ite
+from interpanel.inference import cite_theta_se
 
-from conftest import BAD_DGP_FIELDS, BAD_MC_FIELDS, dgp_json_with, json_with
+from conftest import (BAD_DGP_FIELDS, BAD_MC_FIELDS, dgp_json_with, json_with,
+                      random_panel)
 
 
 def run(capsys, *argv):
@@ -101,6 +103,23 @@ class TestEstimate:
         doc = json.loads(out_path.read_text())
         se = doc["estimators"]["cite"]["se"]
         assert len([v for v in se if v is not None]) == 2  # K_h kappa entries
+
+    def test_weighting_without_h_is_unweighted(self, capsys, tmp_path):
+        # K_h = 0: no kappa stage to weight, and no kappa SEs
+        path = tmp_path / "no_h.csv"
+        write_csv(random_panel(4, n=15, T=5, K_h=0), path)
+        out_path = tmp_path / "est.json"
+        code, out, err = run(capsys, "estimate", "--input", str(path),
+                             "--estimator", "cite", "--weight-mode", "inv_se",
+                             "--output", str(out_path))
+        assert (code, out, err) == (0, "", "")
+        got = json.loads(out_path.read_text())["estimators"]["cite"]
+        back = load_csv(str(path))
+        dr = build_regressors(back).cite
+        want = cite_theta_se(dr, fit_cite(back, dr))
+        assert got["weight_mode"] == "none"
+        assert got["labels"] == list(want.labels)
+        assert got["se"] == want.se.tolist() and len(got["se"]) == back.dims.n_psi
 
 
 class TestBuildsOnce:

@@ -11,7 +11,7 @@ from interpanel.dgp import packaged_config, simulate
 from interpanel.estimators import (LengthMismatch, MissingWeights,
                                    NoConstantColumn, cite_delta, cite_kappa,
                                    cite_theta, fit_cite, ite, mean_effect,
-                                   within_transform)
+                                   second_stage_weights, within_transform)
 from interpanel.linalg import residual_makers, solve_ols
 
 from conftest import dummy_variable_oracle, random_panel, within_ols_oracle
@@ -85,10 +85,9 @@ class TestCiteKappa:
         H = rng.normal(size=(40, 3))
         c = np.array([0.5, -1.0, 2.0])
         delta1 = H @ c
-        se = rng.uniform(0.5, 2.0, size=40)
-        for mode, w in (("none", None), ("inv_se", se), ("inv_var", se)):
-            assert_allclose(cite_kappa(delta1, H, weights=w, mode=mode), c,
-                            atol=1e-10)
+        w = rng.uniform(0.5, 2.0, size=40)
+        for weights in (None, w):
+            assert_allclose(cite_kappa(delta1, H, weights), c, atol=1e-10)
 
     def test_weighted_normal_equations_oracle(self):
         rng = np.random.default_rng(6)
@@ -96,9 +95,10 @@ class TestCiteKappa:
         delta1 = rng.normal(size=30)
         se = rng.uniform(0.2, 3.0, size=30)
         for mode, w in (("inv_se", 1.0 / se), ("inv_var", 1.0 / se**2)):
+            assert_allclose(second_stage_weights(se, mode), w, rtol=1e-15)
             W = np.diag(w)
             expected = np.linalg.solve(H.T @ W @ H, H.T @ W @ delta1)
-            got = cite_kappa(delta1, H, weights=se, mode=mode)
+            got = cite_kappa(delta1, H, weights=w)
             assert_allclose(got, expected, atol=1e-10)
 
     def test_second_stage_format_with_intercept_and_dummy(self):
@@ -117,11 +117,16 @@ class TestCiteKappa:
         assert_allclose(kappa, [0.905, -0.624], atol=1e-10)
 
     def test_missing_weights(self):
-        H = np.ones((10, 1))
-        with pytest.raises(MissingWeights):
-            cite_kappa(np.zeros(10), H, mode="inv_se")
-        with pytest.raises(MissingWeights):
-            cite_kappa(np.zeros(10), H, weights=np.zeros(10), mode="inv_var")
+        # each w_i must be strictly positive and finite
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            weights = np.ones(10)
+            weights[3] = bad
+            with pytest.raises(MissingWeights):
+                cite_kappa(np.zeros(10), np.ones((10, 1)), weights)
+
+    def test_weights_length_must_match(self):
+        with pytest.raises(LengthMismatch):
+            cite_kappa(np.zeros(10), np.ones((10, 1)), np.ones(9))
 
 
 class TestIte:

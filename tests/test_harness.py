@@ -163,8 +163,8 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "FAILURE_RATE_LIMIT", 1.0)
         monkeypatch.setattr(harness, "build_regressors", failing(
             harness.build_regressors, {2}, RankDeficient))
-        monkeypatch.setattr(harness, "fit_cite_weighted", failing(
-            harness.fit_cite_weighted, {0}, RankDeficient))
+        monkeypatch.setattr(harness, "fit_cite", failing(
+            harness.fit_cite, {0}, RankDeficient))
         monkeypatch.setattr(harness, "_fit_ite", failing(
             harness._fit_ite, {1, 4}, np.linalg.LinAlgError))
         report = run_experiment(mini_experiment(replications=10,
