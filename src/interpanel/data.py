@@ -16,6 +16,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -379,22 +380,34 @@ def _label_positions(texts):
                                count=len(texts))
 
 
+def _csv_fields(labels):
+    """Each label as csv.writer writes it inside a row of several fields
+    (quoted only where a comma, quote or line break needs it)."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows(
+        (label, "") for label in labels)
+    return [line[:-len(',\r\n')] for line in lines]
+
+
 def write_csv(ds, path):
-    """Write a panel to the long CSV format with 17 significant digits."""
+    """Write a panel to the long CSV format with 17 significant digits.
+
+    The bytes are csv.writer's, but each row is one `%` on a row format
+    over a unit's (T, 1+K) block of y, x, g, z and h; labels are quoted once.
+    """
     cols = ds.columns
     header = (["unit", "time", "y"] + list(cols["x"]) + list(cols["g"])
               + list(cols["z"]) + list(cols["h"]))
+    n, T = ds.Y.shape
+    H = np.broadcast_to(ds.H[:, None, :], (n, T, ds.H.shape[1]))
+    block = np.concatenate([ds.Y[:, :, None], ds.X, ds.G, ds.Z, H], axis=2)
+    row = "%s,%s," + ",".join([FLOAT_FORMAT] * block.shape[2]) + "\r\n"
+    times = _csv_fields(ds.time_labels)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, u in enumerate(ds.unit_labels):
-            for j, t in enumerate(ds.time_labels):
-                row = [u, t, FLOAT_FORMAT % ds.Y[i, j]]
-                row += [FLOAT_FORMAT % v for v in ds.X[i, j]]
-                row += [FLOAT_FORMAT % v for v in ds.G[i, j]]
-                row += [FLOAT_FORMAT % v for v in ds.Z[i, j]]
-                row += [FLOAT_FORMAT % v for v in ds.H[i]]
-                writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for u, values in zip(_csv_fields(ds.unit_labels), block):
+            fh.writelines([row % (u, t, *v)
+                           for t, v in zip(times, values.tolist())])
 
 
 def subset_units(ds, keep):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -163,10 +164,18 @@ def _names(fields, flat=(None,)):
 
 _NAMES = _names(_FIELDS, (None, "noise"))
 _DIM_NAMES = ("n", "T", "K_x", "K_g", "K_z", "K_h")  # read from "dims"
-# check(value, sizes checked so far). Dims bounds K_x, K_g and K_z by n and
-# T; K_h, the length of the kappa default, needs a bound of its own.
-_DIMS = tuple(("dims", k, lambda v, d: _number(v, integer=True))
-              for k in _DIM_NAMES[:-1]) + (
+
+
+def _size(v, d):
+    return _number(v, True, high=sys.maxsize, reason=(
+        f"must be at most {sys.maxsize} (an index-sized integer)"))
+
+
+# check(value, sizes checked so far). Every size is bounded here, so a huge
+# one fails at its path, not where a default list is built. Dims bounds K_x,
+# K_g and K_z by n and T; K_h, the length of the kappa default, is bounded
+# by n.
+_DIMS = tuple(("dims", k, _size) for k in _DIM_NAMES[:-1]) + (
     ("dims", "K_h", lambda v, d: _number(v, True, high=d["n"], reason=(
         f"must be at most n = {d['n']} (kappa is fitted on n unit slopes)"))),)
 

@@ -5,6 +5,7 @@ explicit loops, explicit inverses, pooled dummy-variable designs.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from interpanel.dgp import packaged_config_path
 
 # Simulator configs with one bad field each: (packaged config, JSON path of
 # the field, value). Loading any of them must raise ConfigInvalid at that
-# path; each once crashed, named no path, or was accepted.
+# path; each once crashed, named no path, or was accepted. The packaged
+# config may be a (name, {path: value}) pair with other fields set first.
 BAD_DGP_FIELDS = [
     ("baseline", "kappa", None),
     ("baseline", "x.fe_loading", "abc"),
@@ -34,7 +36,12 @@ BAD_DGP_FIELDS = [
     ("baseline", "delta.scale", -1),
     ("baseline", "dims.m", 1),
     ("baseline", "dims.K_h", 1e300),
+    ("baseline", "dims.n", 1e300),
+    pytest.param(("baseline", {"dims.K_h": 1e300}), "dims.n", 1e300,
+                 id="baseline+dims.K_h=1e+300-dims.n-1e+300"),
 ]
+
+TOO_BIG = f"must be at most {sys.maxsize} (an index-sized integer)"
 
 # Monte Carlo configs with one bad field each: (JSON path of the field in
 # the config, "" for the whole config; value; the error it must give). The
@@ -56,6 +63,9 @@ BAD_MC_FIELDS = [
     ("dgp.dims", {"n": 50, "K_x": 2}, "dims.T: missing required field"),
     ("dgp.dims.K_h", 1e300,
      "dims.K_h: must be at most n = 50 (kappa is fitted on n unit slopes)"),
+    ("dgp.dims.n", 1e300, f"dims.n: {TOO_BIG}"),
+    ("dgp.dims", {"n": 1e300, "T": 6, "K_x": 2, "K_g": 1, "K_z": 1,
+                  "K_h": 1e300}, f"dims.n: {TOO_BIG}"),
 ]
 
 
@@ -72,9 +82,14 @@ def json_with(raw, path, value):
 
 
 def dgp_json_with(name, path, value):
-    """The JSON of a packaged simulator config with `path` set to value."""
+    """The JSON of a packaged simulator config with `path` set to value;
+    name may be (config name, {path: value}) to set other fields first."""
+    name, edits = (name, {}) if isinstance(name, str) else name
     with open(packaged_config_path(name), encoding="utf-8") as fh:
-        return json_with(json.load(fh), path, value)
+        raw = json.load(fh)
+    for edit_path, edit_value in edits.items():
+        json_with(raw, edit_path, edit_value)
+    return json_with(raw, path, value)
 
 
 def random_panel(seed, n=12, T=6, K_x=2, K_g=1, K_z=1, K_h=2,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -239,6 +240,27 @@ class TestSimulateCommand:
         assert len(truth["delta"]) == 30
         assert len(truth["h_full"][0]) == 2  # hidden column retained here
         assert ds.dims.K_h == 1              # but absent from the panel
+
+    # sha256 of the CSV and of its truth sidecar at --seed 5, as written
+    # when write_csv still formatted one cell per call.
+    @pytest.mark.parametrize("name, n, csv_sha, truth_sha", [
+        ("baseline", 50,
+         "07c450bd581866b9d1ac89308b09d7f89e71865b26e44492bb64c80781837975",
+         "899c3db1919cf578e15abfcfc4c6a09c97522d3eb8b0c16b9f52f4d75cfc9663"),
+        ("ite_gap", 30,
+         "23b6c95f1e9bdd710b0687c2c9a0f9810fc34e16358d4b7f131f1846cb7a21c0",
+         "5708c44ba193578067cedb0778a2b3f9b21307c928910b28905ba46be01c1194"),
+    ], ids=["baseline", "ite_gap"])
+    def test_output_bytes_are_pinned(self, name, n, csv_sha, truth_sha,
+                                     tmp_path, capsys):
+        out_csv = tmp_path / "sim.csv"
+        code, _, _ = run(capsys, "simulate", "--config",
+                         packaged_config_path(name), "--n", str(n),
+                         "--seed", "5", "--output", str(out_csv))
+        assert code == 0
+        sha = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (out_csv, tmp_path / "sim.csv.truth.json")]
+        assert sha == [csv_sha, truth_sha]
 
     @pytest.mark.parametrize("name, path, value", BAD_DGP_FIELDS)
     def test_bad_field_is_exit_1_naming_its_path(self, name, path, value,

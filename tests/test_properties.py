@@ -9,6 +9,7 @@ import csv
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from interpanel.data import (_parse_label, _sorted_labels, build_regressors,
-                             load_csv, make_dataset, subset_units, write_csv)
+from interpanel.data import (FLOAT_FORMAT, _parse_label, _sorted_labels,
+                             build_regressors, load_csv, make_dataset,
+                             subset_units, write_csv)
 from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
 from interpanel.estimators import WEIGHT_MODES, cite_theta, ite
 from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
@@ -154,6 +156,55 @@ def unit_labels(draw, n):
     if kind == "text":
         return texts
     return draw(ints)[: n // 2] + texts[n // 2:]
+
+
+def per_cell_write_csv(ds, path):
+    """write_csv as it was when it formatted one cell per call through
+    csv.writer: the oracle for the bytes of the row-format writer."""
+    cols = ds.columns
+    header = (["unit", "time", "y"] + list(cols["x"]) + list(cols["g"])
+              + list(cols["z"]) + list(cols["h"]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, u in enumerate(ds.unit_labels):
+            for j, t in enumerate(ds.time_labels):
+                row = [u, t, FLOAT_FORMAT % ds.Y[i, j]]
+                row += [FLOAT_FORMAT % v for v in ds.X[i, j]]
+                row += [FLOAT_FORMAT % v for v in ds.G[i, j]]
+                row += [FLOAT_FORMAT % v for v in ds.Z[i, j]]
+                row += [FLOAT_FORMAT % v for v in ds.H[i]]
+                writer.writerow(row)
+
+
+# Any finite float, with signed zero, subnormals and the extremes drawn often.
+CSV_VALUE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308])
+
+
+@st.composite
+def labelled_panels(draw):
+    K_x = draw(st.integers(1, 2))
+    n, T = draw(st.integers(3, 5)), K_x + draw(st.integers(1, 2))
+    K_g, K_z, K_h = draw(st.just((0, 0, 0))
+                         | st.tuples(*[st.integers(0, 2)] * 3))
+    Y, X, G, Z = (draw(arrays(np.float64, (n, T, *k), elements=CSV_VALUE))
+                  for k in ((), (K_x,), (K_g,), (K_z,)))
+    H = draw(arrays(np.float64, (n, K_h), elements=CSV_VALUE))
+    labels = [draw(unit_labels(size) | st.lists(TEXT_LABEL | st.just(""),
+                                                min_size=size, max_size=size))
+              for size in (n, T)]
+    return make_dataset(Y, X, G, Z, H, *labels)
+
+
+@PROPERTY
+@given(ds=labelled_panels())
+def test_write_csv_bytes_match_the_per_cell_writer(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = (Path(tmp, name) for name in ("row.csv", "cell.csv"))
+        write_csv(ds, got)
+        per_cell_write_csv(ds, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 @PROPERTY
