@@ -16,7 +16,7 @@ from .dgp import (DgpConfig, PlimTargets, SimulatedTruth, load_dgp_config,
                   plim_targets, simulate)
 from .estimators import (CiteResult, IteResult, MeanEffectSummary, cite_delta,
                          cite_kappa, cite_theta, first_stage_se, fit_cite, ite,
-                         mean_effect, within_transform)
+                         mean_effect)
 from .harness import (ExperimentConfig, MonteCarloReport, convergence_table,
                       evaluate_contracts, load_experiment_config,
                       run_experiment)
@@ -37,6 +37,5 @@ __all__ = [
     "gram_det", "ite", "ite_se", "load_csv",
     "load_dgp_config", "load_experiment_config", "make_dataset",
     "mean_effect", "plim_targets", "run_experiment",
-    "simulate", "solve_ols", "subset_units", "validate", "within_transform",
-    "write_csv",
+    "simulate", "solve_ols", "subset_units", "validate", "write_csv",
 ]

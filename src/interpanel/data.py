@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
@@ -26,6 +27,14 @@ from .linalg import RANK_TOL, RankDeficient, gram_det, qr_factors, residual_make
 FLOAT_FORMAT = "%.17g"
 
 DEFAULT_H_MIN = 1e-8
+
+# Most float64 values one numpy array can hold (its bytes fit an index).
+_MAX_CELLS = sys.maxsize // 8
+
+# Records per chunk of load_csv's column pass.
+_CHUNK = 1024
+# Bytes of (T, T) residual makers that _project forms at a time.
+_PROJECT_BYTES = 2 ** 20
 
 
 class PanelDataError(ValueError):
@@ -122,6 +131,11 @@ class Dims:
             )
         if self.T * self.n <= self.K_x * self.K_g + self.K_z:
             raise ValueError("not enough observations for the pooled stage")
+        cells = self.n * self.T * (1 + self.K_x + self.K_g + self.K_z + self.K_h)
+        if cells > _MAX_CELLS:
+            raise ValueError(f"n * T * (1 + K_x + K_g + K_z + K_h) = {cells} "
+                             f"values, more than the {_MAX_CELLS} that one "
+                             "float64 array can hold")
 
     @property
     def n_psi(self):
@@ -280,10 +294,14 @@ def load_csv(path, schema=None):
     Values are read as Python's `float()` reads text and must be finite.
     h columns must be constant within each unit.
 
-    The file is read by column: one `csv.reader` pass, one cast per value
-    column, one scatter into the (unit, time) grid. Only if that fails does
-    a row scan run, to raise the error of the first bad record in file
-    order; its `row` is the file line where the record ends.
+    The file is read by column, `_CHUNK` records at a time: each chunk's
+    width is checked, it is transposed, and its value columns are cast
+    into one float block; its unit and time texts are coded in first-seen
+    order. Only if a chunk's pass fails does a row scan of that chunk run.
+    Every earlier chunk passed, so the scan raises the error of the first
+    bad record in the file; its `row` is the file line where the record
+    ends. After the last chunk the distinct labels are sorted once and the
+    joined float blocks are scattered into the (unit, time) grid.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -291,27 +309,31 @@ def load_csv(path, schema=None):
         if header is None:
             raise PanelDataError(f"empty CSV: {path}")
         roles = _resolve_schema(header, schema)
-        records, lines = [], []
-        for rec in reader:
-            if rec:  # skip blank lines
-                records.append(rec)
-                lines.append(reader.line_num)
-    if not records:
+        value_cols = [roles["y"]] + roles["x"] + roles["g"] + roles["z"] + roles["h"]
+        value_at = [header.index(c) for c in value_cols]
+        unit_at, time_at = header.index(roles["unit"]), header.index(roles["time"])
+        units, times = {}, {}  # distinct texts, each mapped to its code
+        blocks, unit_codes, time_codes = [], [], []
+        for records, lines in _record_chunks(reader):
+            values = None
+            if set(map(len, records)) == {len(header)}:
+                cols = list(zip(*records))
+                values = _finite_floats([cols[i] for i in value_at])
+            if values is None:
+                _raise_first_bad_record(records, lines, header, value_cols)
+            blocks.append(values)
+            unit_codes.append(_first_seen_codes(cols[unit_at], units))
+            time_codes.append(_first_seen_codes(cols[time_at], times))
+    if not blocks:
         raise PanelDataError(f"no data rows in {path}")
 
-    value_cols = [roles["y"]] + roles["x"] + roles["g"] + roles["z"] + roles["h"]
-    values = None
-    if set(map(len, records)) == {len(header)}:
-        cols = list(zip(*records))
-        values = _finite_floats([cols[header.index(c)] for c in value_cols])
-    if values is None:
-        _raise_first_bad_record(records, lines, header, value_cols)
-
-    unit_labels, ui = _label_positions(cols[header.index(roles["unit"])])
-    time_labels, ti = _label_positions(cols[header.index(roles["time"])])
+    unit_labels, unit_pos = _label_positions(list(units))
+    time_labels, time_pos = _label_positions(list(times))
+    ui = unit_pos[np.concatenate(unit_codes)]
+    ti = time_pos[np.concatenate(time_codes)]
     n, T = len(unit_labels), len(time_labels)
     grid = np.full((n, T, len(value_cols)), np.nan)
-    grid[ui, ti] = values
+    grid[ui, ti] = np.concatenate(blocks)
     counts = np.bincount(ui, minlength=n)
     unbalanced = (counts != T) | np.isnan(grid[:, :, 0]).any(axis=1)
     if unbalanced.any():
@@ -337,6 +359,28 @@ def load_csv(path, schema=None):
         Y, X, G, Z, H, unit_labels, time_labels,
         columns={"x": roles["x"], "g": roles["g"], "z": roles["z"], "h": roles["h"]},
     )
+
+
+def _record_chunks(reader):
+    """The non-blank records of a csv.reader, `_CHUNK` at a time, each list
+    with the file line where each of its records ends."""
+    records, lines = [], []
+    for rec in reader:
+        if rec:
+            records.append(rec)
+            lines.append(reader.line_num)
+            if len(records) == _CHUNK:
+                yield records, lines
+                records, lines = [], []
+    if records:
+        yield records, lines
+
+
+def _first_seen_codes(texts, seen):
+    """Each text's code in `seen`, a dict that gives a text not yet in it
+    the next code: codes number the distinct texts in first-seen order."""
+    return np.fromiter((seen.setdefault(t, len(seen)) for t in texts),
+                       dtype=np.intp, count=len(texts))
 
 
 def _finite_floats(cols):
@@ -446,9 +490,11 @@ class CiteBlocks(_UnitBlocks):
     projection.
 
     Psi is (n, T, K_x*K_g + K_z): row t holds (X_t kron G_t, Z_t). MPsi
-    and MY are Psi_i and Y_i with X_i projected out (M_i Psi_i, M_i Y_i).
-    When Psi has no columns no M_i is formed: MPsi is the empty Psi and
-    MY is None, since only the pooled stage reads it. q_x/r_x are the QR
+    and MY are Psi_i and Y_i with X_i projected out (M_i Psi_i, M_i Y_i);
+    the (T, T) makers M_i are formed one unit chunk at a time and never
+    kept, so memory is O(chunk * T^2) plus these O(nTK) arrays. When Psi
+    has no columns no M_i is formed: MPsi is the empty Psi and MY is
+    None, since only the pooled stage reads it. q_x/r_x are the QR
     factors of X_i, made in every case.
     """
 
@@ -512,14 +558,14 @@ def build_cite_blocks(ds, Psi):
     """CITE blocks from the panel and its `psi_block`.
 
     Each X_i is factored once, with the rank rule. Only when Psi has
-    columns is the (n, T, T) residual maker formed, applied to Psi and Y,
-    and dropped; otherwise X_i is only factored, for the per-unit slopes.
+    columns is X_i projected out of Psi and Y (`_project`: one unit chunk
+    of residual makers at a time); otherwise X_i is only factored, for
+    the per-unit slopes.
     """
     MPsi, MY = Psi, None
     with _unit_labels(ds):
         if Psi.shape[2]:
-            M, q_x, r_x = residual_makers(ds.X)
-            MPsi, MY = _apply(M, Psi, ds.Y)
+            MPsi, MY, q_x, r_x = _project(ds.X, Psi, ds.Y)
         else:
             q_x, r_x = qr_factors(ds.X)
     return CiteBlocks(Y=ds.Y, X=ds.X, H=ds.H, Psi=Psi, MPsi=MPsi, MY=MY,
@@ -528,19 +574,41 @@ def build_cite_blocks(ds, Psi):
 
 def build_ite_blocks(ds, Psi):
     """ITE blocks from the panel and its `psi_block`. X_i itself is never
-    factored; a nonempty X_{i,-1} is, and its residual maker is applied to
-    PsiTilde and Y and dropped."""
+    factored; a nonempty X_{i,-1} is, and projected out of PsiTilde and Y
+    (`_project`)."""
     PsiTilde = np.concatenate([ds.X[:, :, 0:1] * ds.H[:, None, :], Psi], axis=2)
     X1 = ds.X[:, :, 1:]
     if not X1.shape[2]:  # K_x = 1: M_{i,-1} = I, nothing to do
         return IteBlocks(M1PsiTilde=PsiTilde, M1Y=ds.Y)
     with _unit_labels(ds):
-        M, _, _ = residual_makers(X1)
-        return IteBlocks(*_apply(M, PsiTilde, ds.Y))
+        return IteBlocks(*_project(X1, PsiTilde, ds.Y)[:2])
 
 
-def _apply(M, block, Y):
-    return np.einsum("nij,njp->nip", M, block), np.einsum("nij,nj->ni", M, Y)
+def _project(X, block, Y):
+    """(M_i block_i, M_i Y_i, Q_i, R_i) for every unit, where M_i = I -
+    Q_i Q_i' is the residual maker of X_i = Q_i R_i (`residual_makers`).
+
+    The (T, T) makers are formed for a chunk of about `_PROJECT_BYTES` of
+    units at a time and dropped after their chunk, so memory is one chunk
+    of makers plus the outputs. Each unit is factored once, and each
+    output unit is the same einsum sum as on the whole panel. A
+    RankDeficient carries the unit's index in X.
+    """
+    n, T, k = X.shape
+    MB, MY = np.empty(block.shape), np.empty(Y.shape)
+    Q, R = np.empty((n, T, k)), np.empty((n, k, k))
+    step = max(1, _PROJECT_BYTES // (8 * T * T))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        try:
+            M, Q[s:e], R[s:e] = residual_makers(X[s:e])
+        except RankDeficient as exc:
+            if isinstance(exc.unit, int):
+                exc.unit += s
+            raise
+        np.einsum("nij,njp->nip", M, block[s:e], out=MB[s:e])
+        np.einsum("nij,nj->ni", M, Y[s:e], out=MY[s:e])
+    return MB, MY, Q, R
 
 
 @contextmanager

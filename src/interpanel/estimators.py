@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import make_dataset
 from .linalg import solve_ols
 
 WEIGHT_MODES = ("none", "inv_se", "inv_var")
@@ -30,10 +29,6 @@ class LengthMismatch(ValueError):
 
 
 class MissingWeights(ValueError):
-    pass
-
-
-class NoConstantColumn(ValueError):
     pass
 
 
@@ -225,36 +220,6 @@ def ite(ds, dr):
         gamma_hat=tt[K_h + d.K_x * d.K_g:],
         labels=tuple(theta_tilde_labels(ds.columns)),
     )
-
-
-def _find_constant_column(X):
-    flat = X.reshape(-1, X.shape[2])
-    const = np.all(flat == flat[0], axis=0) & (flat[0] != 0.0)
-    hits = np.flatnonzero(const)
-    if hits.size == 0:
-        raise NoConstantColumn(
-            "no constant x column found; pass constant_col explicitly"
-        )
-    return int(hits[0])
-
-
-def within_transform(ds, constant_col=None):
-    """Subtract unit-level time means from Y and the x regressors.
-
-    Requires a constant x column (auto-detected unless `constant_col`, a
-    0-based index, is given); that column is removed from the returned
-    dataset since demeaning annihilates it. G, Z and H pass through.
-    """
-    j = _find_constant_column(ds.X) if constant_col is None else int(constant_col)
-    if not (0 <= j < ds.dims.K_x):
-        raise NoConstantColumn(f"constant_col {j} out of range")
-    Y = ds.Y - ds.Y.mean(axis=1, keepdims=True)
-    X = np.delete(ds.X, j, axis=2)
-    X = X - X.mean(axis=1, keepdims=True)
-    columns = dict(ds.columns)
-    columns["x"] = [c for k, c in enumerate(ds.columns["x"]) if k != j]
-    return make_dataset(Y, X, ds.G, ds.Z, ds.H, ds.unit_labels, ds.time_labels,
-                        columns=columns)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,17 @@ import pytest
 from interpanel.data import make_dataset
 from interpanel.dgp import packaged_config_path
 
+# The packaged baseline's dims with n = 2**62: index-sized, but the panel's
+# n * T * (1 + K) values fit no float64 array.
+BIG_DIMS = {"n": 2 ** 62, "T": 6, "K_x": 2, "K_g": 1, "K_z": 1, "K_h": 2}
+
+
+def too_many_cells(n, T, K_x, K_g, K_z, K_h):
+    cells = n * T * (1 + K_x + K_g + K_z + K_h)
+    return (f"dims: n * T * (1 + K_x + K_g + K_z + K_h) = {cells} values, "
+            f"more than the {sys.maxsize // 8} that one float64 array can hold")
+
+
 # Simulator configs with one bad field each: (packaged config, JSON path of
 # the field, value). Loading any of them must raise ConfigInvalid at that
 # path; each once crashed, named no path, or was accepted. The packaged
@@ -39,6 +50,9 @@ BAD_DGP_FIELDS = [
     ("baseline", "dims.n", 1e300),
     pytest.param(("baseline", {"dims.K_h": 1e300}), "dims.n", 1e300,
                  id="baseline+dims.K_h=1e+300-dims.n-1e+300"),
+    pytest.param("baseline", "dims", BIG_DIMS, id="baseline-dims-n-2**62"),
+    pytest.param("baseline", "dims", dict(BIG_DIMS, K_h=2 ** 62),
+                 id="baseline-dims-n-K_h-2**62"),
 ]
 
 TOO_BIG = f"must be at most {sys.maxsize} (an index-sized integer)"
@@ -66,6 +80,9 @@ BAD_MC_FIELDS = [
     ("dgp.dims.n", 1e300, f"dims.n: {TOO_BIG}"),
     ("dgp.dims", {"n": 1e300, "T": 6, "K_x": 2, "K_g": 1, "K_z": 1,
                   "K_h": 1e300}, f"dims.n: {TOO_BIG}"),
+    ("dgp.dims.n", 2 ** 62, too_many_cells(**BIG_DIMS)),
+    ("dgp.dims", dict(BIG_DIMS, K_h=2 ** 62),
+     too_many_cells(**dict(BIG_DIMS, K_h=2 ** 62))),
 ]
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,12 +9,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from interpanel import data
 from interpanel.data import (CiteBlocks, Dims, DuplicateColumn, ExtraField,
                              IteBlocks, MissingColumn, MissingField,
                              NonConstantH, NonFiniteValue, PanelDataError,
                              UnbalancedPanel, add_intercept_h,
-                             build_regressors, drop_failing_units, load_csv,
-                             make_dataset, subset_units, validate, write_csv)
+                             build_cite_blocks, build_ite_blocks,
+                             build_regressors, drop_failing_units,
+                             interaction_block, load_csv, make_dataset,
+                             psi_block, subset_units, validate, write_csv)
 from interpanel.dgp import packaged_config, simulate
 from interpanel.estimators import fit_cite, ite
 from interpanel.linalg import RankDeficient, residual_makers
@@ -40,6 +44,7 @@ class TestDims:
         dict(n=4, T=2, K_x=3),
         dict(n=4, T=3, K_x=1, K_g=-1),
         dict(n=2, T=1, K_x=1, K_g=5, K_z=0),
+        dict(n=2 ** 62, T=6, K_x=2),  # more values than an array can hold
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -232,6 +237,115 @@ class TestLoadCsv:
         assert back.time_labels == ds.time_labels
 
 
+class TestLoadCsvChunks:
+    """load_csv reads `_CHUNK` records at a time; with a chunk of 3 records,
+    small files span several chunks. Each file must load, or fail, exactly
+    as it does when the whole file is one chunk."""
+
+    HEADER = "unit,time,y,x1\n"
+    GOOD = ["1,1,1.0,2.0", "1,2,1.5,2.5", "1,3,1.7,2.1",
+            "2,1,2.0,3.0", "2,2,3.0,4.5", "2,3,3.5,4.0",
+            "3,1,0.5,1.0", "3,2,0.25,1.5", "3,3,0.125,1.25"]
+
+    def load(self, path, monkeypatch, chunk):
+        """load_csv(path) with chunks of `chunk` records; the error, if any."""
+        with monkeypatch.context() as m:
+            m.setattr(data, "_CHUNK", chunk)
+            try:
+                return load_csv(path)
+            except PanelDataError as exc:
+                return exc
+
+    def assert_chunked_error(self, path, monkeypatch, message, row):
+        small, whole = (self.load(path, monkeypatch, chunk)
+                        for chunk in (3, 10 ** 6))
+        for err in (small, whole):
+            assert isinstance(err, PanelDataError)
+            assert (str(err), err.row) == (message, row)
+        assert type(small) is type(whole)
+
+    def write(self, tmp_path, lines, blank_after=()):
+        path = tmp_path / "p.csv"
+        path.write_text(self.HEADER + "".join(
+            line + "\n" + "\n" * (r in blank_after)
+            for r, line in enumerate(lines)))
+        return path
+
+    def test_bad_record_in_the_second_chunk(self, tmp_path, monkeypatch):
+        lines = list(self.GOOD)
+        lines[4] = "2,2,nan,4.5"  # record 5: second chunk, file line 6
+        self.assert_chunked_error(self.write(tmp_path, lines), monkeypatch,
+                                  "non-finite value at row 6, column 'y'", 6)
+
+    def test_earlier_of_two_bad_records_across_a_boundary_wins(
+            self, tmp_path, monkeypatch):
+        lines = list(self.GOOD)
+        lines[2] = "1,3,1.7,abc"  # last record of chunk 1
+        lines[3] = "2,1"          # first record of chunk 2
+        self.assert_chunked_error(self.write(tmp_path, lines), monkeypatch,
+                                  "non-finite value at row 4, column 'x1'", 4)
+
+    @pytest.mark.parametrize("wide, inf", [(4, 7), (1, 4), (7, 4)])
+    def test_wrong_width_and_a_bad_value_in_other_chunks(
+            self, tmp_path, monkeypatch, wide, inf):
+        lines = list(self.GOOD)
+        lines[wide] += ",9"
+        lines[inf] = lines[inf].rsplit(",", 1)[0] + ",inf"
+        if wide < inf:
+            message = f"row {wide + 2} has 5 fields, more than the header's 4"
+        else:
+            message = f"non-finite value at row {inf + 2}, column 'x1'"
+        self.assert_chunked_error(self.write(tmp_path, lines), monkeypatch,
+                                  message, min(wide, inf) + 2)
+
+    def test_blank_lines_across_a_boundary_keep_the_file_line(
+            self, tmp_path, monkeypatch):
+        # blank lines after records 2 and 3 (the end of chunk 1): record 4
+        # is file line 7
+        lines = list(self.GOOD)
+        lines[3] = "2,1,2.0"
+        self.assert_chunked_error(
+            self.write(tmp_path, lines, blank_after=(1, 2)), monkeypatch,
+            "row 7 has fewer fields than the header: no value for column 'x1'",
+            7)
+
+    @pytest.mark.parametrize("records, want", [
+        ("10:2 10:1 10:3 2:1 2:3 2:2 1:3 1:1 1:2", (1, 2, 10)),
+        ("b:2 b:1 b:3 10:1 10:3 10:2 a:3 a:1 a:2", (10, "a", "b")),
+        ("3:2 3:1 3:3 01:1 01:2 5:1 1:3 5:2 5:3", (1, 3, 5)),
+    ])
+    def test_labels_first_seen_in_a_later_chunk_sort_as_one_column(
+            self, tmp_path, monkeypatch, records, want):
+        # unit:time per record; in chunks of 3, labels that sort first are
+        # first seen in a later chunk, and "01" and "1" (chunks 2 and 3) are
+        # one unit
+        keys = [rec.split(":") for rec in records.split()]
+        path = self.write(tmp_path, [f"{unit},{time},{r},{r * r - 1}"
+                                     for r, (unit, time) in enumerate(keys)])
+        Y = np.empty((3, 3))  # record r's y is r
+        for r, (unit, time) in enumerate(keys):
+            Y[want.index(int(unit) if unit.isdigit() else unit),
+              int(time) - 1] = r
+        small, whole = (self.load(path, monkeypatch, chunk)
+                        for chunk in (3, 10 ** 6))
+        assert small.unit_labels == whole.unit_labels == want
+        assert small.time_labels == whole.time_labels == (1, 2, 3)
+        assert np.array_equal(small.Y, Y)
+        for name in ("Y", "X", "G", "Z", "H"):
+            assert np.array_equal(getattr(small, name), getattr(whole, name))
+
+    def test_simulated_panel_reads_the_same_in_any_chunking(
+            self, tmp_path, monkeypatch):
+        ds = random_panel(21, n=7, T=5, K_x=2, K_g=1, K_z=1, K_h=2)
+        path = tmp_path / "sim.csv"
+        write_csv(ds, path)
+        for chunk in (1, 4, 34, 35, 36):
+            back = self.load(path, monkeypatch, chunk)
+            for name in ("Y", "X", "G", "Z", "H"):
+                assert np.array_equal(getattr(back, name), getattr(ds, name))
+            assert back.unit_labels == ds.unit_labels
+
+
 class TestLabelOrder:
     SCRIPT = ("import sys; from interpanel.data import load_csv; "
               "print(load_csv(sys.argv[1]).unit_labels)")
@@ -396,6 +510,60 @@ class TestBuildRegressors:
         for name, value in want.items():
             assert np.array_equal(got[name], value), name
 
+    @pytest.fixture
+    def chunks_of_3(self, monkeypatch):
+        """_project forms the residual makers of 3 units at a time (T = 6)."""
+        monkeypatch.setattr(data, "_PROJECT_BYTES", 3 * 8 * 6 * 6)
+
+    @staticmethod
+    def dense_blocks(ds):
+        """Every block by whole-panel residual makers and einsum."""
+        M, Q, R = residual_makers(ds.X)
+        Psi = np.concatenate([interaction_block(ds.X, ds.G), ds.Z], axis=2)
+        PsiTilde = np.concatenate([ds.X[:, :, 0:1] * ds.H[:, None, :], Psi],
+                                  axis=2)
+        want = {"Y": ds.Y, "X": ds.X, "H": ds.H, "Psi": Psi,
+                "MPsi": np.einsum("nij,njp->nip", M, Psi),
+                "MY": np.einsum("nij,nj->ni", M, ds.Y), "q_x": Q, "r_x": R,
+                "M1PsiTilde": PsiTilde, "M1Y": ds.Y}
+        if ds.dims.K_x > 1:
+            M1 = residual_makers(ds.X[:, :, 1:])[0]
+            want["M1PsiTilde"] = np.einsum("nij,njp->nip", M1, PsiTilde)
+            want["M1Y"] = np.einsum("nij,nj->ni", M1, ds.Y)
+        return want
+
+    @pytest.mark.parametrize("K_x", [1, 2, 3])
+    @pytest.mark.parametrize("n", [7, 11])
+    def test_chunked_projection_is_bit_exact(self, chunks_of_3, made, n, K_x):
+        # n spans several chunks of 3 and is no multiple of 3; every block
+        # equals the whole-panel expressions bit for bit, and each design
+        # is factored once per unit, chunk by chunk
+        ds = random_panel(30 + K_x, n=n, K_x=K_x, K_g=1, K_z=1, K_h=2)
+        dr = build_regressors(ds)
+        got = {f.name: getattr(part, f.name)
+               for part in (dr.cite, dr.ite) for f in fields(part)}
+        want = self.dense_blocks(ds)
+        assert set(got) == set(want)
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
+        sizes = [3] * (n // 3) + [n % 3]
+        designs = [K_x] + ([K_x - 1] if K_x > 1 else [])
+        assert made == [(m, 6, k) for k in designs for m in sizes]
+
+    @pytest.mark.parametrize("build", [build_cite_blocks, build_ite_blocks])
+    @pytest.mark.parametrize("bad", [3, 8])
+    def test_rank_deficient_unit_in_a_later_chunk_is_named(
+            self, chunks_of_3, build, bad):
+        ds = random_panel(5, n=10, K_x=3)
+        X = ds.X.copy()
+        X[bad, :, 2] = -2.0 * X[bad, :, 1]  # X_i and X_{i,-1} both singular
+        labels = [f"u{i}" for i in range(10)]
+        ds = make_dataset(ds.Y, X, ds.G, ds.Z, ds.H, unit_labels=labels)
+        with pytest.raises(RankDeficient) as err:
+            build(ds, psi_block(ds))
+        assert err.value.unit == f"u{bad}"
+        assert f"unit u{bad}" in str(err.value)
+
     def test_rank_deficient_unit_is_named(self):
         ds = random_panel(5, n=6)
         X = ds.X.copy()
@@ -407,6 +575,27 @@ class TestBuildRegressors:
         assert err.value.unit == "e"
         assert "unit e" in str(err.value)
 
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes that Python allocated during the call."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_path_forms_no_whole_panel_temporary(tmp_path):
+    # at n = 1000, T = 50 a whole-file record list or an (n, T, T) residual
+    # maker would each put the peak near 47 MB; chunked, both stay near 11
+    ds = random_panel(40, n=1000, T=50, K_x=2, K_g=1, K_z=1, K_h=2)
+    path = tmp_path / "panel.csv"
+    write_csv(ds, path)
+    loaded, load_peak = traced_peak(load_csv, path)
+    _, build_peak = traced_peak(build_regressors, loaded)
+    assert load_peak < 20e6
+    assert build_peak < 25e6
 
 class TestValidate:
     def test_constant_x_unit_flagged(self):

@@ -8,11 +8,10 @@ from numpy.testing import assert_allclose
 
 from interpanel.data import build_regressors, make_dataset
 from interpanel.dgp import packaged_config, simulate
-from interpanel.estimators import (LengthMismatch, MissingWeights,
-                                   NoConstantColumn, cite_delta, cite_kappa,
-                                   cite_theta, fit_cite, ite, mean_effect,
-                                   second_stage_weights, within_transform)
-from interpanel.linalg import residual_makers, solve_ols
+from interpanel.estimators import (LengthMismatch, MissingWeights, cite_delta,
+                                   cite_kappa, cite_theta, fit_cite, ite,
+                                   mean_effect, second_stage_weights)
+from interpanel.linalg import solve_ols
 
 from conftest import dummy_variable_oracle, random_panel, within_ols_oracle
 
@@ -193,39 +192,6 @@ class TestSpecialCases:
         assert np.array_equal(a.kappa_hat, b.kappa_hat)
         r1, r2 = ite(ds, dr.ite), ite(ds, dr.ite)
         assert np.array_equal(r1.theta_tilde_hat, r2.theta_tilde_hat)
-
-
-class TestWithinTransform:
-    def test_constant_y_becomes_zero(self):
-        ds = random_panel(60, K_x=2, constant_col=1)
-        Y = np.tile(np.arange(1.0, ds.dims.n + 1)[:, None], (1, ds.dims.T))
-        flat = make_dataset(Y, ds.X, ds.G, ds.Z, ds.H)
-        out = within_transform(flat)
-        assert_allclose(out.Y, 0.0, atol=1e-12)
-
-    def test_unit_means_are_zero(self):
-        ds = random_panel(61, K_x=3, constant_col=2)
-        out = within_transform(ds)
-        assert np.max(np.abs(out.Y.mean(axis=1))) < 1e-12
-        assert np.max(np.abs(out.X.mean(axis=1))) < 1e-12
-
-    def test_matches_demeaning_projector(self):
-        ds = random_panel(62, K_x=2, constant_col=1)
-        out = within_transform(ds)
-        M = residual_makers(np.ones((1, ds.dims.T, 1)))[0][0]
-        for i in range(ds.dims.n):
-            assert_allclose(out.Y[i], M @ ds.Y[i], atol=1e-10)
-
-    def test_drops_constant_column(self):
-        ds = random_panel(63, K_x=2, constant_col=1)
-        out = within_transform(ds)
-        assert out.dims.K_x == 1
-        assert out.columns["x"] == ["x1"]
-
-    def test_no_constant_column_raises(self):
-        ds = random_panel(64, K_x=2)
-        with pytest.raises(NoConstantColumn):
-            within_transform(ds)
 
 
 class TestMeanEffect:
