@@ -267,11 +267,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PanelDataError, RankDeficient, ConfigInvalid, ValueError) as exc:
+    except (PanelDataError, RankDeficient, ConfigInvalid, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # sizes within every bound, beyond the machine
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

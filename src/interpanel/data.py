@@ -523,7 +523,8 @@ class IteBlocks(_UnitBlocks):
 class DerivedRegressors:
     """The blocks of both estimators, built once from one panel: `cite`
     for `fit_cite` and its standard errors, `ite` for `ite` and `ite_se`.
-    A fit takes only its own part; a bootstrap draw is `cite.take(idx)`.
+    A fit takes only its own part; a bootstrap draw reads per-unit
+    summaries of `cite` (`inference.unit_summaries`).
     """
 
     cite: CiteBlocks

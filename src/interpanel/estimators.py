@@ -163,16 +163,21 @@ def first_stage_se(dr, theta_hat, delta_hat):
     s_i^2 = RSS_i / (T - K_x) from the residuals of
     Y_i - Psi_i theta_hat - X_i delta_hat_i.
     """
-    n, T, K_x = dr.X.shape
+    T, K_x = dr.X.shape[1:]
     if T <= K_x:
         raise ZeroDegreesOfFreedom(T, K_x)
     resid = dr.Y - dr.Psi @ theta_hat - np.einsum("ntk,nk->nt", dr.X, delta_hat)
     s2 = np.sum(resid * resid, axis=1) / (T - K_x)
-    # (X'X)^{-1} = R^{-1} R^{-T} from the cached per-unit QR.
+    return np.sqrt(s2 * inv11(dr.r_x))
+
+
+def inv11(r_x):
+    """[(X_i'X_i)^{-1}]_11 of each unit from its QR factor R_i (n, K_x, K_x):
+    (X'X)^{-1} = R^{-1} R^{-T}, so it is the squared norm of row 1 of R^{-1}."""
+    n, K_x = r_x.shape[:2]
     eye = np.broadcast_to(np.eye(K_x), (n, K_x, K_x))
-    r_inv = np.linalg.solve(dr.r_x, eye)
-    inv11 = np.einsum("nk,nk->n", r_inv[:, 0, :], r_inv[:, 0, :])
-    return np.sqrt(s2 * inv11)
+    r_inv = np.linalg.solve(r_x, eye)
+    return np.einsum("nk,nk->n", r_inv[:, 0, :], r_inv[:, 0, :])
 
 
 def fit_cite(ds, dr, weight_mode="none"):

@@ -39,7 +39,9 @@ def true_parameters(cfg):
                            np.asarray(cfg.gamma, dtype=float)])
 
 
-def _sample_sizes(v, _):
+def _sample_sizes(v, cfg):
+    """The sizes as a tuple; each must make a valid Dims with the dgp's
+    other sizes (the cell bound included), as run_experiment builds it."""
     if not isinstance(v, _SEQUENCE):
         raise ValueError(f"must be a list, got {v!r}")
     sizes = tuple(_number(n, True, 2, reason="sample sizes must be >= 2")
@@ -48,6 +50,8 @@ def _sample_sizes(v, _):
         raise ValueError("need at least one sample size")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sample sizes must be strictly increasing")
+    for n in sizes:
+        replace(cfg["dgp"].dims, n=n)
     return sizes
 
 
@@ -64,7 +68,8 @@ def _estimators(v, _):
 
 # Every ExperimentConfig field, in JSON order: (JSON group, key, check), as
 # dgp._FIELDS. Its name is `key` at the top level, f"{group}_{key}" in
-# "oracle". check(value, None) returns the value to store.
+# "oracle". check(value, fields) returns the value to store; fields holds
+# the fields checked before it, so sample_sizes sees the checked dgp.
 _FIELDS = (
     (None, "dgp", lambda v, _: v if isinstance(v, DgpConfig)
      else DgpConfig.from_dict(_section(v, "dgp"))),
@@ -88,7 +93,7 @@ class ExperimentConfig:
 
     JSON fields, with their defaults: dgp, a DgpConfig or its JSON
     object (required); sample_sizes, a nonempty, strictly increasing list
-    of integers >= 2 (required); replications, an integer >= 2 (required);
+    of integers >= 2, each a valid dims.n for dgp (required); replications, an integer >= 2 (required);
     estimators, a list of distinct names among "cite" and "ite", in any
     case [both]; seed, an integer >= 0 [0]; weight_mode, one of
     WEIGHT_MODES ["none"]; oracle.draws, an integer >= 0 [100000];
@@ -105,7 +110,7 @@ class ExperimentConfig:
     oracle_blocks: int = 20
 
     def __post_init__(self):
-        _check(self.__dict__, _FIELDS, _NAMES, None)
+        _check(self.__dict__, _FIELDS, _NAMES, self.__dict__)
 
     @classmethod
     def from_dict(cls, raw):

@@ -4,7 +4,13 @@ for the two-step estimator.
 The two-step point estimates treat the per-unit slopes as data in the
 second stage, so the default second-stage SEs (heteroskedasticity-robust
 OLS on the delta-on-H regression) ignore first-step noise. The bootstrap
-resamples whole units and re-runs the pipeline, which propagates it.
+resamples whole units and refits both stages, which propagates it.
+
+A bootstrap draw is a count vector over units, not a copy of the blocks:
+`unit_summaries` takes once what a refit reads of each unit (the R
+factor of M_i [Psi_i | Y_i], the first rows of R_x^{-1} Q_i' Psi_i and
+R_x^{-1} Q_i' Y_i, and [(X_i'X_i)^{-1}]_11), and `draw_kappa` fits a draw
+from those summaries weighted by each unit's count.
 """
 
 from __future__ import annotations
@@ -13,9 +19,10 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .estimators import (ZeroDegreesOfFreedom, first_stage_se,  # noqa: F401
-                         fit_cite)
-from .linalg import RankDeficient
+from .estimators import (ZeroDegreesOfFreedom, cite_kappa,  # noqa: F401
+                         first_stage_se, fit_cite, inv11,
+                         second_stage_weights)
+from .linalg import RankDeficient, solve_ols
 
 BOOTSTRAP_REDRAW_FACTOR = 10
 
@@ -138,14 +145,90 @@ def cite_kappa_se(dr, result):
     return _dc_replace(se, method="hc_robust")
 
 
+@dataclass(frozen=True)
+class UnitSummaries:
+    """What a bootstrap draw reads of each unit, from `unit_summaries`.
+
+    Rb is (n, r, p + 1), r = min(T, p + 1): the R factor of
+    M_i [Psi_i | Y_i], so ||Rb_i [-theta; 1]|| is the norm of unit i's
+    first-stage residual M_i (Y_i - Psi_i theta). D1 (n, p) and d01 (n,)
+    are the first rows of R_x^{-1} Q_i' Psi_i and R_x^{-1} Q_i' Y_i, so
+    delta_i1 = d01_i - D1_i theta. inv11 is [(X_i'X_i)^{-1}]_11, H the
+    panel's H, and T, K_x the unit design's shape.
+    """
+
+    Rb: np.ndarray
+    D1: np.ndarray
+    d01: np.ndarray
+    inv11: np.ndarray
+    H: np.ndarray
+    T: int
+    K_x: int
+
+
+def unit_summaries(dr):
+    """UnitSummaries of the CITE blocks `dr`, O(n (p + 1)^2) floats. When
+    Psi has no columns MY is None, and M_i Y_i = Y_i - Q_i Q_i' Y_i is
+    formed here from the QR factors."""
+    Q, R = dr.q_x, dr.r_x
+    n, T, K_x = Q.shape
+    MY = dr.MY
+    if MY is None:
+        MY = dr.Y - np.einsum("ntk,nk->nt", Q, np.einsum("ntk,nt->nk", Q, dr.Y))
+    Rb = np.linalg.qr(np.concatenate([dr.MPsi, MY[:, :, None]], axis=2),
+                      mode="r")
+    B = np.concatenate([dr.Psi, dr.Y[:, :, None]], axis=2)
+    D = np.linalg.solve(R, np.einsum("ntk,ntp->nkp", Q, B))[:, 0, :]
+    return UnitSummaries(Rb=Rb, D1=D[:, :-1], d01=D[:, -1], inv11=inv11(R),
+                         H=dr.H, T=T, K_x=K_x)
+
+
+def draw_kappa(s, counts, weight_mode):
+    """kappa_hat of `fit_cite` on the resample that holds unit i counts[i]
+    times, from the UnitSummaries `s` alone; equal to
+    fit_cite(ds, dr.take(idx), weight_mode).kappa_hat, for counts =
+    np.bincount(idx, minlength=n), up to the order of the sums.
+
+    The pooled stage solves the stacked sqrt(c_i) Rb_i (the per-unit R
+    factors pooled as in TSQR, never a summed Gram); the slopes and, under
+    a weighted mode, the first-stage SEs follow from theta; kappa weights
+    each drawn unit by its count (times its w_i). Raises what the refit
+    raises: RankDeficient (also for fewer distinct units than K_h),
+    ZeroDegreesOfFreedom, MissingWeights.
+    """
+    p = s.D1.shape[1]
+    theta = np.zeros(0)
+    if p:
+        A = (np.sqrt(counts)[:, None, None] * s.Rb).reshape(-1, p + 1)
+        theta = solve_ols(A[:, :p], A[:, p]).coefficients
+    K_h = s.H.shape[1]
+    if K_h == 0:
+        return np.zeros(0)
+    u = np.flatnonzero(counts)
+    w = counts[u].astype(float)
+    if weight_mode != "none":
+        if s.T <= s.K_x:
+            raise ZeroDegreesOfFreedom(s.T, s.K_x)
+        n, r = s.Rb.shape[:2]
+        e = (s.Rb.reshape(n * r, p + 1) @ np.append(-theta, 1.0)).reshape(n, r)
+        s2 = np.einsum("nr,nr->n", e, e) / (s.T - s.K_x)
+        w *= second_stage_weights(np.sqrt(s2 * s.inv11)[u], weight_mode)
+    if u.size < K_h:
+        raise RankDeficient(f"a draw of {u.size} distinct units cannot fit "
+                            f"{K_h} kappa coefficients")
+    return cite_kappa(s.d01[u] - s.D1[u] @ theta, s.H[u], w)
+
+
 def bootstrap_cite(ds, dr, fit, replications, seed):
     """Unit bootstrap of the full two-step pipeline.
 
     `fit` is the full-sample fit on the CITE blocks `dr`; its kappa_hat,
-    labels and weight mode are reported and reused. Resamples units with
-    replacement `replications` times, refits CITE on each draw's blocks
-    (`dr.take`, no reprojection), and reports the empirical SD of
-    kappa_hat. Draws that fail rank checks are redrawn; the total number
+    labels and weight mode are reported and reused. The per-unit
+    summaries are taken once (`unit_summaries`); then units are
+    resampled with replacement `replications` times, each draw is refit
+    from its count vector (`draw_kappa`: no block is copied, nothing is
+    reprojected or refactored), and the empirical SD of kappa_hat is
+    reported. Draws that fail rank checks are redrawn; the total number
     of redraws is capped at BOOTSTRAP_REDRAW_FACTOR * replications and
     reported as the result's `redraws`.
 
@@ -156,6 +239,7 @@ def bootstrap_cite(ds, dr, fit, replications, seed):
     if replications < 50:
         raise ValueError(f"need at least 50 replications, got {replications}")
     n = ds.dims.n
+    summaries = unit_summaries(dr)
     max_redraws = BOOTSTRAP_REDRAW_FACTOR * replications
     redraws = 0
     draws = np.empty((replications, ds.dims.K_h))
@@ -167,8 +251,8 @@ def bootstrap_cite(ds, dr, fit, replications, seed):
                                        spawn_key=(r, attempt)))
             idx = rng.integers(0, n, size=n)
             try:
-                draws[r] = fit_cite(ds, dr.take(idx),
-                                    weight_mode=fit.weight_mode).kappa_hat
+                draws[r] = draw_kappa(summaries, np.bincount(idx, minlength=n),
+                                      fit.weight_mode)
                 break
             except (RankDeficient, np.linalg.LinAlgError):
                 redraws += 1

@@ -18,9 +18,9 @@ from interpanel.dgp import packaged_config_path
 BIG_DIMS = {"n": 2 ** 62, "T": 6, "K_x": 2, "K_g": 1, "K_z": 1, "K_h": 2}
 
 
-def too_many_cells(n, T, K_x, K_g, K_z, K_h):
+def too_many_cells(n, T, K_x, K_g, K_z, K_h, path="dims"):
     cells = n * T * (1 + K_x + K_g + K_z + K_h)
-    return (f"dims: n * T * (1 + K_x + K_g + K_z + K_h) = {cells} values, "
+    return (f"{path}: n * T * (1 + K_x + K_g + K_z + K_h) = {cells} values, "
             f"more than the {sys.maxsize // 8} that one float64 array can hold")
 
 
@@ -83,6 +83,7 @@ BAD_MC_FIELDS = [
     ("dgp.dims.n", 2 ** 62, too_many_cells(**BIG_DIMS)),
     ("dgp.dims", dict(BIG_DIMS, K_h=2 ** 62),
      too_many_cells(**dict(BIG_DIMS, K_h=2 ** 62))),
+    ("sample_sizes", [2 ** 62], too_many_cells(**BIG_DIMS, path="sample_sizes")),
 ]
 
 

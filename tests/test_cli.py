@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from interpanel import cli
 from interpanel.cli import main
 from interpanel.data import build_regressors, load_csv, make_dataset, write_csv
 from interpanel.dgp import packaged_config, packaged_config_path, simulate
@@ -275,6 +276,22 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 16.0 PiB for an array with shape "
+         "(1125899906842624, 6, 2) and data type float64", None),
+        ("", "out of memory")])
+    def test_out_of_memory_is_exit_1(self, message, shown, tmp_path, capsys,
+                                     monkeypatch):
+        # a dims size under the cell bound can still exceed the machine
+        def no_memory(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "simulate", no_memory)
+        code, out, err = run(capsys, "simulate", "--config",
+                             packaged_config_path("baseline"),
+                             "--output", str(tmp_path / "sim.csv"))
+        assert (code, out, err) == (1, "", f"error: {shown or message}\n")
 
     def test_top_level_not_an_object_is_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -13,7 +13,8 @@ from interpanel.estimators import (WEIGHT_MODES, MissingWeights,
                                    fit_cite, ite)
 from interpanel.inference import (DegenerateResample, TooFewClusters,
                                   bootstrap_cite, cite_kappa_se, cite_theta_se,
-                                  cluster_robust_se, ite_se)
+                                  cluster_robust_se, draw_kappa, ite_se,
+                                  unit_summaries)
 
 from conftest import random_panel
 
@@ -27,6 +28,17 @@ def small_baseline(n=80, seed=21, **overrides):
 def weighted_fit(ds, weight_mode):
     """fit_cite on blocks built here."""
     return fit_cite(ds, build_regressors(ds).cite, weight_mode)
+
+
+def exact_residual_panel(K_z):
+    """X = 1 and Y constant in time, T = 4: every unit's slope is its mean
+    and its first-stage residuals are exactly 0, also with K_z columns of
+    Z in the pooled stage (theta is then exactly 0)."""
+    rng = np.random.default_rng(3)
+    H = rng.normal(size=(8, 1))
+    Y = np.repeat(np.arange(1.0, 9.0)[:, None], 4, axis=1)
+    return make_dataset(Y, np.ones((8, 4, 1)), Z=rng.normal(size=(8, 4, K_z)),
+                        H=H)
 
 
 def bootstrap(ds, replications, seed, weight_mode="none"):
@@ -245,6 +257,26 @@ class TestBootstrap:
         with pytest.raises(DegenerateResample):
             bootstrap(ds, replications=50, seed=3)
 
+    @pytest.mark.parametrize("ds, idx, mode, error", [
+        # 2 distinct units cannot fit K_h = 3 kappas
+        *[pytest.param(random_panel(23, n=8, K_h=3), [0, 1] * 4, mode,
+                       linalg.RankDeficient, id=f"too-few-units-{mode}")
+          for mode in WEIGHT_MODES],
+        *[pytest.param(exact_residual_panel(K_z), [0, 0, 1, 2, 3, 5, 6, 7],
+                       mode, MissingWeights, id=f"zero-se-K_z={K_z}-{mode}")
+          for K_z in (0, 1) for mode in ("inv_se", "inv_var")],
+        pytest.param(random_panel(24, n=8, T=2, K_x=2, K_g=0, K_z=0, K_h=1),
+                     [1, 2] * 4, "inv_se", ZeroDegreesOfFreedom, id="T=K_x"),
+    ])
+    def test_draw_kernel_raises_what_the_refit_raises(self, ds, idx, mode,
+                                                        error):
+        dr = build_regressors(ds).cite
+        with pytest.raises(error):
+            fit_cite(ds, dr.take(idx), mode)
+        with pytest.raises(error):
+            draw_kappa(unit_summaries(dr),
+                       np.bincount(idx, minlength=ds.dims.n), mode)
+
 
 class TestWeightedFit:
     def test_weight_modes_change_kappa(self):
@@ -285,11 +317,8 @@ class TestWeightedFit:
         assert inference.ZeroDegreesOfFreedom is estimators.ZeroDegreesOfFreedom
 
     def test_zero_first_stage_se_is_missing_weights(self):
-        # X = 1 and Y constant in time, T = 4: every unit's slope is its
-        # mean and its residuals are exactly 0, so w_i = 1/se_i is infinite
-        Y = np.repeat(np.arange(1.0, 9.0)[:, None], 4, axis=1)
-        H = np.random.default_rng(3).normal(size=(8, 1))
-        ds = make_dataset(Y, np.ones((8, 4, 1)), H=H)
+        # w_i = 1/se_i is infinite
+        ds = exact_residual_panel(K_z=0)
         dr = build_regressors(ds).cite
         res = fit_cite(ds, dr)
         assert np.all(first_stage_se(dr, res.theta_hat, res.delta_hat) == 0.0)
