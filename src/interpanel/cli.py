@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import replace
@@ -133,6 +134,40 @@ def _print_side_by_side(cite_res, ite_res):
         print(f"{lab:{width}}  {c:12.6g}  {i:12.6g}", file=sys.stderr)
 
 
+def _json_template(shape, level):
+    """The `%r` template of a nested list of `shape`, laid out as
+    json.dumps(indent=2) lays it out `level` deep."""
+    if not shape:
+        return "%r"
+    pad = "\n" + "  " * (level + 1)
+    inner = _json_template(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + pad[:-2] + "]"
+
+
+def _float_array_json(a, level):
+    """json.dumps(a.tolist(), indent=2) of a float array, as it reads
+    `level` deep in an indented document.
+
+    The template is applied once to the flat values: `%r` of a finite
+    float is JSON's float text. An empty array, or one holding NaN or
+    +-inf (which JSON writes as NaN/Infinity), takes json.dumps."""
+    if a.size == 0 or not np.isfinite(a).all():
+        return json.dumps(a.tolist(), indent=2).replace(
+            "\n", "\n" + "  " * level)
+    return _json_template(a.shape, level) % tuple(a.ravel().tolist())
+
+
+def _truth_json(cfg, truth):
+    """The truth sidecar: the bytes of json.dumps(sort_keys=True,
+    indent=2) plus a newline, with the keys written in their sorted order."""
+    items = [("config", json.dumps(cfg.to_dict(), sort_keys=True,
+                                   indent=2).replace("\n", "\n  "))]
+    items += [(key, _float_array_json(getattr(truth, key), 1))
+              for key in ("delta", "eps", "h_full", "kappa_full")]
+    return "{\n" + ",\n".join(f'  "{key}": {text}'
+                               for key, text in items) + "\n}\n"
+
+
 def _cmd_simulate(args):
     cfg = load_dgp_config(args.config)
     if args.n is not None or args.seed is not None:
@@ -140,15 +175,18 @@ def _cmd_simulate(args):
         cfg = replace(cfg, dims=dims,
                       seed=cfg.seed if args.seed is None else args.seed)
     truth = simulate(cfg)
-    write_csv(truth.dataset, args.output)
+    text = _truth_json(cfg, truth)
     sidecar = args.truth or (args.output + ".truth.json")
-    _write_json({
-        "config": cfg.to_dict(),
-        "delta": truth.delta.tolist(),
-        "eps": truth.eps.tolist(),
-        "h_full": truth.h_full.tolist(),
-        "kappa_full": truth.kappa_full.tolist(),
-    }, sidecar)
+    # the sidecar is opened first, so a bad --truth path leaves no CSV;
+    # a CSV that cannot be written leaves no empty sidecar
+    with open(sidecar, "w", encoding="utf-8") as fh:
+        try:
+            write_csv(truth.dataset, args.output)
+        except BaseException:
+            fh.close()
+            os.remove(sidecar)
+            raise
+        fh.write(text)
     print(f"wrote {args.output} and {sidecar}")
     return 0
 

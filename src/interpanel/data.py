@@ -437,20 +437,23 @@ def write_csv(ds, path):
     """Write a panel to the long CSV format with 17 significant digits.
 
     The bytes are csv.writer's, but each row is one `%` on a row format
-    over a unit's (T, 1+K) block of y, x, g, z and h; labels are quoted once.
+    over a unit's (T, 1+K) block of y, x, g and z; labels are quoted once.
+    H is constant within a unit, so each unit's h values are formatted
+    once, into the tail (with the line end) that all its rows share.
     """
     cols = ds.columns
     header = (["unit", "time", "y"] + list(cols["x"]) + list(cols["g"])
               + list(cols["z"]) + list(cols["h"]))
-    n, T = ds.Y.shape
-    H = np.broadcast_to(ds.H[:, None, :], (n, T, ds.H.shape[1]))
-    block = np.concatenate([ds.Y[:, :, None], ds.X, ds.G, ds.Z, H], axis=2)
-    row = "%s,%s," + ",".join([FLOAT_FORMAT] * block.shape[2]) + "\r\n"
+    block = np.concatenate([ds.Y[:, :, None], ds.X, ds.G, ds.Z], axis=2)
+    row = "%s,%s," + ",".join([FLOAT_FORMAT] * block.shape[2]) + "%s"
+    tail = ("," + FLOAT_FORMAT) * ds.H.shape[1] + "\r\n"
     times = _csv_fields(ds.time_labels)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for u, values in zip(_csv_fields(ds.unit_labels), block):
-            fh.writelines([row % (u, t, *v)
+        for u, h, values in zip(_csv_fields(ds.unit_labels), ds.H.tolist(),
+                                block):
+            end = tail % tuple(h)
+            fh.writelines([row % (u, t, *v, end)
                            for t, v in zip(times, values.tolist())])
 
 

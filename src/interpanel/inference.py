@@ -81,11 +81,12 @@ def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
     if G < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {G}")
 
-    bread = np.linalg.inv(X.T @ X)
     scores = np.zeros((G, k))
     np.add.at(scores, codes, X * e[:, None])
-    meat = scores.T @ scores
-    V = bread @ meat @ bread
+    # V = W W' with W = (X'X)^{-1} [s_1 .. s_G]: one solve on the k x k
+    # Gram, no inverse, and no meat S'S, whose condition is the square of S's
+    W = np.linalg.solve(X.T @ X, scores.T)
+    V = W @ W.T
     if small_sample:
         V = V * (G / (G - 1)) * ((N - 1) / (N - k))
     V = 0.5 * (V + V.T)

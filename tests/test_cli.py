@@ -263,6 +263,63 @@ class TestSimulateCommand:
                for path in (out_csv, tmp_path / "sim.csv.truth.json")]
         assert sha == [csv_sha, truth_sha]
 
+    def test_sidecar_of_non_finite_truth_is_json_dumps(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # NaN and +-inf take json.dumps (NaN/Infinity, not repr's nan/inf)
+        def odd_truth(cfg):
+            truth = simulate(cfg)
+            delta = truth.delta.copy()
+            delta[:2, 0] = [np.nan, -0.0]
+            delta[2, :] = [np.inf, -np.inf]
+            return replace(truth, delta=delta,
+                           h_full=np.zeros((cfg.dims.n, 0)))
+
+        monkeypatch.setattr(cli, "simulate", odd_truth)
+        out_csv = tmp_path / "sim.csv"
+        code, _, _ = run(capsys, "simulate", "--config",
+                         packaged_config_path("baseline"), "--n", "6",
+                         "--seed", "5", "--output", str(out_csv))
+        assert code == 0
+        cfg = packaged_config("baseline")
+        cfg = replace(cfg, dims=replace(cfg.dims, n=6), seed=5)
+        truth = odd_truth(cfg)
+        want = json.dumps({
+            "config": cfg.to_dict(),
+            "delta": truth.delta.tolist(),
+            "eps": truth.eps.tolist(),
+            "h_full": truth.h_full.tolist(),
+            "kappa_full": truth.kappa_full.tolist(),
+        }, sort_keys=True, indent=2) + "\n"
+        got = (tmp_path / "sim.csv.truth.json").read_text(encoding="utf-8")
+        assert "NaN" in got and "-Infinity" in got and "-0.0" in got
+        assert got == want
+
+    def test_truth_in_a_missing_directory_leaves_no_csv(self, tmp_path,
+                                                        capsys):
+        out_csv = tmp_path / "sim.csv"
+        sidecar = tmp_path / "missing" / "truth.json"
+        code, out, err = run(capsys, "simulate", "--config",
+                             packaged_config_path("baseline"), "--n", "30",
+                             "--output", str(out_csv), "--truth", str(sidecar))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: [Errno 2] No such file or directory: "
+                       f"{str(sidecar)!r}\n")
+        assert not out_csv.exists()
+
+    def test_csv_in_a_missing_directory_leaves_no_sidecar(self, tmp_path,
+                                                          capsys):
+        out_csv = tmp_path / "missing" / "sim.csv"
+        sidecar = tmp_path / "truth.json"
+        code, out, err = run(capsys, "simulate", "--config",
+                             packaged_config_path("baseline"), "--n", "30",
+                             "--output", str(out_csv), "--truth", str(sidecar))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: [Errno 2] No such file or directory: "
+                       f"{str(out_csv)!r}\n")
+        assert not sidecar.exists()
+
     @pytest.mark.parametrize("name, path, value", BAD_DGP_FIELDS)
     def test_bad_field_is_exit_1_naming_its_path(self, name, path, value,
                                                  tmp_path, capsys):

@@ -144,6 +144,37 @@ class TestClusterRobust:
         bread = np.linalg.inv(X.T @ X)
         assert_allclose(got.vcov, bread @ meat @ bread, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ill_conditioned_gram_matches_mpmath(self, seed):
+        # Integer columns, two of them nearly collinear: X'X and the scores
+        # are exact in float64, so only the sandwich's own solve rounds.
+        # Gram condition about 2e8; the bound is a few times cond * eps.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        N, G = 60, 20
+        base = rng.integers(-10**4, 10**4, N)
+        X = np.column_stack([np.ones(N), base,
+                             base + rng.integers(-1, 2, N)]).astype(float)
+        e = rng.integers(-8, 9, N).astype(float)
+        ids = np.repeat(np.arange(G), N // G)
+        assert 1e8 < np.linalg.cond(X.T @ X) < 1e9
+        got = cluster_robust_se(X, e, ids)
+
+        with mpmath.workdps(50):
+            Xm = mpmath.matrix(X.tolist())
+            scores = mpmath.matrix(G, 3)
+            for r in range(N):
+                for j in range(3):
+                    scores[ids[r], j] += Xm[r, j] * int(e[r])
+            bread = (Xm.T * Xm) ** -1
+            c = mpmath.mpf(G) / (G - 1) * mpmath.mpf(N - 1) / (N - 3)
+            V = bread * (scores.T * scores) * bread * c
+            want = np.array([[float(V[i, j]) for j in range(3)]
+                             for i in range(3)])
+        sd = np.sqrt(np.diag(want))
+        assert_allclose(got.se, sd, rtol=1e-7, atol=0)
+        assert np.max(np.abs(got.vcov - want) / np.outer(sd, sd)) < 1e-7
+
     def test_too_few_clusters(self):
         with pytest.raises(TooFewClusters):
             cluster_robust_se(np.ones((5, 1)), np.ones(5), np.zeros(5))

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
+from interpanel.cli import _float_array_json
 from interpanel.data import (FLOAT_FORMAT, _parse_label, _sorted_labels,
                              build_regressors, load_csv, make_dataset,
                              subset_units, write_csv)
@@ -274,6 +275,40 @@ def test_csv_round_trip_is_bit_exact(data, base):
     assert back.columns == ds.columns
     assert all(type(label) in (int, str)
                for label in back.unit_labels + back.time_labels)
+
+
+@st.composite
+def truth_arrays(draw):
+    """1-d and 2-d float arrays, empty ones included; about half of them
+    hold NaN or +-inf, which take the json.dumps fallback."""
+    shape = draw(st.sampled_from([(0,), (0, 3), (4, 0)])
+                 | array_shapes(min_dims=1, max_dims=2, max_side=6))
+    values = CSV_VALUE
+    if draw(st.booleans()):
+        values |= st.sampled_from([np.nan, np.inf, -np.inf])
+    return draw(arrays(np.float64, shape, elements=values))
+
+
+def nested(doc, level):
+    """`doc` as the value of `level` nested one-key objects."""
+    for _ in range(level):
+        doc = {"k": doc}
+    return doc
+
+
+def in_nested_text(text, level):
+    """The text of nested(a, level) around `text`, the text of a."""
+    for depth in reversed(range(level)):
+        pad = "  " * depth
+        text = "{\n" + pad + '  "k": ' + text + "\n" + pad + "}"
+    return text
+
+
+@settings(PROPERTY, max_examples=200)
+@given(a=truth_arrays(), level=st.integers(0, 2))
+def test_float_array_json_is_json_dumps(a, level):
+    want = json.dumps(nested(a.tolist(), level), indent=2)
+    assert in_nested_text(_float_array_json(a, level), level) == want
 
 
 REAL = st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6)
