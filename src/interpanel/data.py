@@ -311,6 +311,7 @@ def load_csv(path, schema=None):
         roles = _resolve_schema(header, schema)
         value_cols = [roles["y"]] + roles["x"] + roles["g"] + roles["z"] + roles["h"]
         value_at = [header.index(c) for c in value_cols]
+        h_from = len(value_cols) - len(roles["h"])
         unit_at, time_at = header.index(roles["unit"]), header.index(roles["time"])
         units, times = {}, {}  # distinct texts, each mapped to its code
         blocks, unit_codes, time_codes = [], [], []
@@ -318,7 +319,7 @@ def load_csv(path, schema=None):
             values = None
             if set(map(len, records)) == {len(header)}:
                 cols = list(zip(*records))
-                values = _finite_floats([cols[i] for i in value_at])
+                values = _finite_floats([cols[i] for i in value_at], h_from)
             if values is None:
                 _raise_first_bad_record(records, lines, header, value_cols)
             blocks.append(values)
@@ -383,14 +384,25 @@ def _first_seen_codes(texts, seen):
                        dtype=np.intp, count=len(texts))
 
 
-def _finite_floats(cols):
+def _finite_floats(cols, h_from):
     """Text columns as one (rows, columns) float block, or None if some text
-    is not a finite float. `np.array(dtype=float)` reads str as `float()`."""
+    is not a finite float. `np.array(dtype=float)` reads str as `float()`.
+    The columns from `h_from` on are h columns, constant within a unit, so
+    each of their distinct texts is read by `float()` once."""
     try:
-        values = np.column_stack([np.array(col, dtype=float) for col in cols])
+        values = np.column_stack(
+            [np.array(col, dtype=float) for col in cols[:h_from]]
+            + [_repeated_floats(col) for col in cols[h_from:]])
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
+
+
+def _repeated_floats(texts):
+    """float() of each text, read once per distinct text."""
+    value = {t: float(t) for t in set(texts)}
+    return np.fromiter(map(value.__getitem__, texts), dtype=float,
+                       count=len(texts))
 
 
 def _raise_first_bad_record(records, lines, header, value_cols):

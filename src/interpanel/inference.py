@@ -9,8 +9,11 @@ resamples whole units and refits both stages, which propagates it.
 A bootstrap draw is a count vector over units, not a copy of the blocks:
 `unit_summaries` takes once what a refit reads of each unit (the R
 factor of M_i [Psi_i | Y_i], the first rows of R_x^{-1} Q_i' Psi_i and
-R_x^{-1} Q_i' Y_i, and [(X_i'X_i)^{-1}]_11), and `draw_kappa` fits a draw
-from those summaries weighted by each unit's count.
+R_x^{-1} Q_i' Y_i, and [(X_i'X_i)^{-1}]_11). `draw_kappas` fits a chunk
+of draws at once from those summaries and a (draws, units) count matrix:
+one batched QR per stage, one stacked matrix per draw, so the cost is
+array arithmetic, not a Python call per draw. A chunk holds about
+`_DRAW_BYTES` of stacked rows.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .estimators import (ZeroDegreesOfFreedom, cite_kappa,  # noqa: F401
+from .estimators import (MissingWeights, ZeroDegreesOfFreedom,  # noqa: F401
                          first_stage_se, fit_cite, inv11,
                          second_stage_weights)
-from .linalg import RankDeficient, solve_ols
+from .linalg import rank_deficient
 
 BOOTSTRAP_REDRAW_FACTOR = 10
+_DRAW_BYTES = 2 ** 18  # stacked rows per draw_kappas call (`_draw_chunk`)
 
 fit_cite_weighted = fit_cite  # the name perfbench/tracer.py traces CITE fits by
 
@@ -150,12 +154,15 @@ def cite_kappa_se(dr, result):
 class UnitSummaries:
     """What a bootstrap draw reads of each unit, from `unit_summaries`.
 
-    Rb is (n, r, p + 1), r = min(T, p + 1): the R factor of
-    M_i [Psi_i | Y_i], so ||Rb_i [-theta; 1]|| is the norm of unit i's
-    first-stage residual M_i (Y_i - Psi_i theta). D1 (n, p) and d01 (n,)
-    are the first rows of R_x^{-1} Q_i' Psi_i and R_x^{-1} Q_i' Y_i, so
-    delta_i1 = d01_i - D1_i theta. inv11 is [(X_i'X_i)^{-1}]_11, H the
-    panel's H, and T, K_x the unit design's shape.
+    Rb is (p + 1, r, n), r = min(T, p + 1): Rb[:, :, i].T is the R factor
+    of M_i [Psi_i | Y_i], so ||Rb[:, :, i].T [-theta; 1]|| is the norm of
+    unit i's first-stage residual M_i (Y_i - Psi_i theta). It is stored
+    unit-last, so a draw scales it by unit along contiguous memory and
+    stacks it as a column-major matrix, the layout LAPACK factors. D1
+    (n, p) and d01 (n,) are the first rows of R_x^{-1} Q_i' Psi_i and
+    R_x^{-1} Q_i' Y_i, so delta_i1 = d01_i - D1_i theta. inv11 is
+    [(X_i'X_i)^{-1}]_11, H the panel's H, and T, K_x the unit design's
+    shape.
     """
 
     Rb: np.ndarray
@@ -180,44 +187,99 @@ def unit_summaries(dr):
                       mode="r")
     B = np.concatenate([dr.Psi, dr.Y[:, :, None]], axis=2)
     D = np.linalg.solve(R, np.einsum("ntk,ntp->nkp", Q, B))[:, 0, :]
-    return UnitSummaries(Rb=Rb, D1=D[:, :-1], d01=D[:, -1], inv11=inv11(R),
+    return UnitSummaries(Rb=np.ascontiguousarray(Rb.transpose(2, 1, 0)),
+                         D1=D[:, :-1], d01=D[:, -1], inv11=inv11(R),
                          H=dr.H, T=T, K_x=K_x)
 
 
-def draw_kappa(s, counts, weight_mode):
-    """kappa_hat of `fit_cite` on the resample that holds unit i counts[i]
-    times, from the UnitSummaries `s` alone; equal to
-    fit_cite(ds, dr.take(idx), weight_mode).kappa_hat, for counts =
-    np.bincount(idx, minlength=n), up to the order of the sums.
+def draw_kappas(s, counts, weight_mode, work=None):
+    """kappa_hat of `fit_cite` on each of b resamples at once, from the
+    UnitSummaries `s` and a (b, n) count matrix, row j holding unit i
+    counts[j, i] times. Returns (kappa, failed), (b, K_h) and (b,):
+    kappa[j] equals fit_cite(ds, dr.take(idx), weight_mode).kappa_hat for
+    counts[j] = np.bincount(idx, minlength=n), up to the order of the
+    sums, and failed[j] is True (kappa[j] 0) where that refit raises
+    RankDeficient. `work`, if given, is a float array of shape
+    (b', p + 1, r, n) with b' >= b that receives the stacked pooled rows.
 
-    The pooled stage solves the stacked sqrt(c_i) Rb_i (the per-unit R
-    factors pooled as in TSQR, never a summed Gram); the slopes and, under
-    a weighted mode, the first-stage SEs follow from theta; kappa weights
-    each drawn unit by its count (times its w_i). Raises what the refit
-    raises: RankDeficient (also for fewer distinct units than K_h),
-    ZeroDegreesOfFreedom, MissingWeights.
+    Each stage is one batched QR, one matrix per draw. The pooled stage
+    factors the stacked sqrt(c_i) Rb_i (the per-unit R factors pooled as
+    in TSQR, never a summed Gram) and solves R11 theta = r12. The slopes
+    and, under a weighted mode, the first-stage SEs and weights follow
+    from theta. The kappa stage factors the rows sqrt(w_i) [H_i | delta_i1]
+    with w_i = c_i (times 1/se_i or 1/se_i^2), so an undrawn unit's rows
+    are 0. A draw fails where the singular values of a stage's R11 fail
+    linalg.rank_deficient, or where it holds fewer distinct units than
+    K_h. No product spans two draws, so a draw's kappa does not depend on
+    the others in the call. Raises what the refit raises for a draw that
+    does not fail: ZeroDegreesOfFreedom, MissingWeights.
     """
-    p = s.D1.shape[1]
-    theta = np.zeros(0)
+    b, n = counts.shape
+    q = s.Rb.shape[0]
+    p = q - 1
+    failed = np.zeros(b, dtype=bool)
+    theta = np.zeros((b, p))
     if p:
-        A = (np.sqrt(counts)[:, None, None] * s.Rb).reshape(-1, p + 1)
-        theta = solve_ols(A[:, :p], A[:, p]).coefficients
+        A = np.multiply(np.sqrt(counts)[:, None, None, :], s.Rb,
+                        out=None if work is None else work[:b])
+        A = A.reshape(b, q, -1).transpose(0, 2, 1)
+        theta, failed = _solve_r(np.linalg.qr(A, mode="r"), p)
     K_h = s.H.shape[1]
     if K_h == 0:
-        return np.zeros(0)
-    u = np.flatnonzero(counts)
-    w = counts[u].astype(float)
+        return np.zeros((b, 0)), failed
+    drawn = counts > 0
+    failed |= drawn.sum(axis=1) < K_h
+    w = counts.astype(float)
     if weight_mode != "none":
         if s.T <= s.K_x:
             raise ZeroDegreesOfFreedom(s.T, s.K_x)
-        n, r = s.Rb.shape[:2]
-        e = (s.Rb.reshape(n * r, p + 1) @ np.append(-theta, 1.0)).reshape(n, r)
-        s2 = np.einsum("nr,nr->n", e, e) / (s.T - s.K_x)
-        w *= second_stage_weights(np.sqrt(s2 * s.inv11)[u], weight_mode)
-    if u.size < K_h:
-        raise RankDeficient(f"a draw of {u.size} distinct units cannot fit "
-                            f"{K_h} kappa coefficients")
-    return cite_kappa(s.d01[u] - s.D1[u] @ theta, s.H[u], w)
+        v = np.concatenate([-theta, np.ones((b, 1))], axis=1)
+        e = (v[:, None, :] @ s.Rb.reshape(q, -1)).reshape(b, -1, n)
+        s2 = np.einsum("brn,brn->bn", e, e) / (s.T - s.K_x)
+        w *= np.where(drawn, second_stage_weights(np.sqrt(s2 * s.inv11),
+                                                  weight_mode), 1.0)
+        bad = drawn & ~(np.isfinite(w) & (w > 0))
+        if np.any(bad[~failed]):
+            raise MissingWeights("weights must be strictly positive and finite")
+        w[failed] = 0.0
+    A = np.empty((b, K_h + 1, n))
+    A[:, :K_h] = s.H.T
+    A[:, K_h] = s.d01 - (s.D1 @ theta[:, :, None])[:, :, 0]
+    A *= np.sqrt(w)[:, None, :]
+    kappa, bad = _solve_r(np.linalg.qr(A.transpose(0, 2, 1), mode="r"), K_h)
+    failed |= bad
+    kappa[failed] = 0.0
+    return kappa, failed
+
+
+def _solve_r(R, k):
+    """(x, bad) from the R factors (b, ., k + 1) of b stacked [A | y]:
+    bad[j] where the singular values of R11 = R[j, :k, :k] (those of A)
+    fail the rank rule, else x[j] solves R11 x = R[j, :k, k], the least
+    squares fit of y on A. Where bad, the identity stands in for R11, so
+    the solve cannot raise, and x[j] means nothing."""
+    R11, r12 = R[:, :k, :k], R[:, :k, k:]
+    bad = rank_deficient(np.linalg.svd(R11, compute_uv=False))
+    if bad.any():
+        R11 = np.where(bad[:, None, None], np.eye(k), R11)
+    return np.linalg.solve(R11, r12)[:, :, 0], bad
+
+
+def _draw_chunk(s):
+    """Draws per draw_kappas call: about _DRAW_BYTES of the larger stage's
+    stacked rows (n r (p + 1) or n (K_h + 1) floats a draw), to which
+    np.linalg.qr adds a copy. Larger chunks save little call overhead and
+    add their size to the peak memory of the process."""
+    q, r, n = s.Rb.shape
+    return max(1, _DRAW_BYTES // (8 * n * max(r * q, s.H.shape[1] + 1)))
+
+
+def _draw_counts(seed, rs, attempt, n):
+    """The (len(rs), n) count matrix of draws rs at `attempt`: draw r's
+    units are n integers from SeedSequence(seed, spawn_key=(r, attempt))."""
+    return np.stack([np.bincount(np.random.default_rng(
+        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(r), attempt))
+    ).integers(0, n, size=n), minlength=n) for r in rs])
 
 
 def bootstrap_cite(ds, dr, fit, replications, seed):
@@ -227,42 +289,48 @@ def bootstrap_cite(ds, dr, fit, replications, seed):
     labels and weight mode are reported and reused. The per-unit
     summaries are taken once (`unit_summaries`); then units are
     resampled with replacement `replications` times, each draw is refit
-    from its count vector (`draw_kappa`: no block is copied, nothing is
-    reprojected or refactored), and the empirical SD of kappa_hat is
-    reported. Draws that fail rank checks are redrawn; the total number
-    of redraws is capped at BOOTSTRAP_REDRAW_FACTOR * replications and
-    reported as the result's `redraws`.
+    from its count vector (`draw_kappas`, a chunk of `_draw_chunk` draws
+    per call: no block is copied, nothing is reprojected or refactored),
+    and the empirical SD of kappa_hat is reported. All first attempts are
+    fitted first; then only the failed draws, each with its next attempt,
+    until every draw fits. A draw fails a rank check (`draw_kappas`
+    flags it); the total number of redraws is capped at
+    BOOTSTRAP_REDRAW_FACTOR * replications (DegenerateResample past it)
+    and reported as the result's `redraws`. MissingWeights aborts.
 
-    Each draw's randomness depends only on (seed, replication index,
-    attempt), so results are reproducible and independent of execution
-    order.
+    Draw r's attempt a is drawn from SeedSequence(seed, spawn_key=(r, a)),
+    so results are reproducible and independent of execution order and
+    chunking.
     """
     if replications < 50:
         raise ValueError(f"need at least 50 replications, got {replications}")
     n = ds.dims.n
     summaries = unit_summaries(dr)
+    chunk = _draw_chunk(summaries)
     max_redraws = BOOTSTRAP_REDRAW_FACTOR * replications
     redraws = 0
     draws = np.empty((replications, ds.dims.K_h))
-    for r in range(replications):
-        attempt = 0
-        while True:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=int(seed),
-                                       spawn_key=(r, attempt)))
-            idx = rng.integers(0, n, size=n)
-            try:
-                draws[r] = draw_kappa(summaries, np.bincount(idx, minlength=n),
-                                      fit.weight_mode)
-                break
-            except (RankDeficient, np.linalg.LinAlgError):
-                redraws += 1
-                attempt += 1
-                if redraws > max_redraws:
-                    raise DegenerateResample(
-                        f"exceeded {max_redraws} redraws after repeated "
-                        "rank-deficient bootstrap samples"
-                    ) from None
+    # one buffer for every chunk's pooled rows: with a new array per call,
+    # malloc mapped and unmapped it each time (about 2700 page faults and
+    # 7-9 ms of system time in a 200-draw run at n = 300, against 90)
+    work = np.empty((chunk,) + summaries.Rb.shape)
+    todo, attempt = np.arange(replications), 0
+    while todo.size:
+        retry = []
+        for start in range(0, todo.size, chunk):
+            rs = todo[start:start + chunk]
+            kappa, failed = draw_kappas(
+                summaries, _draw_counts(seed, rs, attempt, n), fit.weight_mode,
+                work)
+            draws[rs[~failed]] = kappa[~failed]
+            retry.append(rs[failed])
+        todo, attempt = np.concatenate(retry), attempt + 1
+        redraws += todo.size
+        if redraws > max_redraws:
+            raise DegenerateResample(
+                f"exceeded {max_redraws} redraws after repeated "
+                "rank-deficient bootstrap samples"
+            )
     vcov = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
     return SeResult(
         labels=tuple(fit.kappa_labels),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # A design counts as rank deficient when its smallest singular value falls
-# below RANK_TOL times the largest.
+# below RANK_TOL times the largest (`rank_deficient`).
 RANK_TOL = 1e-10
 
 
@@ -28,6 +28,13 @@ class RankDeficient(np.linalg.LinAlgError):
     def __str__(self):  # formatted late, so a unit label attached later shows
         where = "" if self.unit is None else f" (unit {self.unit})"
         return super().__str__() + where
+
+
+def rank_deficient(sv):
+    """The rank rule, on singular values sorted descending along the last
+    axis: True where the largest is 0 or the smallest is below RANK_TOL
+    times the largest (one verdict per design of a stack)."""
+    return (sv[..., 0] == 0.0) | (sv[..., -1] < RANK_TOL * sv[..., 0])
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ def solve_ols(design, response):
         return LeastSquaresFit(np.zeros(0), 1.0)
 
     coef, _, rank, sv = np.linalg.lstsq(A, y, rcond=None)
-    if sv[0] == 0.0 or sv[-1] < RANK_TOL * sv[0] or rank < k:
+    if rank_deficient(sv) or rank < k:
         cond = np.inf if sv[-1] == 0.0 else (sv[0] / sv[-1]) ** 2
         raise RankDeficient(
             f"design is numerically rank deficient (gram condition ~ {cond:.3e})",
@@ -116,7 +123,7 @@ def qr_factors(X):
     Q, R = np.linalg.qr(X)
     if k:
         sv = np.abs(R[:, :, 0]) if k == 1 else np.linalg.svd(R, compute_uv=False)
-        bad = (sv[:, 0] == 0.0) | (sv[:, -1] < RANK_TOL * sv[:, 0])
+        bad = rank_deficient(sv)
         if np.any(bad):
             i = int(np.argmax(bad))
             s = sv[i]

@@ -79,6 +79,25 @@ class TestLoadCsv:
         assert err.value.unit == 7
         assert err.value.column == "h1"
 
+    def test_h_texts_of_one_value_are_constant(self, tmp_path):
+        # each distinct h text is read once; "1" and "1.0" are one float,
+        # so unit 7 is constant, and the floats are float()'s own
+        path = tmp_path / "p.csv"
+        path.write_text("unit,time,y,x1,h1\n7,1,1.0,1.0,1\n7,2,1.0,2.0,1.0\n"
+                        "8,1,1.0,1.0,0.1\n8,2,1.0,3.0,0.10000000000000001\n")
+        ds = load_csv(path)
+        assert ds.H.tolist() == [[1.0], [float("0.1")]]
+        assert ds.H[1, 0] == float("0.10000000000000001")
+
+    @pytest.mark.parametrize("text", ["abc", "inf", "1e999", ""])
+    def test_bad_h_text_names_row_and_column(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_text("unit,time,y,x1,h1\n7,1,1.0,1.0,2\n7,2,1.0,2.0,2\n"
+                        f"8,1,1.0,1.0,{text}\n8,2,1.0,3.0,{text}\n")
+        with pytest.raises(NonFiniteValue) as err:
+            load_csv(path)
+        assert str(err.value) == "non-finite value at row 4, column 'h1'"
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "p.csv"
         write_rows(path, ["unit", "time", "x1"], [[1, 1, 1], [2, 1, 1]])

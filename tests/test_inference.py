@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from interpanel.estimators import (WEIGHT_MODES, MissingWeights,
                                    fit_cite, ite)
 from interpanel.inference import (DegenerateResample, TooFewClusters,
                                   bootstrap_cite, cite_kappa_se, cite_theta_se,
-                                  cluster_robust_se, draw_kappa, ite_se,
+                                  cluster_robust_se, draw_kappas, ite_se,
                                   unit_summaries)
 
 from conftest import random_panel
@@ -301,12 +302,64 @@ class TestBootstrap:
     ])
     def test_draw_kernel_raises_what_the_refit_raises(self, ds, idx, mode,
                                                         error):
+        # a RankDeficient refit is a flagged draw; the other errors raise
         dr = build_regressors(ds).cite
         with pytest.raises(error):
             fit_cite(ds, dr.take(idx), mode)
-        with pytest.raises(error):
-            draw_kappa(unit_summaries(dr),
-                       np.bincount(idx, minlength=ds.dims.n), mode)
+        counts = np.bincount(idx, minlength=ds.dims.n)[None, :]
+        if error is linalg.RankDeficient:
+            kappa, failed = draw_kappas(unit_summaries(dr), counts, mode)
+            assert failed.tolist() == [True]
+            assert np.array_equal(kappa, np.zeros((1, ds.dims.K_h)))
+        else:
+            with pytest.raises(error):
+                draw_kappas(unit_summaries(dr), counts, mode)
+
+    def test_zero_first_stage_se_aborts_the_bootstrap(self):
+        # every unit's residuals are exactly 0, so each draw of at least
+        # K_h = 1 distinct units has an infinite weight: the bootstrap stops
+        # at the first chunk, as the refit of that draw would
+        ds = exact_residual_panel(K_z=0)
+        dr = build_regressors(ds).cite
+        fit = replace(fit_cite(ds, dr), weight_mode="inv_se")
+        with pytest.raises(MissingWeights):
+            bootstrap_cite(ds, dr, fit, replications=50, seed=1)
+
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    def test_draws_do_not_depend_on_the_chunk(self, mode, monkeypatch):
+        # no product spans two draws, so every draw's kappa, and so the
+        # bootstrap, has the same bits in chunks of 1, 3 or all draws
+        ds = add_intercept_h(small_baseline(n=60, seed=19))
+        dr = build_regressors(ds).cite
+        s = unit_summaries(dr)
+        counts = inference._draw_counts(7, np.arange(60), 0, ds.dims.n)
+        whole = draw_kappas(s, counts, mode)[0]
+        fit = fit_cite(ds, dr, mode)
+        boots = []
+        for chunk in (1, 3, 60):
+            rows = [draw_kappas(s, counts[j:j + chunk], mode)[0]
+                    for j in range(0, 60, chunk)]
+            assert np.array_equal(np.concatenate(rows), whole), chunk
+            monkeypatch.setattr(inference, "_draw_chunk", lambda s: chunk)
+            boots.append(bootstrap_cite(ds, dr, fit, 60, 7))
+        for boot in boots[1:]:
+            assert np.array_equal(boot.se, boots[0].se)
+            assert np.array_equal(boot.vcov, boots[0].vcov)
+
+    def test_draws_form_no_all_draws_stack(self):
+        # the 200 pooled-stage stacks of n = 300, T = 6 units would take
+        # 7.7 MB at once, and the copy np.linalg.qr factors as much again
+        # (a 16 MB peak); in chunks of 6 draws the peak is 0.55 MB
+        ds = random_panel(41, n=300, T=6, K_x=2, K_g=1, K_z=1, K_h=3)
+        dr = build_regressors(ds).cite
+        fit = fit_cite(ds, dr, "inv_se")
+        tracemalloc.start()
+        try:
+            bootstrap_cite(ds, dr, fit, 200, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestWeightedFit:

@@ -25,7 +25,7 @@ from interpanel.data import (FLOAT_FORMAT, _parse_label, _sorted_labels,
 from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
 from interpanel.estimators import WEIGHT_MODES, cite_theta, fit_cite, ite
 from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
-from interpanel.inference import draw_kappa, unit_summaries
+from interpanel.inference import draw_kappas, unit_summaries
 from interpanel.linalg import RankDeficient
 
 from conftest import random_panel
@@ -162,29 +162,34 @@ DRAW_SHAPES = {"psi": ((2, 3, 1, 1, 2), 1e-12),
 @pytest.mark.parametrize("shape, rtol", DRAW_SHAPES.values(), ids=DRAW_SHAPES)
 @given(data=st.data())
 def test_draw_kernel_is_a_refit_of_the_resample(data, shape, rtol, mode):
-    # a draw from the per-unit summaries and its count vector gives the
-    # kappa of fit_cite on the reindexed blocks, or raises as it does
+    # each row of a batch of draws, fitted from the per-unit summaries and
+    # the count matrix, is the kappa of fit_cite on the reindexed blocks,
+    # or is flagged where that refit raises RankDeficient
     K_x, extra_T, K_g, K_z, K_h = shape
     n = data.draw(st.integers(max(K_h, 2) + 1, 12))
     ds = random_panel(data.draw(st.integers(0, 2**32 - 1)), n=n,
                       T=K_x + extra_T, K_x=K_x, K_g=K_g, K_z=K_z, K_h=K_h)
-    idx = np.array(data.draw(st.lists(st.integers(0, n - 1),
-                                      min_size=n, max_size=n)))
+    idx = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n,
+                                      max_size=n), min_size=1, max_size=3))
     # a draw whose pooled stage fits exactly has first-stage residuals of
     # rounding size only, and weights 1/se from that noise on either path
-    assume(mode == "none" or np.unique(idx).size * extra_T > ds.dims.n_psi)
+    idx = [np.array(i) for i in idx
+           if mode == "none" or np.unique(i).size * extra_T > ds.dims.n_psi]
+    assume(idx)
     dr = build_regressors(ds).cite
-    counts = np.bincount(idx, minlength=n)
-    try:
-        want = fit_cite(ds, dr.take(idx), mode).kappa_hat
-    except RankDeficient:
-        with pytest.raises(RankDeficient):
-            draw_kappa(unit_summaries(dr), counts, mode)
-        return
-    got = draw_kappa(unit_summaries(dr), counts, mode)
-    # relative to the size of kappa: an entry near 0 has no relative digits
-    assert_allclose(got, want, rtol=rtol,
-                    atol=rtol * np.max(np.abs(want), initial=0.0))
+    got, failed = draw_kappas(unit_summaries(dr),
+                              np.stack([np.bincount(i, minlength=n) for i in idx]),
+                              mode)
+    for j, i in enumerate(idx):
+        try:
+            want = fit_cite(ds, dr.take(i), mode).kappa_hat
+        except RankDeficient:
+            assert failed[j]
+            continue
+        assert not failed[j]
+        # relative to the size of kappa: an entry near 0 has no relative digits
+        assert_allclose(got[j], want, rtol=rtol,
+                        atol=rtol * np.max(np.abs(want), initial=0.0))
 
 
 # Text labels that stay text: quoting, commas and line breaks included.
