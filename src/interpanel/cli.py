@@ -12,14 +12,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .data import (PanelDataError, add_intercept_h, build_regressors,
-                   drop_failing_units, load_csv, validate, write_csv,
-                   DEFAULT_H_MIN)
-from .dgp import ConfigInvalid, load_dgp_config, simulate
+from .data import (add_intercept_h, build_regressors, drop_failing_units,
+                   load_csv, validate, write_csv, DEFAULT_H_MIN)
+from .dgp import load_dgp_config, simulate
 from .estimators import WEIGHT_MODES, fit_cite, ite, mean_effect
-from .harness import (convergence_table, evaluate_contracts,
-                      load_experiment_config, run_experiment)
-from .inference import bootstrap_cite, cite_kappa_se, cite_theta_se, ite_se
+from .harness import (FailureRateExceeded, convergence_table,
+                      evaluate_contracts, load_experiment_config,
+                      run_experiment)
+from .inference import (DegenerateResample, bootstrap_cite, cite_kappa_se,
+                        cite_theta_se, ite_se)
 from .linalg import RankDeficient
 
 
@@ -305,8 +306,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PanelDataError, RankDeficient, ConfigInvalid, ValueError,
-            OSError) as exc:
+    except (ValueError, RankDeficient, DegenerateResample,
+            FailureRateExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # sizes within every bound, beyond the machine

@@ -30,6 +30,11 @@ correlated_random_effects
 correlated_x_delta
     X loads on eps_i (so the unit slopes are correlated with the
     within-unit level of X) while eps stays independent of H.
+
+A new field of DgpConfig (or of harness.ExperimentConfig) is declared
+once, in the class, by `_json(group, key, check, default)`; the reader,
+the checks and `to_dict` go by the field table derived from those
+declarations (`_FIELDS`). Name it in the class docstring and the README.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -118,52 +123,12 @@ def _scenario(v, d):
     return v
 
 
+def _real(v, d):
+    return _number(v)
+
+
 def _scale(v, d):
     return _number(v, low=0.0, reason="scale must be nonnegative")
-
-
-# Every DgpConfig field but dims, in JSON order: (JSON group, key, check),
-# where group None is the top level. Its name (_NAMES) is `key` at the top
-# level and in "noise", f"{group}_{key}" elsewhere. check(value, dims)
-# returns the value to store or raises ValueError with the reason.
-_FIELDS = (
-    (None, "kappa", lambda v, d: _coefficients(v, d.K_h, "K_h")),
-    (None, "phi", _phi),
-    (None, "gamma", lambda v, d: _coefficients(v, d.K_z, "K_z")),
-    (None, "scenario", _scenario),
-    (None, "seed", lambda v, d: _number(v, True, 0, reason="must be >= 0")),
-    ("x", "mean", lambda v, d: _columns(v, d.K_x)),
-    ("x", "scale", lambda v, d: _columns(v, d.K_x, 0.0)),
-    ("x", "constant_cols", _constant_cols),
-    ("x", "fe_loading", lambda v, d: _number(v)),
-    ("x", "eps_loading", lambda v, d: _number(v)),
-    ("x", "hidden_scale_slope", _scale),
-    ("g", "mean", lambda v, d: _columns(v, d.K_g)),
-    ("g", "scale", lambda v, d: _columns(v, d.K_g, 0.0)),
-    ("z", "mean", lambda v, d: _columns(v, d.K_z)),
-    ("z", "scale", lambda v, d: _columns(v, d.K_z, 0.0)),
-    ("h", "mean", lambda v, d: _columns(v, d.K_h)),
-    ("h", "scale", lambda v, d: _columns(v, d.K_h, 0.0)),
-    ("h", "noise_scale", _scale),
-    ("delta", "mean", lambda v, d: _columns(v, d.K_x - 1)),
-    ("delta", "scale", lambda v, d: _columns(v, d.K_x - 1, 0.0)),
-    ("noise", "u_scale", _scale),
-    ("noise", "v_scale", _scale),
-    ("noise", "eps_scale", _scale),
-    ("hidden", "kappa", lambda v, d: _number(v)),
-    ("hidden", "corr", lambda v, d: _number(
-        v, low=-1.0, high=1.0, reason="correlation must be in [-1, 1]")),
-)
-
-
-def _names(fields, flat=(None,)):
-    """Each field's name: `key` in the groups in flat, else group_key."""
-    return tuple(key if group in flat else f"{group}_{key}"
-                 for group, key, _ in fields)
-
-
-_NAMES = _names(_FIELDS, (None, "noise"))
-_DIM_NAMES = ("n", "T", "K_x", "K_g", "K_z", "K_h")  # read from "dims"
 
 
 def _size(v, d):
@@ -171,13 +136,24 @@ def _size(v, d):
         f"must be at most {sys.maxsize} (an index-sized integer)"))
 
 
-# check(value, sizes checked so far). Every size is bounded here, so a huge
-# one fails at its path, not where a default list is built. Dims bounds K_x,
-# K_g and K_z by n and T; K_h, the length of the kappa default, is bounded
-# by n.
-_DIMS = tuple(("dims", k, _size) for k in _DIM_NAMES[:-1]) + (
-    ("dims", "K_h", lambda v, d: _number(v, True, high=d["n"], reason=(
-        f"must be at most n = {d['n']} (kappa is fitted on n unit slopes)"))),)
+def _K_h(v, d):
+    return _number(v, True, high=d["n"], reason=(
+        f"must be at most n = {d['n']} (kappa is fitted on n unit slopes)"))
+
+
+# Dims' fields as _FIELDS rows, with check(value, sizes checked so far).
+# Every size is bounded here, so a huge one fails at its path, not where a
+# default list is built. Dims bounds K_x, K_g and K_z by n and T; K_h, the
+# length of the kappa default, is bounded by n.
+_DIMS = (*(("dims", k, _size, k) for k in ("n", "T", "K_x", "K_g", "K_z")),
+         ("dims", "K_h", _K_h, "K_h"))
+
+
+def _json(group, key, check, default=MISSING):
+    """A config field, read from JSON at raw[group][key] (raw[key] for group
+    None). check(value, context) returns the value to store or raises
+    ValueError with the reason; the class says what its context is."""
+    return field(default=default, metadata={"json": (group, key, check)})
 
 
 def _path(group, key):
@@ -190,19 +166,19 @@ def _section(value, path):
     return dict(value)
 
 
-def _read(raw, fields, names, required):
+def _read(raw, fields, required):
     """The keywords that JSON object raw sets: raw[group][key] (raw[key]
-    for group None) of each (group, key, _) in fields, under its name.
+    for group None) of each (group, key, _, name) in fields, under name.
     Groups and paths in required must be present; no other key may be."""
     top = _section(raw, "top level")
     groups = {}
-    for group in dict.fromkeys(g for g, _, _ in fields if g):
+    for group in dict.fromkeys(g for g, *_ in fields if g):
         if group in required and group not in top:
             raise ConfigInvalid(group, "missing required section")
         groups[group] = _section(top.pop(group, {}), group)
     groups[None] = top
     kwargs = {}
-    for (group, key, _), name in zip(fields, names):
+    for group, key, _, name in fields:
         if key in groups[group]:
             kwargs[name] = groups[group].pop(key)
         elif _path(group, key) in required:
@@ -213,11 +189,11 @@ def _read(raw, fields, names, required):
     return kwargs
 
 
-def _check(values, fields, names, context):
-    """Set values[name] = check(values[name], context) where present (values
-    may be a frozen instance's __dict__); a check's ValueError becomes a
-    ConfigInvalid at the field's path."""
-    for (group, key, check), name in zip(fields, names):
+def _check(values, fields, context):
+    """Set values[name] = check(values[name], context) for each (group, key,
+    check, name) in fields with name in values (a frozen instance's
+    __dict__ too); a check's ValueError becomes a ConfigInvalid at its path."""
+    for group, key, check, name in fields:
         if name in values:
             try:
                 values[name] = check(values[name], context)
@@ -240,41 +216,52 @@ class DgpConfig:
     """
 
     dims: Dims
-    kappa: tuple
-    phi: tuple = ()
-    gamma: tuple = ()
-    scenario: str = "baseline"
-    seed: int = 0
-    x_mean: object = 0.0
-    x_scale: object = 1.0
-    x_constant_cols: tuple = ()
-    x_fe_loading: float = 0.0
-    x_eps_loading: float = 0.0
-    x_hidden_scale_slope: float = 0.0
-    g_mean: object = 0.0
-    g_scale: object = 1.0
-    z_mean: object = 0.0
-    z_scale: object = 1.0
-    h_mean: object = 0.0
-    h_scale: object = 1.0
-    h_noise_scale: float = 0.0
-    delta_mean: object = 0.0
-    delta_scale: object = 1.0
-    u_scale: float = 1.0
-    v_scale: float = 0.0
-    eps_scale: float = 1.0
-    hidden_kappa: float = 0.0
-    hidden_corr: float = 0.6
+    # check(value, dims) for the rest, declared in JSON order
+    kappa: tuple = _json(None, "kappa",
+                         lambda v, d: _coefficients(v, d.K_h, "K_h"))
+    phi: tuple = _json(None, "phi", _phi, ())
+    gamma: tuple = _json(None, "gamma",
+                         lambda v, d: _coefficients(v, d.K_z, "K_z"), ())
+    scenario: str = _json(None, "scenario", _scenario, "baseline")
+    seed: int = _json(None, "seed", lambda v, d: _number(
+        v, True, 0, reason="must be >= 0"), 0)
+    x_mean: object = _json("x", "mean", lambda v, d: _columns(v, d.K_x), 0.0)
+    x_scale: object = _json("x", "scale",
+                            lambda v, d: _columns(v, d.K_x, 0.0), 1.0)
+    x_constant_cols: tuple = _json("x", "constant_cols", _constant_cols, ())
+    x_fe_loading: float = _json("x", "fe_loading", _real, 0.0)
+    x_eps_loading: float = _json("x", "eps_loading", _real, 0.0)
+    x_hidden_scale_slope: float = _json("x", "hidden_scale_slope", _scale, 0.0)
+    g_mean: object = _json("g", "mean", lambda v, d: _columns(v, d.K_g), 0.0)
+    g_scale: object = _json("g", "scale",
+                            lambda v, d: _columns(v, d.K_g, 0.0), 1.0)
+    z_mean: object = _json("z", "mean", lambda v, d: _columns(v, d.K_z), 0.0)
+    z_scale: object = _json("z", "scale",
+                            lambda v, d: _columns(v, d.K_z, 0.0), 1.0)
+    h_mean: object = _json("h", "mean", lambda v, d: _columns(v, d.K_h), 0.0)
+    h_scale: object = _json("h", "scale",
+                            lambda v, d: _columns(v, d.K_h, 0.0), 1.0)
+    h_noise_scale: float = _json("h", "noise_scale", _scale, 0.0)
+    delta_mean: object = _json("delta", "mean",
+                               lambda v, d: _columns(v, d.K_x - 1), 0.0)
+    delta_scale: object = _json("delta", "scale",
+                                lambda v, d: _columns(v, d.K_x - 1, 0.0), 1.0)
+    u_scale: float = _json("noise", "u_scale", _scale, 1.0)
+    v_scale: float = _json("noise", "v_scale", _scale, 0.0)
+    eps_scale: float = _json("noise", "eps_scale", _scale, 1.0)
+    hidden_kappa: float = _json("hidden", "kappa", _real, 0.0)
+    hidden_corr: float = _json("hidden", "corr", lambda v, d: _number(
+        v, low=-1.0, high=1.0, reason="correlation must be in [-1, 1]"), 0.6)
 
     def __post_init__(self):
-        _check(self.__dict__, _FIELDS, _NAMES, self.dims)
+        _check(self.__dict__, _FIELDS, self.dims)
         if self.scenario in _HIDDEN_SCENARIOS and self.dims.K_h < 1:
             raise ConfigInvalid("dims.K_h",
                                 "hidden-column scenarios need K_h >= 1")
 
     def to_dict(self):
         out = {"dims": asdict(self.dims)}
-        for (group, key, _), name in zip(_FIELDS, _NAMES):
+        for group, key, _, name in _FIELDS:
             value = getattr(self, name)
             if isinstance(value, tuple):  # JSON lists, phi's rows too
                 value = [list(v) if isinstance(v, tuple) else v for v in value]
@@ -283,10 +270,10 @@ class DgpConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        kwargs = _read(raw, _DIMS + _FIELDS, _DIM_NAMES + _NAMES,
+        kwargs = _read(raw, _DIMS + _FIELDS,
                        ("dims", "dims.n", "dims.T", "dims.K_x"))
-        sizes = {k: kwargs.pop(k) for k in _DIM_NAMES if k in kwargs}
-        _check(sizes, _DIMS, _DIM_NAMES, sizes)
+        sizes = {k: kwargs.pop(k) for *_, k in _DIMS if k in kwargs}
+        _check(sizes, _DIMS, sizes)
         try:
             dims = Dims(**sizes)
         except ValueError as exc:
@@ -294,6 +281,12 @@ class DgpConfig:
         return cls(**{"dims": dims, "kappa": [0.0] * dims.K_h,
                       "phi": [[0.0] * dims.K_g] * dims.K_x,
                       "gamma": [0.0] * dims.K_z, **kwargs})
+
+
+# (group, key, check, name) of each field declared with _json, in
+# declaration order: the JSON order to_dict writes
+_FIELDS = tuple((*f.metadata["json"], f.name)
+                for f in fields(DgpConfig) if f.metadata)
 
 
 def load_dgp_config(path):

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .data import build_regressors, default_columns
-from .dgp import (_SEQUENCE, DgpConfig, _check, _names, _number, _read,
+from .dgp import (_SEQUENCE, DgpConfig, _check, _json, _number, _read,
                   _section, plim_targets, simulate)
 from .estimators import ite as _fit_ite
 from .estimators import check_weight_mode, fit_cite, theta_tilde_labels
@@ -25,6 +25,10 @@ from .linalg import RankDeficient
 
 ESTIMATORS = ("cite", "ite")
 FAILURE_RATE_LIMIT = 0.01
+
+
+class FailureRateExceeded(RuntimeError):
+    """More than FAILURE_RATE_LIMIT of a cell's replications failed."""
 
 
 def parameter_labels(dims):
@@ -66,27 +70,6 @@ def _estimators(v, _):
     return names
 
 
-# Every ExperimentConfig field, in JSON order: (JSON group, key, check), as
-# dgp._FIELDS. Its name is `key` at the top level, f"{group}_{key}" in
-# "oracle". check(value, fields) returns the value to store; fields holds
-# the fields checked before it, so sample_sizes sees the checked dgp.
-_FIELDS = (
-    (None, "dgp", lambda v, _: v if isinstance(v, DgpConfig)
-     else DgpConfig.from_dict(_section(v, "dgp"))),
-    (None, "sample_sizes", _sample_sizes),
-    (None, "replications", lambda v, _: _number(
-        v, True, 2, reason="need at least 2 replications")),
-    (None, "estimators", _estimators),
-    (None, "seed", lambda v, _: _number(v, True, 0, reason="must be >= 0")),
-    (None, "weight_mode", lambda v, _: check_weight_mode(v)),
-    ("oracle", "draws", lambda v, _: _number(
-        v, True, 0, reason="must be >= 0")),
-    ("oracle", "blocks", lambda v, _: _number(
-        v, True, 2, reason="need at least 2 oracle blocks")),
-)
-_NAMES = _names(_FIELDS)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Monte Carlo design: DGP, sample sizes, replication count.
@@ -100,22 +83,36 @@ class ExperimentConfig:
     oracle.blocks, an integer >= 2 [20].
     """
 
-    dgp: DgpConfig
-    sample_sizes: tuple
-    replications: int
-    estimators: tuple = ESTIMATORS
-    seed: int = 0
-    weight_mode: str = "none"
-    oracle_draws: int = 100_000
-    oracle_blocks: int = 20
+    # declared in JSON order; check(value, fields) returns the value to
+    # store, where fields holds the fields checked before it, so
+    # sample_sizes sees the checked dgp
+    dgp: DgpConfig = _json(None, "dgp", lambda v, _: v if isinstance(
+        v, DgpConfig) else DgpConfig.from_dict(_section(v, "dgp")))
+    sample_sizes: tuple = _json(None, "sample_sizes", _sample_sizes)
+    replications: int = _json(None, "replications", lambda v, _: _number(
+        v, True, 2, reason="need at least 2 replications"))
+    estimators: tuple = _json(None, "estimators", _estimators, ESTIMATORS)
+    seed: int = _json(None, "seed", lambda v, _: _number(
+        v, True, 0, reason="must be >= 0"), 0)
+    weight_mode: str = _json(None, "weight_mode",
+                             lambda v, _: check_weight_mode(v), "none")
+    oracle_draws: int = _json("oracle", "draws", lambda v, _: _number(
+        v, True, 0, reason="must be >= 0"), 100_000)
+    oracle_blocks: int = _json("oracle", "blocks", lambda v, _: _number(
+        v, True, 2, reason="need at least 2 oracle blocks"), 20)
 
     def __post_init__(self):
-        _check(self.__dict__, _FIELDS, _NAMES, self.__dict__)
+        _check(self.__dict__, _FIELDS, self.__dict__)
 
     @classmethod
     def from_dict(cls, raw):
-        return cls(**_read(raw, _FIELDS, _NAMES,
+        return cls(**_read(raw, _FIELDS,
                            ("dgp", "sample_sizes", "replications")))
+
+
+# (group, key, check, name) of each field, as dgp._FIELDS
+_FIELDS = tuple((*f.metadata["json"], f.name)
+                for f in fields(ExperimentConfig))
 
 
 def load_experiment_config(path):
@@ -149,10 +146,10 @@ class CellStats:
 class MonteCarloReport:
     """All cells of one experiment plus the attached large-n targets.
 
-    failures[(estimator, n)] counts the failed replications of a cell and
-    failure_types[(estimator, n)] is a Counter of their exception class
-    names; a failed regressor build counts under every estimator.
-    `to_dict` leaves failure_types out.
+    failure_types[(estimator, n)] is a Counter of the exception class
+    names of a cell's failed replications; a failed regressor build counts
+    under every estimator. `to_dict` writes their totals (`failures`) and
+    leaves failure_types out.
     """
 
     scenario: str
@@ -164,9 +161,14 @@ class MonteCarloReport:
     cells: tuple
     sign_agreement: dict
     targets: object
-    failures: dict
-    failure_types: dict = field(default_factory=dict)
+    failure_types: dict
     config: ExperimentConfig = field(repr=False, default=None)
+
+    @property
+    def failures(self):
+        """The failed replications of each (estimator, n) cell."""
+        return {key: sum(types.values())
+                for key, types in self.failure_types.items()}
 
     def cell(self, estimator, n, parameter):
         for c in self.cells:
@@ -217,7 +219,6 @@ def run_experiment(cfg):
     # should abort on the failure-rate limit, not inside the oracle.
     all_draws = {}
     all_ok = {}
-    failures = {}
     failure_types = {}
     sign_agreement = {}
     for n in cfg.sample_sizes:
@@ -242,11 +243,10 @@ def run_experiment(cfg):
                 except (RankDeficient, np.linalg.LinAlgError) as exc:
                     types[est][type(exc).__name__] += 1
         for est in cfg.estimators:
-            n_bad = int(cfg.replications - ok[est].sum())
-            failures[(est, n)] = n_bad
             failure_types[(est, n)] = types[est]
+            n_bad = sum(types[est].values())
             if n_bad > FAILURE_RATE_LIMIT * cfg.replications:
-                raise RuntimeError(
+                raise FailureRateExceeded(
                     f"estimator {est!r} failed {n_bad}/{cfg.replications} "
                     f"replications at n={n} (limit "
                     f"{FAILURE_RATE_LIMIT:.0%}); check the DGP rank conditions"
@@ -283,7 +283,6 @@ def run_experiment(cfg):
         cells=tuple(cells),
         sign_agreement=sign_agreement,
         targets=targets,
-        failures=failures,
         failure_types=failure_types,
         config=cfg,
     )

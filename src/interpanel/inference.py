@@ -84,6 +84,9 @@ def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
     G = int(codes.max()) + 1
     if G < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {G}")
+    if small_sample and N <= k:
+        raise ValueError(f"the small-sample factor (N-1)/(N-k) needs more "
+                         f"rows than columns, got N = {N}, k = {k}")
 
     scores = np.zeros((G, k))
     np.add.at(scores, codes, X * e[:, None])

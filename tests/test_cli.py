@@ -473,7 +473,56 @@ class TestMc:
         assert err == f"error: {message}\n"
 
 
+def degenerate_bootstrap(tmp_path):
+    # the panel of test_degenerate_resample_cap: K_h == n, so only a
+    # permutation of the units fits and the redraw cap is passed
+    rng = np.random.default_rng(14)
+    Y, X, H = (rng.normal(size=shape) for shape in ((5, 5), (5, 5, 1), (5, 5)))
+    write_csv(make_dataset(Y, X, H=H), tmp_path / "panel.csv")
+    return ["estimate", "--input", str(tmp_path / "panel.csv"),
+            "--estimator", "cite", "--se", "bootstrap",
+            "--bootstrap-reps", "50", "--seed", "3"]
+
+
+def failing_replications(tmp_path):
+    # both x columns constant: every replication is rank deficient
+    cfg = {"dgp": {"dims": {"n": 50, "T": 4, "K_x": 2, "K_h": 1},
+                   "kappa": [0.5], "x": {"constant_cols": [1, 2]}},
+           "sample_sizes": [50], "replications": 5,
+           "oracle": {"draws": 1000, "blocks": 2}}
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    return ["mc", "--config", str(tmp_path / "exp.json")]
+
+
+def exactly_identified(tmp_path):
+    # ite_se stacks N = 2 rows on k = 2 columns: (N-1)/(N-k) is 1/0
+    (tmp_path / "panel.csv").write_text(
+        "unit,time,y,x1,h1,h2\n1,1,0.5,1.0,1.0,2.0\n2,1,0.7,2.0,3.0,1.0\n")
+    return ["estimate", "--input", str(tmp_path / "panel.csv")]
+
+
+def missing_input(tmp_path):
+    return ["estimate", "--input", str(tmp_path / "missing.csv")]
+
+
 class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (degenerate_bootstrap, "exceeded 500 redraws"),
+        (failing_replications, "estimator 'cite' failed 5/5 replications"),
+        (exactly_identified, "the small-sample factor (N-1)/(N-k) needs more "
+                             "rows than columns, got N = 2, k = 2"),
+        (missing_input, "[Errno 2] No such file or directory"),
+    ], ids=["degenerate-bootstrap", "mc-failure-rate", "cluster-N-equals-k",
+            "missing-input"])
+    def test_failure_is_one_error_line(self, argv, message, tmp_path,
+                                       capsys):
+        code, out, err = run(capsys, *argv(tmp_path))
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {message}")
+        assert "Traceback" not in err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["estimate", "--nope"])

@@ -115,7 +115,7 @@ class TestConfig:
                                     "Config rules")):
             para = re.search(rf"^{title}.*?\n\n", readme, re.M | re.S)
             assert para, f"README has no {title!r} paragraph"
-            for group, key, _ in fields:
+            for group, key, *_ in fields:
                 path = key if group is None else f"{group}.{key}"
                 assert re.search(rf"(?<![\w.]){re.escape(path)}(?!\w)",
                                  cls.__doc__), path

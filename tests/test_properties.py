@@ -9,6 +9,7 @@ import csv
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -357,7 +358,7 @@ def dgp_json(draw):
         valid[f"{group}.mean"] = columns(k)
         valid[f"{group}.scale"] = columns(k, SCALE)
     assert set(valid) == {key if group is None else f"{group}.{key}"
-                          for group, key, _ in _FIELDS}
+                          for group, key, *_ in _FIELDS}
     raw = {"dims": dims}
     for path, values in valid.items():
         if draw(st.booleans()):
@@ -382,12 +383,27 @@ def test_dgp_config_json_round_trip(raw):
 @PROPERTY
 @given(raw=dgp_json(), field=st.sampled_from(_FIELDS), bad=BAD)
 def test_dgp_config_invalid_field_names_its_path(raw, field, bad):
-    group, key, _ = field
+    group, key, *_ = field
     path = key if group is None else f"{group}.{key}"
     set_field(raw, path, bad)
     with pytest.raises(ConfigInvalid) as err:
         DgpConfig.from_dict(raw)
     assert err.value.path == path
+
+
+def assert_each_field_checked(cfg, fields, bad):
+    """replace(cfg, name=bad) raises ConfigInvalid at the path of each
+    (group, key, _, name) in fields."""
+    for group, key, _, name in fields:
+        with pytest.raises(ConfigInvalid) as err:
+            replace(cfg, **{name: bad})
+        assert err.value.path == (key if group is None else f"{group}.{key}")
+
+
+@PROPERTY
+@given(raw=dgp_json(), bad=BAD)
+def test_dgp_config_built_directly_checks_every_field(raw, bad):
+    assert_each_field_checked(DgpConfig.from_dict(raw), _FIELDS, bad)
 
 
 @st.composite
@@ -410,7 +426,7 @@ def mc_json(draw):
              "oracle.blocks": st.integers(2, 100)}
     assert set(valid) | set(raw) == {key if group is None
                                      else f"{group}.{key}"
-                                     for group, key, _ in MC_FIELDS}
+                                     for group, key, *_ in MC_FIELDS}
     for path, values in valid.items():
         if draw(st.booleans()):
             set_field(raw, path, draw(values))
@@ -420,7 +436,7 @@ def mc_json(draw):
 @PROPERTY
 @given(raw=mc_json(), field=st.sampled_from(MC_FIELDS), bad=BAD)
 def test_mc_config_invalid_field_names_its_path(raw, field, bad):
-    group, key, _ = field
+    group, key, *_ = field
     path = key if group is None else f"{group}.{key}"
     assume(not (path == "dgp" and bad == {}))  # an object: dgp's own errors
     ExperimentConfig.from_dict(raw)
@@ -428,3 +444,11 @@ def test_mc_config_invalid_field_names_its_path(raw, field, bad):
     with pytest.raises(ConfigInvalid) as err:
         ExperimentConfig.from_dict(raw)
     assert err.value.path == path
+
+
+@PROPERTY
+@given(raw=mc_json(), bad=BAD)
+def test_mc_config_built_directly_checks_every_field(raw, bad):
+    # {} is an object, so as dgp it gives dgp's own errors
+    fields = [f for f in MC_FIELDS if not (f[3] == "dgp" and bad == {})]
+    assert_each_field_checked(ExperimentConfig.from_dict(raw), fields, bad)
