@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -488,18 +488,8 @@ def add_intercept_h(ds):
                         ds.time_labels, columns=columns)
 
 
-class _UnitBlocks:
-    """Per-unit arrays, indexed by unit first."""
-
-    def take(self, idx):
-        """Blocks of the units at positions `idx` (repeats allowed); a
-        field that is None stays None."""
-        return type(self)(**{f.name: None if (v := getattr(self, f.name)) is None
-                             else v[idx] for f in fields(self)})
-
-
 @dataclass(frozen=True)
-class CiteBlocks(_UnitBlocks):
+class CiteBlocks:
     """Every per-unit array the two-step (CITE) fit and its standard
     errors read: the panel's own Y, X and H (not copies), Psi and its
     projection.
@@ -524,7 +514,7 @@ class CiteBlocks(_UnitBlocks):
 
 
 @dataclass(frozen=True)
-class IteBlocks(_UnitBlocks):
+class IteBlocks:
     """The per-unit arrays the one-step (ITE) fit reads: PsiTilde_i and
     Y_i with X_{i,-1} projected out, where PsiTilde is
     (n, T, K_h + K_x*K_g + K_z) and row t holds (X_t1 * H, Psi_t). At

@@ -312,7 +312,7 @@ def packaged_config(name):
 
 @dataclass(frozen=True)
 class SimulatedTruth:
-    """A simulated panel plus everything the estimators never see.
+    """A simulated panel plus the truth the `simulate` sidecar writes.
 
     `dataset` holds the observed sample (hidden H columns stripped,
     measurement error applied). h_full always contains the true,
@@ -321,21 +321,10 @@ class SimulatedTruth:
 
     dataset: object
     delta: np.ndarray
-    beta: np.ndarray
     eps: np.ndarray
-    V: np.ndarray
-    U: np.ndarray
     h_full: np.ndarray
     kappa_full: np.ndarray
     config: DgpConfig
-
-    def reconstruction_error(self):
-        """Max abs difference between emitted Y and the outcome equation
-        recomputed from the stored components."""
-        ds = self.dataset
-        gamma = np.asarray(self.config.gamma, dtype=float)
-        y = np.einsum("ntk,ntk->nt", ds.X, self.beta) + ds.Z @ gamma + self.U
-        return float(np.max(np.abs(ds.Y - y))) if ds.Y.size else 0.0
 
 
 def _broadcast(value, shape):
@@ -424,8 +413,8 @@ def simulate(cfg):
 
     ds = make_dataset(Y, X, G, Z, H_obs, columns=default_columns(d))
     h_full = h_used if hidden is not None else H
-    return SimulatedTruth(dataset=ds, delta=delta, beta=beta, eps=eps, V=V,
-                          U=U, h_full=h_full, kappa_full=kappa_full, config=cfg)
+    return SimulatedTruth(dataset=ds, delta=delta, eps=eps, h_full=h_full,
+                          kappa_full=kappa_full, config=cfg)
 
 
 @dataclass(frozen=True)
@@ -446,8 +435,6 @@ class PlimTargets:
     ite_plim_kappa1_se: float | None
     oracle_draws: int
     n_blocks: int
-    kappa_tilde_blocks: np.ndarray = field(repr=False, default=None)
-    ite_blocks: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self):
         return {
@@ -514,6 +501,4 @@ def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20):
         ite_plim_kappa1_se=ite_se_val,
         oracle_draws=block_n * n_blocks,
         n_blocks=n_blocks,
-        kappa_tilde_blocks=kt_blocks,
-        ite_blocks=ite_blocks,
     )

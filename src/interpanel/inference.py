@@ -2,9 +2,12 @@
 for the two-step estimator.
 
 The two-step point estimates treat the per-unit slopes as data in the
-second stage, so the default second-stage SEs (heteroskedasticity-robust
-OLS on the delta-on-H regression) ignore first-step noise. The bootstrap
-resamples whole units and refits both stages, which propagates it.
+second stage. The default second-stage SEs (heteroskedasticity-robust
+OLS on the delta-on-H regression) still carry each unit's first-step
+noise, since it is part of that unit's second-stage residual; what they
+leave out is the sampling noise of the pooled theta and of estimated
+weights. The bootstrap resamples whole units and refits both stages,
+which propagates both.
 
 A bootstrap draw is a count vector over units, not a copy of the blocks:
 `unit_summaries` takes once what a refit reads of each unit (the R
@@ -44,8 +47,7 @@ class DegenerateResample(RuntimeError):
 @dataclass(frozen=True)
 class SeResult:
     """Point estimates with a variance matrix and its method tag.
-    `redraws` counts the bootstrap's redrawn samples (0 for a sandwich);
-    `to_dict` leaves it out."""
+    `redraws` counts the bootstrap's redrawn samples (0 for a sandwich)."""
 
     labels: tuple
     estimates: np.ndarray
@@ -54,15 +56,6 @@ class SeResult:
     method: str
     n_clusters: int
     redraws: int = 0
-
-    def to_dict(self):
-        return {
-            "labels": list(self.labels),
-            "estimates": self.estimates.tolist(),
-            "se": self.se.tolist(),
-            "method": self.method,
-            "n_clusters": self.n_clusters,
-        }
 
 
 def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
@@ -140,10 +133,11 @@ def cite_theta_se(dr, result):
 
 def cite_kappa_se(dr, result):
     """HC0 SEs for the delta-on-H second stage, treating the estimated
-    slopes as data (first-step noise is ignored; use bootstrap_cite to
-    propagate it): cluster_robust_se on sqrt(w) H and sqrt(w) e with one
+    slopes as data: cluster_robust_se on sqrt(w) H and sqrt(w) e with one
     unit per cluster and no small-sample factor, where w are the fit's
-    own weights (all 1 when unweighted)."""
+    own weights (all 1 when unweighted). Each unit's first-step noise is
+    in its residual e_i, so it is covered; the sampling noise of theta
+    and of estimated weights is not (bootstrap_cite propagates those)."""
     n = dr.H.shape[0]
     sw = np.ones(n) if result.weights is None else np.sqrt(result.weights)
     e = result.delta_hat[:, 0] - dr.H @ result.kappa_hat
@@ -199,7 +193,7 @@ def draw_kappas(s, counts, weight_mode, work=None):
     """kappa_hat of `fit_cite` on each of b resamples at once, from the
     UnitSummaries `s` and a (b, n) count matrix, row j holding unit i
     counts[j, i] times. Returns (kappa, failed), (b, K_h) and (b,):
-    kappa[j] equals fit_cite(ds, dr.take(idx), weight_mode).kappa_hat for
+    kappa[j] equals fit_cite on the resample subset_units(ds, idx) for
     counts[j] = np.bincount(idx, minlength=n), up to the order of the
     sums, and failed[j] is True (kappa[j] 0) where that refit raises
     RankDeficient. `work`, if given, is a float array of shape

@@ -436,30 +436,6 @@ class TestBuildRegressors:
                      (X1, dr.ite.M1PsiTilde), (X1, dr.ite.M1Y[:, :, None])):
             assert np.max(np.abs(np.einsum("ntk,ntp->nkp", A, B))) < 1e-9
 
-    def test_take_matches_rebuild_on_subset(self):
-        ds = random_panel(6, n=10, K_x=2)
-        idx = np.array([3, 0, 3, 9, 9, 1])
-        built = build_regressors(ds)
-        rebuilt = build_regressors(subset_units(ds, idx))
-        for part in ("cite", "ite"):
-            taken = getattr(built, part).take(idx)
-            for f in fields(taken):
-                assert_allclose(getattr(taken, f.name),
-                                getattr(getattr(rebuilt, part), f.name),
-                                atol=1e-12, err_msg=f.name)
-
-    def test_take_keeps_the_missing_my(self):
-        # with no Psi columns there is no MY; a take carries the None
-        ds = random_panel(6, n=10, K_x=2, K_g=0, K_z=0)
-        idx = np.array([3, 0, 3, 9, 9, 1])
-        taken = build_regressors(ds).cite.take(idx)
-        rebuilt = build_regressors(subset_units(ds, idx)).cite
-        assert taken.MY is None and rebuilt.MY is None
-        for f in fields(taken):
-            if f.name != "MY":
-                assert np.array_equal(getattr(taken, f.name),
-                                      getattr(rebuilt, f.name)), f.name
-
     @pytest.fixture
     def made(self, monkeypatch):
         """Shapes of the designs build_regressors forms an M for."""

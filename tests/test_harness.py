@@ -183,6 +183,23 @@ class TestRunExperiment:
         frozen = (GOLDEN / "mc_mini_report.json").read_text(encoding="utf-8")
         assert got == frozen.rstrip("\n")
 
+    @pytest.mark.parametrize("mode", ["inv_se", "inv_var"])
+    def test_weighted_mode_reweights_only_kappa(self, mode):
+        # the weights enter the kappa stage only: theta (phi, gamma) is the
+        # unweighted pooled fit in every mode
+        unweighted = run_experiment(mini_experiment(estimators=("cite",)))
+        report = run_experiment(mini_experiment(estimators=("cite",),
+                                                weight_mode=mode))
+        assert report.failures == {("cite", 50): 0}
+        checks = evaluate_contracts(report)
+        assert checks and all(c["passed"] for c in checks)
+        for got, base in zip(report.cells, unweighted.cells, strict=True):
+            assert got.parameter == base.parameter
+            if got.parameter.startswith("kappa"):
+                assert got.mean != base.mean, got.parameter
+            else:
+                assert got.to_dict() == base.to_dict(), got.parameter
+
 
 class TestContracts:
     def test_baseline_contract_evaluates(self):
