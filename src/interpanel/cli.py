@@ -12,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .data import (add_intercept_h, build_regressors, drop_failing_units,
-                   load_csv, validate, write_csv, DEFAULT_H_MIN)
+from .data import (add_intercept_h, drop_failing_units, load_csv, validate,
+                   write_csv, DEFAULT_H_MIN)
 from .dgp import load_dgp_config, simulate
 from .estimators import WEIGHT_MODES, fit_cite, ite, mean_effect
 from .harness import (FailureRateExceeded, convergence_table,
@@ -69,8 +69,7 @@ def _cmd_estimate(args):
     if dropped:
         print(f"warning: dropped {len(dropped)} units failing the per-unit "
               f"variation check: {list(dropped)}", file=sys.stderr)
-    # validate's blocks; building anew only raises its rank error, by unit
-    dr = report.regressors or build_regressors(ds)
+    dr = report.regressors
 
     which = ("cite", "ite") if args.estimator == "both" else (args.estimator,)
     out = {
@@ -249,8 +248,12 @@ def build_parser():
                        help="column mapping, e.g. y=rate or x=tax|inc "
                             "(repeatable)")
         p.add_argument("--h-min", type=float, default=DEFAULT_H_MIN,
-                       help="threshold on each unit's det(X'X) / (T * mean"
-                            "(X^2))^K_x (default %(default)s)")
+                       help="a unit fails unless the solver can factor X and "
+                            "det(X'X) / (T * mean(X^2))^K_x exceeds this, and "
+                            "the same for X without its first column "
+                            "(default %(default)s)")
+        p.add_argument("--add-intercept-h", action="store_true",
+                       help="put a constant column h_const first in H")
 
     p = sub.add_parser("estimate", help="fit the estimators on a CSV panel")
     panel_args(p)
@@ -261,8 +264,6 @@ def build_parser():
     p.add_argument("--se", choices=("none", "cluster", "bootstrap"),
                    default="cluster")
     p.add_argument("--bootstrap-reps", type=int, default=200)
-    p.add_argument("--add-intercept-h", action="store_true",
-                   help="append a constant column to H")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_estimate)
@@ -278,7 +279,6 @@ def build_parser():
 
     p = sub.add_parser("validate", help="run the assumption checks on a CSV")
     panel_args(p)
-    p.add_argument("--add-intercept-h", action="store_true")
     p.add_argument("--output", help="write the report JSON here")
     p.set_defaults(func=_cmd_validate)
 

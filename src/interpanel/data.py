@@ -21,7 +21,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import RANK_TOL, RankDeficient, gram_det, qr_factors, residual_makers
+from .linalg import (RANK_TOL, RankDeficient, gram_det, qr_factors,
+                     residual_makers, unit_rank_deficient)
 
 # Numeric text format used by the CSV writer; round-trips float64 exactly.
 FLOAT_FORMAT = "%.17g"
@@ -499,8 +500,7 @@ class CiteBlocks:
     the (T, T) makers M_i are formed one unit chunk at a time and never
     kept, so memory is O(chunk * T^2) plus these O(nTK) arrays. When Psi
     has no columns no M_i is formed: MPsi is the empty Psi and MY is
-    None, since only the pooled stage reads it. q_x/r_x are the QR
-    factors of X_i, made in every case.
+    Y_i - Q_i Q_i'Y_i. q_x/r_x are the QR factors of X_i.
     """
 
     Y: np.ndarray
@@ -508,7 +508,7 @@ class CiteBlocks:
     H: np.ndarray
     Psi: np.ndarray
     MPsi: np.ndarray
-    MY: np.ndarray | None
+    MY: np.ndarray
     q_x: np.ndarray
     r_x: np.ndarray
 
@@ -563,17 +563,18 @@ def build_regressors(ds):
 def build_cite_blocks(ds, Psi):
     """CITE blocks from the panel and its `psi_block`.
 
-    Each X_i is factored once, with the rank rule. Only when Psi has
-    columns is X_i projected out of Psi and Y (`_project`: one unit chunk
-    of residual makers at a time); otherwise X_i is only factored, for
-    the per-unit slopes.
+    Each X_i is factored once, with the rank rule. When Psi has columns
+    X_i is projected out of Psi and Y by `_project` (one unit chunk of
+    residual makers at a time); otherwise no M_i is formed, and
+    M_i Y_i = Y_i - Q_i Q_i'Y_i comes from the QR factors.
     """
-    MPsi, MY = Psi, None
     with _unit_labels(ds):
         if Psi.shape[2]:
             MPsi, MY, q_x, r_x = _project(ds.X, Psi, ds.Y)
         else:
             q_x, r_x = qr_factors(ds.X)
+            MPsi, MY = Psi, ds.Y - np.einsum(
+                "ntk,nk->nt", q_x, np.einsum("ntk,nt->nk", q_x, ds.Y))
     return CiteBlocks(Y=ds.Y, X=ds.X, H=ds.H, Psi=Psi, MPsi=MPsi, MY=MY,
                       q_x=q_x, r_x=r_x)
 
@@ -637,8 +638,9 @@ class ValidationReport:
     smallest eigenvalue of the sample matrices (1/n) sum Psi'M Psi,
     (1/n) sum PsiTilde'M_-1 PsiTilde and (1/n) sum H'H relative to the
     largest, over the passing units: `panel` (the input itself when none
-    fails), whose blocks are `regressors` (None if they fail the solver's
-    rank rule). Estimation reuses both; `to_dict` omits them.
+    fails), whose blocks are `regressors` (both None when fewer than 2
+    units pass or too few rows remain for the pooled stage). Estimation
+    reuses both; `to_dict` omits them.
     """
 
     h_min: float
@@ -683,10 +685,12 @@ def _min_eig_margin(S):
 def validate(ds, h_min=DEFAULT_H_MIN):
     """Check per-unit X variation and the pooled rank conditions.
 
-    Reporting only; nothing is raised. Units whose normalized Gram
-    determinant falls below h_min are listed and excluded from the pooled
-    sample matrices (downstream estimation conditions on the passing
-    subpopulation), whose regressors are built here, once.
+    Reporting only; nothing is raised. A unit fails unless X_i and
+    X_{i,-1} pass the solver's rank rule (`unit_rank_deficient`) and the
+    h_min trim on their normalized Gram determinants. Failing units are
+    listed and excluded from the pooled sample matrices (downstream
+    estimation conditions on the passing subpopulation), whose
+    regressors are built here, once.
     """
     d = ds.dims
     X = ds.X
@@ -697,8 +701,9 @@ def validate(ds, h_min=DEFAULT_H_MIN):
     margin_x = det_x / (d.T * scale2) ** d.K_x
     margin_x1 = det_x1 / (d.T * scale2) ** (d.K_x - 1)
 
-    ok_x = margin_x > h_min
-    ok_x1 = margin_x1 > h_min
+    ok_x, ok_x1 = (
+        (margin > h_min) & ~unit_rank_deficient(np.linalg.qr(A, mode="r"))[0]
+        for margin, A in ((margin_x, X), (margin_x1, X[:, :, 1:])))
     fail_x = tuple(ds.unit_labels[i] for i in np.flatnonzero(~ok_x))
     fail_x1 = tuple(ds.unit_labels[i] for i in np.flatnonzero(~ok_x1))
 
@@ -709,10 +714,10 @@ def validate(ds, h_min=DEFAULT_H_MIN):
         try:
             # ds itself, not a copy: einsum would sum M @ Y in another order
             panel = ds if keep.size == d.n else subset_units(ds, keep)
+        except ValueError:
+            pass  # too few rows remain for the pooled stage; margins stay 0
+        else:
             dr = build_regressors(panel)
-        except (RankDeficient, ValueError):
-            pass  # retained units still fail at solver tolerance; margins stay 0
-        if dr is not None:
             MPsi, M1PsiTilde = dr.cite.MPsi, dr.ite.M1PsiTilde
             S1 = np.einsum("nip,niq->pq", MPsi, MPsi) / keep.size
             S2 = np.einsum("nip,niq->pq", M1PsiTilde, M1PsiTilde) / keep.size

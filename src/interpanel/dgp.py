@@ -324,7 +324,6 @@ class SimulatedTruth:
     eps: np.ndarray
     h_full: np.ndarray
     kappa_full: np.ndarray
-    config: DgpConfig
 
 
 def _broadcast(value, shape):
@@ -414,7 +413,7 @@ def simulate(cfg):
     ds = make_dataset(Y, X, G, Z, H_obs, columns=default_columns(d))
     h_full = h_used if hidden is not None else H
     return SimulatedTruth(dataset=ds, delta=delta, eps=eps, h_full=h_full,
-                          kappa_full=kappa_full, config=cfg)
+                          kappa_full=kappa_full)
 
 
 @dataclass(frozen=True)

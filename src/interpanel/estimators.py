@@ -101,15 +101,13 @@ class IteResult:
 
 def cite_theta(dr):
     """Pooled-stage coefficients: OLS of M_i Y_i on M_i Psi_i across units,
-    from the CITE blocks `dr`; empty, without reading MY, when Psi is.
+    from the CITE blocks `dr`; empty when Psi is.
 
     Solves (sum_i Psi_i'M_i Psi_i)^{-1} sum_i Psi_i'M_i Y_i through one
     stacked least-squares problem. Raises RankDeficient when the pooled
     transformed Gram is singular.
     """
-    if dr.Psi.shape[2] == 0:
-        return np.zeros(0)
-    design = dr.MPsi.reshape(dr.MY.size, -1)
+    design = dr.MPsi.reshape(dr.MY.size, dr.MPsi.shape[2])
     return solve_ols(design, dr.MY.reshape(-1)).coefficients
 
 

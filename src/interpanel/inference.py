@@ -121,12 +121,7 @@ def ite_se(dr, result):
 
 def cite_theta_se(dr, result):
     """Unit-clustered SEs for the pooled stage of the two-step estimator;
-    empty when Psi has no columns (theta is empty, and there is no MY)."""
-    if dr.MY is None:
-        return SeResult(labels=tuple(result.theta_labels),
-                        estimates=result.theta_hat, se=np.zeros(0),
-                        vcov=np.zeros((0, 0)), method="cluster_robust",
-                        n_clusters=dr.Y.shape[0])
+    empty when Psi has no columns (theta is empty)."""
     return _unit_clustered_se(dr.MPsi, dr.MY, result.theta_hat,
                               result.theta_labels)
 
@@ -172,15 +167,10 @@ class UnitSummaries:
 
 
 def unit_summaries(dr):
-    """UnitSummaries of the CITE blocks `dr`, O(n (p + 1)^2) floats. When
-    Psi has no columns MY is None, and M_i Y_i = Y_i - Q_i Q_i' Y_i is
-    formed here from the QR factors."""
+    """UnitSummaries of the CITE blocks `dr`, O(n (p + 1)^2) floats."""
     Q, R = dr.q_x, dr.r_x
-    n, T, K_x = Q.shape
-    MY = dr.MY
-    if MY is None:
-        MY = dr.Y - np.einsum("ntk,nk->nt", Q, np.einsum("ntk,nt->nk", Q, dr.Y))
-    Rb = np.linalg.qr(np.concatenate([dr.MPsi, MY[:, :, None]], axis=2),
+    T, K_x = Q.shape[1:]
+    Rb = np.linalg.qr(np.concatenate([dr.MPsi, dr.MY[:, :, None]], axis=2),
                       mode="r")
     B = np.concatenate([dr.Psi, dr.Y[:, :, None]], axis=2)
     D = np.linalg.solve(R, np.einsum("ntk,ntp->nkp", Q, B))[:, 0, :]

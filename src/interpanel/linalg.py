@@ -89,7 +89,8 @@ def solve_ols(design, response):
 
     coef, _, rank, sv = np.linalg.lstsq(A, y, rcond=None)
     if rank_deficient(sv) or rank < k:
-        cond = np.inf if sv[-1] == 0.0 else (sv[0] / sv[-1]) ** 2
+        with np.errstate(over="ignore"):  # a ratio past 1e154 squares to inf
+            cond = np.inf if sv[-1] == 0.0 else (sv[0] / sv[-1]) ** 2
         raise RankDeficient(
             f"design is numerically rank deficient (gram condition ~ {cond:.3e})",
             condition=cond,
@@ -98,9 +99,8 @@ def solve_ols(design, response):
 
 
 def qr_factors(X):
-    """One reduced QR per unit, X_i = Q_i R_i, with the rank rule: rank is
-    checked on the singular values of R_i, which are those of X_i (|r_i|
-    at k = 1).
+    """One reduced QR per unit, X_i = Q_i R_i, with the rank rule
+    (`unit_rank_deficient`).
 
     Parameters
     ----------
@@ -121,15 +121,23 @@ def qr_factors(X):
     if T < k:
         raise RankDeficient(f"unit designs have more columns ({k}) than rows ({T})")
     Q, R = np.linalg.qr(X)
-    if k:
-        sv = np.abs(R[:, :, 0]) if k == 1 else np.linalg.svd(R, compute_uv=False)
-        bad = rank_deficient(sv)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            s = sv[i]
-            cond = np.inf if s[-1] == 0.0 else (s[0] / s[-1]) ** 2
-            raise RankDeficient("X_i'X_i is numerically singular", condition=cond, unit=i)
+    bad, sv = unit_rank_deficient(R)
+    if bad.any():
+        i = int(np.argmax(bad))
+        with np.errstate(over="ignore"):  # as in solve_ols
+            cond = np.inf if sv[i, -1] == 0.0 else (sv[i, 0] / sv[i, -1]) ** 2
+        raise RankDeficient("X_i'X_i is numerically singular", condition=cond, unit=i)
     return Q, R
+
+
+def unit_rank_deficient(R):
+    """(bad, sv): each unit's verdict under the rank rule, from the R
+    factors (n, k, k) of its design X_i (those of `qr_factors`, or of
+    np.linalg.qr(X, mode="r"), the same bits), and the singular values it
+    read, those of X_i: |r_i| at k = 1. No unit fails at k = 0."""
+    n, k = R.shape[:2]
+    sv = np.abs(R[:, :, 0]) if k == 1 else np.linalg.svd(R, compute_uv=False)
+    return (rank_deficient(sv) if k else np.zeros(n, dtype=bool)), sv
 
 
 def residual_makers(X):
@@ -159,4 +167,5 @@ def residual_makers(X):
 def gram_det(A):
     """det(A'A) for each matrix of a stack A (..., m, k); 1.0 when k = 0."""
     A = np.asarray(A, dtype=float)
-    return np.linalg.det(np.einsum("...tk,...tl->...kl", A, A))
+    with np.errstate(divide="ignore"):  # LAPACK's LU may divide by a subnormal
+        return np.linalg.det(np.einsum("...tk,...tl->...kl", A, A))

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import re
+import shlex
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,21 +156,43 @@ class TestBuildsOnce:
         assert code == 0
         assert len(builds) == 1
 
-    def test_rank_error_names_the_unit_label(self, tmp_path, capsys):
-        # labels 1..6; the fifth unit (label 5) has collinear x columns,
-        # and --h-min -1 keeps it past validate
+
+class TestDropsUnits:
+    @staticmethod
+    def estimate(tmp_path, capsys, X, *extra):
         rng = np.random.default_rng(15)
-        X = rng.normal(size=(6, 5, 2))
-        X[4, :, 1] = 2.0 * X[4, :, 0]
-        ds = make_dataset(rng.normal(size=(6, 5)), X,
-                          unit_labels=[1, 2, 3, 4, 5, 6])
-        path = tmp_path / "collinear.csv"
+        ds = make_dataset(rng.normal(size=X.shape[:2]), X)
+        path = tmp_path / "panel.csv"
         write_csv(ds, path)
-        code, out, err = run(capsys, "estimate", "--input", str(path),
-                             "--h-min", "-1")
-        assert code == 1
-        assert out == ""
-        assert err == "error: X_i'X_i is numerically singular (unit 5)\n"
+        code, out, err = run(capsys, "estimate", "--input", str(path), *extra)
+        return code, json.loads(out), err
+
+    def test_constant_x_unit_is_dropped_with_one_warning(self, tmp_path,
+                                                         capsys):
+        # x2 is an intercept, and unit 3's x1 is constant: X_i has rank 1
+        X = np.random.default_rng(16).normal(size=(7, 5, 2))
+        X[:, :, 1] = 1.0
+        X[2, :, 0] = 4.0
+        code, doc, err = self.estimate(tmp_path, capsys, X)
+        assert code == 0
+        assert err == ("warning: dropped 1 units failing the per-unit "
+                       "variation check: [3]\n")
+        assert doc["dropped_units"] == [3]
+        assert doc["n_units"] == 6
+
+    def test_unit_the_solver_cannot_factor_is_dropped_at_any_h_min(
+            self, tmp_path, capsys):
+        # the fifth unit (label 5) has collinear x columns; --h-min -1
+        # passes it through the trim, and the rank rule drops it
+        X = np.random.default_rng(15).normal(size=(6, 5, 2))
+        X[4, :, 1] = 2.0 * X[4, :, 0]
+        code, doc, err = self.estimate(tmp_path, capsys, X, "--h-min", "-1")
+        assert code == 0
+        assert err == ("warning: dropped 1 units failing the per-unit "
+                       "variation check: [5]\n")
+        assert doc["dropped_units"] == [5]
+        assert doc["n_units"] == 5
+        assert doc["validation"]["failing_units_x"] == [5]
 
 
 class TestValidate:
@@ -540,6 +564,27 @@ class TestUsage:
             main([sub, "--help"])
         assert err.value.code == 0
         assert "--" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sub", ["estimate", "validate"])
+    def test_panel_flags_are_described(self, sub, capsys):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--add-intercept-h put a constant column h_const" in out
+        assert "a unit fails unless the solver can factor X" in out
+
+    def test_readme_examples_parse(self):
+        # every `interpanel ...` line of README's "Command line" block, with
+        # its `\` continuations joined, parses with today's flags
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        block = readme.split("## Command line", 1)[1]
+        block = block.split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("interpanel ")]
+        assert len(commands) == 6
+        for line in commands:
+            args = cli.build_parser().parse_args(shlex.split(line)[1:])
+            assert args.command == shlex.split(line)[1]
 
     def test_missing_input_file_exits_1(self, capsys):
         code, _, err = run(capsys, "estimate", "--input", "/nope/missing.csv")

@@ -465,9 +465,10 @@ class TestBuildRegressors:
         ds = random_panel(8, n=15, K_x=K_x, K_g=0, K_z=0, K_h=2)
         dr = build_regressors(ds)
         assert made == ([] if K_x == 1 else [ds.X[:, :, 1:].shape])
-        assert dr.cite.MY is None and dr.cite.MPsi.shape == (15, 6, 0)
-
         M, Q, R = residual_makers(ds.X)
+        assert np.array_equal(dr.cite.MY, ds.Y - np.einsum(
+            "ntk,nk->nt", Q, np.einsum("ntk,nt->nk", Q, ds.Y)))
+        assert dr.cite.MPsi.shape == (15, 6, 0)
         M1 = residual_makers(ds.X[:, :, 1:])[0]
         Psi = np.zeros((15, 6, 0))
         PsiTilde = ds.X[:, :, 0:1] * ds.H[:, None, :]
@@ -647,16 +648,27 @@ class TestValidate:
                                       getattr(want, f.name)), f.name
         assert not {"panel", "regressors"} & set(report.to_dict())
 
-    def test_no_regressors_when_kept_units_fail_the_rank_rule(self):
-        # h_min < 0 keeps every unit, but unit 5 is exactly collinear
+    def test_units_the_solver_cannot_factor_fail_at_any_h_min(self):
+        # h_min < 0 passes every unit through the trim, but unit 5 is
+        # exactly collinear: the rank rule fails it, and the blocks and
+        # margins are those of the other five units
         ds = random_panel(14, n=6)
         X = ds.X.copy()
         X[4, :, 1] = 3.0 * X[4, :, 0]
         bad = make_dataset(ds.Y, X, ds.G, ds.Z, ds.H)
         report = validate(bad, h_min=-1.0)
-        assert report.panel is bad
-        assert report.regressors is None
-        assert report.pooled_margins["psi_m_psi"] == 0.0
+        assert report.failing_units_x == (5,)
+        assert report.failing_units_x_minus1 == ()
+        assert report.panel.unit_labels == (1, 2, 3, 4, 6)
+        rest = validate(subset_units(bad, [0, 1, 2, 3, 5]), h_min=-1.0)
+        assert report.pooled_margins == rest.pooled_margins
+        assert all(m > 0 for m in report.pooled_margins.values())
+        want = build_regressors(report.panel)
+        for part in ("cite", "ite"):
+            got = getattr(report.regressors, part)
+            for f in fields(got):
+                assert np.array_equal(getattr(got, f.name),
+                                      getattr(getattr(want, part), f.name))
 
     @pytest.mark.parametrize("factor", [1e3, 1e-3])
     def test_rescaling_one_unit_moves_no_verdict(self, baseline_config, factor):

@@ -7,7 +7,8 @@ import pytest
 
 from interpanel.dgp import ConfigInvalid, packaged_config
 from interpanel.estimators import WEIGHT_MODES
-from interpanel.harness import (ExperimentConfig, convergence_table,
+from interpanel.harness import (CellStats, ExperimentConfig,
+                                MonteCarloReport, convergence_table,
                                 evaluate_contracts, replication_seed,
                                 run_experiment)
 
@@ -227,3 +228,23 @@ class TestContracts:
         cite_check = [c for c in checks
                       if "cite recovers the truth" in c["name"]][0]
         assert not cite_check["passed"]
+
+    @pytest.mark.parametrize("bias, shown, passed", [
+        (0.0, "0.00", True), (0.5, "inf", False)])
+    def test_table_and_contract_share_the_bias_ratio(self, bias, shown,
+                                                     passed):
+        # a made-up cell with zero sd: the table prints the ratio the
+        # contract judges
+        cell = CellStats(estimator="cite", n=10, parameter="kappa[h1]",
+                         truth=1.0, target=1.0, mean=1.0 + bias, bias=bias,
+                         bias_vs_target=bias, sd=0.0, rmse=bias, mc_se=0.0)
+        report = MonteCarloReport(
+            scenario="baseline", sample_sizes=(10,), replications=4,
+            estimators=("cite",), parameter_names=("kappa[h1]",),
+            truth=np.ones(1), cells=(cell,), sign_agreement={}, targets=None,
+            failure_types={("cite", 10): {}})
+        text, _ = convergence_table(report)
+        assert text.splitlines()[2].split()[-1] == shown
+        [check] = evaluate_contracts(report)
+        assert check["passed"] is passed
+        assert check["detail"] == f"max |bias|/mc_se = {shown} at n=10"

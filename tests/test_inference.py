@@ -192,7 +192,7 @@ class TestClusterRobust:
             assert_allclose(se.se, np.sqrt(np.diag(se.vcov)))
 
     def test_theta_se_is_empty_without_psi(self):
-        # no G and no Z: theta is empty, and no MY is built for it
+        # no G and no Z: theta is empty, and so are its SEs
         ds = random_panel(10, n=9, K_g=0, K_z=0)
         dr = build_regressors(ds).cite
         se = cite_theta_se(dr, fit_cite(ds, dr))

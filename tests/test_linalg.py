@@ -33,6 +33,17 @@ class TestSolveOls:
             solve_ols(A, np.arange(5.0))
         assert err.value.condition > 1e10
 
+    def test_condition_past_overflow_is_inf(self):
+        # sv ratio about 1e160: its square overflows, with no RuntimeWarning
+        b = np.random.default_rng(3).normal(size=5)
+        A = np.column_stack([1e-160 * b, b])
+        with pytest.raises(RankDeficient) as err:
+            solve_ols(A, b)
+        assert err.value.condition == np.inf
+        with pytest.raises(RankDeficient) as err:
+            residual_makers(A[None])
+        assert err.value.condition == np.inf
+
     def test_underdetermined_raises(self):
         with pytest.raises(ValueError):
             solve_ols(np.ones((2, 3)), np.ones(2))
@@ -183,6 +194,12 @@ class TestGramDet:
 
     def test_empty_matrix(self):
         assert gram_det(np.empty((4, 0))) == 1.0
+
+    def test_subnormal_pivot_gives_zero(self):
+        # the Gram [[0, ~1e-315], [~1e-315, b'b]]: LAPACK's LU divides by
+        # a subnormal, with no RuntimeWarning
+        b = np.random.default_rng(3).normal(size=5)
+        assert gram_det(np.column_stack([2.2e-316 * b, b])) == 0.0
 
     def test_stack_matches_each_matrix(self):
         rng = np.random.default_rng(7)

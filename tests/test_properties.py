@@ -22,12 +22,12 @@ from numpy.testing import assert_allclose
 from interpanel.cli import _float_array_json
 from interpanel.data import (FLOAT_FORMAT, _parse_label, _sorted_labels,
                              build_regressors, load_csv, make_dataset,
-                             subset_units, write_csv)
+                             subset_units, validate, write_csv)
 from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
 from interpanel.estimators import WEIGHT_MODES, cite_theta, fit_cite, ite
 from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
 from interpanel.inference import draw_kappas, unit_summaries
-from interpanel.linalg import RankDeficient
+from interpanel.linalg import RankDeficient, qr_factors
 
 from conftest import random_panel
 
@@ -193,6 +193,38 @@ def test_draw_kernel_is_a_refit_of_the_resample(data, shape, rtol, mode):
         # relative to the size of kappa: an entry near 0 has no relative digits
         assert_allclose(got[j], want, rtol=rtol,
                         atol=rtol * np.max(np.abs(want), initial=0.0))
+
+
+@PROPERTY
+@given(data=st.data(), ds=panels(),
+       h_min=st.sampled_from([-1.0, 0.0, 1e-300, 1e-8]))
+def test_validate_keeps_only_units_the_solver_factors(data, ds, h_min):
+    # plant units whose X column c becomes a times the next column plus
+    # eps times itself (a = 0 at K_x = 1; eps = 0: exactly collinear, or a
+    # zero column); whatever h_min lets through the trim, validate fails
+    # every unit that qr_factors rejects, and the blocks build on the rest
+    n, _, K_x = ds.X.shape
+    X = ds.X.copy()
+    planted = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 max_size=n - 2, unique=True))
+    for i in planted:
+        c = data.draw(st.integers(0, K_x - 1))
+        a = data.draw(COEF) if K_x > 1 else 0.0
+        eps = data.draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6]))
+        X[i, :, c] = a * X[i, :, (c + 1) % K_x] + eps * X[i, :, c]
+    ds = with_x(ds, X)
+    report = validate(ds, h_min=h_min)
+    failing = set(report.failing_units_x) | set(report.failing_units_x_minus1)
+    for i, label in enumerate(ds.unit_labels):
+        for design in (X[i:i + 1], X[i:i + 1, :, 1:]):
+            try:
+                qr_factors(design)
+            except RankDeficient:
+                assert label in failing
+    kept = [i for i, u in enumerate(ds.unit_labels) if u not in failing]
+    if len(kept) >= 2:
+        assert report.regressors is not None
+        build_regressors(subset_units(ds, kept))
 
 
 # Text labels that stay text: quoting, commas and line breaks included.
