@@ -112,14 +112,17 @@ def _cmd_estimate(args):
 
     if len(which) == 2 and ds.dims.K_h >= 1:
         _print_side_by_side(results["cite"], results["ite"])
-        k_cite = float(results["cite"].kappa_hat[0])
-        k_ite = float(results["ite"].kappa_hat[0])
-        disagree = bool(np.sign(k_cite) != np.sign(k_ite))
-        out["sign_disagreement"] = disagree
-        if disagree:
-            print(f"warning: the two estimators disagree about the sign of "
-                  f"the first interaction coefficient "
-                  f"(cite {k_cite:.6g} vs ite {k_ite:.6g})", file=sys.stderr)
+        first = int(args.add_intercept_h)  # kappa[h_const] is the constant's
+        if ds.dims.K_h > first:
+            label = results["cite"].kappa_labels[first]
+            k_cite = float(results["cite"].kappa_hat[first])
+            k_ite = float(results["ite"].kappa_hat[first])
+            disagree = bool(np.sign(k_cite) != np.sign(k_ite))
+            out["sign_disagreement"] = disagree
+            if disagree:
+                print(f"warning: the two estimators disagree about the sign of "
+                      f"the first interaction coefficient, {label} "
+                      f"(cite {k_cite:.6g} vs ite {k_ite:.6g})", file=sys.stderr)
     _write_json(out, args.output)
     return 0
 

@@ -15,6 +15,7 @@ import csv
 import math
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -32,8 +33,11 @@ DEFAULT_H_MIN = 1e-8
 # Most float64 values one numpy array can hold (its bytes fit an index).
 _MAX_CELLS = sys.maxsize // 8
 
-# Records per chunk of load_csv's column pass.
+# Records per chunk of load_csv's chunked reader.
 _CHUNK = 1024
+# Bytes per block of the scan for the ASCII separators 0x1C-0x1F.
+_SCAN_BYTES = 2 ** 20
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Bytes of (T, T) residual makers that _project forms at a time.
 _PROJECT_BYTES = 2 ** 20
 
@@ -293,49 +297,48 @@ def load_csv(path, schema=None):
     A column with a role must appear once in the header. Rows may be in
     any order; they are sorted by (unit, time). Blank lines are skipped.
     Values are read as Python's `float()` reads text and must be finite.
-    h columns must be constant within each unit.
+    h columns must be constant within each unit. A leading UTF-8 BOM is
+    dropped.
 
-    The file is read by column, `_CHUNK` records at a time: each chunk's
-    width is checked, it is transposed, and its value columns are cast
-    into one float block; its unit and time texts are coded in first-seen
-    order. Only if a chunk's pass fails does a row scan of that chunk run.
-    Every earlier chunk passed, so the scan raises the error of the first
-    bad record in the file; its `row` is the file line where the record
-    ends. After the last chunk the distinct labels are sorted once and the
-    joined float blocks are scattered into the (unit, time) grid.
+    After the header, the records are read by numpy's C parser in one
+    `np.loadtxt` pass (`_loadtxt_columns`). Where that pass fails, finds
+    no record or a value that is not finite, or could read a text other
+    than `float()` and `csv.reader` do, the file is read again from the
+    top by the chunked reader (`_chunked_columns`), which raises the
+    error of the first bad record with its file line as `row`. A file
+    that cannot be read twice (a pipe) is read by the chunked reader
+    alone. Either reader gives the value block and the unit and time
+    texts in file order; the distinct labels are then sorted once and
+    the values are scattered into the (unit, time) grid.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise PanelDataError(f"empty CSV: {path}")
         roles = _resolve_schema(header, schema)
         value_cols = [roles["y"]] + roles["x"] + roles["g"] + roles["z"] + roles["h"]
+        label_at = [header.index(roles["unit"]), header.index(roles["time"])]
         value_at = [header.index(c) for c in value_cols]
-        h_from = len(value_cols) - len(roles["h"])
-        unit_at, time_at = header.index(roles["unit"]), header.index(roles["time"])
-        units, times = {}, {}  # distinct texts, each mapped to its code
-        blocks, unit_codes, time_codes = [], [], []
-        for records, lines in _record_chunks(reader):
-            values = None
-            if set(map(len, records)) == {len(header)}:
-                cols = list(zip(*records))
-                values = _finite_floats([cols[i] for i in value_at], h_from)
-            if values is None:
-                _raise_first_bad_record(records, lines, header, value_cols)
-            blocks.append(values)
-            unit_codes.append(_first_seen_codes(cols[unit_at], units))
-            time_codes.append(_first_seen_codes(cols[time_at], times))
-    if not blocks:
+        read = None
+        if fh.seekable():
+            read = _loadtxt_columns(path, fh, len(header), label_at, value_at)
+            if read is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+        if read is None:
+            read = _chunked_columns(reader, header, value_cols, label_at,
+                                    len(value_cols) - len(roles["h"]))
+    values, unit_texts, time_texts = read
+    if not len(values):
         raise PanelDataError(f"no data rows in {path}")
 
-    unit_labels, unit_pos = _label_positions(list(units))
-    time_labels, time_pos = _label_positions(list(times))
-    ui = unit_pos[np.concatenate(unit_codes)]
-    ti = time_pos[np.concatenate(time_codes)]
+    unit_labels, ui = _label_positions(unit_texts)
+    time_labels, ti = _label_positions(time_texts)
     n, T = len(unit_labels), len(time_labels)
     grid = np.full((n, T, len(value_cols)), np.nan)
-    grid[ui, ti] = np.concatenate(blocks)
+    grid[ui, ti] = values
     counts = np.bincount(ui, minlength=n)
     unbalanced = (counts != T) | np.isnan(grid[:, :, 0]).any(axis=1)
     if unbalanced.any():
@@ -363,6 +366,78 @@ def load_csv(path, schema=None):
     )
 
 
+def _loadtxt_columns(path, fh, width, label_at, value_at):
+    """(value block, unit texts, time texts) of the records left in `fh`,
+    read by one `np.loadtxt` pass, or None where the chunked reader must
+    read the file instead.
+
+    The dtype has one field per header column, so loadtxt itself rejects
+    a record of another width: `f8` for the value columns, `object` (the
+    whole text, never a truncating fixed width) for the rest. None when
+    the pass raises or reads no record, when a value is not finite (the
+    chunked reader names it), when the unit or time column is also a
+    value column, or when the file holds a byte 0x1C-0x1F: numpy strips
+    those around a number as whitespace, where `float()` rejects them.
+    Any other text, loadtxt reads as `float()` and `csv.reader` do, or
+    rejects.
+    """
+    if set(label_at) & set(value_at) or _has_separator(path):
+        return None
+    fields = [f"c{i}" for i in range(width)]
+    dtype = np.dtype([(name, "f8" if i in value_at else object)
+                      for i, name in enumerate(fields)])
+    try:
+        with warnings.catch_warnings():
+            # a file with no data rows; the chunked reader reports it
+            warnings.simplefilter("ignore", UserWarning)
+            records = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                 quotechar='"', ndmin=1)
+    except Exception:  # the chunked reader raises the file's own error
+        return None
+    if not len(records):
+        return None
+    values = np.column_stack([records[fields[i]] for i in value_at])
+    if not np.isfinite(values).all():
+        return None
+    return (values, *(records[fields[i]].tolist() for i in label_at))
+
+
+def _has_separator(path):
+    """Whether the file holds one of the bytes 0x1C-0x1F (in UTF-8 they
+    encode only the ASCII separator characters themselves)."""
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BYTES):
+            if any(b in block for b in _SEPARATORS):
+                return True
+    return False
+
+
+def _chunked_columns(reader, header, value_cols, label_at, h_from):
+    """(value block, unit texts, time texts) of a csv.reader's records.
+
+    The records are read `_CHUNK` at a time: each chunk's width is
+    checked, it is transposed, and its value columns are cast into one
+    float block. Only if a chunk's pass fails does a row scan of that
+    chunk run. Every earlier chunk passed, so the scan raises the error
+    of the first bad record in the file; its `row` is the file line
+    where the record ends.
+    """
+    blocks, unit_texts, time_texts = [], [], []
+    value_at = [header.index(c) for c in value_cols]
+    for records, lines in _record_chunks(reader):
+        values = None
+        if set(map(len, records)) == {len(header)}:
+            cols = list(zip(*records))
+            values = _finite_floats([cols[i] for i in value_at], h_from)
+        if values is None:
+            _raise_first_bad_record(records, lines, header, value_cols)
+        blocks.append(values)
+        unit_texts += cols[label_at[0]]
+        time_texts += cols[label_at[1]]
+    values = np.concatenate(blocks) if blocks else np.empty((0, len(value_cols)))
+    return values, unit_texts, time_texts
+
+
 def _record_chunks(reader):
     """The non-blank records of a csv.reader, `_CHUNK` at a time, each list
     with the file line where each of its records ends."""
@@ -376,13 +451,6 @@ def _record_chunks(reader):
                 records, lines = [], []
     if records:
         yield records, lines
-
-
-def _first_seen_codes(texts, seen):
-    """Each text's code in `seen`, a dict that gives a text not yet in it
-    the next code: codes number the distinct texts in first-seen order."""
-    return np.fromiter((seen.setdefault(t, len(seen)) for t in texts),
-                       dtype=np.intp, count=len(texts))
 
 
 def _finite_floats(cols, h_from):

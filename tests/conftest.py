@@ -4,13 +4,17 @@ The oracles here are deliberately independent of the library internals:
 explicit loops, explicit inverses, pooled dummy-variable designs.
 """
 
+import contextlib
 import json
 import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from interpanel.data import make_dataset
+from interpanel import data
+from interpanel.data import load_csv, make_dataset
 from interpanel.dgp import packaged_config_path
 
 # The packaged baseline's dims with n = 2**62: index-sized, but the panel's
@@ -123,6 +127,29 @@ def random_panel(seed, n=12, T=6, K_x=2, K_g=1, K_z=1, K_h=2,
     H = rng.normal(size=(n, K_h))
     Y = rng.normal(size=(n, T))
     return make_dataset(Y, X, G, Z, H)
+
+
+def load_outcome(path, schema=None, fallback=False):
+    """What load_csv(path, schema) gives, and whether the chunked reader
+    read the file. The outcome is the panel's arrays (as bytes), labels
+    and columns, or the error's type, message and `row`. With `fallback`
+    the loadtxt pass is switched off. No warning may be issued."""
+    off = (mock.patch.object(data, "_loadtxt_columns", return_value=None)
+           if fallback else contextlib.nullcontext())
+    spy = mock.patch.object(data, "_chunked_columns",
+                            wraps=data._chunked_columns)
+    with warnings.catch_warnings(record=True) as issued, off, spy as chunked:
+        warnings.simplefilter("always")
+        try:
+            ds = load_csv(path, schema)
+        except Exception as exc:
+            outcome = (type(exc), str(exc), getattr(exc, "row", None))
+        else:
+            outcome = (tuple(getattr(ds, name).tobytes()
+                             for name in ("Y", "X", "G", "Z", "H")),
+                       ds.dims, ds.unit_labels, ds.time_labels, ds.columns)
+    assert [str(w.message) for w in issued] == []
+    return outcome, chunked.called
 
 
 def kron_block_loops(X, G):

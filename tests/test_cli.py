@@ -126,6 +126,43 @@ class TestEstimate:
         assert got["se"] == want.se.tolist() and len(got["se"]) == back.dims.n_psi
 
 
+class TestSignCheck:
+    """Under --add-intercept-h the sign check compares kappa[h1], the
+    first interaction coefficient, not kappa[h_const]."""
+
+    def estimate(self, capsys, tmp_path, H):
+        # y = delta_i x exactly, so CITE fits delta_i on H unweighted and
+        # ITE weights unit i by sum_t x_it^2 (large for units 0, 3, 4, 7)
+        delta = np.array([2.0, 3.0, 4.0, 1.8] * 2)
+        scale = np.array([10.0, 1.0, 1.0, 10.0, 9.0, 1.5, 1.0, 11.0])
+        X = (scale[:, None] * [1.0, 2.0, -1.0, 0.5]
+             + np.arange(8)[:, None] * [0.0, 0.1, 0.0, -0.2])[:, :, None]
+        path, out = tmp_path / "panel.csv", tmp_path / "est.json"
+        write_csv(make_dataset(delta[:, None] * X[:, :, 0], X, H=H), path)
+        code, _, err = run(capsys, "estimate", "--input", str(path),
+                           "--add-intercept-h", "--output", str(out))
+        assert code == 0
+        return json.loads(out.read_text()), err
+
+    def test_compares_the_first_column_after_h_const(self, capsys, tmp_path):
+        h1 = np.array([[0.0], [1.0], [2.0], [3.0]] * 2)
+        doc, err = self.estimate(capsys, tmp_path, h1)
+        cite, ite_ = (doc["estimators"][e]["estimates"][:2]
+                      for e in ("cite", "ite"))
+        assert doc["estimators"]["cite"]["labels"][:2] == ["kappa[h_const]",
+                                                           "kappa[h1]"]
+        assert cite[0] > 0 and ite_[0] > 0   # the constants agree
+        assert cite[1] > 0 > ite_[1]         # the interactions do not
+        assert doc["sign_disagreement"] is True
+        assert "first interaction coefficient, kappa[h1] (cite" in err
+
+    def test_h_const_alone_writes_no_sign_check(self, capsys, tmp_path):
+        doc, err = self.estimate(capsys, tmp_path, None)
+        assert "sign_disagreement" not in doc
+        assert "kappa[h_const]" in err  # the side-by-side table stays
+        assert "warning" not in err
+
+
 class TestBuildsOnce:
     @pytest.fixture
     def builds(self, monkeypatch):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -22,7 +23,7 @@ from interpanel.dgp import packaged_config, simulate
 from interpanel.estimators import fit_cite, ite
 from interpanel.linalg import RankDeficient, residual_makers
 
-from conftest import kron_block_loops, random_panel
+from conftest import kron_block_loops, load_outcome, random_panel
 
 
 def write_rows(path, header, rows):
@@ -257,9 +258,10 @@ class TestLoadCsv:
 
 
 class TestLoadCsvChunks:
-    """load_csv reads `_CHUNK` records at a time; with a chunk of 3 records,
-    small files span several chunks. Each file must load, or fail, exactly
-    as it does when the whole file is one chunk."""
+    """The chunked reader, which reads a file that the loadtxt pass does
+    not (here: always), takes `_CHUNK` records at a time; with a chunk of
+    3 records, small files span several chunks. Each file must load, or
+    fail, exactly as it does when the whole file is one chunk."""
 
     HEADER = "unit,time,y,x1\n"
     GOOD = ["1,1,1.0,2.0", "1,2,1.5,2.5", "1,3,1.7,2.1",
@@ -267,9 +269,11 @@ class TestLoadCsvChunks:
             "3,1,0.5,1.0", "3,2,0.25,1.5", "3,3,0.125,1.25"]
 
     def load(self, path, monkeypatch, chunk):
-        """load_csv(path) with chunks of `chunk` records; the error, if any."""
+        """load_csv(path) by the chunked reader with chunks of `chunk`
+        records; the error, if any."""
         with monkeypatch.context() as m:
             m.setattr(data, "_CHUNK", chunk)
+            m.setattr(data, "_loadtxt_columns", lambda *args: None)
             try:
                 return load_csv(path)
             except PanelDataError as exc:
@@ -363,6 +367,97 @@ class TestLoadCsvChunks:
             for name in ("Y", "X", "G", "Z", "H"):
                 assert np.array_equal(getattr(back, name), getattr(ds, name))
             assert back.unit_labels == ds.unit_labels
+
+
+HEAD = "unit,time,y,x1\n"
+# (file text, schema, whether the chunked reader reads the file) per case
+PARSER_CASES = {
+    "blank-lines": (HEAD + "\n1,1,1.0,2.0\n\n\n1,2,1.5,2.5\n2,1,2.0,3.0\n"
+                    "2,2,3.0,4.5\n\n", None, False),
+    "whitespace-only-line": (HEAD + "1,1,1.0,2.0\n \t\n1,2,1.5,2.5\n", None,
+                             True),
+    "crlf": (HEAD.replace("\n", "\r\n") + "1,1,1.0,2.0\r\n1,2,1.5,2.5\r\n"
+             "2,1,2.0,3.0\r\n2,2,3.0,4.5\r\n", None, False),
+    "cr": (HEAD.replace("\n", "\r") + "1,1,1.0,2.0\r1,2,1.5,2.5\r\r"
+           "2,1,2.0,3.0\r2,2,3.0,4.5\r", None, False),
+    "quoted-comma-quote-and-line-break": (
+        HEAD + '"a,b",1,1.0,2.0\n"a,b",2,1.5,2.5\n"c""d",1,2.0,3.0\n'
+        '"c""d",2,3.0,4.5\n"e\r\nf",1,0.5,1.0\n"e\r\nf",2,0.25,1.5\n', None,
+        False),
+    "line-break-then-short-row": (HEAD + '"a\nb",1,1.0,2.0\n"a\nb",2\n', None,
+                                  True),
+    "line-break-in-the-header": ('"no\nte",unit,time,y,x1\na,1,1,1.0,2.0\n'
+                                 "b,1,2,1.5,2.5\nc,2,1,2.0,3.0\n"
+                                 "d,2,2,3.0,4.5\n", None, False),
+    "spaced-and-hash-labels": (
+        HEAD + " a,1,1.0,2.0\n a,2,1.5,2.5\na ,1,2.0,3.0\na ,2,3.0,4.5\n"
+        "#,1,0.5,1.0\n#,2,0.25,1.5\n", None, False),
+    "long-label": (HEAD + "".join(f"{u * 20},{t},{t}.5,{t}.25\n" for u in "ab"
+                               for t in (1, 2)), None, False),
+    "underscore-and-arabic-digit": (
+        HEAD + "1,1,1_0,2.0\n1,2,١.5,2.5\n2,1,2.0,３\n2,2,3.0,4.5\n", None,
+        True),
+    "empty-value": (HEAD + "1,1,1.0,2.0\n1,2,,2.5\n", None, True),
+    "padded-value": (HEAD + "1,1, 1.5\t,2.0\n1,2,1.5,2.5 \n2,1,2.0,3.0\n"
+                     "2,2,3.0,4.5\n", None, False),
+    "separator-around-a-value": (HEAD + "1,1,1.0,2.0\n1,2,1.5\x1c,2.5\n", None,
+                                 True),
+    "separator-in-a-label": (HEAD + "a\x1fb,1,1.0,2.0\na\x1fb,2,1.5,2.5\n"
+                             "c,1,2.0,3.0\nc,2,3.0,4.5\n", None, True),
+    "nan-value": (HEAD + "1,1,1.0,2.0\n1,2,1.5,nan\n", None, True),
+    "single-data-row": (HEAD + "1,1,1.0,2.0\n", None, False),
+    "header-only": (HEAD, None, True),
+    "text-column-without-role": (
+        "note,unit,time,y,x1\nx,1,1,1.0,2.0\n\"y,z\",1,2,1.5,2.5\n"
+        "1e999,2,1,2.0,3.0\n,2,2,3.0,4.5\n", None, False),
+    "repeated-non-role-name": (
+        "note,unit,time,y,x1,note\na,1,1,1.0,2.0,b\na,1,2,1.5,2.5,b\n"
+        "a,2,1,2.0,3.0,b\na,2,2,3.0,4.5,b\n", None, False),
+    "short-row": (HEAD + "1,1,1.0,2.0\n1,2,1.5\n", None, True),
+    "long-row": (HEAD + "1,1,1.0,2.0\n1,2,1.5,2.5,9\n", None, True),
+    "unbalanced": (HEAD + "1,1,1.0,2.0\n1,2,1.5,2.5\n2,1,2.0,3.0\n", None,
+                   False),
+    "unit-column-is-also-x": (HEAD + "1,1,1.0,2.0\n1,2,1.5,2.5\n2,1,2.0,3.0\n"
+                              "2,2,3.0,4.5\n", {"x": ["unit"]}, True),
+}
+
+
+@pytest.mark.parametrize("text, schema, chunked", PARSER_CASES.values(),
+                         ids=PARSER_CASES)
+def test_loadtxt_pass_reads_as_the_chunked_reader(tmp_path, text, schema,
+                                                  chunked):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, took_chunked = load_outcome(path, schema)
+    assert got == load_outcome(path, schema, fallback=True)[0]
+    assert took_chunked == chunked
+
+
+class TestLoadtxtPass:
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_a_utf8_bom_is_dropped(self, tmp_path, fallback):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_csv(random_panel(6, n=4, T=3), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got, chunked = load_outcome(marked, fallback=fallback)
+        assert chunked == fallback
+        assert got == load_outcome(plain)[0]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_a_pipe_is_read_by_the_chunked_reader(self, tmp_path):
+        plain, fifo = tmp_path / "plain.csv", tmp_path / "fifo.csv"
+        write_csv(random_panel(7, n=4, T=3), plain)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=(plain.read_bytes(),))
+        writer.start()
+        try:
+            got, chunked = load_outcome(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert chunked
+        assert got == load_outcome(plain)[0]
 
 
 class TestLabelOrder:
@@ -583,8 +678,10 @@ def traced_peak(fn, *args):
 
 
 def test_estimate_path_forms_no_whole_panel_temporary(tmp_path):
-    # at n = 1000, T = 50 a whole-file record list or an (n, T, T) residual
-    # maker would each put the peak near 47 MB; chunked, both stay near 11
+    # at n = 1000, T = 50 a whole-file list of csv records or an (n, T, T)
+    # residual maker would each put the peak near 47 MB; the loadtxt pass
+    # (structured records, no lists of fields) stays near 12, the chunked
+    # build near 11
     ds = random_panel(40, n=1000, T=50, K_x=2, K_g=1, K_z=1, K_h=2)
     path = tmp_path / "panel.csv"
     write_csv(ds, path)

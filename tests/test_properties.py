@@ -11,6 +11,7 @@ import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
 from interpanel.inference import draw_kappas, unit_summaries
 from interpanel.linalg import RankDeficient, qr_factors
 
-from conftest import random_panel
+from conftest import load_outcome, random_panel
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -315,6 +316,27 @@ def test_csv_round_trip_is_bit_exact(data, base):
     assert back.columns == ds.columns
     assert all(type(label) in (int, str)
                for label in back.unit_labels + back.time_labels)
+
+
+@PROPERTY
+@given(data=st.data(), ds=labelled_panels())
+def test_loadtxt_pass_reads_a_written_panel_as_the_chunked_reader(data, ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "panel.csv")
+        write_csv(ds, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+        lines = []  # each record as csv.writer quotes it, without its "\r\n"
+        csv.writer(SimpleNamespace(write=lines.append)).writerows(records)
+        end = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
+        blank = data.draw(st.lists(st.integers(0, 2), min_size=len(lines),
+                                   max_size=len(lines)))
+        path.write_text("".join(line[:-2] + end * (1 + b)
+                                for line, b in zip(lines, blank)),
+                        encoding="utf-8", newline="")
+        got, chunked = load_outcome(path)
+        assert got == load_outcome(path, fallback=True)[0]
+    assert not chunked
 
 
 @st.composite
