@@ -22,7 +22,7 @@ from .harness import (ExperimentConfig, MonteCarloReport, convergence_table,
                       run_experiment)
 from .inference import (SeResult, bootstrap_cite, cite_kappa_se,
                         cite_theta_se, cluster_robust_se, ite_se)
-from .linalg import LeastSquaresFit, RankDeficient, gram_det, solve_ols
+from .linalg import LeastSquaresFit, RankDeficient, solve_ols
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "build_regressors", "cite_delta", "cite_kappa", "cite_kappa_se",
     "cite_theta", "cite_theta_se", "cluster_robust_se", "convergence_table",
     "drop_failing_units", "evaluate_contracts", "first_stage_se", "fit_cite",
-    "gram_det", "ite", "ite_se", "load_csv",
+    "ite", "ite_se", "load_csv",
     "load_dgp_config", "load_experiment_config", "make_dataset",
     "mean_effect", "plim_targets", "run_experiment",
     "simulate", "solve_ols", "subset_units", "validate", "write_csv",

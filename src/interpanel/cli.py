@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -53,6 +54,18 @@ def _parse_schema(entries):
 
 def _floats(text):
     return [float(v) for v in text.split(",") if v.strip() != ""]
+
+
+def _h_min(text):
+    """--h-min as a float that is not NaN: NaN would fail every unit, and
+    JSON has no NaN to report it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return value
 
 
 def _load_panel(args):
@@ -250,7 +263,7 @@ def build_parser():
         p.add_argument("--schema", action="append", metavar="ROLE=COLS",
                        help="column mapping, e.g. y=rate or x=tax|inc "
                             "(repeatable)")
-        p.add_argument("--h-min", type=float, default=DEFAULT_H_MIN,
+        p.add_argument("--h-min", type=_h_min, default=DEFAULT_H_MIN,
                        help="a unit fails unless the solver can factor X and "
                             "det(X'X) / (T * mean(X^2))^K_x exceeds this, and "
                             "the same for X without its first column "

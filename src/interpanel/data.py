@@ -5,8 +5,10 @@ unit-specific random coefficients, G and H are time-varying and
 time-invariant interaction variables, Z are additive controls. This
 module builds the per-unit interaction blocks and projects each unit's
 own X_i (CITE) or X_{i,-1} (ITE) out of them and out of Y_i, once. Each
-estimator and its standard errors read their own part of the blocks, and
-a part is built only as far as its fit reads it.
+command factors X_i and X_{i,-1} once (`factor_units`), and validation,
+the projections and the slopes all read those QR factors. Each estimator
+and its standard errors read their own part of the blocks, and a part is
+built only as far as its fit reads it.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ import math
 import re
 import sys
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import (RANK_TOL, RankDeficient, gram_det, qr_factors,
-                     residual_makers, unit_rank_deficient)
+from .linalg import (RANK_TOL, RankDeficient, gram_condition, residual_makers,
+                     unit_rank_deficient)
 
 # Numeric text format used by the CSV writer; round-trips float64 exactly.
 FLOAT_FORMAT = "%.17g"
@@ -298,7 +299,8 @@ def load_csv(path, schema=None):
     any order; they are sorted by (unit, time). Blank lines are skipped.
     Values are read as Python's `float()` reads text and must be finite.
     h columns must be constant within each unit. A leading UTF-8 BOM is
-    dropped.
+    dropped. A record that `csv` cannot read (a field longer than
+    `csv.field_size_limit()`) raises PanelDataError naming its file line.
 
     After the header, the records are read by numpy's C parser in one
     `np.loadtxt` pass (`_loadtxt_columns`). Where that pass fails, finds
@@ -313,23 +315,27 @@ def load_csv(path, schema=None):
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise PanelDataError(f"empty CSV: {path}")
-        roles = _resolve_schema(header, schema)
-        value_cols = [roles["y"]] + roles["x"] + roles["g"] + roles["z"] + roles["h"]
-        label_at = [header.index(roles["unit"]), header.index(roles["time"])]
-        value_at = [header.index(c) for c in value_cols]
-        read = None
-        if fh.seekable():
-            read = _loadtxt_columns(path, fh, len(header), label_at, value_at)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise PanelDataError(f"empty CSV: {path}")
+            roles = _resolve_schema(header, schema)
+            value_cols = ([roles["y"]] + roles["x"] + roles["g"] + roles["z"]
+                          + roles["h"])
+            label_at = [header.index(roles["unit"]), header.index(roles["time"])]
+            value_at = [header.index(c) for c in value_cols]
+            read = None
+            if fh.seekable():
+                read = _loadtxt_columns(path, fh, len(header), label_at, value_at)
+                if read is None:
+                    fh.seek(0)
+                    reader = csv.reader(fh)
+                    next(reader)
             if read is None:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
-        if read is None:
-            read = _chunked_columns(reader, header, value_cols, label_at,
-                                    len(value_cols) - len(roles["h"]))
+                read = _chunked_columns(reader, header, value_cols, label_at,
+                                        len(value_cols) - len(roles["h"]))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise PanelDataError(f"line {reader.line_num}: {exc}") from None
     values, unit_texts, time_texts = read
     if not len(values):
         raise PanelDataError(f"no data rows in {path}")
@@ -616,93 +622,99 @@ def psi_block(ds):
     return np.concatenate([interaction_block(ds.X, ds.G), ds.Z], axis=2)
 
 
+def factor_units(A):
+    """(Q, R), the reduced QR of each unit's design in a stack A (n, T, k):
+    one batched `np.linalg.qr`, none at k = 0 (Q is A, R is (n, 0, 0)).
+    Each command factors X and X_{i,-1} = X[:, :, 1:] once this way."""
+    n, _, k = A.shape
+    return np.linalg.qr(A) if k else (A, np.empty((n, 0, 0)))
+
+
 def build_regressors(ds):
-    """Both estimators' blocks, Psi made once: `build_cite_blocks` and
-    `build_ite_blocks`. The one call that orchestrators make. Raises
-    RankDeficient (with the unit's label) when some X_i'X_i or
-    X_{i,-1}'X_{i,-1} is numerically singular.
-    """
-    Psi = psi_block(ds)
-    assert Psi.shape[2] == ds.dims.n_psi
-    return DerivedRegressors(cite=build_cite_blocks(ds, Psi),
-                             ite=build_ite_blocks(ds, Psi))
-
-
-def build_cite_blocks(ds, Psi):
-    """CITE blocks from the panel and its `psi_block`.
-
-    Each X_i is factored once, with the rank rule. When Psi has columns
-    X_i is projected out of Psi and Y by `_project` (one unit chunk of
-    residual makers at a time); otherwise no M_i is formed, and
-    M_i Y_i = Y_i - Q_i Q_i'Y_i comes from the QR factors.
-    """
-    with _unit_labels(ds):
-        if Psi.shape[2]:
-            MPsi, MY, q_x, r_x = _project(ds.X, Psi, ds.Y)
-        else:
-            q_x, r_x = qr_factors(ds.X)
-            MPsi, MY = Psi, ds.Y - np.einsum(
-                "ntk,nk->nt", q_x, np.einsum("ntk,nt->nk", q_x, ds.Y))
-    return CiteBlocks(Y=ds.Y, X=ds.X, H=ds.H, Psi=Psi, MPsi=MPsi, MY=MY,
-                      q_x=q_x, r_x=r_x)
+    """Both estimators' blocks, from one QR of X and one of X_{i,-1}
+    (`factor_units`). Raises RankDeficient, with the first failing unit's
+    label, when some X_i'X_i or else some X_{i,-1}'X_{i,-1} is
+    numerically singular under the rank rule (`unit_rank_deficient`)."""
+    return _blocks(ds, _checked_factors(ds, ds.X),
+                   _checked_factors(ds, ds.X[:, :, 1:]))
 
 
 def build_ite_blocks(ds, Psi):
-    """ITE blocks from the panel and its `psi_block`. X_i itself is never
-    factored; a nonempty X_{i,-1} is, and projected out of PsiTilde and Y
-    (`_project`)."""
+    """The ITE blocks alone, for a caller that fits only ITE: X_i itself
+    is never factored, X_{i,-1} is (with the rank rule) when it has
+    columns."""
+    return _ite_blocks(ds, Psi, _checked_factors(ds, ds.X[:, :, 1:])[0])
+
+
+def _checked_factors(ds, A):
+    """`factor_units(A)`, or the RankDeficient of its first unit that the
+    rank rule fails, carrying that unit's label."""
+    Q, R = factor_units(A)
+    bad, sv = unit_rank_deficient(R)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RankDeficient("X_i'X_i is numerically singular",
+                            condition=gram_condition(sv[i]),
+                            unit=ds.unit_labels[i])
+    return Q, R
+
+
+def _blocks(ds, x_factors, x1_factors):
+    """Both parts of the blocks from the panel and the QR factors of its
+    X_i and X_{i,-1}. When Psi has columns X_i is projected out of Psi
+    and Y by `_project`; otherwise no M_i is formed, and
+    M_i Y_i = Y_i - Q_i Q_i'Y_i."""
+    q_x, r_x = x_factors
+    Psi = psi_block(ds)
+    assert Psi.shape[2] == ds.dims.n_psi
+    if Psi.shape[2]:
+        MPsi, MY = _project(q_x, Psi, ds.Y)
+    else:
+        MPsi, MY = Psi, ds.Y - np.einsum(
+            "ntk,nk->nt", q_x, np.einsum("ntk,nt->nk", q_x, ds.Y))
+    cite = CiteBlocks(Y=ds.Y, X=ds.X, H=ds.H, Psi=Psi, MPsi=MPsi, MY=MY,
+                      q_x=q_x, r_x=r_x)
+    return DerivedRegressors(cite=cite, ite=_ite_blocks(ds, Psi, x1_factors[0]))
+
+
+def _ite_blocks(ds, Psi, q_1):
+    """ITE blocks from the panel, its `psi_block` and the Q factors of
+    X_{i,-1}, projected out of PsiTilde and Y (`_project`)."""
     PsiTilde = np.concatenate([ds.X[:, :, 0:1] * ds.H[:, None, :], Psi], axis=2)
-    X1 = ds.X[:, :, 1:]
-    if not X1.shape[2]:  # K_x = 1: M_{i,-1} = I, nothing to do
+    if not q_1.shape[2]:  # K_x = 1: M_{i,-1} = I, nothing to do
         return IteBlocks(M1PsiTilde=PsiTilde, M1Y=ds.Y)
-    with _unit_labels(ds):
-        return IteBlocks(*_project(X1, PsiTilde, ds.Y)[:2])
+    return IteBlocks(*_project(q_1, PsiTilde, ds.Y))
 
 
-def _project(X, block, Y):
-    """(M_i block_i, M_i Y_i, Q_i, R_i) for every unit, where M_i = I -
-    Q_i Q_i' is the residual maker of X_i = Q_i R_i (`residual_makers`).
+def _project(Q, block, Y):
+    """(M_i block_i, M_i Y_i) for every unit, where M_i = I - Q_i Q_i' is
+    the residual maker of X_i = Q_i R_i (`residual_makers`).
 
     The (T, T) makers are formed for a chunk of about `_PROJECT_BYTES` of
     units at a time and dropped after their chunk, so memory is one chunk
-    of makers plus the outputs. Each unit is factored once, and each
-    output unit is the same einsum sum as on the whole panel. A
-    RankDeficient carries the unit's index in X.
+    of makers plus the outputs. Each output unit is the same einsum sum
+    as on the whole panel.
     """
-    n, T, k = X.shape
+    n, T = Q.shape[:2]
     MB, MY = np.empty(block.shape), np.empty(Y.shape)
-    Q, R = np.empty((n, T, k)), np.empty((n, k, k))
     step = max(1, _PROJECT_BYTES // (8 * T * T))
     for s in range(0, n, step):
         e = min(s + step, n)
-        try:
-            M, Q[s:e], R[s:e] = residual_makers(X[s:e])
-        except RankDeficient as exc:
-            if isinstance(exc.unit, int):
-                exc.unit += s
-            raise
+        M = residual_makers(Q[s:e])
         np.einsum("nij,njp->nip", M, block[s:e], out=MB[s:e])
         np.einsum("nij,nj->ni", M, Y[s:e], out=MY[s:e])
-    return MB, MY, Q, R
-
-
-@contextmanager
-def _unit_labels(ds):
-    """Put the panel's label on the unit index of a RankDeficient."""
-    try:
-        yield
-    except RankDeficient as exc:
-        if isinstance(exc.unit, int) and 0 <= exc.unit < ds.dims.n:
-            exc.unit = ds.unit_labels[exc.unit]
-        raise
+    return MB, MY
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     """Sample-analogue checks of the estimators' rank conditions.
 
-    Unit i's Gram determinants are normalized by (T * mean(X_i^2))^k, so
-    the h_min threshold is scale free per unit. Pooled checks report the
+    Unit i's Gram determinants det(X_i'X_i) and det(X_{i,-1}'X_{i,-1})
+    are prod(diag R_i)^2 from the QR that `validate` factors each design
+    with, so never negative (1.0 for the empty X_{i,-1} at K_x = 1). They
+    are normalized by (T * mean(X_i^2))^k into the margins, so the h_min
+    threshold is scale free per unit. Pooled checks report the
     smallest eigenvalue of the sample matrices (1/n) sum Psi'M Psi,
     (1/n) sum PsiTilde'M_-1 PsiTilde and (1/n) sum H'H relative to the
     largest, over the passing units: `panel` (the input itself when none
@@ -753,25 +765,27 @@ def _min_eig_margin(S):
 def validate(ds, h_min=DEFAULT_H_MIN):
     """Check per-unit X variation and the pooled rank conditions.
 
-    Reporting only; nothing is raised. A unit fails unless X_i and
-    X_{i,-1} pass the solver's rank rule (`unit_rank_deficient`) and the
-    h_min trim on their normalized Gram determinants. Failing units are
-    listed and excluded from the pooled sample matrices (downstream
-    estimation conditions on the passing subpopulation), whose
-    regressors are built here, once.
+    Reporting only; nothing is raised. Each unit's X_i and X_{i,-1} are
+    factored once (`factor_units`), and everything reads those factors:
+    a unit fails unless both R factors pass the solver's rank rule
+    (`unit_rank_deficient`) and the h_min trim on their normalized Gram
+    determinants, prod(diag R_i)^2. Failing units are listed and excluded
+    from the pooled sample matrices (downstream estimation conditions on
+    the passing subpopulation), whose regressors are built here, once,
+    from the kept units' rows of the same factors.
     """
     d = ds.dims
     X = ds.X
+    factors = [factor_units(X), factor_units(X[:, :, 1:])]
+    det_x, det_x1 = (np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1) ** 2
+                     for _, R in factors)
     scale2 = np.mean(X * X, axis=(1, 2))
     scale2[scale2 == 0.0] = 1.0
-    det_x = gram_det(X)
-    det_x1 = gram_det(X[:, :, 1:])
     margin_x = det_x / (d.T * scale2) ** d.K_x
     margin_x1 = det_x1 / (d.T * scale2) ** (d.K_x - 1)
 
-    ok_x, ok_x1 = (
-        (margin > h_min) & ~unit_rank_deficient(np.linalg.qr(A, mode="r"))[0]
-        for margin, A in ((margin_x, X), (margin_x1, X[:, :, 1:])))
+    ok_x, ok_x1 = ((margin > h_min) & ~unit_rank_deficient(R)[0]
+                   for margin, (_, R) in zip((margin_x, margin_x1), factors))
     fail_x = tuple(ds.unit_labels[i] for i in np.flatnonzero(~ok_x))
     fail_x1 = tuple(ds.unit_labels[i] for i in np.flatnonzero(~ok_x1))
 
@@ -785,7 +799,9 @@ def validate(ds, h_min=DEFAULT_H_MIN):
         except ValueError:
             pass  # too few rows remain for the pooled stage; margins stay 0
         else:
-            dr = build_regressors(panel)
+            if panel is not ds:
+                factors = [(Q[keep], R[keep]) for Q, R in factors]
+            dr = _blocks(panel, *factors)
             MPsi, M1PsiTilde = dr.cite.MPsi, dr.ite.M1PsiTilde
             S1 = np.einsum("nip,niq->pq", MPsi, MPsi) / keep.size
             S2 = np.einsum("nip,niq->pq", M1PsiTilde, M1PsiTilde) / keep.size
@@ -827,7 +843,7 @@ def drop_failing_units(ds, report):
     if len(keep) < 2:
         raise PanelDataError(
             f"fewer than 2 units remain after dropping {len(dropped)} "
-            "rank-deficient units"
+            "failing units"
         )
     # no panel only if validate caught the error forming it: raise it here
     return report.panel or subset_units(ds, keep), dropped

@@ -3,7 +3,11 @@
 Everything in this module is a pure function of its inputs. Solvers go
 through orthogonal decompositions (SVD/QR), never explicit normal
 equations, because the rank conditions we can check only bound the Gram
-determinant away from zero, not its conditioning.
+determinant away from zero, not its conditioning. The per-unit kernels
+read the QR factors of each unit's design, which their caller computes
+once (`data.factor_units`): the rank rule reads R (`unit_rank_deficient`),
+the residual makers read Q (`residual_makers`), and a Gram determinant,
+where one is wanted, is prod(diag R_i)^2, never an LU of X_i'X_i.
 """
 
 from __future__ import annotations
@@ -88,84 +92,38 @@ def solve_ols(design, response):
         return LeastSquaresFit(np.zeros(0), 1.0)
 
     coef, _, rank, sv = np.linalg.lstsq(A, y, rcond=None)
+    cond = gram_condition(sv)
     if rank_deficient(sv) or rank < k:
-        with np.errstate(over="ignore"):  # a ratio past 1e154 squares to inf
-            cond = np.inf if sv[-1] == 0.0 else (sv[0] / sv[-1]) ** 2
         raise RankDeficient(
             f"design is numerically rank deficient (gram condition ~ {cond:.3e})",
             condition=cond,
         )
-    return LeastSquaresFit(coef, float((sv[0] / sv[-1]) ** 2))
+    return LeastSquaresFit(coef, cond)
 
 
-def qr_factors(X):
-    """One reduced QR per unit, X_i = Q_i R_i, with the rank rule
-    (`unit_rank_deficient`).
-
-    Parameters
-    ----------
-    X : (n, T, k) ndarray
-        One T x k design per unit. k may be 0.
-
-    Returns
-    -------
-    (Q, R): the (n, T, k) and (n, k, k) QR factors.
-
-    Raises
-    ------
-    RankDeficient
-        Carrying the index of the first offending unit.
-    """
-    X = np.asarray(X, dtype=float)
-    n, T, k = X.shape
-    if T < k:
-        raise RankDeficient(f"unit designs have more columns ({k}) than rows ({T})")
-    Q, R = np.linalg.qr(X)
-    bad, sv = unit_rank_deficient(R)
-    if bad.any():
-        i = int(np.argmax(bad))
-        with np.errstate(over="ignore"):  # as in solve_ols
-            cond = np.inf if sv[i, -1] == 0.0 else (sv[i, 0] / sv[i, -1]) ** 2
-        raise RankDeficient("X_i'X_i is numerically singular", condition=cond, unit=i)
-    return Q, R
+def gram_condition(sv):
+    """The Gram matrix's condition number (sv[0] / sv[-1])^2 from a
+    design's singular values sorted descending; inf when the smallest is
+    0 or the square overflows."""
+    with np.errstate(over="ignore"):  # a ratio past 1e154 squares to inf
+        return np.inf if sv[-1] == 0.0 else float((sv[0] / sv[-1]) ** 2)
 
 
 def unit_rank_deficient(R):
     """(bad, sv): each unit's verdict under the rank rule, from the R
-    factors (n, k, k) of its design X_i (those of `qr_factors`, or of
-    np.linalg.qr(X, mode="r"), the same bits), and the singular values it
-    read, those of X_i: |r_i| at k = 1. No unit fails at k = 0."""
+    factors (n, k, k) of the reduced QR of its design X_i, and the
+    singular values it read, those of X_i: |r_i| at k = 1. No unit fails
+    at k = 0."""
     n, k = R.shape[:2]
     sv = np.abs(R[:, :, 0]) if k == 1 else np.linalg.svd(R, compute_uv=False)
     return (rank_deficient(sv) if k else np.zeros(n, dtype=bool)), sv
 
 
-def residual_makers(X):
-    """Batched residual makers M_i = I - Q_i Q_i' from `qr_factors(X)`,
-    exactly symmetric: entries (s, t) and (t, s) of Q_i Q_i' sum the same
-    products in the same order.
-
-    Parameters
-    ----------
-    X : (n, T, k) ndarray
-        One T x k design per unit. k may be 0.
-
-    Returns
-    -------
-    (M, Q, R): (n, T, T) projection matrices and the (n, T, k), (n, k, k)
-    QR factors.
-
-    Raises
-    ------
-    RankDeficient
-        As `qr_factors`.
+def residual_makers(Q):
+    """Batched residual makers M_i = I - Q_i Q_i' from the Q factors
+    (n, T, k) of a stack of designs X_i = Q_i R_i, exactly symmetric:
+    entries (s, t) and (t, s) of Q_i Q_i' sum the same products in the
+    same order. Returns the (n, T, T) matrices; k may be 0 (M_i = I).
+    Nothing is factored here: the caller holds the QR.
     """
-    Q, R = qr_factors(X)
-    return np.eye(Q.shape[1]) - np.einsum("nik,njk->nij", Q, Q), Q, R
-
-
-def gram_det(A):
-    """det(A'A) for each matrix of a stack A (..., m, k); 1.0 when k = 0."""
-    A = np.asarray(A, dtype=float)
-    with np.errstate(divide="ignore"):  # LAPACK's LU may divide by a subnormal
-        return np.linalg.det(np.einsum("...tk,...tl->...kl", A, A))
+    return np.eye(Q.shape[1]) - np.einsum("nik,njk->nij", Q, Q)

@@ -218,3 +218,15 @@ def inv3_cofactor(A):
 def baseline_config():
     from interpanel.dgp import packaged_config
     return packaged_config("baseline")
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Shapes of the inputs of every np.linalg.qr and np.linalg.det call."""
+    calls = {"qr": [], "det": []}
+    for name, seen in calls.items():
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, _fn=fn, _seen=seen, **kw:
+                            _seen.append(np.shape(a)) or _fn(a, *args, **kw))
+    return calls

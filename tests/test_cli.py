@@ -166,9 +166,10 @@ class TestSignCheck:
 class TestBuildsOnce:
     @pytest.fixture
     def builds(self, monkeypatch):
-        # count build_regressors calls under every interpanel alias
+        # count block builds (data._blocks, which validate and
+        # build_regressors both call) under every interpanel alias
         from interpanel import data
-        original = data.build_regressors
+        original = data._blocks
         calls = []
 
         def counted(*args, **kwargs):
@@ -192,6 +193,24 @@ class TestBuildsOnce:
         code, _, _ = run(capsys, "estimate", "--input", path, *extra)
         assert code == 0
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("K_x", [1, 2])
+    @pytest.mark.parametrize("command", ["estimate", "validate"])
+    def test_each_unit_design_is_factored_once(self, tmp_path, capsys,
+                                               factored, command, K_x):
+        # unit 5 fails and is dropped: the kept units' blocks read rows of
+        # the one QR of X and of X_{i,-1} (none at K_x = 1), and no Gram
+        # determinant is formed
+        ds = random_panel(3, n=12, K_x=K_x)
+        X = ds.X.copy()
+        X[4] = 0.0
+        path = tmp_path / "panel.csv"
+        write_csv(make_dataset(ds.Y, X, ds.G, ds.Z, ds.H), path)
+        code, _, _ = run(capsys, command, "--input", str(path),
+                         "--output", str(tmp_path / "out.json"))
+        assert code == (0 if command == "estimate" else 1)
+        designs = [(12, 6, K_x)] + ([(12, 6, K_x - 1)] if K_x > 1 else [])
+        assert factored == {"qr": designs, "det": []}
 
 
 class TestDropsUnits:
@@ -233,6 +252,19 @@ class TestDropsUnits:
 
 
 class TestValidate:
+    def test_too_few_units_left_names_failing_units(self, tmp_path, capsys):
+        # every unit but one fails; the error calls them failing units, as
+        # the drop warning does, not rank deficient
+        X = np.random.default_rng(17).normal(size=(4, 5, 2))
+        X[1:] = [2.0, 1.0]  # two constant columns
+        ds = make_dataset(np.zeros((4, 5)), X)
+        path = tmp_path / "panel.csv"
+        write_csv(ds, path)
+        code, out, err = run(capsys, "estimate", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == ("error: fewer than 2 units remain after dropping 3 "
+                       "failing units\n")
+
     def test_rank_deficient_unit_reported(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(6, 4, 2))
@@ -588,6 +620,33 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["estimate", "--nope"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("sub", ["estimate", "validate"])
+    @pytest.mark.parametrize("value", ["nan", "-NaN"])
+    def test_nan_h_min_is_a_usage_error(self, sub, value, sim_csv, capsys):
+        # NaN fails every unit and is no JSON value: argparse refuses it
+        path, _ = sim_csv
+        with pytest.raises(SystemExit) as err:
+            main([sub, "--input", path, f"--h-min={value}"])
+        assert err.value.code == 2
+        assert f"argument --h-min: '{value}' is not a number" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, line", [
+        (["unit,time,y,x1," + "h" * 200_000, "1,1,0.5,1,2"], 1),
+        (["unit,time,y,x1", "1,1,0.5,1", "1,2,0.7,2",
+          "u" * 200_000 + ",1,0.1,3", "u" * 200_000 + ",2,0.2"], 4),
+    ], ids=["header", "label-and-short-row"])
+    def test_field_past_the_csv_limit_is_one_error_line(self, rows, line,
+                                                        tmp_path, capsys):
+        # a field over csv.field_size_limit() (131072) in the header, or
+        # in a record when the chunked reader reads the file
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == (f"error: line {line}: field larger than field limit "
+                       "(131072)\n")
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

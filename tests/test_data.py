@@ -15,13 +15,13 @@ from interpanel.data import (CiteBlocks, Dims, DuplicateColumn, ExtraField,
                              IteBlocks, MissingColumn, MissingField,
                              NonConstantH, NonFiniteValue, PanelDataError,
                              UnbalancedPanel, add_intercept_h,
-                             build_cite_blocks, build_ite_blocks,
-                             build_regressors, drop_failing_units,
+                             build_ite_blocks, build_regressors,
+                             drop_failing_units, factor_units,
                              interaction_block, load_csv, make_dataset,
                              psi_block, subset_units, validate, write_csv)
 from interpanel.dgp import packaged_config, simulate
 from interpanel.estimators import fit_cite, ite
-from interpanel.linalg import RankDeficient, residual_makers
+from interpanel.linalg import RANK_TOL, RankDeficient, residual_makers
 
 from conftest import kron_block_loops, load_outcome, random_panel
 
@@ -496,6 +496,11 @@ class TestLabelOrder:
         assert load_csv(path).unit_labels == (int(big), 2)
 
 
+def makers(A):
+    """Residual makers of a stack of designs, from `factor_units`."""
+    return residual_makers(factor_units(A)[0])
+
+
 class TestBuildRegressors:
     def test_no_g_means_psi_is_z(self):
         ds = random_panel(0, K_g=0, K_z=1)
@@ -533,21 +538,24 @@ class TestBuildRegressors:
 
     @pytest.fixture
     def made(self, monkeypatch):
-        """Shapes of the designs build_regressors forms an M for."""
+        """Shapes of the Q factors build_regressors forms an M from."""
         shapes = []
 
-        def counting(X):
-            shapes.append(X.shape)
-            return residual_makers(X)
+        def counting(Q):
+            shapes.append(Q.shape)
+            return residual_makers(Q)
 
         monkeypatch.setattr("interpanel.data.residual_makers", counting)
         return shapes
 
-    def test_empty_design_is_not_factored(self, made):
+    def test_empty_design_is_not_factored(self, made, factored):
         # K_x = 1: X_{i,-1} has no columns, so M_i = I and only X_i is factored
         ds = random_panel(7, K_x=1)
+        Q, R = factor_units(ds.X[:, :, 1:])
+        assert Q.shape == ds.X[:, :, 1:].shape and R.shape == (ds.dims.n, 0, 0)
         dr = build_regressors(ds)
         assert made == [ds.X.shape]
+        assert factored["qr"] == [ds.X.shape]
         PsiTilde = np.concatenate([ds.X * ds.H[:, None, :], dr.cite.Psi], axis=2)
         assert np.array_equal(dr.ite.M1PsiTilde, PsiTilde)
         assert dr.ite.M1Y is ds.Y
@@ -560,11 +568,12 @@ class TestBuildRegressors:
         ds = random_panel(8, n=15, K_x=K_x, K_g=0, K_z=0, K_h=2)
         dr = build_regressors(ds)
         assert made == ([] if K_x == 1 else [ds.X[:, :, 1:].shape])
-        M, Q, R = residual_makers(ds.X)
+        Q, R = factor_units(ds.X)
+        M = residual_makers(Q)
         assert np.array_equal(dr.cite.MY, ds.Y - np.einsum(
             "ntk,nk->nt", Q, np.einsum("ntk,nt->nk", Q, ds.Y)))
         assert dr.cite.MPsi.shape == (15, 6, 0)
-        M1 = residual_makers(ds.X[:, :, 1:])[0]
+        M1 = makers(ds.X[:, :, 1:])
         Psi = np.zeros((15, 6, 0))
         PsiTilde = ds.X[:, :, 0:1] * ds.H[:, None, :]
         dense_cite = CiteBlocks(
@@ -583,8 +592,8 @@ class TestBuildRegressors:
         # every block equals the residual-maker-then-einsum expressions
         ds = random_panel(9, n=14, K_x=2, K_g=1, K_z=1, K_h=2)
         dr = build_regressors(ds)
-        M, Q, R = residual_makers(ds.X)
-        M1 = residual_makers(ds.X[:, :, 1:])[0]
+        Q, R = factor_units(ds.X)
+        M, M1 = residual_makers(Q), makers(ds.X[:, :, 1:])
         Psi = np.concatenate([ds.X * ds.G, ds.Z], axis=2)
         PsiTilde = np.concatenate([ds.X[:, :, 0:1] * ds.H[:, None, :], Psi],
                                   axis=2)
@@ -609,7 +618,8 @@ class TestBuildRegressors:
     @staticmethod
     def dense_blocks(ds):
         """Every block by whole-panel residual makers and einsum."""
-        M, Q, R = residual_makers(ds.X)
+        Q, R = factor_units(ds.X)
+        M = residual_makers(Q)
         Psi = np.concatenate([interaction_block(ds.X, ds.G), ds.Z], axis=2)
         PsiTilde = np.concatenate([ds.X[:, :, 0:1] * ds.H[:, None, :], Psi],
                                   axis=2)
@@ -618,7 +628,7 @@ class TestBuildRegressors:
                 "MY": np.einsum("nij,nj->ni", M, ds.Y), "q_x": Q, "r_x": R,
                 "M1PsiTilde": PsiTilde, "M1Y": ds.Y}
         if ds.dims.K_x > 1:
-            M1 = residual_makers(ds.X[:, :, 1:])[0]
+            M1 = makers(ds.X[:, :, 1:])
             want["M1PsiTilde"] = np.einsum("nij,njp->nip", M1, PsiTilde)
             want["M1Y"] = np.einsum("nij,nj->ni", M1, ds.Y)
         return want
@@ -627,8 +637,8 @@ class TestBuildRegressors:
     @pytest.mark.parametrize("n", [7, 11])
     def test_chunked_projection_is_bit_exact(self, chunks_of_3, made, n, K_x):
         # n spans several chunks of 3 and is no multiple of 3; every block
-        # equals the whole-panel expressions bit for bit, and each design
-        # is factored once per unit, chunk by chunk
+        # equals the whole-panel expressions bit for bit, and each design's
+        # Q is projected out chunk by chunk
         ds = random_panel(30 + K_x, n=n, K_x=K_x, K_g=1, K_z=1, K_h=2)
         dr = build_regressors(ds)
         got = {f.name: getattr(part, f.name)
@@ -641,19 +651,23 @@ class TestBuildRegressors:
         designs = [K_x] + ([K_x - 1] if K_x > 1 else [])
         assert made == [(m, 6, k) for k in designs for m in sizes]
 
-    @pytest.mark.parametrize("build", [build_cite_blocks, build_ite_blocks])
+    @pytest.mark.parametrize("build", [build_regressors, build_ite_blocks])
     @pytest.mark.parametrize("bad", [3, 8])
     def test_rank_deficient_unit_in_a_later_chunk_is_named(
             self, chunks_of_3, build, bad):
+        # the full build fails the unit's X_i, the one-step blocks alone
+        # its X_{i,-1}; both name it by its label
         ds = random_panel(5, n=10, K_x=3)
         X = ds.X.copy()
         X[bad, :, 2] = -2.0 * X[bad, :, 1]  # X_i and X_{i,-1} both singular
         labels = [f"u{i}" for i in range(10)]
         ds = make_dataset(ds.Y, X, ds.G, ds.Z, ds.H, unit_labels=labels)
+        args = (psi_block(ds),) if build is build_ite_blocks else ()
         with pytest.raises(RankDeficient) as err:
-            build(ds, psi_block(ds))
+            build(ds, *args)
         assert err.value.unit == f"u{bad}"
-        assert f"unit u{bad}" in str(err.value)
+        assert str(err.value) == f"X_i'X_i is numerically singular (unit u{bad})"
+        assert err.value.condition > 1e20
 
     def test_rank_deficient_unit_is_named(self):
         ds = random_panel(5, n=6)
@@ -666,6 +680,75 @@ class TestBuildRegressors:
         assert err.value.unit == "e"
         assert "unit e" in str(err.value)
 
+    def test_first_failing_unit_is_named_with_its_condition(self):
+        # units 1 and 3 are singular: the first is named, with the squared
+        # singular value ratio of its own X_i
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(5, 4, 2))
+        X[1, :, 1] = 2.0 * X[1, :, 0]
+        X[3, :, 1] = X[3, :, 0] + 1e-13 * rng.normal(size=4)
+        ds = make_dataset(rng.normal(size=(5, 4)), X, unit_labels=list("abcde"))
+        with pytest.raises(RankDeficient) as err:
+            build_regressors(ds)
+        sv = np.linalg.svd(np.linalg.qr(X[1])[1], compute_uv=False)
+        assert err.value.unit == "b"
+        assert err.value.condition == (sv[0] / sv[-1]) ** 2 > 1e20
+        X[1] = rng.normal(size=(4, 2))
+        with pytest.raises(RankDeficient) as err:
+            build_regressors(make_dataset(ds.Y, X, unit_labels=list("abcde")))
+        assert err.value.unit == "d"
+
+    @pytest.mark.parametrize("column", [0.0, 1e-160])
+    def test_zero_or_vanishing_column_has_infinite_condition(self, column):
+        # a zero column has singular value 0; a ratio about 1e160 squares
+        # past overflow, with no RuntimeWarning
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(6, 5, 2))
+        X[2, :, 0] = column * X[2, :, 1]
+        with pytest.raises(RankDeficient) as err:
+            build_regressors(make_dataset(rng.normal(size=(6, 5)), X))
+        assert err.value.unit == 3
+        assert err.value.condition == np.inf
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_one_column_units_fail_by_the_svd_rule(self, seed):
+        # K_x = 1 with zero, subnormal and extreme-scale units: the first
+        # unit the SVD rule fails is the one named
+        rng = np.random.default_rng(400 + seed)
+        n = 60
+        X = rng.normal(size=(n, 6, 1)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1, 1))
+        X[rng.random(n) < 0.2] = 0.0
+        X[rng.random(n) < 0.1] = 1e-310
+        sv = np.linalg.svd(np.linalg.qr(X)[1], compute_uv=False)
+        want = (sv[:, 0] == 0.0) | (sv[:, -1] < RANK_TOL * sv[:, 0])
+        with pytest.raises(RankDeficient) as err:
+            build_regressors(make_dataset(np.zeros((n, 6)), X))
+        assert err.value.unit == int(np.argmax(want)) + 1
+
+    @pytest.mark.parametrize("K_x", [1, 2, 3])
+    def test_each_design_is_factored_once(self, factored, K_x):
+        ds = random_panel(20 + K_x, n=9, K_x=K_x, K_g=1, K_z=1, K_h=2)
+        build_regressors(ds)
+        designs = [(9, 6, K_x)] + ([(9, 6, K_x - 1)] if K_x > 1 else [])
+        assert factored == {"qr": designs, "det": []}
+
+    def test_mc_ite_gap_shape_factors_x_once(self, factored):
+        # the Monte Carlo's shape, K_x = 1 with no G or Z: one QR of X, no
+        # determinant
+        ds = random_panel(23, n=50, K_x=1, K_g=0, K_z=0, K_h=1)
+        build_regressors(ds)
+        assert factored == {"qr": [(50, 6, 1)], "det": []}
+
+    def test_ite_blocks_alone_factor_only_x_minus1(self, factored):
+        # the one-step blocks alone (the plim oracle's) factor X_{i,-1}
+        # only, and equal the full build's bit for bit
+        ds = random_panel(24, n=9, K_x=3)
+        ite_alone = build_ite_blocks(ds, psi_block(ds))
+        assert factored["qr"] == [(9, 6, 2)]
+        full = build_regressors(ds).ite
+        for f in fields(full):
+            assert np.array_equal(getattr(ite_alone, f.name),
+                                  getattr(full, f.name)), f.name
 
 
 def traced_peak(fn, *args):
@@ -780,6 +863,57 @@ class TestValidate:
         assert after.failing_units_x == before.failing_units_x == ()
         assert after.failing_units_x_minus1 == before.failing_units_x_minus1
         assert_allclose(after.unit_margin_x, before.unit_margin_x, rtol=1e-9)
+
+    def test_gram_det_of_a_ones_column_is_T(self):
+        # K_x = 1: det(1'1) = T from R_i = [-sqrt(T)]
+        report = validate(make_dataset(np.zeros((3, 5)), np.ones((3, 5, 1))))
+        assert_allclose(report.unit_gram_det_x, 5.0, rtol=1e-15)
+
+    def test_gram_det_of_an_empty_x_minus1_is_one(self):
+        # K_x = 1 leaves X_{i,-1} with no columns: an empty product, 1.0
+        report = validate(make_dataset(np.zeros((4, 5)), np.ones((4, 5, 1))))
+        assert np.array_equal(report.unit_gram_det_x_minus1, np.ones(4))
+
+    def test_gram_det_matches_cofactor_expansion(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(5, 6, 2))
+        G = np.einsum("ntk,ntl->nkl", X, X)
+        report = validate(make_dataset(rng.normal(size=(5, 6)), X))
+        assert_allclose(report.unit_gram_det_x,
+                        G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0],
+                        rtol=1e-12)
+        assert_allclose(report.unit_gram_det_x_minus1, G[:, 1, 1], rtol=1e-12)
+
+    def test_gram_det_of_a_subnormal_column_is_zero(self):
+        # [2.2e-316 b, b]: the product of R's diagonal underflows to 0.0,
+        # with no RuntimeWarning, and the unit fails
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(4, 5, 2))
+        X[1, :, 0] = 2.2e-316 * X[1, :, 1]
+        report = validate(make_dataset(rng.normal(size=(4, 5)), X))
+        assert report.unit_gram_det_x[1] == 0.0
+        assert report.failing_units_x == (2,)
+
+    def test_gram_det_of_collinear_units_is_never_negative(self):
+        # exactly collinear units [a, c a]: an LU of the Gram matrix made
+        # about a third of their determinants negative; prod(diag R)^2
+        # cannot be, and it stays at rounding size
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(300, 6, 1))
+        X = np.concatenate([a, rng.normal(size=(300, 1, 1)) * a], axis=2)
+        report = validate(make_dataset(rng.normal(size=(300, 6)), X))
+        assert report.unit_gram_det_x.min() >= 0.0
+        assert report.unit_gram_det_x.max() < 1e-25
+        assert len(report.failing_units_x) == 300
+
+    def test_gram_det_of_a_unit_is_its_own(self):
+        # each unit's determinants come from its own QR, whatever other
+        # units share the panel
+        ds = random_panel(7, n=10, K_x=3)
+        full, part = validate(ds), validate(subset_units(ds, [8, 2, 5]))
+        for name in ("unit_gram_det_x", "unit_gram_det_x_minus1"):
+            assert np.array_equal(getattr(full, name)[[8, 2, 5]],
+                                  getattr(part, name))
 
 
 class TestHelpers:

@@ -22,13 +22,13 @@ from numpy.testing import assert_allclose
 
 from interpanel.cli import _float_array_json
 from interpanel.data import (FLOAT_FORMAT, _parse_label, _sorted_labels,
-                             build_regressors, load_csv, make_dataset,
-                             subset_units, validate, write_csv)
+                             build_regressors, factor_units, load_csv,
+                             make_dataset, subset_units, validate, write_csv)
 from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
 from interpanel.estimators import WEIGHT_MODES, cite_theta, fit_cite, ite
 from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
 from interpanel.inference import draw_kappas, unit_summaries
-from interpanel.linalg import RankDeficient, qr_factors
+from interpanel.linalg import RankDeficient, unit_rank_deficient
 
 from conftest import load_outcome, random_panel
 
@@ -203,7 +203,8 @@ def test_validate_keeps_only_units_the_solver_factors(data, ds, h_min):
     # plant units whose X column c becomes a times the next column plus
     # eps times itself (a = 0 at K_x = 1; eps = 0: exactly collinear, or a
     # zero column); whatever h_min lets through the trim, validate fails
-    # every unit that qr_factors rejects, and the blocks build on the rest
+    # every unit whose own QR fails the solver's rank rule, and the blocks
+    # build on the rest
     n, _, K_x = ds.X.shape
     X = ds.X.copy()
     planted = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -218,9 +219,7 @@ def test_validate_keeps_only_units_the_solver_factors(data, ds, h_min):
     failing = set(report.failing_units_x) | set(report.failing_units_x_minus1)
     for i, label in enumerate(ds.unit_labels):
         for design in (X[i:i + 1], X[i:i + 1, :, 1:]):
-            try:
-                qr_factors(design)
-            except RankDeficient:
+            if unit_rank_deficient(factor_units(design)[1])[0][0]:
                 assert label in failing
     kept = [i for i, u in enumerate(ds.unit_labels) if u not in failing]
     if len(kept) >= 2:

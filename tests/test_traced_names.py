@@ -8,6 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from interpanel import data
+
+from conftest import random_panel
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -38,3 +42,25 @@ def test_every_measured_name_is_traced(tracer):
     untraced = {table: sorted(names - set(tracer.FUNCTIONS))
                 for table, names in measured.items()}
     assert untraced == {table: [] for table in measured}
+
+
+def test_projection_bytes_read_the_arguments_residual_makers_gets(
+        tracer, monkeypatch):
+    # the tracer sizes each residual_makers call from its first argument;
+    # spy on the calls build_regressors makes, in chunks of 3 units (T = 6),
+    # and every chunk must size to the m T x T float64 makers it returns
+    seen = []
+
+    def spy(*args, **kwargs):
+        M = original(*args, **kwargs)
+        seen.append((args, kwargs, M.shape))
+        return M
+
+    original = data.residual_makers
+    monkeypatch.setattr(data, "residual_makers", spy)
+    monkeypatch.setattr(data, "_PROJECT_BYTES", 3 * 8 * 6 * 6)
+    data.build_regressors(random_panel(4, n=7, T=6, K_x=2))
+    sizes = tracer.BYTES["linalg.residual_makers"]
+    assert [m for _, _, (m, _, _) in seen] == [3, 3, 1] * 2
+    for args, kwargs, (m, T, _) in seen:
+        assert sizes(args, kwargs) == m * T * T * 8
