@@ -56,6 +56,14 @@ def _floats(text):
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
+# Option values that start with "-" but are numbers: argparse's own pattern
+# takes only -1 and -0.5 and reads "--h-min -1e-3" as two options. This one
+# also takes exponents, -inf, -Infinity and the comma lists of mean-effect;
+# -nan is no match, so "--h-min -nan" stays a usage error.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\.?\d[\d.,e+-]*|inf(?:inity)?)$",
+                              re.IGNORECASE)
+
+
 def _h_min(text):
     """--h-min as a float that is not NaN: NaN would fail every unit, and
     JSON has no NaN to report it."""
@@ -270,6 +278,7 @@ def build_parser():
                             "(default %(default)s)")
         p.add_argument("--add-intercept-h", action="store_true",
                        help="put a constant column h_const first in H")
+        p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("estimate", help="fit the estimators on a CSV panel")
     panel_args(p)
@@ -311,9 +320,7 @@ def build_parser():
     p.add_argument("--constant", type=float, required=True)
     p.add_argument("--output", help="write JSON here")
     p.set_defaults(func=_cmd_mean_effect)
-    # let values like "-1.146,0.805,-0.0274" pass as arguments rather
-    # than being mistaken for option names
-    p._negative_number_matcher = re.compile(r"^-[\d.,eE+-]+$")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -18,6 +18,7 @@ import math
 import re
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -34,8 +35,6 @@ DEFAULT_H_MIN = 1e-8
 # Most float64 values one numpy array can hold (its bytes fit an index).
 _MAX_CELLS = sys.maxsize // 8
 
-# Records per chunk of load_csv's chunked reader.
-_CHUNK = 1024
 # Bytes per block of the scan for the ASCII separators 0x1C-0x1F.
 _SCAN_BYTES = 2 ** 20
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -306,9 +305,9 @@ def load_csv(path, schema=None):
     `np.loadtxt` pass (`_loadtxt_columns`). Where that pass fails, finds
     no record or a value that is not finite, or could read a text other
     than `float()` and `csv.reader` do, the file is read again from the
-    top by the chunked reader (`_chunked_columns`), which raises the
-    error of the first bad record with its file line as `row`. A file
-    that cannot be read twice (a pipe) is read by the chunked reader
+    top by `csv.reader`, one record at a time (`_csv_columns`), which
+    raises the error of the first bad record with its file line as
+    `row`. A file that cannot be read twice (a pipe) is read that way
     alone. Either reader gives the value block and the unit and time
     texts in file order; the distinct labels are then sorted once and
     the values are scattered into the (unit, time) grid.
@@ -332,8 +331,7 @@ def load_csv(path, schema=None):
                     reader = csv.reader(fh)
                     next(reader)
             if read is None:
-                read = _chunked_columns(reader, header, value_cols, label_at,
-                                        len(value_cols) - len(roles["h"]))
+                read = _csv_columns(reader, header, value_at, label_at)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise PanelDataError(f"line {reader.line_num}: {exc}") from None
     values, unit_texts, time_texts = read
@@ -374,14 +372,14 @@ def load_csv(path, schema=None):
 
 def _loadtxt_columns(path, fh, width, label_at, value_at):
     """(value block, unit texts, time texts) of the records left in `fh`,
-    read by one `np.loadtxt` pass, or None where the chunked reader must
-    read the file instead.
+    read by one `np.loadtxt` pass, or None where `_csv_columns` must read
+    the file instead.
 
     The dtype has one field per header column, so loadtxt itself rejects
     a record of another width: `f8` for the value columns, `object` (the
     whole text, never a truncating fixed width) for the rest. None when
-    the pass raises or reads no record, when a value is not finite (the
-    chunked reader names it), when the unit or time column is also a
+    the pass raises or reads no record, when a value is not finite
+    (`_csv_columns` names it), when the unit or time column is also a
     value column, or when the file holds a byte 0x1C-0x1F: numpy strips
     those around a number as whitespace, where `float()` rejects them.
     Any other text, loadtxt reads as `float()` and `csv.reader` do, or
@@ -394,11 +392,11 @@ def _loadtxt_columns(path, fh, width, label_at, value_at):
                       for i, name in enumerate(fields)])
     try:
         with warnings.catch_warnings():
-            # a file with no data rows; the chunked reader reports it
+            # a file with no data rows; _csv_columns reports it
             warnings.simplefilter("ignore", UserWarning)
             records = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
                                  quotechar='"', ndmin=1)
-    except Exception:  # the chunked reader raises the file's own error
+    except Exception:  # _csv_columns raises the file's own error
         return None
     if not len(records):
         return None
@@ -418,85 +416,38 @@ def _has_separator(path):
     return False
 
 
-def _chunked_columns(reader, header, value_cols, label_at, h_from):
-    """(value block, unit texts, time texts) of a csv.reader's records.
+def _csv_columns(reader, header, value_at, label_at):
+    """(value block, unit texts, time texts) of a csv.reader's records,
+    read one record at a time; empty records are skipped.
 
-    The records are read `_CHUNK` at a time: each chunk's width is
-    checked, it is transposed, and its value columns are cast into one
-    float block. Only if a chunk's pass fails does a row scan of that
-    chunk run. Every earlier chunk passed, so the scan raises the error
-    of the first bad record in the file; its `row` is the file line
-    where the record ends.
+    The first bad record raises its error, with the file line where it
+    ends as `row`: MissingField or ExtraField for a record of another
+    width than the header, else NonFiniteValue for the first value column
+    whose text `float()` rejects or reads as not finite.
     """
-    blocks, unit_texts, time_texts = [], [], []
-    value_at = [header.index(c) for c in value_cols]
-    for records, lines in _record_chunks(reader):
-        values = None
-        if set(map(len, records)) == {len(header)}:
-            cols = list(zip(*records))
-            values = _finite_floats([cols[i] for i in value_at], h_from)
-        if values is None:
-            _raise_first_bad_record(records, lines, header, value_cols)
-        blocks.append(values)
-        unit_texts += cols[label_at[0]]
-        time_texts += cols[label_at[1]]
-    values = np.concatenate(blocks) if blocks else np.empty((0, len(value_cols)))
-    return values, unit_texts, time_texts
-
-
-def _record_chunks(reader):
-    """The non-blank records of a csv.reader, `_CHUNK` at a time, each list
-    with the file line where each of its records ends."""
-    records, lines = [], []
+    width = len(header)
+    values, unit_texts, time_texts = array("d"), [], []
+    text = {}  # one str per distinct label text, not one per record
     for rec in reader:
-        if rec:
-            records.append(rec)
-            lines.append(reader.line_num)
-            if len(records) == _CHUNK:
-                yield records, lines
-                records, lines = [], []
-    if records:
-        yield records, lines
-
-
-def _finite_floats(cols, h_from):
-    """Text columns as one (rows, columns) float block, or None if some text
-    is not a finite float. `np.array(dtype=float)` reads str as `float()`.
-    The columns from `h_from` on are h columns, constant within a unit, so
-    each of their distinct texts is read by `float()` once."""
-    try:
-        values = np.column_stack(
-            [np.array(col, dtype=float) for col in cols[:h_from]]
-            + [_repeated_floats(col) for col in cols[h_from:]])
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
-
-
-def _repeated_floats(texts):
-    """float() of each text, read once per distinct text."""
-    value = {t: float(t) for t in set(texts)}
-    return np.fromiter(map(value.__getitem__, texts), dtype=float,
-                       count=len(texts))
-
-
-def _raise_first_bad_record(records, lines, header, value_cols):
-    """Raise the error of the first record that is not the header's width
-    or holds a value that is not a finite float; lines[r] numbers record r."""
-    for rec, line in zip(records, lines):
-        if len(rec) < len(header):
-            missing = set(header[len(rec):])
-            raise MissingField(line, next(c for c in header if c in missing))
-        if len(rec) > len(header):
-            raise ExtraField(line, len(rec), len(header))
-        for col in value_cols:
+        if not rec:
+            continue
+        if len(rec) < width:
+            raise MissingField(reader.line_num, header[len(rec)])
+        if len(rec) > width:
+            raise ExtraField(reader.line_num, len(rec), width)
+        for i in value_at:
             try:
-                v = float(rec[header.index(col)])
+                v = float(rec[i])
             except ValueError:
-                raise NonFiniteValue(row=line, column=col) from None
-            if not np.isfinite(v):
-                raise NonFiniteValue(row=line, column=col)
-    raise AssertionError("the column pass rejected a file with no bad record")
+                v = math.nan
+            if not math.isfinite(v):
+                raise NonFiniteValue(row=reader.line_num, column=header[i])
+            values.append(v)
+        unit, time = rec[label_at[0]], rec[label_at[1]]
+        unit_texts.append(text.setdefault(unit, unit))
+        time_texts.append(text.setdefault(time, time))
+    return (np.frombuffer(values).reshape(-1, len(value_at)), unit_texts,
+            time_texts)
 
 
 def _label_positions(texts):
@@ -712,12 +663,13 @@ class ValidationReport:
 
     Unit i's Gram determinants det(X_i'X_i) and det(X_{i,-1}'X_{i,-1})
     are prod(diag R_i)^2 from the QR that `validate` factors each design
-    with, so never negative (1.0 for the empty X_{i,-1} at K_x = 1). They
-    are normalized by (T * mean(X_i^2))^k into the margins, so the h_min
-    threshold is scale free per unit. Pooled checks report the
-    smallest eigenvalue of the sample matrices (1/n) sum Psi'M Psi,
-    (1/n) sum PsiTilde'M_-1 PsiTilde and (1/n) sum H'H relative to the
-    largest, over the passing units: `panel` (the input itself when none
+    with, so never negative (1.0 for the empty X_{i,-1} at K_x = 1), and
+    inf past the float range. Normalized by (T * mean(X_i^2))^k, they give
+    the margins, formed as prod(|r_jj| / sqrt(T * mean(X_i^2)))^2, which
+    never overflow: the h_min threshold is scale free per unit. Pooled
+    checks report the smallest eigenvalue of the sample matrices (1/n)
+    sum Psi'M Psi, (1/n) sum PsiTilde'M_-1 PsiTilde and (1/n) sum H'H
+    relative to the largest, over the passing units: `panel` (the input itself when none
     fails), whose blocks are `regressors` (both None when fewer than 2
     units pass or too few rows remain for the pooled stage). Estimation
     reuses both; `to_dict` omits them.
@@ -777,12 +729,14 @@ def validate(ds, h_min=DEFAULT_H_MIN):
     d = ds.dims
     X = ds.X
     factors = [factor_units(X), factor_units(X[:, :, 1:])]
-    det_x, det_x1 = (np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1) ** 2
-                     for _, R in factors)
+    diags = [np.abs(np.diagonal(R, axis1=1, axis2=2)) for _, R in factors]
+    with np.errstate(over="ignore"):  # a large X_i's determinant is inf
+        det_x, det_x1 = (np.prod(diag, axis=1) ** 2 for diag in diags)
     scale2 = np.mean(X * X, axis=(1, 2))
     scale2[scale2 == 0.0] = 1.0
-    margin_x = det_x / (d.T * scale2) ** d.K_x
-    margin_x1 = det_x1 / (d.T * scale2) ** (d.K_x - 1)
+    # each |r_jj| / sqrt(T mean(X_i^2)) is at most sqrt(K_x): no overflow
+    scale = np.sqrt(d.T * scale2)[:, None]
+    margin_x, margin_x1 = (np.prod(diag / scale, axis=1) ** 2 for diag in diags)
 
     ok_x, ok_x1 = ((margin > h_min) & ~unit_rank_deficient(R)[0]
                    for margin, (_, R) in zip((margin_x, margin_x1), factors))

@@ -130,15 +130,15 @@ def random_panel(seed, n=12, T=6, K_x=2, K_g=1, K_z=1, K_h=2,
 
 
 def load_outcome(path, schema=None, fallback=False):
-    """What load_csv(path, schema) gives, and whether the chunked reader
-    read the file. The outcome is the panel's arrays (as bytes), labels
-    and columns, or the error's type, message and `row`. With `fallback`
-    the loadtxt pass is switched off. No warning may be issued."""
+    """What load_csv(path, schema) gives, and whether the record reader
+    (`_csv_columns`) read the file. The outcome is the panel's arrays (as
+    bytes), labels and columns, or the error's type, message and `row`.
+    With `fallback` the loadtxt pass is switched off. No warning may be
+    issued."""
     off = (mock.patch.object(data, "_loadtxt_columns", return_value=None)
            if fallback else contextlib.nullcontext())
-    spy = mock.patch.object(data, "_chunked_columns",
-                            wraps=data._chunked_columns)
-    with warnings.catch_warnings(record=True) as issued, off, spy as chunked:
+    spy = mock.patch.object(data, "_csv_columns", wraps=data._csv_columns)
+    with warnings.catch_warnings(record=True) as issued, off, spy as by_records:
         warnings.simplefilter("always")
         try:
             ds = load_csv(path, schema)
@@ -149,7 +149,7 @@ def load_outcome(path, schema=None, fallback=False):
                              for name in ("Y", "X", "G", "Z", "H")),
                        ds.dims, ds.unit_labels, ds.time_labels, ds.columns)
     assert [str(w.message) for w in issued] == []
-    return outcome, chunked.called
+    return outcome, by_records.called
 
 
 def kron_block_loops(X, G):

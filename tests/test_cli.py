@@ -632,6 +632,26 @@ class TestUsage:
         assert f"argument --h-min: '{value}' is not a number" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub", ["estimate", "validate"])
+    @pytest.mark.parametrize("value, want", [
+        ("-1e-3", -1e-3), ("-1E-3", -1e-3), ("-.5", -0.5),
+        ("-inf", -np.inf), ("-Infinity", -np.inf)])
+    def test_negative_h_min_is_a_value(self, sub, value, want):
+        # exponents and -inf are values too, not option names
+        args = cli.build_parser().parse_args(
+            [sub, "--input", "p.csv", "--h-min", value])
+        assert args.h_min == want
+
+    @pytest.mark.parametrize("value", ["-nan", "-NaN"])
+    def test_negative_nan_h_min_is_still_a_usage_error(self, value, sim_csv,
+                                                       capsys):
+        path, _ = sim_csv
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "--input", path, "--h-min", value])
+        assert err.value.code == 2
+        assert "argument --h-min: expected one argument" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("rows, line", [
         (["unit,time,y,x1," + "h" * 200_000, "1,1,0.5,1,2"], 1),
         (["unit,time,y,x1", "1,1,0.5,1", "1,2,0.7,2",
@@ -640,7 +660,8 @@ class TestUsage:
     def test_field_past_the_csv_limit_is_one_error_line(self, rows, line,
                                                         tmp_path, capsys):
         # a field over csv.field_size_limit() (131072) in the header, or
-        # in a record when the chunked reader reads the file
+        # in a record when csv.reader reads the file again (here because
+        # the short row fails the loadtxt pass)
         path = tmp_path / "big.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         code, out, err = run(capsys, "validate", "--input", str(path))

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -258,34 +259,29 @@ class TestLoadCsv:
 
 
 class TestLoadCsvChunks:
-    """The chunked reader, which reads a file that the loadtxt pass does
-    not (here: always), takes `_CHUNK` records at a time; with a chunk of
-    3 records, small files span several chunks. Each file must load, or
-    fail, exactly as it does when the whole file is one chunk."""
+    """The record reader (`_csv_columns`), which reads a file that the
+    loadtxt pass does not (here: always), on files whose bad records,
+    blank lines and first-seen labels sit where a reader that took the
+    records 3 at a time would start a new chunk. Each file must load, or
+    fail, as one pass over its records in file order does."""
 
     HEADER = "unit,time,y,x1\n"
     GOOD = ["1,1,1.0,2.0", "1,2,1.5,2.5", "1,3,1.7,2.1",
             "2,1,2.0,3.0", "2,2,3.0,4.5", "2,3,3.5,4.0",
             "3,1,0.5,1.0", "3,2,0.25,1.5", "3,3,0.125,1.25"]
 
-    def load(self, path, monkeypatch, chunk):
-        """load_csv(path) by the chunked reader with chunks of `chunk`
-        records; the error, if any."""
+    def load(self, path, monkeypatch):
+        """load_csv(path) by the record reader; the error, if any."""
         with monkeypatch.context() as m:
-            m.setattr(data, "_CHUNK", chunk)
             m.setattr(data, "_loadtxt_columns", lambda *args: None)
             try:
                 return load_csv(path)
             except PanelDataError as exc:
                 return exc
 
-    def assert_chunked_error(self, path, monkeypatch, message, row):
-        small, whole = (self.load(path, monkeypatch, chunk)
-                        for chunk in (3, 10 ** 6))
-        for err in (small, whole):
-            assert isinstance(err, PanelDataError)
-            assert (str(err), err.row) == (message, row)
-        assert type(small) is type(whole)
+    def assert_error(self, path, monkeypatch, error, message, row):
+        err = self.load(path, monkeypatch)
+        assert (type(err), str(err), err.row) == (error, message, row)
 
     def write(self, tmp_path, lines, blank_after=()):
         path = tmp_path / "p.csv"
@@ -296,17 +292,19 @@ class TestLoadCsvChunks:
 
     def test_bad_record_in_the_second_chunk(self, tmp_path, monkeypatch):
         lines = list(self.GOOD)
-        lines[4] = "2,2,nan,4.5"  # record 5: second chunk, file line 6
-        self.assert_chunked_error(self.write(tmp_path, lines), monkeypatch,
-                                  "non-finite value at row 6, column 'y'", 6)
+        lines[4] = "2,2,nan,4.5"  # record 5, file line 6
+        self.assert_error(self.write(tmp_path, lines), monkeypatch,
+                          NonFiniteValue,
+                          "non-finite value at row 6, column 'y'", 6)
 
     def test_earlier_of_two_bad_records_across_a_boundary_wins(
             self, tmp_path, monkeypatch):
         lines = list(self.GOOD)
-        lines[2] = "1,3,1.7,abc"  # last record of chunk 1
-        lines[3] = "2,1"          # first record of chunk 2
-        self.assert_chunked_error(self.write(tmp_path, lines), monkeypatch,
-                                  "non-finite value at row 4, column 'x1'", 4)
+        lines[2] = "1,3,1.7,abc"  # record 3
+        lines[3] = "2,1"          # record 4
+        self.assert_error(self.write(tmp_path, lines), monkeypatch,
+                          NonFiniteValue,
+                          "non-finite value at row 4, column 'x1'", 4)
 
     @pytest.mark.parametrize("wide, inf", [(4, 7), (1, 4), (7, 4)])
     def test_wrong_width_and_a_bad_value_in_other_chunks(
@@ -315,20 +313,22 @@ class TestLoadCsvChunks:
         lines[wide] += ",9"
         lines[inf] = lines[inf].rsplit(",", 1)[0] + ",inf"
         if wide < inf:
+            error = ExtraField
             message = f"row {wide + 2} has 5 fields, more than the header's 4"
         else:
+            error = NonFiniteValue
             message = f"non-finite value at row {inf + 2}, column 'x1'"
-        self.assert_chunked_error(self.write(tmp_path, lines), monkeypatch,
-                                  message, min(wide, inf) + 2)
+        self.assert_error(self.write(tmp_path, lines), monkeypatch, error,
+                          message, min(wide, inf) + 2)
 
     def test_blank_lines_across_a_boundary_keep_the_file_line(
             self, tmp_path, monkeypatch):
-        # blank lines after records 2 and 3 (the end of chunk 1): record 4
-        # is file line 7
+        # blank lines after records 2 and 3: record 4 is file line 7
         lines = list(self.GOOD)
         lines[3] = "2,1,2.0"
-        self.assert_chunked_error(
+        self.assert_error(
             self.write(tmp_path, lines, blank_after=(1, 2)), monkeypatch,
+            MissingField,
             "row 7 has fewer fields than the header: no value for column 'x1'",
             7)
 
@@ -339,9 +339,8 @@ class TestLoadCsvChunks:
     ])
     def test_labels_first_seen_in_a_later_chunk_sort_as_one_column(
             self, tmp_path, monkeypatch, records, want):
-        # unit:time per record; in chunks of 3, labels that sort first are
-        # first seen in a later chunk, and "01" and "1" (chunks 2 and 3) are
-        # one unit
+        # unit:time per record; the labels that sort first are seen last,
+        # and "01" and "1" (records 4 and 7) are one unit
         keys = [rec.split(":") for rec in records.split()]
         path = self.write(tmp_path, [f"{unit},{time},{r},{r * r - 1}"
                                      for r, (unit, time) in enumerate(keys)])
@@ -349,28 +348,27 @@ class TestLoadCsvChunks:
         for r, (unit, time) in enumerate(keys):
             Y[want.index(int(unit) if unit.isdigit() else unit),
               int(time) - 1] = r
-        small, whole = (self.load(path, monkeypatch, chunk)
-                        for chunk in (3, 10 ** 6))
-        assert small.unit_labels == whole.unit_labels == want
-        assert small.time_labels == whole.time_labels == (1, 2, 3)
-        assert np.array_equal(small.Y, Y)
+        by_records, by_loadtxt = self.load(path, monkeypatch), load_csv(path)
+        assert by_records.unit_labels == by_loadtxt.unit_labels == want
+        assert by_records.time_labels == by_loadtxt.time_labels == (1, 2, 3)
+        assert np.array_equal(by_records.Y, Y)
         for name in ("Y", "X", "G", "Z", "H"):
-            assert np.array_equal(getattr(small, name), getattr(whole, name))
+            assert np.array_equal(getattr(by_records, name),
+                                  getattr(by_loadtxt, name))
 
     def test_simulated_panel_reads_the_same_in_any_chunking(
             self, tmp_path, monkeypatch):
         ds = random_panel(21, n=7, T=5, K_x=2, K_g=1, K_z=1, K_h=2)
         path = tmp_path / "sim.csv"
         write_csv(ds, path)
-        for chunk in (1, 4, 34, 35, 36):
-            back = self.load(path, monkeypatch, chunk)
-            for name in ("Y", "X", "G", "Z", "H"):
-                assert np.array_equal(getattr(back, name), getattr(ds, name))
-            assert back.unit_labels == ds.unit_labels
+        back = self.load(path, monkeypatch)
+        for name in ("Y", "X", "G", "Z", "H"):
+            assert np.array_equal(getattr(back, name), getattr(ds, name))
+        assert back.unit_labels == ds.unit_labels
 
 
 HEAD = "unit,time,y,x1\n"
-# (file text, schema, whether the chunked reader reads the file) per case
+# (file text, schema, whether the record reader reads the file) per case
 PARSER_CASES = {
     "blank-lines": (HEAD + "\n1,1,1.0,2.0\n\n\n1,2,1.5,2.5\n2,1,2.0,3.0\n"
                     "2,2,3.0,4.5\n\n", None, False),
@@ -422,15 +420,15 @@ PARSER_CASES = {
 }
 
 
-@pytest.mark.parametrize("text, schema, chunked", PARSER_CASES.values(),
+@pytest.mark.parametrize("text, schema, by_records", PARSER_CASES.values(),
                          ids=PARSER_CASES)
 def test_loadtxt_pass_reads_as_the_chunked_reader(tmp_path, text, schema,
-                                                  chunked):
+                                                  by_records):
     path = tmp_path / "p.csv"
     path.write_bytes(text.encode("utf-8"))
-    got, took_chunked = load_outcome(path, schema)
+    got, took_records = load_outcome(path, schema)
     assert got == load_outcome(path, schema, fallback=True)[0]
-    assert took_chunked == chunked
+    assert took_records == by_records
 
 
 class TestLoadtxtPass:
@@ -439,25 +437,44 @@ class TestLoadtxtPass:
         plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
         write_csv(random_panel(6, n=4, T=3), plain)
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        got, chunked = load_outcome(marked, fallback=fallback)
-        assert chunked == fallback
+        got, by_records = load_outcome(marked, fallback=fallback)
+        assert by_records == fallback
         assert got == load_outcome(plain)[0]
+
+    @staticmethod
+    def load_through_a_pipe(tmp_path, payload):
+        """load_outcome of a FIFO that a thread fills with `payload`."""
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(payload,))
+        writer.start()
+        try:
+            return load_outcome(fifo)
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
     def test_a_pipe_is_read_by_the_chunked_reader(self, tmp_path):
-        plain, fifo = tmp_path / "plain.csv", tmp_path / "fifo.csv"
+        plain = tmp_path / "plain.csv"
         write_csv(random_panel(7, n=4, T=3), plain)
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes,
-                                  args=(plain.read_bytes(),))
-        writer.start()
-        try:
-            got, chunked = load_outcome(fifo)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert chunked
+        got, by_records = self.load_through_a_pipe(tmp_path,
+                                                   plain.read_bytes())
+        assert by_records
         assert got == load_outcome(plain)[0]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_a_pipe_with_a_short_record_fails_as_the_file_does(self,
+                                                               tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"unit,time,y,x1\n1,1,1.0,2.0\n\n1,2,1.5\n"
+                          b"2,1,2.0,3.0\n2,2,3.0,4.5\n")
+        got, by_records = self.load_through_a_pipe(tmp_path,
+                                                   plain.read_bytes())
+        assert by_records
+        assert got == load_outcome(plain)[0] == (
+            MissingField, "row 4 has fewer fields than the header: no value "
+            "for column 'x1'", 4)
 
 
 class TestLabelOrder:
@@ -760,18 +777,23 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_estimate_path_forms_no_whole_panel_temporary(tmp_path):
+def test_estimate_path_forms_no_whole_panel_temporary(tmp_path,
+                                                      monkeypatch):
     # at n = 1000, T = 50 a whole-file list of csv records or an (n, T, T)
     # residual maker would each put the peak near 47 MB; the loadtxt pass
-    # (structured records, no lists of fields) stays near 12, the chunked
-    # build near 11
+    # (structured records, no lists of fields) stays near 12, the record
+    # reader (one float array, each distinct label text held once) near 8,
+    # the chunked build near 11
     ds = random_panel(40, n=1000, T=50, K_x=2, K_g=1, K_z=1, K_h=2)
     path = tmp_path / "panel.csv"
     write_csv(ds, path)
     loaded, load_peak = traced_peak(load_csv, path)
     _, build_peak = traced_peak(build_regressors, loaded)
+    monkeypatch.setattr(data, "_loadtxt_columns", lambda *args: None)
+    _, record_peak = traced_peak(load_csv, path)
     assert load_peak < 20e6
     assert build_peak < 25e6
+    assert record_peak < 10e6
 
 class TestValidate:
     def test_constant_x_unit_flagged(self):
@@ -863,6 +885,25 @@ class TestValidate:
         assert after.failing_units_x == before.failing_units_x == ()
         assert after.failing_units_x_minus1 == before.failing_units_x_minus1
         assert_allclose(after.unit_margin_x, before.unit_margin_x, rtol=1e-9)
+
+    def test_a_unit_scaled_past_the_float_range_keeps_its_verdict(self):
+        # X_i * 1e80 (K_x = 2) puts det(X_i'X_i) past the float range: it
+        # reads inf, with no warning, and the unit's margins and verdicts
+        # are those of the unscaled unit
+        ds = random_panel(3, K_x=2)
+        X = ds.X.copy()
+        X[4] *= 1e80
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = validate(ds)
+            after = validate(make_dataset(ds.Y, X, ds.G, ds.Z, ds.H))
+        assert after.unit_gram_det_x[4] == np.inf
+        assert after.failing_units_x == before.failing_units_x == ()
+        assert after.failing_units_x_minus1 == \
+            before.failing_units_x_minus1 == ()
+        for name in ("unit_margin_x", "unit_margin_x_minus1"):
+            assert_allclose(getattr(after, name)[4], getattr(before, name)[4],
+                            rtol=1e-14)
 
     def test_gram_det_of_a_ones_column_is_T(self):
         # K_x = 1: det(1'1) = T from R_i = [-sqrt(T)]

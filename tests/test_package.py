@@ -1,5 +1,6 @@
-"""Package-level checks: the public names resolve, and no module carries
-an import it never reads (pyflakes' F401, done with `ast`)."""
+"""Package-level checks: the public names resolve, no module carries an
+import it never reads (pyflakes' F401, done with `ast`), and no private
+name in `src/interpanel` is left that no module of the package reads."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 import interpanel
 
 ROOT = Path(__file__).resolve().parents[1]
-CHECKED = [path for path in sorted((ROOT / "src" / "interpanel").glob("*.py"))
-           + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "interpanel").glob("*.py"))
+CHECKED = [path for path in SRC + sorted((ROOT / "tests").glob("*.py"))
            if path.name != "__init__.py"]
 
 
@@ -69,3 +70,64 @@ def test_unused_imports_finds_what_is_never_read(source, want):
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(node):
+    """The names a module-level statement defines: a function's or a
+    class's, or each name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name)]
+
+
+def read_names(node):
+    """Every name a statement reads: loaded names, attributes, imported
+    names, and strings that could be a name (as getattr takes one)."""
+    read = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.alias):
+            read.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            read.add(n.value)
+    return read
+
+
+def dead_private_names(sources):
+    """(module, name) of each private module-level function, class or
+    constant (one leading underscore) in `sources`, a mapping of module
+    name to source text, that no statement of any of them reads outside
+    the name's own definition. Tests are not among the readers: a name
+    only tests read is dead code."""
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body]
+    reads = [read_names(node) for _, node in statements]
+    return [(module, name) for s, (module, node) in enumerate(statements)
+            for name in defined_names(node)
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in read for r, read in enumerate(reads)
+                        if r != s)]
+
+
+@pytest.mark.parametrize("sources, want", [
+    ({"a": "def _f():\n    return _f()\n"}, [("a", "_f")]),
+    ({"a": "_X = 1\n", "b": "from .a import _X as y\n"}, []),
+    ({"a": "_X = 1\n", "b": "from . import a\na._X\n"}, []),
+    ({"a": "_X, _Y = 1, 2\nprint(_X)\n"}, [("a", "_Y")]),
+    ({"a": "class _C:\n    pass\n__version__ = '1'\n_n: int = 0\n"},
+     [("a", "_C"), ("a", "_n")]),
+    ({"a": "def f(_x):\n    _y = getattr(f, '_z')\n_z = 0\n"}, []),
+])
+def test_dead_private_names_finds_what_no_module_reads(sources, want):
+    assert dead_private_names(sources) == want
+
+
+def test_no_dead_private_name():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC}
+    assert dead_private_names(sources) == []

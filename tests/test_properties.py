@@ -333,9 +333,9 @@ def test_loadtxt_pass_reads_a_written_panel_as_the_chunked_reader(data, ds):
         path.write_text("".join(line[:-2] + end * (1 + b)
                                 for line, b in zip(lines, blank)),
                         encoding="utf-8", newline="")
-        got, chunked = load_outcome(path)
+        got, by_records = load_outcome(path)
         assert got == load_outcome(path, fallback=True)[0]
-    assert not chunked
+    assert not by_records
 
 
 @st.composite
