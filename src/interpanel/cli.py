@@ -64,16 +64,42 @@ _NEGATIVE_NUMBER = re.compile(r"^-(?:\.?\d[\d.,e+-]*|inf(?:inity)?)$",
                               re.IGNORECASE)
 
 
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _h_min(text):
     """--h-min as a float that is not NaN: NaN would fail every unit, and
     JSON has no NaN to report it."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    value = _float(text)
     if math.isnan(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
     return value
+
+
+def _finite(text):
+    """A mean-effect input as a finite float: JSON has no NaN or Infinity."""
+    value = _float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _finite_list(text):
+    """A mean-effect comma list, kept as text, once no entry that reads as
+    a float is NaN or infinite; an entry that is no number fails in the
+    command (exit 1), as it always has."""
+    for entry in text.split(","):
+        try:
+            value = float(entry)
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{entry!r} is not a finite number")
+    return text
 
 
 def _load_panel(args):
@@ -247,6 +273,8 @@ def _cmd_mean_effect(args):
     coeffs = _floats(args.coeffs)
     means = _floats(args.means)
     summary = mean_effect(coeffs, means, args.constant)
+    if not math.isfinite(summary.mean_effect):
+        raise ValueError("the mean effect overflows the float range")
     print(f"{summary.mean_effect:.6g}")
     if args.output:
         _write_json({
@@ -315,9 +343,11 @@ def build_parser():
 
     p = sub.add_parser("mean-effect",
                        help="average effect from coefficients and means")
-    p.add_argument("--coeffs", required=True, help="comma-separated")
-    p.add_argument("--means", required=True, help="comma-separated")
-    p.add_argument("--constant", type=float, required=True)
+    p.add_argument("--coeffs", type=_finite_list, required=True,
+                   help="comma-separated")
+    p.add_argument("--means", type=_finite_list, required=True,
+                   help="comma-separated")
+    p.add_argument("--constant", type=_finite, required=True)
     p.add_argument("--output", help="write JSON here")
     p.set_defaults(func=_cmd_mean_effect)
     p._negative_number_matcher = _NEGATIVE_NUMBER

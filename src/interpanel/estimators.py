@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_ols
+from .linalg import solve_ols, solve_units
 
 WEIGHT_MODES = ("none", "inv_se", "inv_var")
 
@@ -112,10 +112,14 @@ def cite_theta(dr):
 
 
 def cite_delta(dr, theta_hat):
-    """Per-unit slopes: delta_i = (X_i'X_i)^{-1} X_i'(Y_i - Psi_i theta)."""
+    """Per-unit slopes: delta_i = (X_i'X_i)^{-1} X_i'(Y_i - Psi_i theta),
+    which solves R_i delta_i = Q_i'(Y_i - Psi_i theta) by `solve_units`.
+    At K_x = 1 that is one division per unit, bit-equal to the batched
+    np.linalg.solve (pinned by `tests/test_estimators.py`); at K_x >= 2
+    it is LAPACK's solve."""
     resid = dr.Y - dr.Psi @ theta_hat
     rhs = np.einsum("ntk,nt->nk", dr.q_x, resid)
-    return np.linalg.solve(dr.r_x, rhs[..., None])[..., 0]
+    return solve_units(dr.r_x, rhs[..., None])[..., 0]
 
 
 def cite_kappa(delta1, H, weights=None):
@@ -171,10 +175,15 @@ def first_stage_se(dr, theta_hat, delta_hat):
 
 def inv11(r_x):
     """[(X_i'X_i)^{-1}]_11 of each unit from its QR factor R_i (n, K_x, K_x):
-    (X'X)^{-1} = R^{-1} R^{-T}, so it is the squared norm of row 1 of R^{-1}."""
+    (X'X)^{-1} = R^{-1} R^{-T}, so it is the squared norm of row 1 of R^{-1}.
+    At K_x = 1 R^{-1} is 1/r_i, one division (`solve_units`), and the
+    result (1/r_i)(1/r_i), bit-equal to the batched solve against eye(1)
+    (pinned by `tests/test_estimators.py`). At K_x >= 2 the solve
+    against the K_x columns of eye(K_x) stays on LAPACK (`solve_units`
+    says why)."""
     n, K_x = r_x.shape[:2]
     eye = np.broadcast_to(np.eye(K_x), (n, K_x, K_x))
-    r_inv = np.linalg.solve(r_x, eye)
+    r_inv = solve_units(r_x, eye)
     return np.einsum("nk,nk->n", r_inv[:, 0, :], r_inv[:, 0, :])
 
 
@@ -236,14 +245,16 @@ class MeanEffectSummary:
 
 
 def mean_effect(coeffs, means, constant):
-    """constant + sum_j coeffs_j * means_j, packaged with its inputs."""
+    """constant + sum_j coeffs_j * means_j, packaged with its inputs; inf
+    or NaN, with no RuntimeWarning, where the sum overflows."""
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
     means = np.asarray(means, dtype=float).reshape(-1)
     if coeffs.shape != means.shape:
         raise LengthMismatch(
             f"{coeffs.shape[0]} coefficients vs {means.shape[0]} means"
         )
-    value = float(constant) + float(np.dot(coeffs, means))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        value = float(constant) + float(np.dot(coeffs, means))
     return MeanEffectSummary(
         interaction_coefficients=coeffs,
         interaction_means=means,

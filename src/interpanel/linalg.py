@@ -8,6 +8,8 @@ read the QR factors of each unit's design, which their caller computes
 once (`data.factor_units`): the rank rule reads R (`unit_rank_deficient`),
 the residual makers read Q (`residual_makers`), and a Gram determinant,
 where one is wanted, is prod(diag R_i)^2, never an LU of X_i'X_i.
+A solve on the R_i with one right-hand side per unit goes through
+`solve_units`, which divides where that is LAPACK's answer bit for bit.
 """
 
 from __future__ import annotations
@@ -113,10 +115,28 @@ def unit_rank_deficient(R):
     """(bad, sv): each unit's verdict under the rank rule, from the R
     factors (n, k, k) of the reduced QR of its design X_i, and the
     singular values it read, those of X_i: |r_i| at k = 1. No unit fails
-    at k = 0."""
+    at k = 0, where sv is (n, 0) and no SVD is run."""
     n, k = R.shape[:2]
+    if k == 0:
+        return np.zeros(n, dtype=bool), np.empty((n, 0))
     sv = np.abs(R[:, :, 0]) if k == 1 else np.linalg.svd(R, compute_uv=False)
-    return (rank_deficient(sv) if k else np.zeros(n, dtype=bool)), sv
+    return rank_deficient(sv), sv
+
+
+def solve_units(R, B):
+    """np.linalg.solve(R, B) on a stack of square R (n, k, k) and B
+    (n, k, m). At k = m = 1, with no r_i exactly 0, it is B / R, one
+    division per unit and no LAPACK call, which this build's batched
+    solve equals bit for bit, inf, NaN and subnormals included (pinned
+    by `tests/test_linalg.py`); an r_i of 0 still reaches LAPACK, which
+    raises LinAlgError. Everything else stays on LAPACK: with several
+    right-hand sides its triangular solve multiplies by 1/r, which moves
+    the last bit of about one quotient in four against a division, and
+    at k >= 2 an elimination of our own would round in another order."""
+    if R.shape[1] == 1 and B.shape[-1] == 1 and R.all():
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return B / R  # as the solve, silent on overflow and inf / inf
+    return np.linalg.solve(R, B)
 
 
 def residual_makers(Q):

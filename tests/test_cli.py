@@ -66,6 +66,56 @@ class TestMeanEffect:
         assert code == 1
         assert "error" in err
 
+    def test_finite_inputs_keep_their_bytes(self, capsys, tmp_path):
+        out_path = tmp_path / "me.json"
+        code, out, err = run(capsys, "mean-effect",
+                             "--coeffs", "-1.146,0.805,-0.0274",
+                             "--means", "0.64,61.867,75.774",
+                             "--constant", "-46.5", "--output", str(out_path))
+        assert (code, out, err) == (0, "0.493287\n", "")
+        assert out_path.read_text() == (
+            '{\n  "coefficients": [\n    -1.146,\n    0.805,\n    -0.0274\n  ],\n'
+            '  "constant": -46.5,\n  "mean_effect": 0.4932873999999998,\n'
+            '  "means": [\n    0.64,\n    61.867,\n    75.774\n  ]\n}\n')
+
+    @pytest.mark.parametrize("flag, value, entry", [
+        ("--coeffs", "nan,1", "nan"), ("--coeffs", "-inf", "-inf"),
+        ("--means", "1,Infinity", "Infinity"), ("--means", "1, -NaN", " -NaN"),
+        ("--constant", "nan", "nan"), ("--constant", "-inf", "-inf")])
+    def test_non_finite_input_is_a_usage_error(self, flag, value, entry,
+                                               capsys, tmp_path):
+        # JSON has no NaN or Infinity: argparse refuses them, and no file
+        # is written
+        argv = {"--coeffs": "1,2", "--means": "3,4", "--constant": "0"}
+        argv[flag] = value
+        out_path = tmp_path / "me.json"
+        with pytest.raises(SystemExit) as err:
+            main(["mean-effect", *(a for kv in argv.items() for a in kv),
+                  "--output", str(out_path)])
+        assert err.value.code == 2
+        assert f"argument {flag}: {entry!r} is not a finite number" in \
+            capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("coeffs, means, constant", [
+        ("1e308", "10", "0"), ("1e308,-1e308", "10,10", "0"),
+        ("1e308", "1", "1e308")])
+    def test_overflowing_sum_is_one_error_line(self, coeffs, means, constant,
+                                               capsys, tmp_path):
+        out_path = tmp_path / "me.json"
+        code, out, err = run(capsys, "mean-effect", "--coeffs", coeffs,
+                             "--means", means, "--constant", constant,
+                             "--output", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: the mean effect overflows the float range\n"
+        assert not out_path.exists()
+
+    def test_entry_that_is_no_number_is_still_exit_1(self, capsys):
+        code, out, err = run(capsys, "mean-effect", "--coeffs", "1,abc",
+                             "--means", "1,2", "--constant", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: could not convert string to float: 'abc'\n"
+
 
 class TestEstimate:
     def test_both_estimators_end_to_end(self, sim_csv, capsys, tmp_path):

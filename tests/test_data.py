@@ -4,7 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,8 @@ from interpanel.data import (CiteBlocks, Dims, DuplicateColumn, ExtraField,
                              psi_block, subset_units, validate, write_csv)
 from interpanel.dgp import packaged_config, simulate
 from interpanel.estimators import fit_cite, ite
-from interpanel.linalg import RANK_TOL, RankDeficient, residual_makers
+from interpanel.linalg import (RANK_TOL, RankDeficient, rank_deficient,
+                               residual_makers)
 
 from conftest import kron_block_loops, load_outcome, random_panel
 
@@ -795,7 +796,41 @@ def test_estimate_path_forms_no_whole_panel_temporary(tmp_path,
     assert build_peak < 25e6
     assert record_peak < 10e6
 
+
+def svd_rank_rule(R):
+    """`unit_rank_deficient` as it was when it ran np.linalg.svd on an
+    empty R too, and discarded the result."""
+    n, k = R.shape[:2]
+    sv = np.abs(R[:, :, 0]) if k == 1 else np.linalg.svd(R, compute_uv=False)
+    return (rank_deficient(sv) if k else np.zeros(n, dtype=bool)), sv
+
+
 class TestValidate:
+    @pytest.mark.parametrize("empty_psi", [True, False])
+    def test_one_column_panel_runs_no_svd_and_is_unchanged(self, empty_psi,
+                                                           monkeypatch):
+        # at K_x = 1, X_{i,-1} has no columns; skipping its SVD leaves the
+        # report and the blocks as the SVD rule gave them
+        if empty_psi:
+            cfg = packaged_config("ite_gap")
+            ds = simulate(replace(cfg, dims=replace(cfg.dims, n=40))).dataset
+        else:
+            ds = random_panel(11, K_x=1)
+        with monkeypatch.context() as m:
+            m.setattr(data, "unit_rank_deficient", svd_rank_rule)
+            want = validate(ds).to_dict(), build_regressors(ds)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        got = validate(ds).to_dict(), build_regressors(ds)
+        assert got[0] == want[0] and got[0]["passed"]
+        for part in ("cite", "ite"):
+            for f in fields(getattr(want[1], part)):
+                assert np.array_equal(getattr(getattr(got[1], part), f.name),
+                                      getattr(getattr(want[1], part), f.name))
+
     def test_constant_x_unit_flagged(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(5, 2, 2))

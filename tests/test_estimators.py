@@ -1,6 +1,8 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from numpy.testing import assert_allclose
 from interpanel.data import build_regressors, make_dataset
 from interpanel.dgp import packaged_config, simulate
 from interpanel.estimators import (LengthMismatch, MissingWeights, cite_delta,
-                                   cite_kappa, cite_theta, fit_cite, ite,
-                                   mean_effect, second_stage_weights)
+                                   cite_kappa, cite_theta, fit_cite, inv11,
+                                   ite, mean_effect, second_stage_weights)
 from interpanel.linalg import solve_ols
 
 from conftest import dummy_variable_oracle, random_panel, within_ols_oracle
@@ -76,6 +78,69 @@ class TestCiteDelta:
         dr = build_regressors(ds).cite
         delta = cite_delta(dr, cite_theta(dr))
         assert np.max(np.abs(delta - truth.delta)) < 1e-10
+
+
+class TestOneColumnDivision:
+    # at K_x = 1 cite_delta and inv11 divide (linalg.solve_units); each must
+    # equal its batched np.linalg.solve form bit for bit, extreme magnitudes,
+    # overflow and underflow included, with no RuntimeWarning
+    @staticmethod
+    def pairs(seed, e, n=10**5):
+        """n pairs of signed floats with magnitudes 10^U(-e, e)."""
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], (2, n))
+        return signs * 10.0 ** rng.uniform(-e, e, (2, n))
+
+    @pytest.mark.parametrize("e", [150, 300])  # 300: quotients overflow
+    def test_cite_delta_is_the_batched_solve(self, e):
+        r, b = self.pairs(610, e)
+        # T = 1 and q_i = 1: the right-hand side Q_i'Y_i is b_i itself
+        dr = SimpleNamespace(Y=b[:, None], Psi=np.zeros((b.size, 1, 0)),
+                             q_x=np.ones((b.size, 1, 1)), r_x=r[:, None, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cite_delta(dr, np.zeros(0))
+        want = np.linalg.solve(dr.r_x, b[:, None, None])[..., 0]
+        assert got.shape == (b.size, 1)
+        assert np.array_equal(got, want)
+        assert np.isinf(got).any() == (e == 300)
+
+    @pytest.mark.parametrize("e", [150, 300])  # 300: 1/r^2 over- and underflows
+    def test_inv11_is_the_batched_solve_and_einsum(self, e):
+        r, _ = self.pairs(611, e)
+        r_x = r[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inv11(r_x)
+        r_inv = np.linalg.solve(r_x, np.broadcast_to(np.eye(1), r_x.shape))
+        want = np.einsum("nk,nk->n", r_inv[:, 0, :], r_inv[:, 0, :])
+        assert np.array_equal(got, want)
+        assert (np.isinf(got).any() and (got == 0.0).any()) == (e == 300)
+
+    def test_fit_on_a_simulated_panel_is_unchanged(self):
+        cfg = packaged_config("ite_gap")
+        ds = simulate(replace(cfg, dims=replace(cfg.dims, n=300))).dataset
+        dr = build_regressors(ds).cite
+        theta = cite_theta(dr)
+        rhs = np.einsum("ntk,nt->nk", dr.q_x, dr.Y - dr.Psi @ theta)
+        want = np.linalg.solve(dr.r_x, rhs[..., None])[..., 0]
+        assert np.array_equal(cite_delta(dr, theta), want)
+
+    def test_k2_goes_through_the_solve(self, monkeypatch):
+        dr = build_regressors(random_panel(612, K_x=2)).cite
+        theta = cite_theta(dr)
+        want = cite_delta(dr, theta), inv11(dr.r_x)
+        calls = []
+        solve = np.linalg.solve
+
+        def spy(*args):
+            calls.append(args[1].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        got = cite_delta(dr, theta), inv11(dr.r_x)
+        assert calls == [(12, 2, 1), (12, 2, 2)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestCiteKappa:
@@ -208,6 +273,9 @@ class TestMeanEffect:
         # coefficient x mean + constant for the single-variable second stage
         s = mean_effect([-0.624], [0.64], 0.905)
         assert abs(s.mean_effect - 0.506) < 1e-3
+
+    def test_overflow_is_inf_with_no_warning(self):
+        assert mean_effect([1e308], [10.0], 0.0).mean_effect == np.inf
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

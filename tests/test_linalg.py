@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from interpanel.linalg import (RANK_TOL, RankDeficient, residual_makers, solve_ols,
-                              unit_rank_deficient)
+                              solve_units, unit_rank_deficient)
 
 from conftest import inv3_cofactor
 
@@ -156,3 +158,74 @@ class TestResidualMaker:
         bad, sv = unit_rank_deficient(np.linalg.qr(X)[1])
         assert np.flatnonzero(bad).tolist() == [3]
         assert sv[3, -1] < RANK_TOL * sv[3, 0]
+
+    def test_empty_design_runs_no_svd(self, monkeypatch):
+        # X_{i,-1} of a K_x = 1 panel has no columns: every unit passes,
+        # with no singular values, and LAPACK is not called for them
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        bad, sv = unit_rank_deficient(np.empty((7, 0, 0)))
+        assert bad.dtype == bool and bad.shape == (7,) and not bad.any()
+        assert sv.shape == (7, 0)
+
+
+def extreme_pairs(seed, n):
+    """n pairs (r, b) of signed floats with magnitudes 10^U(-150, 150)."""
+    rng = np.random.default_rng(seed)
+    r, b = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-150, 150, (2, n))
+    return r, b
+
+
+class TestSolveUnits:
+    # at k = 1 with one right-hand side solve_units divides; these pin that
+    # the division is the batched LAPACK solve bit for bit on this build
+
+    def test_division_is_the_batched_solve(self):
+        r, b = extreme_pairs(500, 10**5)
+        R, B = r[:, None, None], b[:, None, None]
+        got = solve_units(R, B)
+        assert got.shape == (r.size, 1, 1)
+        assert np.array_equal(got, np.linalg.solve(R, B))
+
+    def test_non_finite_and_subnormal_entries_match_the_solve(self):
+        r = np.array([1e-310, 5e-320, 1e308, np.inf, -np.inf, np.nan, 2.0, 3.0, -0.5])
+        b = np.array([1e-300, 1.0, 1e-308, np.inf, 1.0, 1.0, np.inf, np.nan, -0.0])
+        R, B = r[:, None, None], b[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve_units(R, B)
+        assert np.array_equal(got, np.linalg.solve(R, B), equal_nan=True)
+
+    def test_overflow_is_inf_with_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve_units(np.array([[[1e-200]], [[-1e-200]]]),
+                              np.array([[[1e200]], [[1e200]]]))
+        assert got[:, 0, 0].tolist() == [np.inf, -np.inf]
+
+    def test_an_exact_zero_still_raises(self):
+        r, b = extreme_pairs(501, 50)
+        r[17] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            solve_units(r[:, None, None], b[:, None, None])
+
+    @pytest.mark.parametrize("k, m, lapack", [(1, 1, False), (1, 4, True),
+                                              (2, 1, True), (3, 3, True)])
+    def test_only_one_by_one_with_one_column_divides(self, k, m, lapack,
+                                                     monkeypatch):
+        rng = np.random.default_rng(502)
+        R = np.linalg.qr(rng.normal(size=(40, 6, k)))[1]
+        B = rng.normal(size=(40, k, m))
+        want = np.linalg.solve(R, B)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return want
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        got = solve_units(R, B)
+        assert len(calls) == int(lapack)
+        assert np.array_equal(got, want)
