@@ -110,6 +110,9 @@ def _load_panel(args):
 
 
 def _cmd_estimate(args):
+    if args.se == "bootstrap" and args.estimator == "ite":
+        args.usage_error("argument --se: the bootstrap covers the cite "
+                         "estimator only; use --estimator cite or both")
     ds = _load_panel(args)
     report = validate(ds, h_min=args.h_min)
     ds, dropped = drop_failing_units(ds, report)
@@ -154,6 +157,9 @@ def _cmd_estimate(args):
             if args.se == "cluster":
                 entry["se"] = ite_se(dr.ite, res).se.tolist()
                 entry["se_method"] = "cluster_robust"
+            elif args.se == "bootstrap":
+                print("warning: the ite entry has no SE: the bootstrap "
+                      "covers cite only", file=sys.stderr)
         results[est] = res
         out["estimators"][est] = entry
 
@@ -319,7 +325,7 @@ def build_parser():
     p.add_argument("--bootstrap-reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="write JSON here instead of stdout")
-    p.set_defaults(func=_cmd_estimate)
+    p.set_defaults(func=_cmd_estimate, usage_error=p.error)
 
     p = sub.add_parser("simulate", help="draw a panel from a DGP config")
     p.add_argument("--config", required=True, help="DgpConfig JSON path")

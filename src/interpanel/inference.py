@@ -28,7 +28,7 @@ import numpy as np
 from .estimators import (MissingWeights, ZeroDegreesOfFreedom,  # noqa: F401
                          first_stage_se, fit_cite, inv11,
                          second_stage_weights)
-from .linalg import rank_deficient
+from .linalg import solve_units, unit_rank_deficient
 
 BOOTSTRAP_REDRAW_FACTOR = 10
 _DRAW_BYTES = 2 ** 18  # stacked rows per draw_kappas call (`_draw_chunk`)
@@ -66,6 +66,13 @@ def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
     sums s_g = sum_{i in g} x_i e_i. The small-sample factor
     c = G/(G-1) * (N-1)/(N-k) is applied by default. With one observation
     per cluster and c disabled this is exactly the HC0 variance.
+
+    The s_g add each cluster's rows in row order from 0, the sums
+    np.add.at gives, bit for bit, for ids in any order. `_cluster_sums`
+    forms them for many small clusters (unit clusters of T rows,
+    singletons) by one vectorized add per within-cluster rank in place of
+    add.at's step per row; a cluster larger than the number of clusters
+    sends the sums to np.add.at itself.
     """
     X = np.asarray(design, dtype=float)
     e = np.asarray(residuals, dtype=float).reshape(-1)
@@ -81,8 +88,7 @@ def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
         raise ValueError(f"the small-sample factor (N-1)/(N-k) needs more "
                          f"rows than columns, got N = {N}, k = {k}")
 
-    scores = np.zeros((G, k))
-    np.add.at(scores, codes, X * e[:, None])
+    scores = _cluster_sums(X * e[:, None], codes, G)
     # V = W W' with W = (X'X)^{-1} [s_1 .. s_G]: one solve on the k x k
     # Gram, no inverse, and no meat S'S, whose condition is the square of S's
     W = np.linalg.solve(X.T @ X, scores.T)
@@ -102,6 +108,34 @@ def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
         method="cluster_robust",
         n_clusters=G,
     )
+
+
+def _cluster_sums(rows, codes, G):
+    """The (G, k) sums of rows (N, k) by cluster code in 0..G-1, each
+    cluster's rows added in row order to a 0 start, as
+    np.add.at(np.zeros((G, k)), codes, rows) adds them, bit for bit.
+    Where no cluster has more rows than there are clusters (T-row units,
+    singletons) it takes one add per within-cluster rank, so the Python
+    loop runs at most G times: add j gathers the j-th row of each
+    cluster with more than j rows, clusters largest first, so it adds
+    to a prefix of the sums and sees no cluster twice. Otherwise it is
+    np.add.at.
+    """
+    sums = np.zeros((G, rows.shape[1]))
+    sizes = np.bincount(codes, minlength=G)
+    if sizes.max() > G:
+        np.add.at(sums, codes, rows)
+        return sums
+    start = np.cumsum(sizes) - sizes  # each cluster's first place in by_cluster
+    by_cluster = np.argsort(codes, kind="stable")  # row order within a cluster
+    big = np.argsort(-sizes, kind="stable")  # clusters, most rows first
+    active = np.searchsorted(-sizes[big], -np.arange(sizes.max()))  # > j rows
+    first = start[big]
+    for j, c in enumerate(active.tolist()):
+        sums[:c] += np.take(rows, np.take(by_cluster, first[:c] + j), axis=0)
+    out = np.empty_like(sums)
+    out[big] = sums
+    return out
 
 
 def _unit_clustered_se(design, y, estimates, labels):
@@ -244,12 +278,15 @@ def _solve_r(R, k):
     bad[j] where the singular values of R11 = R[j, :k, :k] (those of A)
     fail the rank rule, else x[j] solves R11 x = R[j, :k, k], the least
     squares fit of y on A. Where bad, the identity stands in for R11, so
-    the solve cannot raise, and x[j] means nothing."""
+    the solve cannot raise, and x[j] means nothing. The verdicts are
+    `linalg.unit_rank_deficient`'s and the solve `linalg.solve_units`, so
+    at k = 1 (one column in Psi, or K_h = 1) a draw runs no SVD and its
+    x is one division."""
     R11, r12 = R[:, :k, :k], R[:, :k, k:]
-    bad = rank_deficient(np.linalg.svd(R11, compute_uv=False))
+    bad = unit_rank_deficient(R11)[0]
     if bad.any():
         R11 = np.where(bad[:, None, None], np.eye(k), R11)
-    return np.linalg.solve(R11, r12)[:, :, 0], bad
+    return solve_units(R11, r12)[:, :, 0], bad
 
 
 def _draw_chunk(s):

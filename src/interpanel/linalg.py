@@ -10,6 +10,10 @@ the residual makers read Q (`residual_makers`), and a Gram determinant,
 where one is wanted, is prod(diag R_i)^2, never an LU of X_i'X_i.
 A solve on the R_i with one right-hand side per unit goes through
 `solve_units`, which divides where that is LAPACK's answer bit for bit.
+`residual_makers` forms M_i = I - Q_i Q_i' by the same rule: by one
+broadcast product per column of Q at k <= 2, where that is the einsum's
+answer bit for bit, and by the einsum at k >= 3, where the einsum's
+two-lane sums round in an order no column loop reproduces.
 """
 
 from __future__ import annotations
@@ -145,5 +149,24 @@ def residual_makers(Q):
     entries (s, t) and (t, s) of Q_i Q_i' sum the same products in the
     same order. Returns the (n, T, T) matrices; k may be 0 (M_i = I).
     Nothing is factored here: the caller holds the QR.
+
+    Q_i Q_i' is np.einsum("nik,njk->nij", Q, Q), which runs a k-long
+    inner loop per entry. At k <= 2 it is formed instead as q_1 q_1'
+    (+ q_2 q_2'), one broadcast product per column added in column
+    order, and M is that einsum's bit for bit, signed zeros and NaN
+    included (pinned by `tests/test_linalg.py`): the einsum adds the
+    same products in the same order to a 0 start, and the one thing the
+    start changes, a -0.0 entry of P read as +0.0, is gone in I - P,
+    where both give +0.0 (the diagonal of P is never -0.0). At k >= 3
+    the einsum adds its products two lanes at a time, in an order no
+    column loop reproduces, so it stays, as at k = 0.
     """
-    return np.eye(Q.shape[1]) - np.einsum("nik,njk->nij", Q, Q)
+    T, k = Q.shape[1:]
+    if k == 0 or k > 2:
+        return np.eye(T) - np.einsum("nik,njk->nij", Q, Q)
+    q = Q[:, :, 0]
+    P = q[:, :, None] * q[:, None, :]
+    if k == 2:
+        q = Q[:, :, 1]
+        P += q[:, :, None] * q[:, None, :]
+    return np.subtract(np.eye(T), P, out=P)

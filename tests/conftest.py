@@ -152,6 +152,22 @@ def load_outcome(path, schema=None, fallback=False):
     return outcome, by_records.called
 
 
+def assert_same_bits(a, b):
+    """a and b are the same array to the bit: dtype, shape and raw bytes.
+    Unlike np.array_equal this tells -0.0 from 0.0 and one NaN payload
+    from another."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype, f"dtype {a.dtype} != {b.dtype}"
+    assert a.shape == b.shape, f"shape {a.shape} != {b.shape}"
+    bytes_a = np.ascontiguousarray(a).view(np.uint8).reshape(a.size, a.itemsize)
+    bytes_b = np.ascontiguousarray(b).view(np.uint8).reshape(b.size, b.itemsize)
+    differ = np.flatnonzero((bytes_a != bytes_b).any(axis=1))
+    assert differ.size == 0, (
+        f"{differ.size} of {a.size} entries differ in their bits, first at "
+        f"{tuple(int(i) for i in np.unravel_index(differ[0], a.shape))}: "
+        f"{a.flat[differ[0]]!r} != {b.flat[differ[0]]!r}")
+
+
 def kron_block_loops(X, G):
     """Element-by-element double loop over (k, g) pairs."""
     n, T, K_x = X.shape

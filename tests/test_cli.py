@@ -158,6 +158,33 @@ class TestEstimate:
         se = doc["estimators"]["cite"]["se"]
         assert len([v for v in se if v is not None]) == 2  # K_h kappa entries
 
+    def test_ite_bootstrap_is_a_usage_error(self, sim_csv, capsys, tmp_path):
+        # the bootstrap covers cite only: ite estimates with no SE would
+        # pass silently for SEs that were asked for
+        path, _ = sim_csv
+        out_path = tmp_path / "est.json"
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--input", path, "--estimator", "ite",
+                  "--se", "bootstrap", "--output", str(out_path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --se: the bootstrap covers the cite estimator only" \
+            in captured.err
+        assert not out_path.exists()
+
+    def test_both_with_bootstrap_says_ite_has_no_se(self, sim_csv, capsys):
+        path, _ = sim_csv
+        code, out, err = run(capsys, "estimate", "--input", path,
+                             "--se", "bootstrap", "--bootstrap-reps", "50")
+        assert code == 0
+        notes = [line for line in err.splitlines() if "ite entry" in line]
+        assert notes == ["warning: the ite entry has no SE: the bootstrap "
+                         "covers cite only"]
+        doc = json.loads(out)["estimators"]
+        assert sorted(doc["ite"]) == ["estimates", "labels"]
+        assert doc["cite"]["se_method"] == "bootstrap (kappa only)"
+
     def test_weighting_without_h_is_unweighted(self, capsys, tmp_path):
         # K_h = 0: no kappa stage to weight, and no kappa SEs
         path = tmp_path / "no_h.csv"

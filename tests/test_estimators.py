@@ -15,7 +15,8 @@ from interpanel.estimators import (LengthMismatch, MissingWeights, cite_delta,
                                    ite, mean_effect, second_stage_weights)
 from interpanel.linalg import solve_ols
 
-from conftest import dummy_variable_oracle, random_panel, within_ols_oracle
+from conftest import (assert_same_bits, dummy_variable_oracle, random_panel,
+                      within_ols_oracle)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -102,7 +103,7 @@ class TestOneColumnDivision:
             got = cite_delta(dr, np.zeros(0))
         want = np.linalg.solve(dr.r_x, b[:, None, None])[..., 0]
         assert got.shape == (b.size, 1)
-        assert np.array_equal(got, want)
+        assert_same_bits(got, want)
         assert np.isinf(got).any() == (e == 300)
 
     @pytest.mark.parametrize("e", [150, 300])  # 300: 1/r^2 over- and underflows
@@ -114,7 +115,7 @@ class TestOneColumnDivision:
             got = inv11(r_x)
         r_inv = np.linalg.solve(r_x, np.broadcast_to(np.eye(1), r_x.shape))
         want = np.einsum("nk,nk->n", r_inv[:, 0, :], r_inv[:, 0, :])
-        assert np.array_equal(got, want)
+        assert_same_bits(got, want)
         assert (np.isinf(got).any() and (got == 0.0).any()) == (e == 300)
 
     def test_fit_on_a_simulated_panel_is_unchanged(self):
@@ -124,7 +125,7 @@ class TestOneColumnDivision:
         theta = cite_theta(dr)
         rhs = np.einsum("ntk,nt->nk", dr.q_x, dr.Y - dr.Psi @ theta)
         want = np.linalg.solve(dr.r_x, rhs[..., None])[..., 0]
-        assert np.array_equal(cite_delta(dr, theta), want)
+        assert_same_bits(cite_delta(dr, theta), want)
 
     def test_k2_goes_through_the_solve(self, monkeypatch):
         dr = build_regressors(random_panel(612, K_x=2)).cite

@@ -17,7 +17,7 @@ from interpanel.inference import (DegenerateResample, TooFewClusters,
                                   cluster_robust_se, draw_kappas, ite_se,
                                   unit_summaries)
 
-from conftest import random_panel
+from conftest import assert_same_bits, random_panel
 
 
 def small_baseline(n=80, seed=21, **overrides):
@@ -201,6 +201,72 @@ class TestClusterRobust:
         assert (se.method, se.n_clusters) == ("cluster_robust", 9)
 
 
+def add_at_sums(rows, codes, G):
+    """The cluster sums as np.add.at forms them, one row at a time."""
+    sums = np.zeros((G, rows.shape[1]))
+    np.add.at(sums, codes, rows)
+    return sums
+
+
+def cluster_codes(rng, layout):
+    """Cluster codes in 0..G-1, every code used, in one of the layouts a
+    sandwich meets: unit clusters of T rows (in order or shuffled),
+    clusters of uneven sizes, singletons, and a few large clusters (in
+    order, or two shuffled), which _cluster_sums leaves to np.add.at."""
+    if layout == "units":
+        return np.repeat(np.arange(40), 6)
+    if layout == "shuffled units":
+        return rng.permutation(np.repeat(np.arange(40), 6))
+    if layout == "uneven":
+        return rng.permutation(np.concatenate([np.arange(30),
+                                               rng.integers(0, 30, 200)]))
+    if layout == "singletons":
+        return rng.permutation(50)
+    if layout == "few uneven clusters":
+        return np.sort(rng.integers(0, 5, 400))
+    return rng.permutation(np.arange(300) % 2)
+
+
+class TestClusterSums:
+    # cluster_robust_se sums its scores without np.add.at; these pin that
+    # the sums are add.at's to the bit, for ids in any order
+
+    @pytest.mark.parametrize("layout", ["units", "shuffled units", "uneven",
+                                        "singletons", "few uneven clusters",
+                                        "two clusters"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sums_are_add_at_bit_for_bit(self, layout, k):
+        rng = np.random.default_rng(len(layout))
+        codes = cluster_codes(rng, layout)
+        G = codes.max() + 1
+        rows = rng.normal(size=(codes.size, k)) * \
+            10.0 ** rng.uniform(-150, 150, (codes.size, 1))
+        rows[rng.random(rows.shape) < 0.3] = -0.0
+        rows[rng.random(rows.shape) < 0.1] = 0.0
+        rows[codes == 0, 0] = -0.0  # add.at's sum is +0.0, from its 0 start
+        assert_same_bits(inference._cluster_sums(rows, codes, G),
+                         add_at_sums(rows, codes, G))
+        rows[rng.random(rows.shape) < 0.02] = np.nan
+        rows[rng.random(rows.shape) < 0.02] = -np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert_same_bits(inference._cluster_sums(rows, codes, G),
+                             add_at_sums(rows, codes, G))
+
+    @pytest.mark.parametrize("layout", ["units", "shuffled units", "uneven",
+                                        "two clusters"])
+    def test_sandwich_is_the_add_at_sandwich(self, layout, monkeypatch):
+        rng = np.random.default_rng(31)
+        codes = cluster_codes(rng, layout)
+        ids = np.array([f"u{c:03d}" for c in (codes * 7) % (codes.max() + 1)])
+        X = rng.normal(size=(ids.size, 3))
+        e = rng.normal(size=ids.size)
+        got = cluster_robust_se(X, e, ids)
+        monkeypatch.setattr(inference, "_cluster_sums", add_at_sums)
+        want = cluster_robust_se(X, e, ids)
+        assert_same_bits(got.vcov, want.vcov)
+        assert_same_bits(got.se, want.se)
+
+
 class TestBootstrap:
     def test_noiseless_bootstrap_se_is_zero(self):
         cfg = packaged_config("baseline")
@@ -361,6 +427,51 @@ class TestBootstrap:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+
+def stacked_r(rng, b, m, k, scale):
+    """R factors (b, k + 1, k + 1) of b stacked [A | y] with m rows, draw j
+    scaled by scale[j]; every fifth draw's A has a zero column, and every
+    seventh's (at k >= 2) a repeated one, so they fail the rank rule."""
+    A = rng.normal(size=(b, m, k + 1)) * scale[:, None, None]
+    A[::5, :, 0] = 0.0
+    if k >= 2:
+        A[::7, :, 1] = A[::7, :, 0]
+    return np.linalg.qr(A, mode="r")
+
+
+class TestSolveR:
+    # a draw's stage solves R11 x = r12 by linalg.solve_units; these pin
+    # it to np.linalg.solve on the stacked R factors, to the bit
+
+    @pytest.mark.parametrize("k, extreme", [(1, False), (1, True), (2, False),
+                                            (2, True), (3, False)])
+    def test_is_the_stacked_solve(self, k, extreme):
+        rng = np.random.default_rng(10 * k + extreme)
+        b = 400
+        scale = 10.0 ** rng.uniform(-150, 150, b) if extreme else np.ones(b)
+        R = stacked_r(rng, b, 12, k, scale)
+        R11, r12 = R[:, :k, :k], R[:, :k, k:]
+        want_bad = linalg.rank_deficient(np.linalg.svd(R11, compute_uv=False))
+        want = np.linalg.solve(np.where(want_bad[:, None, None], np.eye(k), R11),
+                               r12)[:, :, 0]
+        x, bad = inference._solve_r(R, k)
+        assert want_bad[::5].all() and not want_bad.all()
+        assert_same_bits(bad, want_bad)
+        assert_same_bits(x, want)
+
+    def test_one_column_runs_no_lapack(self, monkeypatch):
+        R = stacked_r(np.random.default_rng(5), 50, 8, 1, np.ones(50))
+        want = inference._solve_r(R, 1)
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_lapack)
+        monkeypatch.setattr(np.linalg, "solve", no_lapack)
+        got = inference._solve_r(R, 1)
+        assert_same_bits(got[0], want[0])
+        assert_same_bits(got[1], want[1])
 
 
 class TestWeightedFit:

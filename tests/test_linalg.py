@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from interpanel.linalg import (RANK_TOL, RankDeficient, residual_makers, solve_ols,
                               solve_units, unit_rank_deficient)
 
-from conftest import inv3_cofactor
+from conftest import assert_same_bits, inv3_cofactor
 
 
 class TestSolveOls:
@@ -171,6 +171,53 @@ class TestResidualMaker:
         assert sv.shape == (7, 0)
 
 
+def einsum_makers(Q):
+    """M_i = I - Q_i Q_i' by the einsum that residual_makers runs at k >= 3."""
+    return np.eye(Q.shape[1]) - np.einsum("nik,njk->nij", Q, Q)
+
+
+def awkward_q(rng, n, T, k):
+    """(n, T, k) entries at magnitudes 10^U(-150, 150), 20% exact zeros and
+    10% -0.0, with a few NaN and inf in some units, C-ordered or strided."""
+    Q = rng.normal(size=(n, T, 2 * k)) * 10.0 ** rng.uniform(-150, 150,
+                                                            (n, T, 2 * k))
+    Q[rng.random(Q.shape) < 0.2] = 0.0
+    Q[rng.random(Q.shape) < 0.1] = -0.0
+    Q[0, 0, :] = np.nan
+    Q[1, -1, :] = [np.inf, -np.inf] * k
+    return Q[:, :, ::2] if rng.random() < 0.5 else np.ascontiguousarray(Q[:, :, :k])
+
+
+class TestResidualMakerKernels:
+    # at k <= 2 residual_makers forms Q_i Q_i' by broadcast products;
+    # these pin that its M is the einsum's to the bit on this build
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("T", [2, 3, 6, 17, 50])
+    def test_broadcast_is_the_einsum_bit_for_bit(self, T, k):
+        rng = np.random.default_rng(100 * T + k)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf
+            for _ in range(5):
+                Q = awkward_q(rng, 30, T, k)
+                assert_same_bits(residual_makers(Q), einsum_makers(Q))
+        Q = np.linalg.qr(rng.normal(size=(40, T, k)))[0]
+        assert_same_bits(residual_makers(Q), einsum_makers(Q))
+
+    @pytest.mark.parametrize("k, einsum", [(0, True), (1, False), (2, False),
+                                           (3, True), (5, True)])
+    def test_only_one_or_two_columns_leave_the_einsum(self, k, einsum,
+                                                      monkeypatch):
+        Q = np.linalg.qr(np.random.default_rng(7).normal(size=(9, 6, k)))[0]
+        want = einsum_makers(Q)
+        calls = []
+        real = np.einsum
+        monkeypatch.setattr(np, "einsum",
+                            lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+        got = residual_makers(Q)
+        assert calls == (["nik,njk->nij"] if einsum else [])
+        assert_same_bits(got, want)
+
+
 def extreme_pairs(seed, n):
     """n pairs (r, b) of signed floats with magnitudes 10^U(-150, 150)."""
     rng = np.random.default_rng(seed)
@@ -187,7 +234,7 @@ class TestSolveUnits:
         R, B = r[:, None, None], b[:, None, None]
         got = solve_units(R, B)
         assert got.shape == (r.size, 1, 1)
-        assert np.array_equal(got, np.linalg.solve(R, B))
+        assert_same_bits(got, np.linalg.solve(R, B))
 
     def test_non_finite_and_subnormal_entries_match_the_solve(self):
         r = np.array([1e-310, 5e-320, 1e308, np.inf, -np.inf, np.nan, 2.0, 3.0, -0.5])
@@ -196,7 +243,7 @@ class TestSolveUnits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = solve_units(R, B)
-        assert np.array_equal(got, np.linalg.solve(R, B), equal_nan=True)
+        assert_same_bits(got, np.linalg.solve(R, B))
 
     def test_overflow_is_inf_with_no_warning(self):
         with warnings.catch_warnings():
@@ -228,4 +275,4 @@ class TestSolveUnits:
         monkeypatch.setattr(np.linalg, "solve", spy)
         got = solve_units(R, B)
         assert len(calls) == int(lapack)
-        assert np.array_equal(got, want)
+        assert_same_bits(got, want)
