@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import (RANK_TOL, RankDeficient, gram_condition, residual_makers,
+from .linalg import (RankDeficient, gram_condition, residual_makers, solve_ols,
                      unit_rank_deficient)
 
 # Numeric text format used by the CSV writer; round-trips float64 exactly.
@@ -666,13 +666,13 @@ class ValidationReport:
     with, so never negative (1.0 for the empty X_{i,-1} at K_x = 1), and
     inf past the float range. Normalized by (T * mean(X_i^2))^k, they give
     the margins, formed as prod(|r_jj| / sqrt(T * mean(X_i^2)))^2, which
-    never overflow: the h_min threshold is scale free per unit. Pooled
-    checks report the smallest eigenvalue of the sample matrices (1/n)
-    sum Psi'M Psi, (1/n) sum PsiTilde'M_-1 PsiTilde and (1/n) sum H'H
-    relative to the largest, over the passing units: `panel` (the input itself when none
-    fails), whose blocks are `regressors` (both None when fewer than 2
-    units pass or too few rows remain for the pooled stage). Estimation
-    reuses both; `to_dict` omits them.
+    never overflow: the h_min threshold is scale free per unit. A pooled
+    check is the solver's verdict on its fit's design over the passing
+    units (`validate`); its margin, (sigma_min / sigma_max)^2 of that
+    design, is 1 / gram_condition. The passing units are `panel` (the
+    input itself when none fails), with blocks `regressors` (both None,
+    and the pooled checks fail at margin 0.0, when fewer than 2 units pass
+    or too few rows remain for the pooled stage; `to_dict` omits both).
     """
 
     h_min: float
@@ -704,14 +704,16 @@ class ValidationReport:
         }
 
 
-def _min_eig_margin(S):
-    if S.shape[0] == 0:
-        return 1.0
-    ev = np.linalg.eigvalsh(0.5 * (S + S.T))
-    top = ev[-1]
-    if top <= 0.0:
-        return 0.0
-    return float(ev[0] / top)
+def _pooled_check(design, response):
+    """(margin, passed): 1 / gram_condition of `solve_ols` on a stacked
+    design (..., k) and its response, and whether that fit returns."""
+    design = design.reshape(response.size, design.shape[-1])
+    if response.size < design.shape[1]:  # never fits: its Gram is singular
+        return 0.0, False
+    try:
+        return 1.0 / solve_ols(design, response).gram_condition, True
+    except RankDeficient as exc:
+        return 1.0 / exc.condition, False
 
 
 def validate(ds, h_min=DEFAULT_H_MIN):
@@ -721,10 +723,10 @@ def validate(ds, h_min=DEFAULT_H_MIN):
     factored once (`factor_units`), and everything reads those factors:
     a unit fails unless both R factors pass the solver's rank rule
     (`unit_rank_deficient`) and the h_min trim on their normalized Gram
-    determinants, prod(diag R_i)^2. Failing units are listed and excluded
-    from the pooled sample matrices (downstream estimation conditions on
-    the passing subpopulation), whose regressors are built here, once,
-    from the kept units' rows of the same factors.
+    determinants, prod(diag R_i)^2. Failing units are listed and left out
+    of the pooled stage (estimation conditions on the passing units), whose
+    regressors are built here from the kept rows of the same factors, and
+    whose checks are `solve_ols` on the designs its fits solve.
     """
     d = ds.dims
     X = ds.X
@@ -744,34 +746,30 @@ def validate(ds, h_min=DEFAULT_H_MIN):
     fail_x1 = tuple(ds.unit_labels[i] for i in np.flatnonzero(~ok_x1))
 
     keep = np.flatnonzero(ok_x & ok_x1)
-    pooled = {"psi_m_psi": 0.0, "psi_tilde_m1_psi_tilde": 0.0, "hth": 0.0}
+    pooled = dict.fromkeys(("psi_m_psi", "psi_tilde_m1_psi_tilde", "hth"),
+                           (0.0, False))
     panel = dr = None
     if keep.size >= 2:
         try:
             # ds itself, not a copy: einsum would sum M @ Y in another order
             panel = ds if keep.size == d.n else subset_units(ds, keep)
         except ValueError:
-            pass  # too few rows remain for the pooled stage; margins stay 0
+            pass  # too few rows remain for the pooled stage: its checks fail
         else:
             if panel is not ds:
                 factors = [(Q[keep], R[keep]) for Q, R in factors]
             dr = _blocks(panel, *factors)
-            MPsi, M1PsiTilde = dr.cite.MPsi, dr.ite.M1PsiTilde
-            S1 = np.einsum("nip,niq->pq", MPsi, MPsi) / keep.size
-            S2 = np.einsum("nip,niq->pq", M1PsiTilde, M1PsiTilde) / keep.size
-            S3 = panel.H.T @ panel.H / keep.size
-            pooled = {
-                "psi_m_psi": _min_eig_margin(S1),
-                "psi_tilde_m1_psi_tilde": _min_eig_margin(S2),
-                "hth": _min_eig_margin(S3),
-            }
+            c, t = dr.cite, dr.ite
+            pooled = {"psi_m_psi": _pooled_check(c.MPsi, c.MY),
+                      "psi_tilde_m1_psi_tilde": _pooled_check(t.M1PsiTilde, t.M1Y),
+                      "hth": _pooled_check(panel.H, np.zeros(keep.size))}
 
     checks = {
         "unit_x_variation": len(fail_x) == 0,
         "unit_x_minus1_variation": len(fail_x1) == 0,
-        "pooled_psi_rank": pooled["psi_m_psi"] > RANK_TOL,
-        "pooled_psi_tilde_rank": pooled["psi_tilde_m1_psi_tilde"] > RANK_TOL,
-        "h_rank": pooled["hth"] > RANK_TOL if d.K_h > 0 else True,
+        "pooled_psi_rank": pooled["psi_m_psi"][1],
+        "pooled_psi_tilde_rank": pooled["psi_tilde_m1_psi_tilde"][1],
+        "h_rank": pooled["hth"][1],
     }
     return ValidationReport(
         h_min=h_min,
@@ -781,7 +779,7 @@ def validate(ds, h_min=DEFAULT_H_MIN):
         unit_margin_x_minus1=margin_x1,
         failing_units_x=fail_x,
         failing_units_x_minus1=fail_x1,
-        pooled_margins=pooled,
+        pooled_margins={name: m for name, (m, _) in pooled.items()},
         checks=checks,
         panel=panel,
         regressors=dr,

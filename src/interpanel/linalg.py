@@ -83,7 +83,7 @@ def solve_ols(design, response):
     ------
     RankDeficient
         If the smallest singular value of the design is below RANK_TOL
-        times the largest.
+        times the largest, or at that tie (lstsq truncates it).
     """
     A = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).reshape(-1)
@@ -97,7 +97,8 @@ def solve_ols(design, response):
     if k == 0:
         return LeastSquaresFit(np.zeros(0), 1.0)
 
-    coef, _, rank, sv = np.linalg.lstsq(A, y, rcond=None)
+    # rcond=None would truncate below eps * max(m, k), past RANK_TOL at m > 4.5e5
+    coef, _, rank, sv = np.linalg.lstsq(A, y, rcond=RANK_TOL)
     cond = gram_condition(sv)
     if rank_deficient(sv) or rank < k:
         raise RankDeficient(

@@ -21,9 +21,9 @@ from interpanel.data import (CiteBlocks, Dims, DuplicateColumn, ExtraField,
                              interaction_block, load_csv, make_dataset,
                              psi_block, subset_units, validate, write_csv)
 from interpanel.dgp import packaged_config, simulate
-from interpanel.estimators import fit_cite, ite
+from interpanel.estimators import cite_theta, fit_cite, ite
 from interpanel.linalg import (RANK_TOL, RankDeficient, rank_deficient,
-                               residual_makers)
+                               residual_makers, solve_ols)
 
 from conftest import kron_block_loops, load_outcome, random_panel
 
@@ -850,6 +850,35 @@ class TestValidate:
         assert not report.checks["h_rank"]
         assert not report.passed
 
+    @pytest.mark.parametrize("K_h", [0, 1])
+    def test_every_pooled_check_fails_without_a_pooled_sample(self, K_h):
+        # two of three units are collinear: no pooled stage is formed, so
+        # each pooled check fails at margin 0.0, an empty H included
+        ds = random_panel(15, n=3, K_g=0, K_z=0, K_h=K_h)
+        X = ds.X.copy()
+        X[1:, :, 1] = X[1:, :, 0]
+        report = validate(make_dataset(ds.Y, X, ds.G, ds.Z, ds.H))
+        assert report.regressors is None
+        assert report.pooled_margins == dict.fromkeys(
+            ("psi_m_psi", "psi_tilde_m1_psi_tilde", "hth"), 0.0)
+        assert not any(report.checks[name] for name in
+                       ("pooled_psi_rank", "pooled_psi_tilde_rank", "h_rank"))
+
+    @pytest.mark.parametrize("dims, margins", [
+        # no Psi and no H: every pooled design is empty and fits
+        ({"K_g": 0, "K_z": 0, "K_h": 0}, (1.0, 1.0, 1.0)),
+        # 2 rows against the 3 columns of PsiTilde and of H: such a design
+        # never fits, and its Gram's smallest eigenvalue is 0
+        ({"n": 2, "T": 1, "K_x": 1, "K_g": 0, "K_z": 0, "K_h": 3},
+         (1.0, 0.0, 0.0)),
+    ])
+    def test_degenerate_pooled_designs(self, dims, margins):
+        report = validate(random_panel(17, **dims), h_min=-1.0)
+        assert report.pooled_margins == dict(zip(
+            ("psi_m_psi", "psi_tilde_m1_psi_tilde", "hth"), margins))
+        checks = ("pooled_psi_rank", "pooled_psi_tilde_rank", "h_rank")
+        assert [report.checks[c] for c in checks] == [m == 1.0 for m in margins]
+
     def test_baseline_simulation_passes(self, baseline_config):
         from dataclasses import replace
         cfg = replace(baseline_config,
@@ -858,6 +887,17 @@ class TestValidate:
         assert report.passed
         assert all(m > 0 for m in report.pooled_margins.values())
         assert report.to_dict()["passed"] is True
+        # each margin is 1 / gram_condition of the fit on the same design,
+        # whatever the response: kappa's reads the fitted slopes
+        c, t = report.regressors.cite, report.regressors.ite
+        delta1 = fit_cite(report.panel, c).delta_hat[:, 0]
+        fits = {"psi_m_psi": solve_ols(c.MPsi.reshape(c.MY.size, -1),
+                                       c.MY.reshape(-1)),
+                "psi_tilde_m1_psi_tilde": solve_ols(
+                    t.M1PsiTilde.reshape(t.M1Y.size, -1), t.M1Y.reshape(-1)),
+                "hth": solve_ols(report.panel.H, delta1)}
+        for name, fit in fits.items():
+            assert report.pooled_margins[name] == 1.0 / fit.gram_condition
 
     def test_drop_failing_units(self):
         rng = np.random.default_rng(10)
@@ -939,6 +979,16 @@ class TestValidate:
         for name in ("unit_margin_x", "unit_margin_x_minus1"):
             assert_allclose(getattr(after, name)[4], getattr(before, name)[4],
                             rtol=1e-14)
+        # the pooled designs span 80 decades: both fits raise, so both
+        # pooled checks fail, with margins (sigma_min / sigma_max)^2 >= 0
+        assert before.passed
+        assert all(m >= 0.0 for m in after.pooled_margins.values())
+        assert not after.checks["pooled_psi_rank"]
+        assert not after.checks["pooled_psi_tilde_rank"]
+        with pytest.raises(RankDeficient):
+            cite_theta(after.regressors.cite)
+        with pytest.raises(RankDeficient):
+            ite(after.panel, after.regressors.ite)
 
     def test_gram_det_of_a_ones_column_is_T(self):
         # K_x = 1: det(1'1) = T from R_i = [-sqrt(T)]

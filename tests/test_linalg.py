@@ -43,6 +43,21 @@ class TestSolveOls:
             solve_ols(A, b)
         assert err.value.condition == np.inf
 
+    @pytest.mark.parametrize("ratio, fits", [(1.2e-10, True), (0.9e-10, False)])
+    def test_many_rows_keep_the_rank_rule(self, ratio, fits):
+        # lstsq's default cutoff, eps * max(m, k), is 1.3e-10 at m = 6e5:
+        # past RANK_TOL, so it would truncate a design the rule passes
+        U = np.linalg.qr(np.random.default_rng(5).normal(size=(600_000, 2)))[0]
+        A = U * [1.0, ratio]
+        assert fits == (ratio >= RANK_TOL)  # ratio is the sv ratio of A
+        if fits:
+            fit = solve_ols(A, U[:, 1])
+            assert_allclose(fit.coefficients[1], 1.0 / ratio, rtol=1e-5)
+            assert_allclose(1.0 / fit.gram_condition, ratio ** 2, rtol=1e-5)
+        else:
+            with pytest.raises(RankDeficient):
+                solve_ols(A, U[:, 1])
+
     def test_underdetermined_raises(self):
         with pytest.raises(ValueError):
             solve_ols(np.ones((2, 3)), np.ones(2))

@@ -25,7 +25,8 @@ from interpanel.data import (FLOAT_FORMAT, _parse_label, _sorted_labels,
                              build_regressors, factor_units, load_csv,
                              make_dataset, subset_units, validate, write_csv)
 from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
-from interpanel.estimators import WEIGHT_MODES, cite_theta, fit_cite, ite
+from interpanel.estimators import (WEIGHT_MODES, cite_kappa, cite_theta,
+                                   fit_cite, ite)
 from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
 from interpanel.inference import draw_kappas, unit_summaries
 from interpanel.linalg import RankDeficient, unit_rank_deficient
@@ -225,6 +226,41 @@ def test_validate_keeps_only_units_the_solver_factors(data, ds, h_min):
     if len(kept) >= 2:
         assert report.regressors is not None
         build_regressors(subset_units(ds, kept))
+
+
+def fits(fit, *args):
+    """Whether `fit(*args)` returns rather than raise RankDeficient."""
+    try:
+        fit(*args)
+    except RankDeficient:
+        return False
+    return True
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), log_eps=st.floats(-12, -2),
+       log_eps_h=st.floats(-12, -2))
+def test_each_pooled_verdict_is_the_solvers(seed, log_eps, log_eps_h):
+    # z1 = x1 g1 + 10^log_eps noise makes both pooled designs nearly
+    # collinear, h2 = h1 + 10^log_eps_h noise the second stage's; each
+    # pooled check passes exactly when its fit on the report's blocks
+    # returns, and no margin is negative
+    ds = random_panel(seed, n=4, T=3, K_x=2, K_g=1, K_z=1, K_h=2)
+    rng = np.random.default_rng([seed, 1])
+    Z = ds.X[:, :, :1] * ds.G + 10.0 ** log_eps * rng.normal(size=ds.Z.shape)
+    H = ds.H.copy()
+    H[:, 1] = H[:, 0] + 10.0 ** log_eps_h * rng.normal(size=4)
+    report = validate(make_dataset(ds.Y, ds.X, ds.G, Z, H), h_min=-1.0)
+    assume(report.regressors is not None)
+    panel, dr = report.panel, report.regressors
+    delta1 = rng.normal(size=panel.dims.n)
+    checks = report.checks
+    assert checks["pooled_psi_rank"] == fits(cite_theta, dr.cite)
+    assert checks["pooled_psi_tilde_rank"] == fits(ite, panel, dr.ite)
+    assert checks["h_rank"] == fits(cite_kappa, delta1, panel.H)
+    assert (checks["pooled_psi_rank"] and checks["h_rank"]) == \
+        fits(fit_cite, panel, dr.cite)
+    assert all(m >= 0.0 for m in report.pooled_margins.values())
 
 
 # Text labels that stay text: quoting, commas and line breaks included.
