@@ -14,8 +14,8 @@ from .data import (CiteBlocks, Dims, DerivedRegressors, IteBlocks,
                    load_csv, make_dataset, subset_units, validate, write_csv)
 from .dgp import (DgpConfig, PlimTargets, SimulatedTruth, load_dgp_config,
                   plim_targets, simulate)
-from .estimators import (CiteResult, IteResult, MeanEffectSummary, cite_delta,
-                         cite_kappa, cite_theta, first_stage_se, fit_cite, ite,
+from .estimators import (CiteResult, IteResult, cite_delta, cite_kappa,
+                         cite_theta, first_stage_se, fit_cite, ite,
                          mean_effect)
 from .harness import (ExperimentConfig, MonteCarloReport, convergence_table,
                       evaluate_contracts, load_experiment_config,
@@ -28,14 +28,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CiteBlocks", "CiteResult", "DerivedRegressors", "DgpConfig", "Dims",
-    "ExperimentConfig", "IteBlocks", "IteResult", "LeastSquaresFit", "MeanEffectSummary", "MonteCarloReport",
-    "PanelDataset", "PlimTargets", "RankDeficient", "SeResult",
-    "SimulatedTruth", "ValidationReport", "add_intercept_h", "bootstrap_cite",
-    "build_regressors", "cite_delta", "cite_kappa", "cite_kappa_se",
-    "cite_theta", "cite_theta_se", "cluster_robust_se", "convergence_table",
-    "drop_failing_units", "evaluate_contracts", "first_stage_se", "fit_cite",
-    "ite", "ite_se", "load_csv",
+    "ExperimentConfig", "IteBlocks", "IteResult", "LeastSquaresFit",
+    "MonteCarloReport", "PanelDataset", "PlimTargets", "RankDeficient",
+    "SeResult", "SimulatedTruth", "ValidationReport", "add_intercept_h",
+    "bootstrap_cite", "build_regressors", "cite_delta", "cite_kappa",
+    "cite_kappa_se", "cite_theta", "cite_theta_se", "cluster_robust_se",
+    "convergence_table", "drop_failing_units", "evaluate_contracts",
+    "first_stage_se", "fit_cite", "ite", "ite_se", "load_csv",
     "load_dgp_config", "load_experiment_config", "make_dataset",
-    "mean_effect", "plim_targets", "run_experiment",
-    "simulate", "solve_ols", "subset_units", "validate", "write_csv",
+    "mean_effect", "plim_targets", "run_experiment", "simulate", "solve_ols",
+    "subset_units", "validate", "write_csv",
 ]

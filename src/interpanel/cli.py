@@ -147,7 +147,8 @@ def _cmd_estimate(args):
                     cite_theta_se(dr.cite, res).se.tolist()
                 entry["se_method"] = "hc_robust (kappa), cluster_robust (theta)"
             elif args.se == "bootstrap":
-                b = bootstrap_cite(ds, dr.cite, res, args.bootstrap_reps, args.seed)
+                b = bootstrap_cite(dr.cite, res.weight_mode,
+                                   args.bootstrap_reps, args.seed)
                 entry["se"] = b.se.tolist() + [None] * len(res.theta_hat)
                 entry["se_method"] = "bootstrap (kappa only)"
         else:
@@ -278,17 +279,14 @@ def _cmd_mc(args):
 def _cmd_mean_effect(args):
     coeffs = _floats(args.coeffs)
     means = _floats(args.means)
-    summary = mean_effect(coeffs, means, args.constant)
-    if not math.isfinite(summary.mean_effect):
+    value = mean_effect(coeffs, means, args.constant)
+    if not math.isfinite(value):
         raise ValueError("the mean effect overflows the float range")
-    print(f"{summary.mean_effect:.6g}")
+    print(f"{value:.6g}")
     if args.output:
-        _write_json({
-            "coefficients": summary.interaction_coefficients.tolist(),
-            "means": summary.interaction_means.tolist(),
-            "constant": summary.constant,
-            "mean_effect": summary.mean_effect,
-        }, args.output)
+        _write_json({"coefficients": coeffs, "means": means,
+                     "constant": args.constant, "mean_effect": value},
+                    args.output)
     return 0
 
 

@@ -590,11 +590,12 @@ def build_regressors(ds):
                    _checked_factors(ds, ds.X[:, :, 1:]))
 
 
-def build_ite_blocks(ds, Psi):
+def build_ite_blocks(ds):
     """The ITE blocks alone, for a caller that fits only ITE: X_i itself
     is never factored, X_{i,-1} is (with the rank rule) when it has
     columns."""
-    return _ite_blocks(ds, Psi, _checked_factors(ds, ds.X[:, :, 1:])[0])
+    return _ite_blocks(ds, psi_block(ds),
+                       _checked_factors(ds, ds.X[:, :, 1:])[0])
 
 
 def _checked_factors(ds, A):

@@ -46,7 +46,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dims, build_ite_blocks, default_columns, make_dataset, psi_block
+from .data import Dims, build_ite_blocks, default_columns, make_dataset
 from .estimators import ite
 from .linalg import solve_ols
 
@@ -483,7 +483,7 @@ def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20):
         ds = truth.dataset
         kt_blocks[b] = solve_ols(ds.H, truth.delta[:, 0]).coefficients
         if want_ite:
-            ite_blocks[b] = ite(ds, build_ite_blocks(ds, psi_block(ds))).kappa_hat[0]
+            ite_blocks[b] = ite(ds, build_ite_blocks(ds)).kappa_hat[0]
 
     kt = kt_blocks.mean(axis=0)
     kt_se = kt_blocks.std(axis=0, ddof=1) / np.sqrt(n_blocks)

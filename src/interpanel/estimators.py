@@ -87,12 +87,11 @@ class CiteResult:
 
 @dataclass(frozen=True)
 class IteResult:
-    """One-step estimates, ordered (kappa, phi, gamma)."""
+    """One-step estimates theta_tilde_hat, ordered (kappa, phi, gamma) as
+    `labels` name them; kappa_hat is its first K_h entries."""
 
     theta_tilde_hat: np.ndarray
     kappa_hat: np.ndarray
-    phi_hat: np.ndarray
-    gamma_hat: np.ndarray
     labels: tuple
 
     def coefficients(self):
@@ -224,29 +223,13 @@ def ite(ds, dr):
     d = ds.dims
     design = dr.M1PsiTilde.reshape(dr.M1Y.size, d.n_psi_tilde)
     tt = solve_ols(design, dr.M1Y.reshape(-1)).coefficients
-    K_h = d.K_h
-    return IteResult(
-        theta_tilde_hat=tt,
-        kappa_hat=tt[:K_h],
-        phi_hat=tt[K_h:K_h + d.K_x * d.K_g].reshape(d.K_x, d.K_g),
-        gamma_hat=tt[K_h + d.K_x * d.K_g:],
-        labels=tuple(theta_tilde_labels(ds.columns)),
-    )
-
-
-@dataclass(frozen=True)
-class MeanEffectSummary:
-    """Average effect implied by interaction coefficients and sample means."""
-
-    interaction_coefficients: np.ndarray
-    interaction_means: np.ndarray
-    constant: float
-    mean_effect: float
+    return IteResult(theta_tilde_hat=tt, kappa_hat=tt[:d.K_h],
+                     labels=tuple(theta_tilde_labels(ds.columns)))
 
 
 def mean_effect(coeffs, means, constant):
-    """constant + sum_j coeffs_j * means_j, packaged with its inputs; inf
-    or NaN, with no RuntimeWarning, where the sum overflows."""
+    """The average effect constant + sum_j coeffs_j * means_j, a float;
+    inf or NaN, with no RuntimeWarning, where the sum overflows."""
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
     means = np.asarray(means, dtype=float).reshape(-1)
     if coeffs.shape != means.shape:
@@ -254,10 +237,4 @@ def mean_effect(coeffs, means, constant):
             f"{coeffs.shape[0]} coefficients vs {means.shape[0]} means"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
-        value = float(constant) + float(np.dot(coeffs, means))
-    return MeanEffectSummary(
-        interaction_coefficients=coeffs,
-        interaction_means=means,
-        constant=float(constant),
-        mean_effect=value,
-    )
+        return float(constant) + float(np.dot(coeffs, means))

@@ -21,12 +21,12 @@ array arithmetic, not a Python call per draw. A chunk holds about
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import (MissingWeights, ZeroDegreesOfFreedom,  # noqa: F401
-                         first_stage_se, fit_cite, inv11,
+                         check_weight_mode, first_stage_se, fit_cite, inv11,
                          second_stage_weights)
 from .linalg import solve_units, unit_rank_deficient
 
@@ -46,20 +46,16 @@ class DegenerateResample(RuntimeError):
 
 @dataclass(frozen=True)
 class SeResult:
-    """Point estimates with a variance matrix and its method tag.
-    `redraws` counts the bootstrap's redrawn samples (0 for a sandwich)."""
+    """Standard errors and the variance matrix they are read from, in the
+    order of the caller's coefficients. `redraws` counts the bootstrap's
+    redrawn samples (0 for a sandwich)."""
 
-    labels: tuple
-    estimates: np.ndarray
     se: np.ndarray
     vcov: np.ndarray
-    method: str
-    n_clusters: int
     redraws: int = 0
 
 
-def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
-                      labels=None, small_sample=True):
+def cluster_robust_se(design, residuals, cluster_ids, small_sample=True):
     """Cluster-robust sandwich variance for a pooled OLS fit.
 
     V = c * (X'X)^{-1} (sum_g s_g s_g') (X'X)^{-1} with per-cluster score
@@ -96,18 +92,7 @@ def cluster_robust_se(design, residuals, cluster_ids, estimates=None,
     if small_sample:
         V = V * (G / (G - 1)) * ((N - 1) / (N - k))
     V = 0.5 * (V + V.T)
-    if estimates is None:
-        estimates = np.full(k, np.nan)
-    if labels is None:
-        labels = tuple(f"b{j}" for j in range(k))
-    return SeResult(
-        labels=tuple(labels),
-        estimates=np.asarray(estimates, dtype=float),
-        se=np.sqrt(np.clip(np.diag(V), 0.0, None)),
-        vcov=V,
-        method="cluster_robust",
-        n_clusters=G,
-    )
+    return SeResult(se=np.sqrt(np.clip(np.diag(V), 0.0, None)), vcov=V)
 
 
 def _cluster_sums(rows, codes, G):
@@ -138,42 +123,38 @@ def _cluster_sums(rows, codes, G):
     return out
 
 
-def _unit_clustered_se(design, y, estimates, labels):
+def _unit_clustered_se(design, y, estimates):
     """cluster_robust_se of a stacked fit on (n, T, k) blocks, by unit."""
     n, T, k = design.shape
     X = design.reshape(n * T, k)
     return cluster_robust_se(X, y.reshape(-1) - X @ estimates,
-                             np.repeat(np.arange(n), T),
-                             estimates=estimates, labels=labels)
+                             np.repeat(np.arange(n), T))
 
 
 def ite_se(dr, result):
     """Unit-clustered SEs for the one-step estimates."""
-    return _unit_clustered_se(dr.M1PsiTilde, dr.M1Y,
-                              result.theta_tilde_hat, result.labels)
+    return _unit_clustered_se(dr.M1PsiTilde, dr.M1Y, result.theta_tilde_hat)
 
 
 def cite_theta_se(dr, result):
     """Unit-clustered SEs for the pooled stage of the two-step estimator;
     empty when Psi has no columns (theta is empty)."""
-    return _unit_clustered_se(dr.MPsi, dr.MY, result.theta_hat,
-                              result.theta_labels)
+    return _unit_clustered_se(dr.MPsi, dr.MY, result.theta_hat)
 
 
 def cite_kappa_se(dr, result):
     """HC0 SEs for the delta-on-H second stage, treating the estimated
     slopes as data: cluster_robust_se on sqrt(w) H and sqrt(w) e with one
     unit per cluster and no small-sample factor, where w are the fit's
-    own weights (all 1 when unweighted). Each unit's first-step noise is
-    in its residual e_i, so it is covered; the sampling noise of theta
-    and of estimated weights is not (bootstrap_cite propagates those)."""
+    own weights (all 1 when unweighted), in the order of kappa_hat.
+    Each unit's first-step noise is in its residual e_i, so it is
+    covered; the sampling noise of theta and of estimated weights is not
+    (bootstrap_cite propagates those)."""
     n = dr.H.shape[0]
     sw = np.ones(n) if result.weights is None else np.sqrt(result.weights)
     e = result.delta_hat[:, 0] - dr.H @ result.kappa_hat
-    se = cluster_robust_se(dr.H * sw[:, None], e * sw, np.arange(n),
-                           estimates=result.kappa_hat,
-                           labels=result.kappa_labels, small_sample=False)
-    return _dc_replace(se, method="hc_robust")
+    return cluster_robust_se(dr.H * sw[:, None], e * sw, np.arange(n),
+                             small_sample=False)
 
 
 @dataclass(frozen=True)
@@ -306,11 +287,11 @@ def _draw_counts(seed, rs, attempt, n):
     ).integers(0, n, size=n), minlength=n) for r in rs])
 
 
-def bootstrap_cite(ds, dr, fit, replications, seed):
-    """Unit bootstrap of the full two-step pipeline.
+def bootstrap_cite(dr, weight_mode, replications, seed):
+    """Unit bootstrap of the full two-step pipeline on the CITE blocks
+    `dr` under `weight_mode` (one of WEIGHT_MODES, else ValueError).
 
-    `fit` is the full-sample fit on the CITE blocks `dr`; its kappa_hat,
-    labels and weight mode are reported and reused. The per-unit
+    The SEs are those of kappa, one per column of H. The per-unit
     summaries are taken once (`unit_summaries`); then units are
     resampled with replacement `replications` times, each draw is refit
     from its count vector (`draw_kappas`, a chunk of `_draw_chunk` draws
@@ -324,16 +305,18 @@ def bootstrap_cite(ds, dr, fit, replications, seed):
 
     Draw r's attempt a is drawn from SeedSequence(seed, spawn_key=(r, a)),
     so results are reproducible and independent of execution order and
-    chunking.
+    chunking. At K_h = 0 every mode gives the draws of "none", as
+    `fit_cite` fits it.
     """
+    check_weight_mode(weight_mode)
     if replications < 50:
         raise ValueError(f"need at least 50 replications, got {replications}")
-    n = ds.dims.n
+    n, K_h = dr.H.shape
     summaries = unit_summaries(dr)
     chunk = _draw_chunk(summaries)
     max_redraws = BOOTSTRAP_REDRAW_FACTOR * replications
     redraws = 0
-    draws = np.empty((replications, ds.dims.K_h))
+    draws = np.empty((replications, K_h))
     # one buffer for every chunk's pooled rows: with a new array per call,
     # malloc mapped and unmapped it each time (about 2700 page faults and
     # 7-9 ms of system time in a 200-draw run at n = 300, against 90)
@@ -344,7 +327,7 @@ def bootstrap_cite(ds, dr, fit, replications, seed):
         for start in range(0, todo.size, chunk):
             rs = todo[start:start + chunk]
             kappa, failed = draw_kappas(
-                summaries, _draw_counts(seed, rs, attempt, n), fit.weight_mode,
+                summaries, _draw_counts(seed, rs, attempt, n), weight_mode,
                 work)
             draws[rs[~failed]] = kappa[~failed]
             retry.append(rs[failed])
@@ -356,12 +339,5 @@ def bootstrap_cite(ds, dr, fit, replications, seed):
                 "rank-deficient bootstrap samples"
             )
     vcov = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
-    return SeResult(
-        labels=tuple(fit.kappa_labels),
-        estimates=fit.kappa_hat,
-        se=draws.std(axis=0, ddof=1),
-        vcov=0.5 * (vcov + vcov.T),
-        method="bootstrap",
-        n_clusters=n,
-        redraws=redraws,
-    )
+    return SeResult(se=draws.std(axis=0, ddof=1), vcov=0.5 * (vcov + vcov.T),
+                    redraws=redraws)

@@ -159,9 +159,11 @@ def test_criterion_04_noiseless_exact_recovery():
             np.max(np.abs(c.theta_hat
                           - np.concatenate([phi.reshape(-1), gamma])))]
     r = ite(ds, dr.ite)
+    K_h, K_xg = ds.dims.K_h, phi.size
     errs += [np.max(np.abs(r.kappa_hat - kappa)),
-             np.max(np.abs(r.phi_hat - phi)),
-             np.max(np.abs(r.gamma_hat - gamma))]
+             np.max(np.abs(r.theta_tilde_hat[K_h:K_h + K_xg]
+                           - phi.reshape(-1))),
+             np.max(np.abs(r.theta_tilde_hat[K_h + K_xg:] - gamma))]
     worst = float(max(errs))
     assert worst < 1e-10, f"max abs error {worst:.3e}"
     _report("4 (noiseless exact recovery)", f"max abs error {worst:.2e}")
@@ -265,14 +267,14 @@ def test_criterion_08_published_arithmetic():
     # leaves [0.45160, 0.53497], which holds 0.462. So the test pins
     # mean_effect to the exact sum and checks that 0.462 is reproducible
     # from its inputs, i.e. lies within their rounding range.
-    second_stage = mean_effect([-0.624], [0.64], 0.905).mean_effect
+    second_stage = mean_effect([-0.624], [0.64], 0.905)
     assert abs(second_stage - 0.506) < 1e-3, second_stage
 
     coeffs = ["-1.146", "0.805", "-0.0274"]
     means = ["0.64", "61.867", "75.774"]
     constant = "-46.5"
     full = mean_effect([float(c) for c in coeffs], [float(m) for m in means],
-                       float(constant)).mean_effect
+                       float(constant))
     exact = Fraction(Decimal(constant)) + sum(
         Fraction(Decimal(c)) * Fraction(Decimal(m))
         for c, m in zip(coeffs, means))

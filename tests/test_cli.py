@@ -197,9 +197,10 @@ class TestEstimate:
         got = json.loads(out_path.read_text())["estimators"]["cite"]
         back = load_csv(str(path))
         dr = build_regressors(back).cite
-        want = cite_theta_se(dr, fit_cite(back, dr))
+        fit = fit_cite(back, dr)
+        want = cite_theta_se(dr, fit)
         assert got["weight_mode"] == "none"
-        assert got["labels"] == list(want.labels)
+        assert got["labels"] == list(fit.theta_labels)
         assert got["se"] == want.se.tolist() and len(got["se"]) == back.dims.n_psi
 
 

@@ -19,7 +19,7 @@ from interpanel.data import (CiteBlocks, Dims, DuplicateColumn, ExtraField,
                              build_ite_blocks, build_regressors,
                              drop_failing_units, factor_units,
                              interaction_block, load_csv, make_dataset,
-                             psi_block, subset_units, validate, write_csv)
+                             subset_units, validate, write_csv)
 from interpanel.dgp import packaged_config, simulate
 from interpanel.estimators import cite_theta, fit_cite, ite
 from interpanel.linalg import (RANK_TOL, RankDeficient, rank_deficient,
@@ -680,9 +680,8 @@ class TestBuildRegressors:
         X[bad, :, 2] = -2.0 * X[bad, :, 1]  # X_i and X_{i,-1} both singular
         labels = [f"u{i}" for i in range(10)]
         ds = make_dataset(ds.Y, X, ds.G, ds.Z, ds.H, unit_labels=labels)
-        args = (psi_block(ds),) if build is build_ite_blocks else ()
         with pytest.raises(RankDeficient) as err:
-            build(ds, *args)
+            build(ds)
         assert err.value.unit == f"u{bad}"
         assert str(err.value) == f"X_i'X_i is numerically singular (unit u{bad})"
         assert err.value.condition > 1e20
@@ -761,7 +760,7 @@ class TestBuildRegressors:
         # the one-step blocks alone (the plim oracle's) factor X_{i,-1}
         # only, and equal the full build's bit for bit
         ds = random_panel(24, n=9, K_x=3)
-        ite_alone = build_ite_blocks(ds, psi_block(ds))
+        ite_alone = build_ite_blocks(ds)
         assert factored["qr"] == [(9, 6, 2)]
         full = build_regressors(ds).ite
         for f in fields(full):

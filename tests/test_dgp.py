@@ -262,7 +262,7 @@ class TestPlimTargets:
         assert calls == []
         monkeypatch.setattr(np.linalg, "qr", qr)
         monkeypatch.setattr("interpanel.dgp.build_ite_blocks",
-                            lambda ds, Psi: build_regressors(ds).ite)
+                            lambda ds: build_regressors(ds).ite)
         full = plim_targets(cfg, oracle_draws=4_000, seed=16, n_blocks=4)
         assert t.to_dict() == full.to_dict()
 

@@ -203,6 +203,25 @@ class TestRunExperiment:
 
 
 class TestContracts:
+    @pytest.mark.parametrize("mode", [
+        "none",
+        pytest.param("inv_se", marks=pytest.mark.xfail(strict=True, reason=(
+            "weighted CITE misses kappa where w_i moves with eps_i: "
+            "max |bias|/mc_se = 12.94 (FOUND, ROADMAP item 4)"))),
+    ])
+    def test_cite_recovers_the_truth_where_weights_move_with_eps(self, mode):
+        # every X_it of correlated_x carries 0.8 eps_i, so [(X_i'X_i)^-1]_11,
+        # se_i and the weights w_i move with eps_i; the contract holds the
+        # cite cells to the truth, not to the oracle
+        cfg = ExperimentConfig(dgp=packaged_config("correlated_x"),
+                               sample_sizes=(400,), replications=100,
+                               estimators=("cite",), seed=7, weight_mode=mode,
+                               oracle_draws=2_000, oracle_blocks=2)
+        checks = evaluate_contracts(run_experiment(cfg))
+        assert [c["name"] for c in checks] \
+            == ["correlated_x_delta: cite recovers the truth"]
+        assert checks[0]["passed"], checks[0]["detail"]
+
     def test_baseline_contract_evaluates(self):
         cfg = mini_experiment(sample_sizes=(200,), replications=40,
                               oracle_draws=4_000, oracle_blocks=4)

@@ -43,9 +43,8 @@ def exact_residual_panel(K_z):
 
 
 def bootstrap(ds, replications, seed, weight_mode="none"):
-    """bootstrap_cite around a full-sample fit made here."""
-    dr = build_regressors(ds).cite
-    return bootstrap_cite(ds, dr, fit_cite(ds, dr, weight_mode),
+    """bootstrap_cite on the CITE blocks built here."""
+    return bootstrap_cite(build_regressors(ds).cite, weight_mode,
                           replications, seed)
 
 
@@ -196,9 +195,7 @@ class TestClusterRobust:
         ds = random_panel(10, n=9, K_g=0, K_z=0)
         dr = build_regressors(ds).cite
         se = cite_theta_se(dr, fit_cite(ds, dr))
-        assert (se.labels, se.estimates.shape, se.se.shape, se.vcov.shape) \
-            == ((), (0,), (0,), (0, 0))
-        assert (se.method, se.n_clusters) == ("cluster_robust", 9)
+        assert (se.se.shape, se.vcov.shape) == ((0,), (0, 0))
 
 
 def add_at_sums(rows, codes, G):
@@ -296,13 +293,20 @@ class TestBootstrap:
             idx = rng.integers(0, n, size=n)
             draws.append(weighted_fit(subset_units(ds, idx), "inv_se").kappa_hat)
         assert_allclose(boot.se, np.std(draws, axis=0, ddof=1), rtol=1e-12)
-        assert np.array_equal(
-            boot.estimates, weighted_fit(ds, "inv_se").kappa_hat)
+        assert boot.redraws == 0
 
     def test_minimum_replications(self):
         ds = small_baseline(n=30, seed=13)
         with pytest.raises(ValueError):
             bootstrap(ds, replications=10, seed=0)
+
+    def test_unknown_weight_mode(self):
+        # no fit vouches for the mode, so the bootstrap checks it itself
+        ds = small_baseline(n=30, seed=13)
+        with pytest.raises(ValueError) as err:
+            bootstrap(ds, replications=50, seed=0, weight_mode="inv_sd")
+        assert "'inv_sd'" in str(err.value)
+        assert str(WEIGHT_MODES) in str(err.value)
 
     def test_matches_monte_carlo_sd(self):
         # bootstrap SE at n=400 vs the SD of kappa_hat across independent
@@ -388,9 +392,8 @@ class TestBootstrap:
         # at the first chunk, as the refit of that draw would
         ds = exact_residual_panel(K_z=0)
         dr = build_regressors(ds).cite
-        fit = replace(fit_cite(ds, dr), weight_mode="inv_se")
         with pytest.raises(MissingWeights):
-            bootstrap_cite(ds, dr, fit, replications=50, seed=1)
+            bootstrap_cite(dr, "inv_se", replications=50, seed=1)
 
     @pytest.mark.parametrize("mode", WEIGHT_MODES)
     def test_draws_do_not_depend_on_the_chunk(self, mode, monkeypatch):
@@ -401,14 +404,13 @@ class TestBootstrap:
         s = unit_summaries(dr)
         counts = inference._draw_counts(7, np.arange(60), 0, ds.dims.n)
         whole = draw_kappas(s, counts, mode)[0]
-        fit = fit_cite(ds, dr, mode)
         boots = []
         for chunk in (1, 3, 60):
             rows = [draw_kappas(s, counts[j:j + chunk], mode)[0]
                     for j in range(0, 60, chunk)]
             assert np.array_equal(np.concatenate(rows), whole), chunk
             monkeypatch.setattr(inference, "_draw_chunk", lambda s: chunk)
-            boots.append(bootstrap_cite(ds, dr, fit, 60, 7))
+            boots.append(bootstrap_cite(dr, mode, 60, 7))
         for boot in boots[1:]:
             assert np.array_equal(boot.se, boots[0].se)
             assert np.array_equal(boot.vcov, boots[0].vcov)
@@ -419,10 +421,9 @@ class TestBootstrap:
         # (a 16 MB peak); in chunks of 6 draws the peak is 0.55 MB
         ds = random_panel(41, n=300, T=6, K_x=2, K_g=1, K_z=1, K_h=3)
         dr = build_regressors(ds).cite
-        fit = fit_cite(ds, dr, "inv_se")
         tracemalloc.start()
         try:
-            bootstrap_cite(ds, dr, fit, 200, 3)
+            bootstrap_cite(dr, "inv_se", 200, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -571,4 +572,4 @@ class TestKappaSe:
         got = cite_kappa_se(dr, res)
         assert_allclose(got.vcov, want, rtol=0, atol=1e-12)
         assert_allclose(got.se, np.sqrt(np.diag(want)), rtol=0, atol=1e-12)
-        assert (got.method, got.n_clusters) == ("hc_robust", ds.dims.n)
+        assert got.se.shape == res.kappa_hat.shape
