@@ -645,15 +645,25 @@ def _project(Q, block, Y):
     The (T, T) makers are formed for a chunk of about `_PROJECT_BYTES` of
     units at a time and dropped after their chunk, so memory is one chunk
     of makers plus the outputs. Each output unit is the same einsum sum
-    as on the whole panel.
+    as on the whole panel, np.einsum("nij,njp->nip", M, block), bit for
+    bit. With p >= 2 columns that einsum runs its inner loop along p, a
+    few columns long; since M_i is exactly symmetric, "nji,njp->npi"
+    adds the same products M_ij B_jp in the same j order with its inner
+    loop along i, T long, and its (p, T) result is written back
+    transposed (pinned by `tests/test_data.py`). At p = 1 the
+    reference's inner loop is the j sum itself, in SIMD partial sums no
+    other order reproduces, so it stays, as for M_i Y_i.
     """
-    n, T = Q.shape[:2]
+    n, T, p = block.shape
     MB, MY = np.empty(block.shape), np.empty(Y.shape)
     step = max(1, _PROJECT_BYTES // (8 * T * T))
     for s in range(0, n, step):
         e = min(s + step, n)
         M = residual_makers(Q[s:e])
-        np.einsum("nij,njp->nip", M, block[s:e], out=MB[s:e])
+        if p > 1:
+            MB[s:e] = np.einsum("nji,njp->npi", M, block[s:e]).transpose(0, 2, 1)
+        else:
+            np.einsum("nij,njp->nip", M, block[s:e], out=MB[s:e])
         np.einsum("nij,nj->ni", M, Y[s:e], out=MY[s:e])
     return MB, MY
 

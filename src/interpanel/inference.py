@@ -68,7 +68,9 @@ def cluster_robust_se(design, residuals, cluster_ids, small_sample=True):
     forms them for many small clusters (unit clusters of T rows,
     singletons) by one vectorized add per within-cluster rank in place of
     add.at's step per row; a cluster larger than the number of clusters
-    sends the sums to np.add.at itself.
+    sends the sums to np.add.at itself. Cluster g is the g-th smallest
+    id, np.unique's codes, which `_cluster_codes` takes as the ids
+    themselves, with no sort, when they already are codes.
     """
     X = np.asarray(design, dtype=float)
     e = np.asarray(residuals, dtype=float).reshape(-1)
@@ -76,7 +78,7 @@ def cluster_robust_se(design, residuals, cluster_ids, small_sample=True):
     N, k = X.shape
     if e.shape[0] != N or ids.shape[0] != N:
         raise ValueError("design, residuals and cluster_ids must align")
-    _, codes = np.unique(ids, return_inverse=True)
+    codes = _cluster_codes(ids)
     G = int(codes.max()) + 1
     if G < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {G}")
@@ -93,6 +95,18 @@ def cluster_robust_se(design, residuals, cluster_ids, small_sample=True):
         V = V * (G / (G - 1)) * ((N - 1) / (N - k))
     V = 0.5 * (V + V.T)
     return SeResult(se=np.sqrt(np.clip(np.diag(V), 0.0, None)), vcov=V)
+
+
+def _cluster_codes(ids):
+    """np.unique(ids, return_inverse=True)[1]: each id's rank among the
+    distinct ids. 1-D integer ids that rise from 0 in steps of 0 or 1
+    (np.arange(n), unit ids repeated T times) are those ranks themselves,
+    so they are returned as intp with no sort."""
+    if ids.ndim == 1 and ids.size and ids.dtype.kind in "iu" and ids[0] == 0:
+        step = np.diff(ids)
+        if ((step == 0) | (step == 1)).all():
+            return ids.astype(np.intp, copy=False)
+    return np.unique(ids, return_inverse=True)[1]
 
 
 def _cluster_sums(rows, codes, G):
@@ -112,7 +126,10 @@ def _cluster_sums(rows, codes, G):
         np.add.at(sums, codes, rows)
         return sums
     start = np.cumsum(sizes) - sizes  # each cluster's first place in by_cluster
-    by_cluster = np.argsort(codes, kind="stable")  # row order within a cluster
+    # row order within a cluster; the stable sort of uint16 is a radix sort,
+    # with the same permutation as intp's timsort
+    by_cluster = np.argsort(codes.astype(np.uint16) if G <= 2 ** 16 else codes,
+                            kind="stable")
     big = np.argsort(-sizes, kind="stable")  # clusters, most rows first
     active = np.searchsorted(-sizes[big], -np.arange(sizes.max()))  # > j rows
     first = start[big]

@@ -13,7 +13,11 @@ A solve on the R_i with one right-hand side per unit goes through
 `residual_makers` forms M_i = I - Q_i Q_i' by the same rule: by one
 broadcast product per column of Q at k <= 2, where that is the einsum's
 answer bit for bit, and by the einsum at k >= 3, where the einsum's
-two-lane sums round in an order no column loop reproduces.
+two-lane sums round in an order no column loop reproduces. The one
+projection kernel, `data._project`, applies the M_i by the same rule:
+to a block of two or more columns by an einsum whose inner loop runs
+along T, which the exact symmetry of M_i makes the reference einsum's
+sum bit for bit, and to one column or to Y by the reference einsum.
 """
 
 from __future__ import annotations

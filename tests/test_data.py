@@ -630,8 +630,12 @@ class TestBuildRegressors:
 
     @pytest.fixture
     def chunks_of_3(self, monkeypatch):
-        """_project forms the residual makers of 3 units at a time (T = 6)."""
-        monkeypatch.setattr(data, "_PROJECT_BYTES", 3 * 8 * 6 * 6)
+        """_project forms the residual makers of 3 units at a time: at
+        T = 6, or at the T the returned function is called with."""
+        def at(T):
+            monkeypatch.setattr(data, "_PROJECT_BYTES", 3 * 8 * T * T)
+        at(6)
+        return at
 
     @staticmethod
     def dense_blocks(ds):
@@ -652,12 +656,15 @@ class TestBuildRegressors:
         return want
 
     @pytest.mark.parametrize("K_x", [1, 2, 3])
-    @pytest.mark.parametrize("n", [7, 11])
-    def test_chunked_projection_is_bit_exact(self, chunks_of_3, made, n, K_x):
+    @pytest.mark.parametrize("n, T", [(7, 6), (11, 6), (7, 50)],
+                             ids=["7", "11", "7-T50"])
+    def test_chunked_projection_is_bit_exact(self, chunks_of_3, made, n, T,
+                                             K_x):
         # n spans several chunks of 3 and is no multiple of 3; every block
         # equals the whole-panel expressions bit for bit, and each design's
         # Q is projected out chunk by chunk
-        ds = random_panel(30 + K_x, n=n, K_x=K_x, K_g=1, K_z=1, K_h=2)
+        chunks_of_3(T)
+        ds = random_panel(30 + K_x, n=n, T=T, K_x=K_x, K_g=1, K_z=1, K_h=2)
         dr = build_regressors(ds)
         got = {f.name: getattr(part, f.name)
                for part in (dr.cite, dr.ite) for f in fields(part)}
@@ -667,7 +674,35 @@ class TestBuildRegressors:
             assert np.array_equal(got[name], value), name
         sizes = [3] * (n // 3) + [n % 3]
         designs = [K_x] + ([K_x - 1] if K_x > 1 else [])
-        assert made == [(m, 6, k) for k in designs for m in sizes]
+        assert made == [(m, T, k) for k in designs for m in sizes]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 6])
+    @pytest.mark.parametrize("T, k", [(T, k) for T in (2, 3, 6, 17, 50)
+                                      for k in (1, 2, 3) if k < T])
+    def test_projection_is_the_whole_panel_einsum(self, chunks_of_3, T, k, p):
+        # _project, chunk by chunk and by its own einsum at p >= 2, gives
+        # the whole-panel reference bit for bit: signed zeros everywhere,
+        # infs and NaNs of either sign in the first chunk (a NaN fills its
+        # unit's column, so the later units stay finite); Y is strided, as
+        # load_csv gives it
+        chunks_of_3(T)
+        rng = np.random.default_rng(100 * T + 10 * k + p)
+        n = 7
+        Q = factor_units(rng.normal(size=(n, T, k)))[0]
+        grid = rng.normal(size=(n, T, p + 1)) * \
+            10.0 ** rng.uniform(-100, 100, (n, T, p + 1))
+        grid[rng.random(grid.shape) < 0.2] = -0.0
+        grid[rng.random(grid.shape) < 0.1] = 0.0
+        for value in (np.inf, -np.inf, np.nan, -np.nan):
+            grid[:3][rng.random((3, T, p + 1)) < 0.03] = value
+        block, Y = np.ascontiguousarray(grid[:, :, 1:]), grid[:, :, 0]
+        M = residual_makers(Q)
+        got = data._project(Q, block, Y)
+        want = (np.einsum("nij,njp->nip", M, block),
+                np.einsum("nij,nj->ni", M, Y))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
 
     @pytest.mark.parametrize("build", [build_regressors, build_ite_blocks])
     @pytest.mark.parametrize("bad", [3, 8])

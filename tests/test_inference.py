@@ -249,6 +249,43 @@ class TestClusterSums:
             assert_same_bits(inference._cluster_sums(rows, codes, G),
                              add_at_sums(rows, codes, G))
 
+    @pytest.mark.parametrize("G", [2 ** 16, 2 ** 16 + 1])
+    def test_sums_are_add_at_at_the_radix_sort_bound(self, G):
+        # up to 2**16 clusters the rows are put in cluster order by a stable
+        # sort of uint16 codes (a radix sort), past it of the intp codes
+        rng = np.random.default_rng(G)
+        codes = rng.permutation(np.concatenate([np.arange(G),
+                                                rng.integers(0, G, 2 * G)]))
+        rows = rng.normal(size=(codes.size, 2)) * \
+            10.0 ** rng.uniform(-150, 150, (codes.size, 1))
+        rows[rng.random(rows.shape) < 0.3] = -0.0
+        assert_same_bits(inference._cluster_sums(rows, codes, G),
+                         add_at_sums(rows, codes, G))
+
+    @pytest.mark.parametrize("layout", ["units", "singletons",
+                                        "shuffled units"])
+    def test_ids_that_are_codes_skip_the_sort(self, layout, monkeypatch):
+        # the codes themselves, string labels and integer labels of other
+        # dtypes, shifted or with gaps, all in the codes' order, name the
+        # same clusters in the same order, so the sandwich is the same to
+        # the bit; only codes rising from 0 in steps of 0 or 1 skip the sort
+        rng = np.random.default_rng(41)
+        codes = (cluster_codes(rng, layout) if layout != "singletons"
+                 else np.arange(50))
+        X = rng.normal(size=(codes.size, 3))
+        e = rng.normal(size=codes.size)
+        sorts, unique = [], np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **kw: sorts.append(a) or unique(*a, **kw))
+        want = cluster_robust_se(X, e, codes)
+        assert len(sorts) == (layout == "shuffled units")
+        for ids in (codes.astype(np.int32), codes.astype(np.uint64),
+                    codes + 1, 2 * codes, 3 * codes - 7,
+                    np.array([f"u{c:03d}" for c in codes])):
+            got = cluster_robust_se(X, e, ids)
+            assert_same_bits(got.se, want.se)
+            assert_same_bits(got.vcov, want.vcov)
+
     @pytest.mark.parametrize("layout", ["units", "shuffled units", "uneven",
                                         "two clusters"])
     def test_sandwich_is_the_add_at_sandwich(self, layout, monkeypatch):
