@@ -8,7 +8,9 @@ own X_i (CITE) or X_{i,-1} (ITE) out of them and out of Y_i, once. Each
 command factors X_i and X_{i,-1} once (`factor_units`), and validation,
 the projections and the slopes all read those QR factors. Each estimator
 and its standard errors read their own part of the blocks, and a part is
-built only as far as its fit reads it.
+built only as far as its fit reads it. Each part holds its stacked
+pooled fit (`pooled`), solved once, on the first read: `validate`'s
+pooled check reads it, and the estimator then reads the same fit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -514,6 +517,13 @@ def add_intercept_h(ds):
                         ds.time_labels, columns=columns)
 
 
+def _stacked_fit(design, response):
+    """`solve_ols` on per-unit blocks stacked over units: the design
+    (n, T, k) as nT rows of k columns, the response (n, T) as nT values."""
+    return solve_ols(design.reshape(response.size, design.shape[2]),
+                     response.reshape(-1))
+
+
 @dataclass(frozen=True)
 class CiteBlocks:
     """Every per-unit array the two-step (CITE) fit and its standard
@@ -525,7 +535,8 @@ class CiteBlocks:
     the (T, T) makers M_i are formed one unit chunk at a time and never
     kept, so memory is O(chunk * T^2) plus these O(nTK) arrays. When Psi
     has no columns no M_i is formed: MPsi is the empty Psi and MY is
-    Y_i - Q_i Q_i'Y_i. q_x/r_x are the QR factors of X_i.
+    Y_i - Q_i Q_i'Y_i. q_x/r_x are the QR factors of X_i. `pooled` is the
+    pooled stage's fit.
     """
 
     Y: np.ndarray
@@ -537,16 +548,30 @@ class CiteBlocks:
     q_x: np.ndarray
     r_x: np.ndarray
 
+    @cached_property
+    def pooled(self):
+        """The `LeastSquaresFit` of M_i Y_i on M_i Psi_i across units
+        (`_stacked_fit`), solved on the first read and kept; a design that
+        fails raises its RankDeficient again on every read."""
+        return _stacked_fit(self.MPsi, self.MY)
+
 
 @dataclass(frozen=True)
 class IteBlocks:
     """The per-unit arrays the one-step (ITE) fit reads: PsiTilde_i and
     Y_i with X_{i,-1} projected out, where PsiTilde is
     (n, T, K_h + K_x*K_g + K_z) and row t holds (X_t1 * H, Psi_t). At
-    K_x = 1, M_{i,-1} = I and the two are PsiTilde and Y themselves."""
+    K_x = 1, M_{i,-1} = I and the two are PsiTilde and Y themselves.
+    `pooled` is the one-step fit."""
 
     M1PsiTilde: np.ndarray
     M1Y: np.ndarray
+
+    @cached_property
+    def pooled(self):
+        """The `LeastSquaresFit` of M_{i,-1} Y_i on M_{i,-1} PsiTilde_i
+        across units (`_stacked_fit`), kept as `CiteBlocks.pooled` is."""
+        return _stacked_fit(self.M1PsiTilde, self.M1Y)
 
 
 @dataclass(frozen=True)
@@ -680,10 +705,11 @@ class ValidationReport:
     never overflow: the h_min threshold is scale free per unit. A pooled
     check is the solver's verdict on its fit's design over the passing
     units (`validate`); its margin, (sigma_min / sigma_max)^2 of that
-    design, is 1 / gram_condition. The passing units are `panel` (the
-    input itself when none fails), with blocks `regressors` (both None,
-    and the pooled checks fail at margin 0.0, when fewer than 2 units pass
-    or too few rows remain for the pooled stage; `to_dict` omits both).
+    design, is 1 / gram_condition. The passing units are at the input's
+    positions `kept`; they are `panel` (the input itself when none fails),
+    with blocks `regressors` (both None, and the pooled checks fail at
+    margin 0.0, when fewer than 2 units pass or too few rows remain for
+    the pooled stage). `to_dict` omits these three.
     """
 
     h_min: float
@@ -695,6 +721,7 @@ class ValidationReport:
     failing_units_x_minus1: tuple
     pooled_margins: dict
     checks: dict
+    kept: np.ndarray = field(repr=False, compare=False)
     panel: PanelDataset = field(default=None, repr=False, compare=False)
     regressors: DerivedRegressors = field(default=None, repr=False, compare=False)
 
@@ -715,14 +742,15 @@ class ValidationReport:
         }
 
 
-def _pooled_check(design, response):
-    """(margin, passed): 1 / gram_condition of `solve_ols` on a stacked
-    design (..., k) and its response, and whether that fit returns."""
-    design = design.reshape(response.size, design.shape[-1])
-    if response.size < design.shape[1]:  # never fits: its Gram is singular
+def _pooled_check(design, fit):
+    """(margin, passed): 1 / gram_condition of the fit `fit()` on a
+    design (..., k), and whether it returns rather than raise
+    RankDeficient. A design with fewer rows than columns never fits (its
+    Gram is singular): margin 0.0, and `fit` is not called."""
+    if math.prod(design.shape[:-1]) < design.shape[-1]:
         return 0.0, False
     try:
-        return 1.0 / solve_ols(design, response).gram_condition, True
+        return 1.0 / fit().gram_condition, True
     except RankDeficient as exc:
         return 1.0 / exc.condition, False
 
@@ -736,8 +764,10 @@ def validate(ds, h_min=DEFAULT_H_MIN):
     (`unit_rank_deficient`) and the h_min trim on their normalized Gram
     determinants, prod(diag R_i)^2. Failing units are listed and left out
     of the pooled stage (estimation conditions on the passing units), whose
-    regressors are built here from the kept rows of the same factors, and
-    whose checks are `solve_ols` on the designs its fits solve.
+    regressors are built here from the kept rows of the same factors.
+    The checks on Psi and PsiTilde are the blocks' own `pooled` fits,
+    which the estimators then read rather than solve again; the check on
+    H is `solve_ols` on H.
     """
     d = ds.dims
     X = ds.X
@@ -771,9 +801,13 @@ def validate(ds, h_min=DEFAULT_H_MIN):
                 factors = [(Q[keep], R[keep]) for Q, R in factors]
             dr = _blocks(panel, *factors)
             c, t = dr.cite, dr.ite
-            pooled = {"psi_m_psi": _pooled_check(c.MPsi, c.MY),
-                      "psi_tilde_m1_psi_tilde": _pooled_check(t.M1PsiTilde, t.M1Y),
-                      "hth": _pooled_check(panel.H, np.zeros(keep.size))}
+            pooled = {
+                "psi_m_psi": _pooled_check(c.MPsi, lambda: c.pooled),
+                "psi_tilde_m1_psi_tilde": _pooled_check(
+                    t.M1PsiTilde, lambda: t.pooled),
+                "hth": _pooled_check(
+                    panel.H, lambda: solve_ols(panel.H, np.zeros(keep.size))),
+            }
 
     checks = {
         "unit_x_variation": len(fail_x) == 0,
@@ -792,6 +826,7 @@ def validate(ds, h_min=DEFAULT_H_MIN):
         failing_units_x_minus1=fail_x1,
         pooled_margins={name: m for name, (m, _) in pooled.items()},
         checks=checks,
+        kept=keep,
         panel=panel,
         regressors=dr,
     )
@@ -799,14 +834,15 @@ def validate(ds, h_min=DEFAULT_H_MIN):
 
 def drop_failing_units(ds, report):
     """Remove the units flagged by `report = validate(ds)`; returns
-    (report.panel, dropped labels), the panel validate built regressors on."""
-    bad = set(report.failing_units_x) | set(report.failing_units_x_minus1)
-    keep = [i for i, u in enumerate(ds.unit_labels) if u not in bad]
-    dropped = tuple(u for u in ds.unit_labels if u in bad)
-    if len(keep) < 2:
+    (report.panel, dropped labels), the panel validate built regressors on.
+    Units are dropped by position (`report.kept`), so units that share a
+    label are kept or dropped each by its own verdict."""
+    kept = set(report.kept.tolist())
+    dropped = tuple(u for i, u in enumerate(ds.unit_labels) if i not in kept)
+    if report.kept.size < 2:
         raise PanelDataError(
             f"fewer than 2 units remain after dropping {len(dropped)} "
             "failing units"
         )
     # no panel only if validate caught the error forming it: raise it here
-    return report.panel or subset_units(ds, keep), dropped
+    return report.panel or subset_units(ds, report.kept), dropped

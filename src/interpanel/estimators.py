@@ -102,12 +102,12 @@ def cite_theta(dr):
     """Pooled-stage coefficients: OLS of M_i Y_i on M_i Psi_i across units,
     from the CITE blocks `dr`; empty when Psi is.
 
-    Solves (sum_i Psi_i'M_i Psi_i)^{-1} sum_i Psi_i'M_i Y_i through one
-    stacked least-squares problem. Raises RankDeficient when the pooled
-    transformed Gram is singular.
+    They are (sum_i Psi_i'M_i Psi_i)^{-1} sum_i Psi_i'M_i Y_i, read from
+    the blocks' one stacked least-squares fit (`dr.pooled`), which
+    `validate` may already have solved. Raises RankDeficient when the
+    pooled transformed Gram is singular.
     """
-    design = dr.MPsi.reshape(dr.MY.size, dr.MPsi.shape[2])
-    return solve_ols(design, dr.MY.reshape(-1)).coefficients
+    return dr.pooled.coefficients
 
 
 def cite_delta(dr, theta_hat):
@@ -217,13 +217,12 @@ def fit_cite(ds, dr, weight_mode="none"):
 def ite(ds, dr):
     """One-step estimator of (kappa, phi, gamma) on the ITE blocks `dr`.
 
-    Solves (sum_i PsiTilde_i'M_{i,-1} PsiTilde_i)^{-1}
-    sum_i PsiTilde_i'M_{i,-1} Y_i as one stacked least-squares problem.
+    The estimates are (sum_i PsiTilde_i'M_{i,-1} PsiTilde_i)^{-1}
+    sum_i PsiTilde_i'M_{i,-1} Y_i, read from the blocks' one stacked
+    least-squares fit (`dr.pooled`), as `cite_theta` reads its own.
     """
-    d = ds.dims
-    design = dr.M1PsiTilde.reshape(dr.M1Y.size, d.n_psi_tilde)
-    tt = solve_ols(design, dr.M1Y.reshape(-1)).coefficients
-    return IteResult(theta_tilde_hat=tt, kappa_hat=tt[:d.K_h],
+    tt = dr.pooled.coefficients
+    return IteResult(theta_tilde_hat=tt, kappa_hat=tt[:ds.dims.K_h],
                      labels=tuple(theta_tilde_labels(ds.columns)))
 
 

@@ -912,6 +912,38 @@ class TestValidate:
             ("psi_m_psi", "psi_tilde_m1_psi_tilde", "hth"), margins))
         checks = ("pooled_psi_rank", "pooled_psi_tilde_rank", "h_rank")
         assert [report.checks[c] for c in checks] == [m == 1.0 for m in margins]
+        if margins[1] == 0.0:
+            # the check never asked the blocks for that fit; the fit itself
+            # is the solver's error on an underdetermined system
+            with pytest.raises(ValueError, match="underdetermined"):
+                ite(report.panel, report.regressors.ite)
+
+    def test_each_pooled_check_is_its_blocks_fit(self):
+        # validate solves each stacked design once, on its blocks; the
+        # estimators read that fit, not a copy
+        report = validate(random_panel(21, n=9))
+        c, t = report.regressors.cite, report.regressors.ite
+        assert report.pooled_margins["psi_m_psi"] == 1.0 / c.pooled.gram_condition
+        assert report.pooled_margins["psi_tilde_m1_psi_tilde"] == \
+            1.0 / t.pooled.gram_condition
+        assert fit_cite(report.panel, c).theta_hat is c.pooled.coefficients
+        assert ite(report.panel, t).theta_tilde_hat is t.pooled.coefficients
+
+    def test_a_failing_pooled_fit_raises_on_every_read(self):
+        # z1 = x1 * g1 makes M_i Psi_i collinear: no fit is kept, and each
+        # read raises the same RankDeficient again
+        ds = random_panel(22, n=9, K_x=2, K_g=1, K_z=1)
+        Z = ds.X[:, :, :1] * ds.G
+        report = validate(make_dataset(ds.Y, ds.X, ds.G, Z, ds.H))
+        assert not report.checks["pooled_psi_rank"]
+        c = report.regressors.cite
+        messages = []
+        for _ in range(2):
+            with pytest.raises(RankDeficient) as exc:
+                cite_theta(c)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "pooled" not in vars(c)
 
     def test_baseline_simulation_passes(self, baseline_config):
         from dataclasses import replace
@@ -945,6 +977,43 @@ class TestValidate:
         assert kept.dims.n == 5
         assert kept is report.panel
         assert kept.unit_labels == (1, 2, 4, 5, 6)
+
+    def test_drop_failing_units_by_position(self):
+        # units 0 and 1 share the label 1 and only unit 0 is collinear: it
+        # is dropped alone, and its label is listed once
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(6, 3, 2))
+        X[0, :, 1] = 2.0 * X[0, :, 0]
+        ds = make_dataset(rng.normal(size=(6, 3)), X,
+                          unit_labels=[1, 1, 2, 3, 4, 5])
+        report = validate(ds)
+        kept, dropped = drop_failing_units(ds, report)
+        assert report.failing_units_x == (1,)
+        assert dropped == (1,)
+        assert kept is report.panel
+        assert kept.unit_labels == (1, 2, 3, 4, 5)
+        assert np.array_equal(kept.Y, ds.Y[1:])
+
+    def test_drop_failing_units_errors_count_positions(self):
+        # three of four units, two of them sharing a label, are collinear
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(4, 3, 2))
+        X[:3, :, 1] = X[:3, :, 0]
+        ds = make_dataset(rng.normal(size=(4, 3)), X,
+                          unit_labels=[7, 7, 8, 9])
+        with pytest.raises(PanelDataError, match="^fewer than 2 units remain "
+                           "after dropping 3 failing units$"):
+            drop_failing_units(ds, validate(ds))
+        # two units of one period pass, against the two columns of Psi: the
+        # pooled stage has too few rows, and its error is subset_units'
+        X = rng.normal(size=(4, 1, 1))
+        X[1:3] = 0.0
+        ds = make_dataset(rng.normal(size=(4, 1)), X,
+                          Z=rng.normal(size=(4, 1, 2)))
+        report = validate(ds)
+        assert report.panel is None and list(report.kept) == [0, 3]
+        with pytest.raises(ValueError, match="^not enough observations"):
+            drop_failing_units(ds, report)
 
     def test_regressors_built_on_the_input_when_nothing_fails(self):
         ds = random_panel(13, n=10)

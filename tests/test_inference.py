@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 from interpanel.data import (add_intercept_h, build_regressors, make_dataset,
                              subset_units)
 from interpanel.dgp import packaged_config, simulate
-from interpanel import estimators, inference, linalg
+from interpanel import data, estimators, inference, linalg
 from interpanel.estimators import (WEIGHT_MODES, MissingWeights,
                                    ZeroDegreesOfFreedom, first_stage_se,
                                    fit_cite, ite)
@@ -527,18 +528,25 @@ class TestWeightedFit:
 
     @pytest.mark.parametrize("mode", ["inv_se", "inv_var"])
     def test_weighted_fit_solves_each_stage_once(self, mode, monkeypatch):
-        # one pooled solve for theta and one for the weighted kappa; the
-        # unweighted kappa is never solved
+        # one pooled solve for theta (the blocks' own, in data) and one for
+        # the weighted kappa; the unweighted kappa is never solved. Every
+        # module's name for solve_ols counts, wherever the solve moves
         ds = small_baseline(n=60, seed=15)
         assert ds.dims.n_psi > 0 and ds.dims.K_h > 0
         dr = build_regressors(ds).cite
         calls = []
+        solve_ols = linalg.solve_ols
 
         def counted(*args, **kwargs):
             calls.append(None)
-            return linalg.solve_ols(*args, **kwargs)
+            return solve_ols(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "solve_ols", counted)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "interpanel" and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is solve_ols:
+                        monkeypatch.setattr(module, attr, counted)
+        assert data.solve_ols is estimators.solve_ols is counted
         res = fit_cite(ds, dr, mode)
         assert len(calls) == 2
         assert res.weight_mode == mode

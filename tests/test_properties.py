@@ -25,13 +25,13 @@ from interpanel.data import (FLOAT_FORMAT, _parse_label, _sorted_labels,
                              build_regressors, factor_units, load_csv,
                              make_dataset, subset_units, validate, write_csv)
 from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
-from interpanel.estimators import (WEIGHT_MODES, cite_kappa, cite_theta,
-                                   fit_cite, ite)
+from interpanel.estimators import (WEIGHT_MODES, cite_delta, cite_kappa,
+                                   cite_theta, fit_cite, inv11, ite)
 from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
 from interpanel.inference import draw_kappas, unit_summaries
 from interpanel.linalg import RankDeficient, unit_rank_deficient
 
-from conftest import load_outcome, random_panel
+from conftest import assert_same_bits, load_outcome, random_panel
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -39,13 +39,14 @@ COEF = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def panels(draw, max_K_g=2):
+def panels(draw, max_K_g=2, min_K_h=0):
     K_x = draw(st.integers(1, 3))
     return random_panel(draw(st.integers(0, 2**32 - 1)),
                         n=draw(st.integers(5, 9)),
                         T=K_x + draw(st.integers(2, 4)), K_x=K_x,
                         K_g=draw(st.integers(0, max_K_g)),
-                        K_z=draw(st.integers(0, 2)), K_h=draw(st.integers(0, 2)))
+                        K_z=draw(st.integers(0, 2)),
+                        K_h=draw(st.integers(min_K_h, 2)))
 
 
 @st.composite
@@ -230,11 +231,16 @@ def test_validate_keeps_only_units_the_solver_factors(data, ds, h_min):
 
 def fits(fit, *args):
     """Whether `fit(*args)` returns rather than raise RankDeficient."""
+    return not isinstance(outcome(fit, *args), str)
+
+
+def outcome(fit, *args):
+    """What `fit(*args)` returns, or the text of the RankDeficient it
+    raises."""
     try:
-        fit(*args)
-    except RankDeficient:
-        return False
-    return True
+        return fit(*args)
+    except RankDeficient as exc:
+        return str(exc)
 
 
 @PROPERTY
@@ -243,8 +249,10 @@ def fits(fit, *args):
 def test_each_pooled_verdict_is_the_solvers(seed, log_eps, log_eps_h):
     # z1 = x1 g1 + 10^log_eps noise makes both pooled designs nearly
     # collinear, h2 = h1 + 10^log_eps_h noise the second stage's; each
-    # pooled check passes exactly when its fit on the report's blocks
-    # returns, and no margin is negative
+    # pooled check passes exactly when its fit returns on blocks built
+    # afresh from the report's panel (the report's own blocks hold the
+    # fit their check read), the fits on the report's blocks are those
+    # fits bit for bit, and no margin is negative
     ds = random_panel(seed, n=4, T=3, K_x=2, K_g=1, K_z=1, K_h=2)
     rng = np.random.default_rng([seed, 1])
     Z = ds.X[:, :, :1] * ds.G + 10.0 ** log_eps * rng.normal(size=ds.Z.shape)
@@ -253,14 +261,36 @@ def test_each_pooled_verdict_is_the_solvers(seed, log_eps, log_eps_h):
     report = validate(make_dataset(ds.Y, ds.X, ds.G, Z, H), h_min=-1.0)
     assume(report.regressors is not None)
     panel, dr = report.panel, report.regressors
+    fresh = build_regressors(panel)
     delta1 = rng.normal(size=panel.dims.n)
     checks = report.checks
-    assert checks["pooled_psi_rank"] == fits(cite_theta, dr.cite)
-    assert checks["pooled_psi_tilde_rank"] == fits(ite, panel, dr.ite)
+    assert checks["pooled_psi_rank"] == fits(cite_theta, fresh.cite)
+    assert checks["pooled_psi_tilde_rank"] == fits(ite, panel, fresh.ite)
     assert checks["h_rank"] == fits(cite_kappa, delta1, panel.H)
     assert (checks["pooled_psi_rank"] and checks["h_rank"]) == \
-        fits(fit_cite, panel, dr.cite)
+        fits(fit_cite, panel, build_regressors(panel).cite)
     assert all(m >= 0.0 for m in report.pooled_margins.values())
+    for fit in (lambda blocks: cite_theta(blocks.cite),
+                lambda blocks: ite(panel, blocks.ite).theta_tilde_hat):
+        got, want = outcome(fit, dr), outcome(fit, fresh)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_bits(got, want)
+
+
+@PROPERTY
+@given(ds=panels(min_K_h=1))
+def test_ite_is_a_weighted_cite(ds):
+    # the one-step fit partials Psi_i theta out of Y_i at its own theta;
+    # what remains of unit i is M_{i,-1} x_i1 (h_i'kappa), so its kappa is
+    # the CITE kappa stage on the slopes delta_i1 at that theta, unit i
+    # weighted by x_i1'M_{i,-1} x_i1 = 1 / [(X_i'X_i)^{-1}]_11
+    dr = build_regressors(ds)
+    res = ite(ds, dr.ite)
+    delta1 = cite_delta(dr.cite, res.theta_tilde_hat[ds.dims.K_h:])[:, 0]
+    want = cite_kappa(delta1, ds.H, 1 / inv11(dr.cite.r_x))
+    assert_allclose(res.kappa_hat, want, rtol=0, atol=1e-8)
 
 
 # Text labels that stay text: quoting, commas and line breaks included.

@@ -2,13 +2,14 @@
 name; a rename here would break `perfbench/run.py --trace 1`, which the
 unit tests do not run."""
 
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from interpanel import data
+from interpanel import data, estimators, linalg
 
 from conftest import random_panel
 
@@ -64,3 +65,31 @@ def test_projection_bytes_read_the_arguments_residual_makers_gets(
     assert [m for _, _, (m, _, _) in seen] == [3, 3, 1] * 2
     for args, kwargs, (m, T, _) in seen:
         assert sizes(args, kwargs) == m * T * T * 8
+
+
+def test_estimate_solves_each_pooled_design_once(tracer):
+    # validate solves the stacked CITE and ITE designs on their blocks and
+    # H; fit_cite reads the CITE fit and solves kappa, ite reads the ITE
+    # fit: 4 solves, counted through the tracer's own rebinding, as
+    # `--trace 1` counts linalg.solve_ols
+    ds = random_panel(5, n=12, K_x=2, K_g=1, K_z=1, K_h=2)
+    assert ds.dims.n_psi > 0 and ds.dims.K_h >= 1
+    calls = []
+
+    def count(fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+        return counted
+
+    original = tracer.replace_function("linalg.solve_ols", count)
+    try:
+        report = data.validate(ds)
+        estimators.fit_cite(report.panel, report.regressors.cite)
+        estimators.ite(report.panel, report.regressors.ite)
+    finally:
+        tracer.replace_function("linalg.solve_ols", lambda counted: original)
+    assert report.passed
+    assert len(calls) == 4
+    assert data.solve_ols is estimators.solve_ols is linalg.solve_ols is original
