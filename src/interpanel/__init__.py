@@ -14,9 +14,8 @@ from .data import (CiteBlocks, Dims, DerivedRegressors, IteBlocks,
                    load_csv, make_dataset, subset_units, validate, write_csv)
 from .dgp import (DgpConfig, PlimTargets, SimulatedTruth, load_dgp_config,
                   plim_targets, simulate)
-from .estimators import (CiteResult, IteResult, cite_delta, cite_kappa,
-                         cite_theta, first_stage_se, fit_cite, ite,
-                         mean_effect)
+from .estimators import (CiteResult, cite_delta, cite_kappa, cite_theta,
+                         first_stage_se, fit_cite, ite, mean_effect)
 from .harness import (ExperimentConfig, MonteCarloReport, convergence_table,
                       evaluate_contracts, load_experiment_config,
                       run_experiment)
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CiteBlocks", "CiteResult", "DerivedRegressors", "DgpConfig", "Dims",
-    "ExperimentConfig", "IteBlocks", "IteResult", "LeastSquaresFit",
+    "ExperimentConfig", "IteBlocks", "LeastSquaresFit",
     "MonteCarloReport", "PanelDataset", "PlimTargets", "RankDeficient",
     "SeResult", "SimulatedTruth", "ValidationReport", "add_intercept_h",
     "bootstrap_cite", "build_regressors", "cite_delta", "cite_kappa",

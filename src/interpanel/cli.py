@@ -16,7 +16,8 @@ from . import __version__
 from .data import (add_intercept_h, drop_failing_units, load_csv, validate,
                    write_csv, DEFAULT_H_MIN)
 from .dgp import load_dgp_config, simulate
-from .estimators import WEIGHT_MODES, fit_cite, ite, mean_effect
+from .estimators import (WEIGHT_MODES, fit_cite, ite, mean_effect,
+                         theta_tilde_labels)
 from .harness import (FailureRateExceeded, convergence_table,
                       evaluate_contracts, load_experiment_config,
                       run_experiment)
@@ -122,6 +123,7 @@ def _cmd_estimate(args):
     dr = report.regressors
 
     which = ("cite", "ite") if args.estimator == "both" else (args.estimator,)
+    labels = theta_tilde_labels(ds.columns)
     out = {
         "command": "estimate",
         "n_units": ds.dims.n,
@@ -130,21 +132,21 @@ def _cmd_estimate(args):
         "validation": report.to_dict(),
         "estimators": {},
     }
-    results = {}
+    values = {}
     for est in which:
         if est == "cite":
-            res = fit_cite(ds, dr.cite, weight_mode=args.weight_mode)
-            labels, values = res.coefficients()
+            res = fit_cite(dr.cite, weight_mode=args.weight_mode)
+            values[est] = res.coefficients()
             entry = {
                 "labels": labels,
-                "estimates": values.tolist(),
+                "estimates": values[est].tolist(),
                 "weight_mode": res.weight_mode,
                 "delta_hat": res.delta_hat.tolist(),
                 "delta_units": list(ds.unit_labels),
             }
             if args.se == "cluster":
                 entry["se"] = cite_kappa_se(dr.cite, res).se.tolist() + \
-                    cite_theta_se(dr.cite, res).se.tolist()
+                    cite_theta_se(dr.cite).se.tolist()
                 entry["se_method"] = "hc_robust (kappa), cluster_robust (theta)"
             elif args.se == "bootstrap":
                 b = bootstrap_cite(dr.cite, res.weight_mode,
@@ -152,42 +154,37 @@ def _cmd_estimate(args):
                 entry["se"] = b.se.tolist() + [None] * len(res.theta_hat)
                 entry["se_method"] = "bootstrap (kappa only)"
         else:
-            res = ite(ds, dr.ite)
-            labels, values = res.coefficients()
-            entry = {"labels": labels, "estimates": values.tolist()}
+            values[est] = ite(dr.ite)
+            entry = {"labels": labels, "estimates": values[est].tolist()}
             if args.se == "cluster":
-                entry["se"] = ite_se(dr.ite, res).se.tolist()
+                entry["se"] = ite_se(dr.ite).se.tolist()
                 entry["se_method"] = "cluster_robust"
             elif args.se == "bootstrap":
                 print("warning: the ite entry has no SE: the bootstrap "
                       "covers cite only", file=sys.stderr)
-        results[est] = res
         out["estimators"][est] = entry
 
     if len(which) == 2 and ds.dims.K_h >= 1:
-        _print_side_by_side(results["cite"], results["ite"])
+        _print_side_by_side(labels, values["cite"], values["ite"])
         first = int(args.add_intercept_h)  # kappa[h_const] is the constant's
         if ds.dims.K_h > first:
-            label = results["cite"].kappa_labels[first]
-            k_cite = float(results["cite"].kappa_hat[first])
-            k_ite = float(results["ite"].kappa_hat[first])
+            k_cite = float(values["cite"][first])
+            k_ite = float(values["ite"][first])
             disagree = bool(np.sign(k_cite) != np.sign(k_ite))
             out["sign_disagreement"] = disagree
             if disagree:
                 print(f"warning: the two estimators disagree about the sign of "
-                      f"the first interaction coefficient, {label} "
+                      f"the first interaction coefficient, {labels[first]} "
                       f"(cite {k_cite:.6g} vs ite {k_ite:.6g})", file=sys.stderr)
     _write_json(out, args.output)
     return 0
 
 
-def _print_side_by_side(cite_res, ite_res):
+def _print_side_by_side(labels, cite_values, ite_values):
     # human-readable comparison goes to stderr; stdout stays machine clean
-    labels, cite_vals = cite_res.coefficients()
-    _, ite_vals = ite_res.coefficients()
     width = max(len(lab) for lab in labels)
     print(f"{'':{width}}  {'cite':>12}  {'ite':>12}", file=sys.stderr)
-    for lab, c, i in zip(labels, cite_vals, ite_vals):
+    for lab, c, i in zip(labels, cite_values, ite_values):
         print(f"{lab:{width}}  {c:12.6g}  {i:12.6g}", file=sys.stderr)
 
 
@@ -258,16 +255,15 @@ def _cmd_validate(args):
 def _cmd_mc(args):
     cfg = load_experiment_config(args.config)
     report = run_experiment(cfg)
-    text, doc = convergence_table(report)
+    text = convergence_table(report)
     checks = evaluate_contracts(report)
-    doc["contracts"] = checks
     if args.table:
         with open(args.table, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     if args.output:
-        _write_json(doc, args.output)
+        _write_json(dict(report.to_dict(), contracts=checks), args.output)
     bad = [c for c in checks if not c["passed"]]
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"

@@ -150,11 +150,6 @@ class Dims:
         """Columns of the pooled interaction/control block."""
         return self.K_x * self.K_g + self.K_z
 
-    @property
-    def n_psi_tilde(self):
-        """Columns of the one-step (ITE) regressor block."""
-        return self.K_h + self.n_psi
-
 
 def default_columns(dims):
     """Default column names: x1.., g1.., z1.., h1.. ."""

@@ -483,7 +483,7 @@ def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20):
         ds = truth.dataset
         kt_blocks[b] = solve_ols(ds.H, truth.delta[:, 0]).coefficients
         if want_ite:
-            ite_blocks[b] = ite(ds, build_ite_blocks(ds)).kappa_hat[0]
+            ite_blocks[b] = ite(build_ite_blocks(ds))[0]
 
     kt = kt_blocks.mean(axis=0)
     kt_se = kt_blocks.std(axis=0, ddof=1) / np.sqrt(n_blocks)

@@ -11,6 +11,11 @@ ITE (interaction term estimator) is the familiar one-step pooled
 regression of Y on the interactions (X_1 * H, X kron G, Z) after
 projecting out the remaining X columns. It is consistent only under a
 much stronger exogeneity condition on the unobserved slope heterogeneity.
+
+Each fit reads only its own blocks (`data.build_regressors`) and returns
+only what it computes: `fit_cite(dr, weight_mode)` a CiteResult, `ite(dr)`
+the (kappa, phi, gamma) vector. `theta_tilde_labels(columns)` names that
+vector, and `CiteResult.coefficients()` is in the same order.
 """
 
 from __future__ import annotations
@@ -44,20 +49,12 @@ class ZeroDegreesOfFreedom(ValueError):
         )
 
 
-def theta_labels(columns):
-    """Labels for the pooled-stage coefficients: phi block then gamma."""
-    labels = [f"phi[{x}:{g}]" for x in columns["x"] for g in columns["g"]]
-    labels += [f"gamma[{z}]" for z in columns["z"]]
-    return labels
-
-
-def kappa_labels(columns):
-    return [f"kappa[{h}]" for h in columns["h"]]
-
-
 def theta_tilde_labels(columns):
-    """Labels for the one-step coefficients: kappa block first."""
-    return kappa_labels(columns) + theta_labels(columns)
+    """Labels of the (kappa, phi, gamma) vector both fits estimate, in
+    the order of `CiteResult.coefficients()` and of `ite`."""
+    labels = [f"kappa[{h}]" for h in columns["h"]]
+    labels += [f"phi[{x}:{g}]" for x in columns["x"] for g in columns["g"]]
+    return labels + [f"gamma[{z}]" for z in columns["z"]]
 
 
 @dataclass(frozen=True)
@@ -73,29 +70,12 @@ class CiteResult:
     theta_hat: np.ndarray
     delta_hat: np.ndarray
     kappa_hat: np.ndarray
-    theta_labels: tuple
-    kappa_labels: tuple
     weight_mode: str = "none"
     weights: np.ndarray = None
 
     def coefficients(self):
-        """(labels, values) with kappa first, matching the one-step order."""
-        labels = list(self.kappa_labels) + list(self.theta_labels)
-        values = np.concatenate([self.kappa_hat, self.theta_hat])
-        return labels, values
-
-
-@dataclass(frozen=True)
-class IteResult:
-    """One-step estimates theta_tilde_hat, ordered (kappa, phi, gamma) as
-    `labels` name them; kappa_hat is its first K_h entries."""
-
-    theta_tilde_hat: np.ndarray
-    kappa_hat: np.ndarray
-    labels: tuple
-
-    def coefficients(self):
-        return list(self.labels), self.theta_tilde_hat
+        """(kappa_hat, theta_hat) as one vector, in the order of `ite`."""
+        return np.concatenate([self.kappa_hat, self.theta_hat])
 
 
 def cite_theta(dr):
@@ -144,15 +124,21 @@ def cite_kappa(delta1, H, weights=None):
 
 
 def check_weight_mode(mode):
-    """mode; ValueError, naming WEIGHT_MODES, for any other mode."""
+    """mode; ValueError, naming WEIGHT_MODES, for any other mode, or
+    naming its type for a mode that is not a str."""
+    if not isinstance(mode, str):
+        raise ValueError(
+            f"weight mode must be a str, got {type(mode).__name__}")
     if mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight mode {mode!r}; choose from {WEIGHT_MODES}")
     return mode
 
 
 def second_stage_weights(se, mode):
-    """Weights w_i = 1/se_i ("inv_se") or 1/se_i^2 ("inv_var"); a zero or
-    tiny se_i gives an infinite w_i, which cite_kappa rejects."""
+    """Weights w_i = 1/se_i ("inv_se") or 1/se_i^2 ("inv_var"). An se_i of
+    exactly 0 gives an infinite w_i, which cite_kappa rejects; one that is
+    0 only to rounding gives a finite w_i near 1e15 or 1e30, which it
+    accepts, and kappa then follows that one unit."""
     with np.errstate(divide="ignore", over="ignore"):
         return 1.0 / se if mode == "inv_se" else 1.0 / se**2
 
@@ -186,9 +172,8 @@ def inv11(r_x):
     return np.einsum("nk,nk->n", r_inv[:, 0, :], r_inv[:, 0, :])
 
 
-def fit_cite(ds, dr, weight_mode="none"):
-    """Run the two-step pipeline on the CITE blocks `dr` and package the
-    results.
+def fit_cite(dr, weight_mode="none"):
+    """Run the two-step pipeline on the CITE blocks `dr`.
 
     Under "inv_se" or "inv_var" with K_h > 0 the kappa stage weights unit
     i by w_i = 1/se_i or 1/se_i^2, se_i from first_stage_se; otherwise it
@@ -198,32 +183,25 @@ def fit_cite(ds, dr, weight_mode="none"):
     check_weight_mode(weight_mode)
     theta = cite_theta(dr)
     delta = cite_delta(dr, theta)
-    if ds.dims.K_h == 0:
-        weight_mode = "none"
+    if dr.H.shape[1] == 0:
+        return CiteResult(theta_hat=theta, delta_hat=delta,
+                          kappa_hat=np.zeros(0))
     weights = None if weight_mode == "none" else second_stage_weights(
         first_stage_se(dr, theta, delta), weight_mode)
-    kappa = cite_kappa(delta[:, 0], dr.H, weights) if ds.dims.K_h else np.zeros(0)
-    return CiteResult(
-        theta_hat=theta,
-        delta_hat=delta,
-        kappa_hat=kappa,
-        theta_labels=tuple(theta_labels(ds.columns)),
-        kappa_labels=tuple(kappa_labels(ds.columns)),
-        weight_mode=weight_mode,
-        weights=weights,
-    )
+    return CiteResult(theta_hat=theta, delta_hat=delta,
+                      kappa_hat=cite_kappa(delta[:, 0], dr.H, weights),
+                      weight_mode=weight_mode, weights=weights)
 
 
-def ite(ds, dr):
-    """One-step estimator of (kappa, phi, gamma) on the ITE blocks `dr`.
+def ite(dr):
+    """One-step estimates of (kappa, phi, gamma) on the ITE blocks `dr`;
+    kappa is the first K_h entries.
 
-    The estimates are (sum_i PsiTilde_i'M_{i,-1} PsiTilde_i)^{-1}
+    They are (sum_i PsiTilde_i'M_{i,-1} PsiTilde_i)^{-1}
     sum_i PsiTilde_i'M_{i,-1} Y_i, read from the blocks' one stacked
     least-squares fit (`dr.pooled`), as `cite_theta` reads its own.
     """
-    tt = dr.pooled.coefficients
-    return IteResult(theta_tilde_hat=tt, kappa_hat=tt[:ds.dims.K_h],
-                     labels=tuple(theta_tilde_labels(ds.columns)))
+    return dr.pooled.coefficients
 
 
 def mean_effect(coeffs, means, constant):

@@ -206,12 +206,10 @@ def replication_seed(seed, scenario, n, rep):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _fit_one(estimator, ds, dr, weight_mode):
+def _fit_one(estimator, dr, weight_mode):
     if estimator == "cite":
-        res = fit_cite(ds, dr.cite, weight_mode=weight_mode)
-        return np.concatenate([res.kappa_hat, res.theta_hat])
-    res = _fit_ite(ds, dr.ite)
-    return res.theta_tilde_hat
+        return fit_cite(dr.cite, weight_mode=weight_mode).coefficients()
+    return _fit_ite(dr.ite)
 
 
 def run_experiment(cfg):
@@ -244,7 +242,7 @@ def run_experiment(cfg):
                 continue
             for est in cfg.estimators:
                 try:
-                    draws[est][r] = _fit_one(est, ds, dr, cfg.weight_mode)
+                    draws[est][r] = _fit_one(est, dr, cfg.weight_mode)
                     ok[est][r] = True
                 except np.linalg.LinAlgError as exc:  # RankDeficient too
                     types[est][type(exc).__name__] += 1
@@ -325,7 +323,7 @@ def _summarize(estimator, n, labels, truth, good, targets, dgp):
 
 
 def convergence_table(report):
-    """Render a report as an aligned text table plus a JSON-ready dict.
+    """Render a report as an aligned text table.
 
     The target column holds the plim target used for the bias_vs_target
     column; |bias|/mc_se is the t-ratio of the bias against the truth.
@@ -358,8 +356,7 @@ def convergence_table(report):
             lines.append(
                 f"one-step limit kappa1: {report.targets.ite_plim_kappa1:.6g} "
                 f"(se {report.targets.ite_plim_kappa1_se:.2g})")
-    text = "\n".join(lines) + "\n"
-    return text, report.to_dict()
+    return "\n".join(lines) + "\n"
 
 
 def evaluate_contracts(report):

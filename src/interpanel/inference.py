@@ -9,6 +9,12 @@ leave out is the sampling noise of the pooled theta and of estimated
 weights. The bootstrap resamples whole units and refits both stages,
 which propagates both.
 
+The stacked fits' SEs take only their blocks: `ite_se(dr)` and
+`cite_theta_se(dr)` read the coefficients of `dr.pooled`, which are
+`ite(dr)` and `fit_cite(dr).theta_hat` themselves, so no estimate can be
+paired with other blocks. `cite_kappa_se(dr, result)` also takes the
+CiteResult, whose slopes, kappa and weights it reads.
+
 A bootstrap draw is a count vector over units, not a copy of the blocks:
 `unit_summaries` takes once what a refit reads of each unit (the R
 factor of M_i [Psi_i | Y_i], the first rows of R_x^{-1} Q_i' Psi_i and
@@ -148,15 +154,17 @@ def _unit_clustered_se(design, y, estimates):
                              np.repeat(np.arange(n), T))
 
 
-def ite_se(dr, result):
-    """Unit-clustered SEs for the one-step estimates."""
-    return _unit_clustered_se(dr.M1PsiTilde, dr.M1Y, result.theta_tilde_hat)
+def ite_se(dr):
+    """Unit-clustered SEs for the one-step estimates of the ITE blocks
+    `dr`, those of `ite(dr)`."""
+    return _unit_clustered_se(dr.M1PsiTilde, dr.M1Y, dr.pooled.coefficients)
 
 
-def cite_theta_se(dr, result):
-    """Unit-clustered SEs for the pooled stage of the two-step estimator;
-    empty when Psi has no columns (theta is empty)."""
-    return _unit_clustered_se(dr.MPsi, dr.MY, result.theta_hat)
+def cite_theta_se(dr):
+    """Unit-clustered SEs for the pooled stage of the two-step estimator
+    on the CITE blocks `dr`; empty when Psi has no columns (theta is
+    empty)."""
+    return _unit_clustered_se(dr.MPsi, dr.MY, dr.pooled.coefficients)
 
 
 def cite_kappa_se(dr, result):

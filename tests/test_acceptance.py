@@ -107,7 +107,7 @@ def test_criterion_02_within_transformation_oracle():
     for seed in range(100):
         ds = random_panel(1000 + seed, n=14, T=5, K_x=2, K_g=0, K_z=0,
                           K_h=1, constant_col=1)
-        got = ite(ds, build_regressors(ds).ite).kappa_hat[0]
+        got = ite(build_regressors(ds).ite)[0]
         worst = max(worst, abs(got - within_ols_oracle(ds)))
     assert worst < 1e-9, f"max abs difference {worst:.3e}"
     _report("2 (within-transformation oracle)",
@@ -132,7 +132,7 @@ def test_criterion_03_special_case_reductions():
     for seed in range(50):
         ds = random_panel(3000 + seed, n=16, T=5, K_x=1, K_g=0, K_z=2,
                           K_h=2, constant_col=0)
-        got = ite(ds, build_regressors(ds).ite).theta_tilde_hat
+        got = ite(build_regressors(ds).ite)
         n, T = ds.dims.n, ds.dims.T
         design = np.column_stack([np.repeat(ds.H, T, axis=0),
                                   ds.Z.reshape(n * T, -1)])
@@ -154,16 +154,15 @@ def test_criterion_04_noiseless_exact_recovery():
     phi = np.asarray(cfg.phi)
     gamma = np.asarray(cfg.gamma)
 
-    c = fit_cite(ds, dr.cite)
+    c = fit_cite(dr.cite)
     errs = [np.max(np.abs(c.kappa_hat - kappa)),
             np.max(np.abs(c.theta_hat
                           - np.concatenate([phi.reshape(-1), gamma])))]
-    r = ite(ds, dr.ite)
+    r = ite(dr.ite)
     K_h, K_xg = ds.dims.K_h, phi.size
-    errs += [np.max(np.abs(r.kappa_hat - kappa)),
-             np.max(np.abs(r.theta_tilde_hat[K_h:K_h + K_xg]
-                           - phi.reshape(-1))),
-             np.max(np.abs(r.theta_tilde_hat[K_h + K_xg:] - gamma))]
+    errs += [np.max(np.abs(r[:K_h] - kappa)),
+             np.max(np.abs(r[K_h:K_h + K_xg] - phi.reshape(-1))),
+             np.max(np.abs(r[K_h + K_xg:] - gamma))]
     worst = float(max(errs))
     assert worst < 1e-10, f"max abs error {worst:.3e}"
     _report("4 (noiseless exact recovery)", f"max abs error {worst:.2e}")

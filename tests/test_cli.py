@@ -13,7 +13,7 @@ from interpanel import cli
 from interpanel.cli import main
 from interpanel.data import build_regressors, load_csv, make_dataset, write_csv
 from interpanel.dgp import packaged_config, packaged_config_path, simulate
-from interpanel.estimators import fit_cite, ite
+from interpanel.estimators import fit_cite, ite, theta_tilde_labels
 from interpanel.inference import cite_theta_se
 
 from conftest import (BAD_DGP_FIELDS, BAD_MC_FIELDS, dgp_json_with, json_with,
@@ -128,15 +128,14 @@ class TestEstimate:
         assert set(doc["estimators"]) == {"cite", "ite"}
         back = load_csv(path)
         dr = build_regressors(back)
-        want_cite = fit_cite(back, dr.cite)
-        want_ite = ite(back, dr.ite)
+        want_cite = fit_cite(dr.cite)
         got_cite = doc["estimators"]["cite"]
         np.testing.assert_allclose(
             got_cite["estimates"],
             np.concatenate([want_cite.kappa_hat, want_cite.theta_hat]))
         assert got_cite["labels"][0] == "kappa[h1]"
         np.testing.assert_allclose(doc["estimators"]["ite"]["estimates"],
-                                   want_ite.theta_tilde_hat)
+                                   ite(dr.ite))
         assert "sign_disagreement" in doc
 
     def test_byte_identical_outputs(self, sim_csv, capsys, tmp_path):
@@ -197,10 +196,9 @@ class TestEstimate:
         got = json.loads(out_path.read_text())["estimators"]["cite"]
         back = load_csv(str(path))
         dr = build_regressors(back).cite
-        fit = fit_cite(back, dr)
-        want = cite_theta_se(dr, fit)
+        want = cite_theta_se(dr)
         assert got["weight_mode"] == "none"
-        assert got["labels"] == list(fit.theta_labels)
+        assert got["labels"] == theta_tilde_labels(back.columns)
         assert got["se"] == want.se.tolist() and len(got["se"]) == back.dims.n_psi
 
 
@@ -363,6 +361,63 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--input", path)
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+
+PINNED_COMMANDS = {
+    "cluster": ("estimate", "--se", "cluster"),
+    "ite_cluster": ("estimate", "--estimator", "ite", "--se", "cluster"),
+    "cite_bootstrap_inv_se": ("estimate", "--estimator", "cite", "--se",
+                              "bootstrap", "--weight-mode", "inv_se",
+                              "--bootstrap-reps", "60", "--seed", "4"),
+    "inv_var_intercept": ("estimate", "--se", "cluster", "--weight-mode",
+                          "inv_var", "--add-intercept-h"),
+    "validate": ("validate",),
+}
+
+# sha256 over the sha256 of the exit code, stdout, stderr and --output file
+# of each command, on the panel that `simulate --n 60 --seed 3` writes from
+# a packaged config. The pins hold for this build (numpy 2.4, OpenBLAS), as
+# the simulate pins do: another BLAS may move the last bits of a float.
+PINNED_SHA = {
+    ("baseline", "cluster"):
+        "109db85955964744a34c4259f4c8c0aacac9d6435d22ecb26ecd5965cc2d6654",
+    ("baseline", "ite_cluster"):
+        "d0f17b25b3473033ee054862522a2ee70526363ac433a37ca794dd6da295da54",
+    ("baseline", "cite_bootstrap_inv_se"):
+        "ac36d62ff545c0f65dd7a6c8e12f440bb9674a699ad2393d31eff1a92b8a0412",
+    ("baseline", "inv_var_intercept"):
+        "0d8153b644d9840150726620156592cecd73385e7e1a269b0772352c01365ccd",
+    ("baseline", "validate"):
+        "26eddbda60cb415d7bdda2826332de5694e06fbb5a6d6f79185f7692b59826b8",
+    ("ite_gap", "cluster"):
+        "9d1f04a6fc4a9dec1b3f4b980214f07ebcaa61f8a8421a5475ccf16cf50b3347",
+    ("ite_gap", "ite_cluster"):
+        "2c007a2a675858b48bd109b26e72b5a1adb9e5548ce04b6293eb6905ff5238ee",
+    ("ite_gap", "cite_bootstrap_inv_se"):
+        "a5d6760770e801fc358774b1705eeac0e5a38867408d6c0db0b15a5658515472",
+    ("ite_gap", "inv_var_intercept"):
+        "74951cab4002e0304bbbbcfbe0a5b24699d81b7292cf7b0207162d2f9e040a74",
+    ("ite_gap", "validate"):
+        "84ba71ddb71a67a97c5c9200dae243f4cad06a18aea2553c7257fc8bbda98ebf",
+}
+
+
+class TestCommandBytes:
+    @pytest.mark.parametrize("config, command", PINNED_SHA)
+    def test_output_bytes_are_pinned(self, config, command, tmp_path,
+                                     capsys):
+        panel = tmp_path / "panel.csv"
+        assert run(capsys, "simulate", "--config",
+                   packaged_config_path(config), "--n", "60", "--seed", "3",
+                   "--output", str(panel))[0] == 0
+        out_json = tmp_path / "out.json"
+        code, out, err = run(capsys, *PINNED_COMMANDS[command], "--input",
+                             str(panel), "--output", str(out_json))
+        digest = hashlib.sha256()
+        for part in (str(code).encode(), out.encode(), err.encode(),
+                     out_json.read_bytes()):
+            digest.update(hashlib.sha256(part).digest())
+        assert digest.hexdigest() == PINNED_SHA[config, command]
 
 
 class TestSchema:

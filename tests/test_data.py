@@ -39,7 +39,6 @@ class TestDims:
     def test_valid(self):
         d = Dims(n=4, T=3, K_x=2, K_g=1, K_z=1, K_h=1)
         assert d.n_psi == 3
-        assert d.n_psi_tilde == 4
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=1, T=3, K_x=1),
@@ -600,11 +599,10 @@ class TestBuildRegressors:
             MY=np.einsum("nij,nj->ni", M, ds.Y), q_x=Q, r_x=R)
         dense_ite = IteBlocks(M1PsiTilde=np.einsum("nij,njp->nip", M1, PsiTilde),
                               M1Y=np.einsum("nij,nj->ni", M1, ds.Y))
-        got, want = fit_cite(ds, dr.cite), fit_cite(ds, dense_cite)
+        got, want = fit_cite(dr.cite), fit_cite(dense_cite)
         for name in ("theta_hat", "delta_hat", "kappa_hat"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert np.array_equal(ite(ds, dr.ite).theta_tilde_hat,
-                              ite(ds, dense_ite).theta_tilde_hat)
+        assert np.array_equal(ite(dr.ite), ite(dense_ite))
 
     def test_split_blocks_match_the_dense_projections(self):
         # every block equals the residual-maker-then-einsum expressions
@@ -916,7 +914,7 @@ class TestValidate:
             # the check never asked the blocks for that fit; the fit itself
             # is the solver's error on an underdetermined system
             with pytest.raises(ValueError, match="underdetermined"):
-                ite(report.panel, report.regressors.ite)
+                ite(report.regressors.ite)
 
     def test_each_pooled_check_is_its_blocks_fit(self):
         # validate solves each stacked design once, on its blocks; the
@@ -926,8 +924,8 @@ class TestValidate:
         assert report.pooled_margins["psi_m_psi"] == 1.0 / c.pooled.gram_condition
         assert report.pooled_margins["psi_tilde_m1_psi_tilde"] == \
             1.0 / t.pooled.gram_condition
-        assert fit_cite(report.panel, c).theta_hat is c.pooled.coefficients
-        assert ite(report.panel, t).theta_tilde_hat is t.pooled.coefficients
+        assert fit_cite(c).theta_hat is c.pooled.coefficients
+        assert ite(t) is t.pooled.coefficients
 
     def test_a_failing_pooled_fit_raises_on_every_read(self):
         # z1 = x1 * g1 makes M_i Psi_i collinear: no fit is kept, and each
@@ -956,7 +954,7 @@ class TestValidate:
         # each margin is 1 / gram_condition of the fit on the same design,
         # whatever the response: kappa's reads the fitted slopes
         c, t = report.regressors.cite, report.regressors.ite
-        delta1 = fit_cite(report.panel, c).delta_hat[:, 0]
+        delta1 = fit_cite(c).delta_hat[:, 0]
         fits = {"psi_m_psi": solve_ols(c.MPsi.reshape(c.MY.size, -1),
                                        c.MY.reshape(-1)),
                 "psi_tilde_m1_psi_tilde": solve_ols(
@@ -1091,7 +1089,7 @@ class TestValidate:
         with pytest.raises(RankDeficient):
             cite_theta(after.regressors.cite)
         with pytest.raises(RankDeficient):
-            ite(after.panel, after.regressors.ite)
+            ite(after.regressors.ite)
 
     def test_gram_det_of_a_ones_column_is_T(self):
         # K_x = 1: det(1'1) = T from R_i = [-sqrt(T)]

@@ -198,30 +198,29 @@ class TestIte:
     def test_noiseless_exact_recovery(self):
         cfg = noiseless_config()
         ds = simulate(cfg).dataset
-        res = ite(ds, build_regressors(ds).ite)
-        assert np.max(np.abs(res.kappa_hat - cfg.kappa)) < 1e-10
+        res = ite(build_regressors(ds).ite)
+        assert np.max(np.abs(res[:ds.dims.K_h] - cfg.kappa)) < 1e-10
         phi_gamma = np.concatenate([np.ravel(cfg.phi), cfg.gamma])
-        assert np.max(np.abs(res.theta_tilde_hat[ds.dims.K_h:]
-                             - phi_gamma)) < 1e-10
+        assert np.max(np.abs(res[ds.dims.K_h:] - phi_gamma)) < 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
     def test_within_transformation_oracle(self, seed):
         ds = random_panel(seed, n=14, T=5, K_x=2, K_g=0, K_z=0, K_h=1,
                           constant_col=1)
-        res = ite(ds, build_regressors(ds).ite)
-        assert abs(res.kappa_hat[0] - within_ols_oracle(ds)) < 1e-9
+        res = ite(build_regressors(ds).ite)
+        assert abs(res[0] - within_ols_oracle(ds)) < 1e-9
 
     def test_pooled_ols_reduction_when_x_is_constant(self):
         # K_x = 1 with x identically 1 and no G: the one-step estimator
         # is pooled OLS of Y on (H, Z).
         ds = random_panel(9, n=20, T=4, K_x=1, K_g=0, K_z=2, K_h=2,
                           constant_col=0)
-        res = ite(ds, build_regressors(ds).ite)
+        res = ite(build_regressors(ds).ite)
         n, T = ds.dims.n, ds.dims.T
         design = np.column_stack([
             np.repeat(ds.H, T, axis=0), ds.Z.reshape(n * T, -1)])
         pooled = solve_ols(design, ds.Y.reshape(-1)).coefficients
-        assert np.max(np.abs(res.theta_tilde_hat - pooled)) < 1e-9
+        assert np.max(np.abs(res - pooled)) < 1e-9
 
 
 class TestSpecialCases:
@@ -243,22 +242,22 @@ class TestSpecialCases:
         H2 = ds.H.copy()
         H2[:, col] = c * H2[:, col]
         scaled = make_dataset(ds.Y, ds.X, ds.G, ds.Z, H2)
-        for fit in (lambda d: fit_cite(d, build_regressors(d).cite).kappa_hat,
-                    lambda d: ite(d, build_regressors(d).ite).kappa_hat):
+        for fit in (lambda d: fit_cite(build_regressors(d).cite).kappa_hat,
+                    lambda d: ite(build_regressors(d).ite)[:d.dims.K_h]):
             k1, k2 = fit(ds), fit(scaled)
             expect = k1.copy()
             expect[col] /= c
             assert np.max(np.abs(k2 - expect)) < 1e-9
 
     def test_determinism(self):
+        # on blocks built twice: one set of blocks returns its cached fit
         ds = random_panel(50)
-        dr = build_regressors(ds)
-        a = fit_cite(ds, dr.cite)
-        b = fit_cite(ds, dr.cite)
+        dr, dr2 = build_regressors(ds), build_regressors(ds)
+        a = fit_cite(dr.cite)
+        b = fit_cite(dr2.cite)
         assert np.array_equal(a.theta_hat, b.theta_hat)
         assert np.array_equal(a.kappa_hat, b.kappa_hat)
-        r1, r2 = ite(ds, dr.ite), ite(ds, dr.ite)
-        assert np.array_equal(r1.theta_tilde_hat, r2.theta_tilde_hat)
+        assert np.array_equal(ite(dr.ite), ite(dr2.ite))
 
 
 class TestMeanEffect:

@@ -100,19 +100,17 @@ class TestRunExperiment:
         d = cfg.dgp.dims
         n_params = d.K_h + d.K_x * d.K_g + d.K_z
         assert len(report.cells) == 2 * 2 * n_params
-        text, doc = convergence_table(report)
-        assert len(doc["cells"]) == len(report.cells)
-        assert "kappa[h1]" in text
+        assert len(report.to_dict()["cells"]) == len(report.cells)
+        assert "kappa[h1]" in convergence_table(report)
 
     def test_empty_estimators_keeps_targets(self):
         cfg = mini_experiment(estimators=(), replications=4,
                               oracle_draws=2_000, oracle_blocks=2)
         report = run_experiment(cfg)
         assert report.cells == ()
-        text, doc = convergence_table(report)
-        assert doc["cells"] == []
-        assert doc["targets"] is not None
-        assert "kappa_tilde" in text
+        assert report.to_dict()["cells"] == []
+        assert report.to_dict()["targets"] is not None
+        assert "kappa_tilde" in convergence_table(report)
 
     def test_sign_agreement_reported(self):
         report = run_experiment(mini_experiment(replications=6,
@@ -262,7 +260,7 @@ class TestContracts:
             estimators=("cite",), parameter_names=("kappa[h1]",),
             truth=np.ones(1), cells=(cell,), sign_agreement={}, targets=None,
             failure_types={("cite", 10): {}})
-        text, _ = convergence_table(report)
+        text = convergence_table(report)
         assert text.splitlines()[2].split()[-1] == shown
         [check] = evaluate_contracts(report)
         assert check["passed"] is passed

@@ -12,7 +12,7 @@ from interpanel.dgp import packaged_config, simulate
 from interpanel import data, estimators, inference, linalg
 from interpanel.estimators import (WEIGHT_MODES, MissingWeights,
                                    ZeroDegreesOfFreedom, first_stage_se,
-                                   fit_cite, ite)
+                                   fit_cite)
 from interpanel.inference import (DegenerateResample, TooFewClusters,
                                   bootstrap_cite, cite_kappa_se, cite_theta_se,
                                   cluster_robust_se, draw_kappas, ite_se,
@@ -29,7 +29,7 @@ def small_baseline(n=80, seed=21, **overrides):
 
 def weighted_fit(ds, weight_mode):
     """fit_cite on blocks built here."""
-    return fit_cite(ds, build_regressors(ds).cite, weight_mode)
+    return fit_cite(build_regressors(ds).cite, weight_mode)
 
 
 def exact_residual_panel(K_z):
@@ -56,7 +56,7 @@ class TestFirstStageSe:
                       u_scale=0.0, v_scale=0.0, eps_scale=0.0)
         ds = simulate(cfg).dataset
         dr = build_regressors(ds).cite
-        res = fit_cite(ds, dr)
+        res = fit_cite(dr)
         se = first_stage_se(dr, res.theta_hat, res.delta_hat)
         assert np.max(np.abs(se)) < 1e-8
 
@@ -66,7 +66,7 @@ class TestFirstStageSe:
         Y = rng.normal(size=(n, T))
         ds = make_dataset(Y, np.ones((n, T, 1)), Z=rng.normal(size=(n, T, 1)))
         dr = build_regressors(ds).cite
-        res = fit_cite(ds, dr)
+        res = fit_cite(dr)
         se = first_stage_se(dr, res.theta_hat, res.delta_hat)
         resid = Y - dr.Psi @ res.theta_hat - res.delta_hat[:, :1]
         s = np.sqrt((resid**2).sum(axis=1) / (T - 1))
@@ -75,7 +75,7 @@ class TestFirstStageSe:
     def test_per_unit_reregression_oracle(self):
         ds = small_baseline(n=25, seed=4)
         dr = build_regressors(ds).cite
-        res = fit_cite(ds, dr)
+        res = fit_cite(dr)
         se = first_stage_se(dr, res.theta_hat, res.delta_hat)
         T, K_x = ds.dims.T, ds.dims.K_x
         for i in range(ds.dims.n):
@@ -91,7 +91,7 @@ class TestFirstStageSe:
     def test_zero_degrees_of_freedom(self):
         ds = random_panel(5, n=8, T=2, K_x=2, K_g=0, K_z=0, K_h=1)
         dr = build_regressors(ds).cite
-        res = fit_cite(ds, dr)
+        res = fit_cite(dr)
         with pytest.raises(ZeroDegreesOfFreedom):
             first_stage_se(dr, res.theta_hat, res.delta_hat)
 
@@ -183,9 +183,9 @@ class TestClusterRobust:
     def test_variance_matrix_invariants(self):
         ds = small_baseline(n=50, seed=9)
         dr = build_regressors(ds)
-        res = fit_cite(ds, dr.cite)
-        for se in (ite_se(dr.ite, ite(ds, dr.ite)),
-                   cite_theta_se(dr.cite, res),
+        res = fit_cite(dr.cite)
+        for se in (ite_se(dr.ite),
+                   cite_theta_se(dr.cite),
                    cite_kappa_se(dr.cite, res)):
             assert np.max(np.abs(se.vcov - se.vcov.T)) < 1e-10
             assert np.all(np.diag(se.vcov) >= 0)
@@ -195,7 +195,7 @@ class TestClusterRobust:
         # no G and no Z: theta is empty, and so are its SEs
         ds = random_panel(10, n=9, K_g=0, K_z=0)
         dr = build_regressors(ds).cite
-        se = cite_theta_se(dr, fit_cite(ds, dr))
+        se = cite_theta_se(dr)
         assert (se.se.shape, se.vcov.shape) == ((0,), (0, 0))
 
 
@@ -354,7 +354,7 @@ class TestBootstrap:
         draws = []
         for r in range(150):
             ds = simulate(replace(cfg, seed=40_000 + r)).dataset
-            draws.append(fit_cite(ds, build_regressors(ds).cite).kappa_hat)
+            draws.append(fit_cite(build_regressors(ds).cite).kappa_hat)
         mc_sd = np.array(draws).std(axis=0, ddof=1)
         ds = simulate(replace(cfg, seed=123)).dataset
         boot = bootstrap(ds, replications=200, seed=9)
@@ -411,10 +411,9 @@ class TestBootstrap:
                                                         error):
         # a RankDeficient refit is a flagged draw; the other errors raise
         dr = build_regressors(ds).cite
-        sub = subset_units(ds, idx)
-        sub_cite = build_regressors(sub).cite
+        sub_cite = build_regressors(subset_units(ds, idx)).cite
         with pytest.raises(error):
-            fit_cite(sub, sub_cite, mode)
+            fit_cite(sub_cite, mode)
         counts = np.bincount(idx, minlength=ds.dims.n)[None, :]
         if error is linalg.RankDeficient:
             kappa, failed = draw_kappas(unit_summaries(dr), counts, mode)
@@ -547,7 +546,7 @@ class TestWeightedFit:
                     if value is solve_ols:
                         monkeypatch.setattr(module, attr, counted)
         assert data.solve_ols is estimators.solve_ols is counted
-        res = fit_cite(ds, dr, mode)
+        res = fit_cite(dr, mode)
         assert len(calls) == 2
         assert res.weight_mode == mode
 
@@ -562,11 +561,36 @@ class TestWeightedFit:
         # w_i = 1/se_i is infinite
         ds = exact_residual_panel(K_z=0)
         dr = build_regressors(ds).cite
-        res = fit_cite(ds, dr)
+        res = fit_cite(dr)
         assert np.all(first_stage_se(dr, res.theta_hat, res.delta_hat) == 0.0)
         for mode in ("inv_se", "inv_var"):
             with pytest.raises(MissingWeights):
-                fit_cite(ds, dr, mode)
+                fit_cite(dr, mode)
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="an se_i that is 0 only to rounding gives a "
+                              "finite weight, and kappa follows that unit")
+    @pytest.mark.parametrize("mode", ["inv_se", "inv_var"])
+    def test_rounding_zero_first_stage_se_is_missing_weights(self, mode):
+        # unit 7 is constant in time, so X_i = [x1, 1] fits it exactly up
+        # to rounding: its se_i is 7.0e-16 (the others 0.038-0.446), its
+        # w_i 1.4e15 under inv_se and 2.0e30 under inv_var (the others at
+        # most 26 and 677), and kappa_hat is 1.8e-11 and -1.4e-14 against
+        # 0.513 unweighted. An se_i of exactly 0 raises MissingWeights
+        # (test_zero_first_stage_se_is_missing_weights); this one should too
+        rng = np.random.default_rng(1)
+        n, T = 30, 6
+        x1 = rng.normal(size=(n, T))
+        H = rng.normal(size=(n, 1))
+        Y = x1 * 0.5 * H + 1 + 0.3 * rng.normal(size=(n, T))
+        Y[7] = 2.5
+        dr = build_regressors(make_dataset(
+            Y, np.stack([x1, np.ones((n, T))], axis=2), H=H)).cite
+        res = fit_cite(dr)
+        se = first_stage_se(dr, res.theta_hat, res.delta_hat)
+        assert 0.0 < se[7] < 1e-15 and np.delete(se, 7).min() > 0.01
+        with pytest.raises(MissingWeights):
+            fit_cite(dr, mode)
 
     def test_zero_degrees_of_freedom_blames_no_unit(self):
         # T <= K_x holds for every unit of a balanced panel, not for one
@@ -586,11 +610,22 @@ class TestWeightedFit:
         with pytest.raises(ZeroDegreesOfFreedom):
             weighted_fit(ds, "inv_se")
 
+    def test_weight_mode_that_is_no_str_is_named_by_its_type(self):
+        # the blocks passed where the mode goes, as in the old call
+        # fit_cite(ds, blocks), give one short line, not their arrays
+        ds = random_panel(19, n=10, T=4)
+        dr = build_regressors(ds).cite
+        with pytest.raises(ValueError) as err:
+            fit_cite(ds, dr)
+        assert str(err.value) == "weight mode must be a str, got CiteBlocks"
+        with pytest.raises(TypeError):
+            fit_cite(ds, dr, "none")
+
     def test_unknown_weight_mode_is_rejected(self):
         # K_h = 0 skips the kappa stage, which must not hide the bad mode
         ds = random_panel(19, n=10, T=4, K_h=0)
         with pytest.raises(ValueError) as err:
-            fit_cite(ds, build_regressors(ds).cite, "bogus")
+            fit_cite(build_regressors(ds).cite, "bogus")
         assert "'bogus'" in str(err.value)
         assert str(WEIGHT_MODES) in str(err.value)
 
@@ -603,7 +638,7 @@ class TestKappaSe:
         # (H'WH)^{-1} (sum_i w_i e_i^2 h_i h_i') (H'WH)^{-1}
         ds = add_intercept_h(small_baseline(n=80, seed=3))
         dr = build_regressors(ds).cite
-        res = fit_cite(ds, dr, weight_mode=mode)
+        res = fit_cite(dr, weight_mode=mode)
         se = first_stage_se(dr, res.theta_hat, res.delta_hat)
         w = {"none": np.ones_like(se), "inv_se": 1.0 / se,
              "inv_var": 1.0 / se**2}[mode]

@@ -1,8 +1,14 @@
 """Package-level checks: the public names resolve, no module carries an
-import it never reads (pyflakes' F401, done with `ast`), and no private
-name in `src/interpanel` is left that no module of the package reads."""
+import it never reads (pyflakes' F401, done with `ast`), no private
+name in `src/interpanel` is left that no module of the package reads,
+and the README's inline calls of package functions bind to their
+signatures."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -131,3 +137,67 @@ def test_dead_private_names_finds_what_no_module_reads(sources, want):
 def test_no_dead_private_name():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SRC}
     assert dead_private_names(sources) == []
+
+
+MODULES = {info.name: importlib.import_module(f"interpanel.{info.name}")
+           for info in pkgutil.iter_modules(interpanel.__path__)}
+# each module-level function of the package, by name, from the module
+# that defines it
+FUNCTIONS = {name: value for module in MODULES.values()
+             for name, value in vars(module).items()
+             if inspect.isfunction(value)
+             and value.__module__ == module.__name__}
+
+
+def readme_call_errors(text):
+    """(span, error) of each inline code span `name(args)` of a markdown
+    `text`, outside fenced blocks, whose `name` (bare, or `module.name`
+    for a module of the package) is a package function whose signature
+    does not bind its arguments: each positional argument a placeholder,
+    each `key=value` a keyword. Spans that hold `...` are skipped; one
+    that is no Python call is an error. Returns (errors, checked), the
+    number of spans checked."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    errors, checked = [], 0
+    for span in re.findall(r"`([^`]+)`", text):
+        match = re.fullmatch(r"(?:(\w+)\.)?(\w+)\(.*\)", span, re.S)
+        if match is None or "..." in span:
+            continue
+        module, name = match.groups()
+        if module is None:
+            func = FUNCTIONS.get(name)
+        else:
+            func = getattr(MODULES.get(module), name, None)
+            func = func if inspect.isfunction(func) else None
+        if func is None:
+            continue
+        checked += 1
+        try:
+            call = ast.parse(span, mode="eval").body
+            inspect.signature(func).bind(
+                *[None] * len(call.args),
+                **{kw.arg: None for kw in call.keywords})
+        except (SyntaxError, AttributeError, TypeError) as exc:
+            errors.append((span, f"{type(exc).__name__}: {exc}"))
+    return errors, checked
+
+
+@pytest.mark.parametrize("text, want", [
+    ("`ite(dr.ite)` and `fit_cite(dr.cite, weight_mode)`", 0),
+    ("`cluster_robust_se(X, e, ids, small_sample=False)`", 0),
+    ("`ite(ds, dr.ite)`", 1),
+    ("`fit_cite(ds, dr.cite, weight_mode)`", 1),
+    ("`cluster_robust_se(X, e, ids, small=False)`", 1),
+    ("`inference.ite_se(dr.ite, res)`", 1),
+    ("`plim_targets(cfg, ...)` and `np.arange(n)` and `float()`", 0),
+    ("```\nite(ds, dr.ite)\n```", 0),
+])
+def test_readme_call_errors_finds_calls_that_do_not_bind(text, want):
+    assert len(readme_call_errors(text)[0]) == want
+
+
+def test_readme_calls_bind():
+    errors, checked = readme_call_errors(
+        (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert errors == []
+    assert checked >= 20

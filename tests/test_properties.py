@@ -73,7 +73,7 @@ def theta_of(ds):
 
 
 def ite_of(ds):
-    return ite(ds, build_regressors(ds).ite).theta_tilde_hat
+    return ite(build_regressors(ds).ite)
 
 
 def assert_same_estimates(a, b):
@@ -185,10 +185,9 @@ def test_draw_kernel_is_a_refit_of_the_resample(data, shape, rtol, mode):
                               np.stack([np.bincount(i, minlength=n) for i in idx]),
                               mode)
     for j, i in enumerate(idx):
-        sub = subset_units(ds, i)
-        sub_cite = build_regressors(sub).cite
+        sub_cite = build_regressors(subset_units(ds, i)).cite
         try:
-            want = fit_cite(sub, sub_cite, mode).kappa_hat
+            want = fit_cite(sub_cite, mode).kappa_hat
         except RankDeficient:
             assert failed[j]
             continue
@@ -265,13 +264,13 @@ def test_each_pooled_verdict_is_the_solvers(seed, log_eps, log_eps_h):
     delta1 = rng.normal(size=panel.dims.n)
     checks = report.checks
     assert checks["pooled_psi_rank"] == fits(cite_theta, fresh.cite)
-    assert checks["pooled_psi_tilde_rank"] == fits(ite, panel, fresh.ite)
+    assert checks["pooled_psi_tilde_rank"] == fits(ite, fresh.ite)
     assert checks["h_rank"] == fits(cite_kappa, delta1, panel.H)
     assert (checks["pooled_psi_rank"] and checks["h_rank"]) == \
-        fits(fit_cite, panel, build_regressors(panel).cite)
+        fits(fit_cite, build_regressors(panel).cite)
     assert all(m >= 0.0 for m in report.pooled_margins.values())
     for fit in (lambda blocks: cite_theta(blocks.cite),
-                lambda blocks: ite(panel, blocks.ite).theta_tilde_hat):
+                lambda blocks: ite(blocks.ite)):
         got, want = outcome(fit, dr), outcome(fit, fresh)
         if isinstance(want, str):
             assert got == want
@@ -287,10 +286,11 @@ def test_ite_is_a_weighted_cite(ds):
     # the CITE kappa stage on the slopes delta_i1 at that theta, unit i
     # weighted by x_i1'M_{i,-1} x_i1 = 1 / [(X_i'X_i)^{-1}]_11
     dr = build_regressors(ds)
-    res = ite(ds, dr.ite)
-    delta1 = cite_delta(dr.cite, res.theta_tilde_hat[ds.dims.K_h:])[:, 0]
+    K_h = ds.dims.K_h
+    res = ite(dr.ite)
+    delta1 = cite_delta(dr.cite, res[K_h:])[:, 0]
     want = cite_kappa(delta1, ds.H, 1 / inv11(dr.cite.r_x))
-    assert_allclose(res.kappa_hat, want, rtol=0, atol=1e-8)
+    assert_allclose(res[:K_h], want, rtol=0, atol=1e-8)
 
 
 # Text labels that stay text: quoting, commas and line breaks included.

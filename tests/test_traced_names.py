@@ -86,8 +86,8 @@ def test_estimate_solves_each_pooled_design_once(tracer):
     original = tracer.replace_function("linalg.solve_ols", count)
     try:
         report = data.validate(ds)
-        estimators.fit_cite(report.panel, report.regressors.cite)
-        estimators.ite(report.panel, report.regressors.ite)
+        estimators.fit_cite(report.regressors.cite)
+        estimators.ite(report.regressors.ite)
     finally:
         tracer.replace_function("linalg.solve_ols", lambda counted: original)
     assert report.passed
