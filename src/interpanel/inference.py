@@ -69,14 +69,11 @@ def cluster_robust_se(design, residuals, cluster_ids, small_sample=True):
     c = G/(G-1) * (N-1)/(N-k) is applied by default. With one observation
     per cluster and c disabled this is exactly the HC0 variance.
 
-    The s_g add each cluster's rows in row order from 0, the sums
-    np.add.at gives, bit for bit, for ids in any order. `_cluster_sums`
-    forms them for many small clusters (unit clusters of T rows,
-    singletons) by one vectorized add per within-cluster rank in place of
-    add.at's step per row; a cluster larger than the number of clusters
-    sends the sums to np.add.at itself. Cluster g is the g-th smallest
-    id, np.unique's codes, which `_cluster_codes` takes as the ids
-    themselves, with no sort, when they already are codes.
+    The s_g add each cluster's rows in row order from 0, as np.add.at
+    adds them, bit for bit; cluster g is the g-th smallest id (np.unique's
+    codes). `_cluster_sums` sums G in-order runs of m <= G rows (unit
+    clusters of T <= n rows, singletons) by m vectorized adds, and sends
+    any other ids to np.add.at.
     """
     X = np.asarray(design, dtype=float)
     e = np.asarray(residuals, dtype=float).reshape(-1)
@@ -84,15 +81,14 @@ def cluster_robust_se(design, residuals, cluster_ids, small_sample=True):
     N, k = X.shape
     if e.shape[0] != N or ids.shape[0] != N:
         raise ValueError("design, residuals and cluster_ids must align")
-    codes = _cluster_codes(ids)
-    G = int(codes.max()) + 1
+    scores = _cluster_sums(X * e[:, None], ids)
+    G = scores.shape[0]
     if G < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {G}")
     if small_sample and N <= k:
         raise ValueError(f"the small-sample factor (N-1)/(N-k) needs more "
                          f"rows than columns, got N = {N}, k = {k}")
 
-    scores = _cluster_sums(X * e[:, None], codes, G)
     # V = W W' with W = (X'X)^{-1} [s_1 .. s_G]: one solve on the k x k
     # Gram, no inverse, and no meat S'S, whose condition is the square of S's
     W = np.linalg.solve(X.T @ X, scores.T)
@@ -103,47 +99,31 @@ def cluster_robust_se(design, residuals, cluster_ids, small_sample=True):
     return SeResult(se=np.sqrt(np.clip(np.diag(V), 0.0, None)), vcov=V)
 
 
-def _cluster_codes(ids):
-    """np.unique(ids, return_inverse=True)[1]: each id's rank among the
-    distinct ids. 1-D integer ids that rise from 0 in steps of 0 or 1
-    (np.arange(n), unit ids repeated T times) are those ranks themselves,
-    so they are returned as intp with no sort."""
-    if ids.ndim == 1 and ids.size and ids.dtype.kind in "iu" and ids[0] == 0:
-        step = np.diff(ids)
-        if ((step == 0) | (step == 1)).all():
-            return ids.astype(np.intp, copy=False)
-    return np.unique(ids, return_inverse=True)[1]
-
-
-def _cluster_sums(rows, codes, G):
-    """The (G, k) sums of rows (N, k) by cluster code in 0..G-1, each
-    cluster's rows added in row order to a 0 start, as
-    np.add.at(np.zeros((G, k)), codes, rows) adds them, bit for bit.
-    Where no cluster has more rows than there are clusters (T-row units,
-    singletons) it takes one add per within-cluster rank, so the Python
-    loop runs at most G times: add j gathers the j-th row of each
-    cluster with more than j rows, clusters largest first, so it adds
-    to a prefix of the sums and sees no cluster twice. Otherwise it is
+def _cluster_sums(rows, ids):
+    """The (G, k) sums of rows (N, k) by cluster, cluster g the g-th
+    smallest of the G distinct ids, each cluster's rows added in row
+    order to a 0 start: np.add.at(np.zeros((G, k)), codes, rows) with
+    np.unique's codes, bit for bit. Integer ids that are G runs of
+    m <= G equal ids in order, np.arange(N) // m (unit clusters of
+    T <= n rows, singletons), are summed one row of every run at a time,
+    so the Python loop runs m <= sqrt(N) times. Any other ids go to
     np.add.at.
     """
-    sums = np.zeros((G, rows.shape[1]))
-    sizes = np.bincount(codes, minlength=G)
-    if sizes.max() > G:
-        np.add.at(sums, codes, rows)
+    N, k = rows.shape
+    runs = ids.ndim == 1 and N and ids.dtype.kind in "iu" and ids[0] == 0
+    G = int(ids[-1]) + 1 if runs else 0
+    m = N // max(G, 1)
+    # ids == np.arange(N) // m, by a broadcast that allocates N bools
+    if m <= G and m * G == N and \
+            (ids.reshape(G, m) == np.arange(G)[:, None]).all():
+        sums = np.zeros((G, k))
+        for block in rows.reshape(G, m, k).swapaxes(0, 1):
+            sums += block
         return sums
-    start = np.cumsum(sizes) - sizes  # each cluster's first place in by_cluster
-    # row order within a cluster; the stable sort of uint16 is a radix sort,
-    # with the same permutation as intp's timsort
-    by_cluster = np.argsort(codes.astype(np.uint16) if G <= 2 ** 16 else codes,
-                            kind="stable")
-    big = np.argsort(-sizes, kind="stable")  # clusters, most rows first
-    active = np.searchsorted(-sizes[big], -np.arange(sizes.max()))  # > j rows
-    first = start[big]
-    for j, c in enumerate(active.tolist()):
-        sums[:c] += np.take(rows, np.take(by_cluster, first[:c] + j), axis=0)
-    out = np.empty_like(sums)
-    out[big] = sums
-    return out
+    distinct, codes = np.unique(ids, return_inverse=True)
+    sums = np.zeros((distinct.size, k))
+    np.add.at(sums, codes, rows)
+    return sums
 
 
 def _unit_clustered_se(design, y, estimates):

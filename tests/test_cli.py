@@ -647,6 +647,21 @@ class TestMc:
         assert "contracts" in doc
         assert "parameter" in out_txt.read_text()
 
+    def test_nothing_to_estimate_runs_with_no_contract(self, tmp_path,
+                                                        capsys):
+        # K_g = K_z = K_h = 0: no parameter, so no cite cell and no contract
+        cfg_path = mini_mc_config(
+            tmp_path, estimators=["cite", "ite"],
+            dgp={"dims": {"n": 50, "T": 4, "K_x": 2, "K_g": 0, "K_z": 0,
+                          "K_h": 0},
+                 "kappa": [], "scenario": "baseline"})
+        out_json = tmp_path / "mc.json"
+        code, _, err = run(capsys, "mc", "--config", str(cfg_path),
+                           "--output", str(out_json))
+        assert (code, err) == (0, "")
+        doc = json.loads(out_json.read_text())
+        assert (doc["cells"], doc["contracts"]) == ([], [])
+
     def test_unknown_weight_mode_fails_before_simulating(self, tmp_path, capsys,
                                                          monkeypatch):
         from interpanel import harness

@@ -228,6 +228,20 @@ class TestContracts:
         assert any("cite recovers the truth" in c["name"] for c in checks)
         assert all(c["passed"] for c in checks)
 
+    def test_nothing_to_estimate_has_no_contract(self):
+        # K_g = K_z = K_h = 0: neither fit has a parameter, so there is no
+        # cite cell to hold to the truth
+        cfg = ExperimentConfig.from_dict({
+            "dgp": {"dims": {"n": 50, "T": 4, "K_x": 2, "K_g": 0, "K_z": 0,
+                             "K_h": 0},
+                    "kappa": [], "scenario": "baseline"},
+            "sample_sizes": [40], "replications": 5,
+            "estimators": ["cite", "ite"],
+            "oracle": {"draws": 1000, "blocks": 2}})
+        report = run_experiment(cfg)
+        assert report.cells == ()
+        assert evaluate_contracts(report) == []
+
     def test_contract_failure_is_detected(self):
         # fabricate a report whose bias is far outside 3 mc_se
         from dataclasses import replace as dc_replace

@@ -199,9 +199,11 @@ class TestClusterRobust:
         assert (se.se.shape, se.vcov.shape) == ((0,), (0, 0))
 
 
-def add_at_sums(rows, codes, G):
-    """The cluster sums as np.add.at forms them, one row at a time."""
-    sums = np.zeros((G, rows.shape[1]))
+def add_at_sums(rows, ids):
+    """The cluster sums as np.add.at forms them, one row at a time, by
+    np.unique's codes."""
+    distinct, codes = np.unique(ids, return_inverse=True)
+    sums = np.zeros((distinct.size, rows.shape[1]))
     np.add.at(sums, codes, rows)
     return sums
 
@@ -210,7 +212,8 @@ def cluster_codes(rng, layout):
     """Cluster codes in 0..G-1, every code used, in one of the layouts a
     sandwich meets: unit clusters of T rows (in order or shuffled),
     clusters of uneven sizes, singletons, and a few large clusters (in
-    order, or two shuffled), which _cluster_sums leaves to np.add.at."""
+    order, or two shuffled). Only unit clusters in order and singletons
+    are runs that _cluster_sums sums without np.add.at."""
     if layout == "units":
         return np.repeat(np.arange(40), 6)
     if layout == "shuffled units":
@@ -225,9 +228,27 @@ def cluster_codes(rng, layout):
     return rng.permutation(np.arange(300) % 2)
 
 
+def signed_rows(rng, N, k):
+    """(N, k) rows over 300 decades, with -0.0 and 0.0 among them."""
+    rows = rng.normal(size=(N, k)) * 10.0 ** rng.uniform(-150, 150, (N, 1))
+    rows[rng.random(rows.shape) < 0.3] = -0.0
+    rows[rng.random(rows.shape) < 0.1] = 0.0
+    return rows
+
+
+@pytest.fixture
+def unique_calls(monkeypatch):
+    """The arguments of each np.unique call, which only the np.add.at side
+    of _cluster_sums makes."""
+    calls, unique = [], np.unique
+    monkeypatch.setattr(
+        np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
+    return calls
+
+
 class TestClusterSums:
-    # cluster_robust_se sums its scores without np.add.at; these pin that
-    # the sums are add.at's to the bit, for ids in any order
+    # cluster_robust_se sums the scores of in-order runs without np.add.at;
+    # these pin that the sums are add.at's to the bit, for ids in any order
 
     @pytest.mark.parametrize("layout", ["units", "shuffled units", "uneven",
                                         "singletons", "few uneven clusters",
@@ -236,50 +257,78 @@ class TestClusterSums:
     def test_sums_are_add_at_bit_for_bit(self, layout, k):
         rng = np.random.default_rng(len(layout))
         codes = cluster_codes(rng, layout)
-        G = codes.max() + 1
-        rows = rng.normal(size=(codes.size, k)) * \
-            10.0 ** rng.uniform(-150, 150, (codes.size, 1))
-        rows[rng.random(rows.shape) < 0.3] = -0.0
-        rows[rng.random(rows.shape) < 0.1] = 0.0
+        rows = signed_rows(rng, codes.size, k)
         rows[codes == 0, 0] = -0.0  # add.at's sum is +0.0, from its 0 start
-        assert_same_bits(inference._cluster_sums(rows, codes, G),
-                         add_at_sums(rows, codes, G))
+        assert_same_bits(inference._cluster_sums(rows, codes),
+                         add_at_sums(rows, codes))
         rows[rng.random(rows.shape) < 0.02] = np.nan
         rows[rng.random(rows.shape) < 0.02] = -np.inf
         with np.errstate(invalid="ignore"):  # inf - inf
-            assert_same_bits(inference._cluster_sums(rows, codes, G),
-                             add_at_sums(rows, codes, G))
+            assert_same_bits(inference._cluster_sums(rows, codes),
+                             add_at_sums(rows, codes))
 
-    @pytest.mark.parametrize("G", [2 ** 16, 2 ** 16 + 1])
-    def test_sums_are_add_at_at_the_radix_sort_bound(self, G):
-        # up to 2**16 clusters the rows are put in cluster order by a stable
-        # sort of uint16 codes (a radix sort), past it of the intp codes
-        rng = np.random.default_rng(G)
-        codes = rng.permutation(np.concatenate([np.arange(G),
-                                                rng.integers(0, G, 2 * G)]))
-        rows = rng.normal(size=(codes.size, 2)) * \
-            10.0 ** rng.uniform(-150, 150, (codes.size, 1))
-        rows[rng.random(rows.shape) < 0.3] = -0.0
-        assert_same_bits(inference._cluster_sums(rows, codes, G),
-                         add_at_sums(rows, codes, G))
+    @pytest.mark.parametrize("m, by_add_at", [(6, False), (7, True)])
+    def test_runs_longer_than_their_number_go_to_add_at(self, m, by_add_at,
+                                                        unique_calls):
+        # 6 runs of m rows: the loop takes m <= G, add.at m = G + 1, so the
+        # loop never runs more than sqrt(N) times
+        rng = np.random.default_rng(m)
+        ids = np.repeat(np.arange(6), m)
+        rows = signed_rows(rng, ids.size, 2)
+        got = inference._cluster_sums(rows, ids)
+        assert len(unique_calls) == by_add_at
+        assert_same_bits(got, add_at_sums(rows, ids))
+
+    @pytest.mark.parametrize("ids", [[0, 0, -1, -1], [0, 0, 2 ** 64 - 1] * 2],
+                             ids=["ending negative", "ending past int64"])
+    def test_ids_that_only_start_as_runs_go_to_add_at(self, ids,
+                                                      unique_calls):
+        ids = np.array(ids, dtype=np.int64 if ids[-1] < 0 else np.uint64)
+        rows = signed_rows(np.random.default_rng(5), ids.size, 2)
+        got = inference._cluster_sums(rows, ids)
+        assert len(unique_calls) == 1
+        assert_same_bits(got, add_at_sums(rows, ids))
+        se = cluster_robust_se(rows, np.ones(ids.size), ids)
+        assert se.se.shape == (2,)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.intp])
+    def test_unit_runs_of_any_integer_dtype_take_the_loop(self, dtype,
+                                                          unique_calls):
+        rng = np.random.default_rng(7)
+        ids = np.repeat(np.arange(40), 6).astype(dtype)
+        rows = signed_rows(rng, ids.size, 3)
+        got = inference._cluster_sums(rows, ids)
+        assert unique_calls == []
+        assert_same_bits(got, add_at_sums(rows, ids))
+
+    def test_ite_se_with_more_periods_than_units(self, monkeypatch,
+                                                  unique_calls):
+        # T = 9 rows per unit and n = 5 units: the unit clusters take the
+        # add.at side, and ite_se is the add.at sandwich
+        dr = build_regressors(random_panel(8, n=5, T=9, K_g=0, K_h=1)).ite
+        unique_calls.clear()
+        got = ite_se(dr)
+        assert len(unique_calls) == 1
+        monkeypatch.setattr(inference, "_cluster_sums", add_at_sums)
+        want = ite_se(dr)
+        assert_same_bits(got.vcov, want.vcov)
+        assert_same_bits(got.se, want.se)
 
     @pytest.mark.parametrize("layout", ["units", "singletons",
                                         "shuffled units"])
-    def test_ids_that_are_codes_skip_the_sort(self, layout, monkeypatch):
+    def test_ids_that_are_codes_skip_the_sort(self, layout, unique_calls):
         # the codes themselves, string labels and integer labels of other
         # dtypes, shifted or with gaps, all in the codes' order, name the
         # same clusters in the same order, so the sandwich is the same to
-        # the bit; only codes rising from 0 in steps of 0 or 1 skip the sort
+        # the bit; only in-order runs from 0, np.arange(N) // m, skip the
+        # sort
         rng = np.random.default_rng(41)
         codes = (cluster_codes(rng, layout) if layout != "singletons"
                  else np.arange(50))
         X = rng.normal(size=(codes.size, 3))
         e = rng.normal(size=codes.size)
-        sorts, unique = [], np.unique
-        monkeypatch.setattr(
-            np, "unique", lambda *a, **kw: sorts.append(a) or unique(*a, **kw))
         want = cluster_robust_se(X, e, codes)
-        assert len(sorts) == (layout == "shuffled units")
+        assert len(unique_calls) == (layout == "shuffled units")
         for ids in (codes.astype(np.int32), codes.astype(np.uint64),
                     codes + 1, 2 * codes, 3 * codes - 7,
                     np.array([f"u{c:03d}" for c in codes])):
@@ -292,14 +341,17 @@ class TestClusterSums:
     def test_sandwich_is_the_add_at_sandwich(self, layout, monkeypatch):
         rng = np.random.default_rng(31)
         codes = cluster_codes(rng, layout)
-        ids = np.array([f"u{c:03d}" for c in (codes * 7) % (codes.max() + 1)])
-        X = rng.normal(size=(ids.size, 3))
-        e = rng.normal(size=ids.size)
-        got = cluster_robust_se(X, e, ids)
-        monkeypatch.setattr(inference, "_cluster_sums", add_at_sums)
-        want = cluster_robust_se(X, e, ids)
-        assert_same_bits(got.vcov, want.vcov)
-        assert_same_bits(got.se, want.se)
+        labels = np.array([f"u{c:03d}"
+                           for c in (codes * 7) % (codes.max() + 1)])
+        X = rng.normal(size=(codes.size, 3))
+        e = rng.normal(size=codes.size)
+        for ids in (codes, labels):
+            got = cluster_robust_se(X, e, ids)
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_cluster_sums", add_at_sums)
+                want = cluster_robust_se(X, e, ids)
+            assert_same_bits(got.vcov, want.vcov)
+            assert_same_bits(got.se, want.se)
 
 
 class TestBootstrap:

@@ -1,8 +1,8 @@
 """Package-level checks: the public names resolve, no module carries an
 import it never reads (pyflakes' F401, done with `ast`), no private
 name in `src/interpanel` is left that no module of the package reads,
-and the README's inline calls of package functions bind to their
-signatures."""
+the private names the docs cite are bound, and the README's inline calls
+of package functions bind to their signatures."""
 
 import ast
 import importlib
@@ -137,6 +137,63 @@ def test_dead_private_names_finds_what_no_module_reads(sources, want):
 def test_no_dead_private_name():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SRC}
     assert dead_private_names(sources) == []
+
+
+def bound_names(source):
+    """The names a module binds at its top level: each def, class and
+    assignment target, and each import's alias."""
+    names = set()
+    for node in ast.parse(source).body:
+        names.update(defined_names(node))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+    return names
+
+
+def unbound_private_names(texts, sources):
+    """(where, name) of each backticked private name, `_name` or
+    `module._name` (one leading underscore, maybe called: `_name(x)`), in
+    `texts`, a mapping of a place to its text, that no module of `sources`
+    (module name to source text) binds at its top level. `module._name`
+    must be bound in that module; a prefix that is no module of the
+    package is not checked."""
+    bound = {module: bound_names(source) for module, source in sources.items()}
+    anywhere = set().union(*bound.values())
+    unbound = []
+    for where, text in texts.items():
+        for span in re.findall(r"`((?:\w+\.)?_(?!_)\w+)(?:\([^`]*\))?`",
+                               text):
+            module, _, name = span.rpartition(".")
+            if module and module not in bound:
+                continue
+            if name not in (bound[module] if module else anywhere):
+                unbound.append((where, span))
+    return unbound
+
+
+@pytest.mark.parametrize("text, want", [
+    ("`_f` and `a._X`", []),
+    ("`b.f_x` and `__all__` and `_f(x, y)` and `np._NoValue`", []),
+    ("`_y` and `_gone` and `a._g` and `_gone()`", ["_gone", "a._g", "_gone"]),
+    ("`a._h`, bound in b only", ["a._h"]),
+    ("`_C` and `b._h` and `b._j`", ["b._j"]),
+])
+def test_unbound_private_names_finds_helpers_that_are_gone(text, want):
+    sources = {"a": "def _f():\n    pass\n_X, _Y = 1, 2\nclass _C:\n    pass\n",
+               "b": "from .a import _f\nfrom .a import _Y as _h\n"
+                    "import numpy as _y\n"}
+    assert [span for _, span in unbound_private_names({"t": text}, sources)] \
+        == want
+
+
+def test_docs_name_only_private_names_that_are_bound():
+    # docstrings and comments are the only place a source file holds a
+    # backtick, so each file's whole text is read
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC}
+    texts = {path.name: path.read_text(encoding="utf-8")
+             for path in SRC + [ROOT / "README.md"]}
+    assert unbound_private_names(texts, sources) == []
 
 
 MODULES = {info.name: importlib.import_module(f"interpanel.{info.name}")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from interpanel import data, estimators, linalg
+from interpanel import data, estimators, inference, linalg
 
 from conftest import random_panel
 
@@ -67,13 +67,10 @@ def test_projection_bytes_read_the_arguments_residual_makers_gets(
         assert sizes(args, kwargs) == m * T * T * 8
 
 
-def test_estimate_solves_each_pooled_design_once(tracer):
-    # validate solves the stacked CITE and ITE designs on their blocks and
-    # H; fit_cite reads the CITE fit and solves kappa, ite reads the ITE
-    # fit: 4 solves, counted through the tracer's own rebinding, as
-    # `--trace 1` counts linalg.solve_ols
-    ds = random_panel(5, n=12, K_x=2, K_g=1, K_z=1, K_h=2)
-    assert ds.dims.n_psi > 0 and ds.dims.K_h >= 1
+def counted_calls(tracer, qualname, run):
+    """The number of calls of `qualname` while run() runs, counted through
+    the tracer's own rebinding, as `--trace 1` counts them, and what run()
+    returns. The original is bound again under every alias after."""
     calls = []
 
     def count(fn):
@@ -83,13 +80,48 @@ def test_estimate_solves_each_pooled_design_once(tracer):
             return fn(*args, **kwargs)
         return counted
 
-    original = tracer.replace_function("linalg.solve_ols", count)
+    original = tracer.replace_function(qualname, count)
     try:
+        result = run()
+    finally:
+        tracer.replace_function(qualname, lambda counted: original)
+    return len(calls), result
+
+
+def test_estimate_solves_each_pooled_design_once(tracer):
+    # validate solves the stacked CITE and ITE designs on their blocks and
+    # H; fit_cite reads the CITE fit and solves kappa, ite reads the ITE
+    # fit: 4 solves
+    ds = random_panel(5, n=12, K_x=2, K_g=1, K_z=1, K_h=2)
+    assert ds.dims.n_psi > 0 and ds.dims.K_h >= 1
+
+    def run():
         report = data.validate(ds)
         estimators.fit_cite(report.regressors.cite)
         estimators.ite(report.regressors.ite)
-    finally:
-        tracer.replace_function("linalg.solve_ols", lambda counted: original)
+        return report
+
+    original = linalg.solve_ols
+    calls, report = counted_calls(tracer, "linalg.solve_ols", run)
     assert report.passed
-    assert len(calls) == 4
+    assert calls == 4
     assert data.solve_ols is estimators.solve_ols is linalg.solve_ols is original
+
+
+def test_every_sandwich_is_one_cluster_robust_se_call(tracer):
+    # the unit-clustered SEs of the two stacked fits and the HC0 of kappa
+    # each go through the one sandwich kernel once: 3 calls
+    ds = random_panel(5, n=12, K_x=2, K_g=1, K_z=1, K_h=2)
+    dr = data.validate(ds).regressors
+
+    def run():
+        res = estimators.fit_cite(dr.cite)
+        estimators.ite(dr.ite)
+        return [inference.cite_kappa_se(dr.cite, res),
+                inference.cite_theta_se(dr.cite), inference.ite_se(dr.ite)]
+
+    original = inference.cluster_robust_se
+    calls, ses = counted_calls(tracer, "inference.cluster_robust_se", run)
+    assert calls == 3
+    assert all(se.se.size for se in ses)
+    assert inference.cluster_robust_se is original
