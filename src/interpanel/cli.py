@@ -103,7 +103,22 @@ def _finite_list(text):
     return text
 
 
+def _distinct_files(args, **paths):
+    """A usage error (exit 2) when two of the files, by option name, are
+    one path: no command writes over its input or over its other output."""
+    seen = {}
+    for option, path in paths.items():
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            args.usage_error(f"argument --{option}: names the same file as "
+                             f"--{seen[real]}: {path}")
+        seen[real] = option
+
+
 def _load_panel(args):
+    _distinct_files(args, input=args.input, output=args.output)
     ds = load_csv(args.input, schema=_parse_schema(args.schema))
     if args.add_intercept_h:
         ds = add_intercept_h(ds)
@@ -223,6 +238,9 @@ def _truth_json(cfg, truth):
 
 
 def _cmd_simulate(args):
+    sidecar = args.truth or (args.output + ".truth.json")
+    _distinct_files(args, config=args.config, output=args.output,
+                    truth=sidecar)
     cfg = load_dgp_config(args.config)
     if args.n is not None or args.seed is not None:
         dims = cfg.dims if args.n is None else replace(cfg.dims, n=args.n)
@@ -230,7 +248,6 @@ def _cmd_simulate(args):
                       seed=cfg.seed if args.seed is None else args.seed)
     truth = simulate(cfg)
     text = _truth_json(cfg, truth)
-    sidecar = args.truth or (args.output + ".truth.json")
     # the sidecar is opened first, so a bad --truth path leaves no CSV;
     # a CSV that cannot be written leaves no empty sidecar
     with open(sidecar, "w", encoding="utf-8") as fh:
@@ -253,6 +270,8 @@ def _cmd_validate(args):
 
 
 def _cmd_mc(args):
+    _distinct_files(args, config=args.config, table=args.table,
+                    output=args.output)
     cfg = load_experiment_config(args.config)
     report = run_experiment(cfg)
     text = convergence_table(report)
@@ -328,18 +347,18 @@ def build_parser():
     p.add_argument("--output", required=True, help="CSV output path")
     p.add_argument("--truth", help="sidecar truth JSON path "
                                    "(default OUTPUT.truth.json)")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, usage_error=p.error)
 
     p = sub.add_parser("validate", help="run the assumption checks on a CSV")
     panel_args(p)
     p.add_argument("--output", help="write the report JSON here")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, usage_error=p.error)
 
     p = sub.add_parser("mc", help="run a Monte Carlo experiment")
     p.add_argument("--config", required=True, help="experiment JSON path")
     p.add_argument("--output", help="machine-readable report path")
     p.add_argument("--table", help="write the text table here")
-    p.set_defaults(func=_cmd_mc)
+    p.set_defaults(func=_cmd_mc, usage_error=p.error)
 
     p = sub.add_parser("mean-effect",
                        help="average effect from coefficients and means")

@@ -137,8 +137,6 @@ class Dims:
             raise ValueError(
                 f"per-unit regressions unsolvable: T={self.T} < K_x={self.K_x}"
             )
-        if self.T * self.n <= self.K_x * self.K_g + self.K_z:
-            raise ValueError("not enough observations for the pooled stage")
         cells = self.n * self.T * (1 + self.K_x + self.K_g + self.K_z + self.K_h)
         if cells > _MAX_CELLS:
             raise ValueError(f"n * T * (1 + K_x + K_g + K_z + K_h) = {cells} "
@@ -277,6 +275,9 @@ def _resolve_schema(header, schema):
         for c in roles[block]:
             if c not in header:
                 raise MissingColumn(c)
+            if c == roles["y"]:  # every slope on it would be 1
+                raise PanelDataError(f"column {c!r} is both y and one of "
+                                     f"the {block} columns")
     if not roles["x"]:
         raise MissingColumn("x1")
     for c in [roles["unit"], roles["time"], roles["y"], *roles["x"], *roles["g"],
@@ -292,7 +293,8 @@ def load_csv(path, schema=None):
     Required columns: unit, time, y, and x1..xK (or the names given in
     `schema`, a mapping with keys among unit/time/y/x/g/z/h where the
     block entries are lists of column names). Optional blocks g*, z*, h*.
-    A column with a role must appear once in the header. Rows may be in
+    A column with a role must appear once in the header, and the y column
+    may not also be an x, g, z or h column. Rows may be in
     any order; they are sorted by (unit, time). Blank lines are skipped.
     Values are read as Python's `float()` reads text and must be finite.
     h columns must be constant within each unit. A leading UTF-8 BOM is
@@ -512,11 +514,15 @@ def add_intercept_h(ds):
                         ds.time_labels, columns=columns)
 
 
-def _stacked_fit(design, response):
+def _stacked_fit(design, response, stage):
     """`solve_ols` on per-unit blocks stacked over units: the design
-    (n, T, k) as nT rows of k columns, the response (n, T) as nT values."""
-    return solve_ols(design.reshape(response.size, design.shape[2]),
-                     response.reshape(-1))
+    (n, T, k) as nT rows of k columns, the response (n, T) as nT values.
+    Its RankDeficient names the `stage` and keeps the solver's condition."""
+    try:
+        return solve_ols(design.reshape(response.size, design.shape[2]),
+                         response.reshape(-1))
+    except RankDeficient as exc:
+        raise RankDeficient(f"{stage}: {exc}", exc.condition) from None
 
 
 @dataclass(frozen=True)
@@ -548,7 +554,7 @@ class CiteBlocks:
         """The `LeastSquaresFit` of M_i Y_i on M_i Psi_i across units
         (`_stacked_fit`), solved on the first read and kept; a design that
         fails raises its RankDeficient again on every read."""
-        return _stacked_fit(self.MPsi, self.MY)
+        return _stacked_fit(self.MPsi, self.MY, "CITE pooled stage")
 
 
 @dataclass(frozen=True)
@@ -566,7 +572,7 @@ class IteBlocks:
     def pooled(self):
         """The `LeastSquaresFit` of M_{i,-1} Y_i on M_{i,-1} PsiTilde_i
         across units (`_stacked_fit`), kept as `CiteBlocks.pooled` is."""
-        return _stacked_fit(self.M1PsiTilde, self.M1Y)
+        return _stacked_fit(self.M1PsiTilde, self.M1Y, "ITE one-step fit")
 
 
 @dataclass(frozen=True)
@@ -703,8 +709,8 @@ class ValidationReport:
     design, is 1 / gram_condition. The passing units are at the input's
     positions `kept`; they are `panel` (the input itself when none fails),
     with blocks `regressors` (both None, and the pooled checks fail at
-    margin 0.0, when fewer than 2 units pass or too few rows remain for
-    the pooled stage). `to_dict` omits these three.
+    margin 0.0, only when fewer than 2 units pass). `to_dict` omits these
+    three.
     """
 
     h_min: float
@@ -737,13 +743,10 @@ class ValidationReport:
         }
 
 
-def _pooled_check(design, fit):
-    """(margin, passed): 1 / gram_condition of the fit `fit()` on a
-    design (..., k), and whether it returns rather than raise
-    RankDeficient. A design with fewer rows than columns never fits (its
-    Gram is singular): margin 0.0, and `fit` is not called."""
-    if math.prod(design.shape[:-1]) < design.shape[-1]:
-        return 0.0, False
+def _pooled_check(fit):
+    """(margin, passed): 1 / gram_condition of the fit `fit()`, and
+    whether it returns rather than raise RankDeficient, whose condition
+    (inf for a design with fewer rows than columns) gives the margin."""
     try:
         return 1.0 / fit().gram_condition, True
     except RankDeficient as exc:
@@ -786,23 +789,18 @@ def validate(ds, h_min=DEFAULT_H_MIN):
                            (0.0, False))
     panel = dr = None
     if keep.size >= 2:
-        try:
-            # ds itself, not a copy: einsum would sum M @ Y in another order
-            panel = ds if keep.size == d.n else subset_units(ds, keep)
-        except ValueError:
-            pass  # too few rows remain for the pooled stage: its checks fail
-        else:
-            if panel is not ds:
-                factors = [(Q[keep], R[keep]) for Q, R in factors]
-            dr = _blocks(panel, *factors)
-            c, t = dr.cite, dr.ite
-            pooled = {
-                "psi_m_psi": _pooled_check(c.MPsi, lambda: c.pooled),
-                "psi_tilde_m1_psi_tilde": _pooled_check(
-                    t.M1PsiTilde, lambda: t.pooled),
-                "hth": _pooled_check(
-                    panel.H, lambda: solve_ols(panel.H, np.zeros(keep.size))),
-            }
+        # ds itself, not a copy: einsum would sum M @ Y in another order
+        panel = ds if keep.size == d.n else subset_units(ds, keep)
+        if panel is not ds:
+            factors = [(Q[keep], R[keep]) for Q, R in factors]
+        dr = _blocks(panel, *factors)
+        c, t = dr.cite, dr.ite
+        pooled = {
+            "psi_m_psi": _pooled_check(lambda: c.pooled),
+            "psi_tilde_m1_psi_tilde": _pooled_check(lambda: t.pooled),
+            "hth": _pooled_check(
+                lambda: solve_ols(panel.H, np.zeros(keep.size))),
+        }
 
     checks = {
         "unit_x_variation": len(fail_x) == 0,
@@ -829,9 +827,10 @@ def validate(ds, h_min=DEFAULT_H_MIN):
 
 def drop_failing_units(ds, report):
     """Remove the units flagged by `report = validate(ds)`; returns
-    (report.panel, dropped labels), the panel validate built regressors on.
-    Units are dropped by position (`report.kept`), so units that share a
-    label are kept or dropped each by its own verdict."""
+    (report.panel, dropped labels), the panel validate built regressors
+    on, or PanelDataError when fewer than 2 units pass. Units are dropped
+    by position (`report.kept`), so units that share a label are kept or
+    dropped each by its own verdict."""
     kept = set(report.kept.tolist())
     dropped = tuple(u for i, u in enumerate(ds.unit_labels) if i not in kept)
     if report.kept.size < 2:
@@ -839,5 +838,4 @@ def drop_failing_units(ds, report):
             f"fewer than 2 units remain after dropping {len(dropped)} "
             "failing units"
         )
-    # no panel only if validate caught the error forming it: raise it here
-    return report.panel or subset_units(ds, report.kept), dropped
+    return report.panel, dropped

@@ -143,8 +143,8 @@ def _K_h(v, d):
 
 # Dims' fields as _FIELDS rows, with check(value, sizes checked so far).
 # Every size is bounded here, so a huge one fails at its path, not where a
-# default list is built. Dims bounds K_x, K_g and K_z by n and T; K_h, the
-# length of the kappa default, is bounded by n.
+# default list is built. Dims bounds K_x by T, and K_g and K_z by the cell
+# bound on n and T; K_h, the length of the kappa default, is bounded by n.
 _DIMS = (*(("dims", k, _size, k) for k in ("n", "T", "K_x", "K_g", "K_z")),
          ("dims", "K_h", _K_h, "K_h"))
 

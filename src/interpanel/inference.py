@@ -306,7 +306,8 @@ def bootstrap_cite(dr, weight_mode, replications, seed):
     until every draw fits. A draw fails a rank check (`draw_kappas`
     flags it); the total number of redraws is capped at
     BOOTSTRAP_REDRAW_FACTOR * replications (DegenerateResample past it)
-    and reported as the result's `redraws`. MissingWeights aborts.
+    and reported as the result's `redraws`. MissingWeights aborts, and so
+    does the RankDeficient of blocks whose own pooled fit fails.
 
     Draw r's attempt a is drawn from SeedSequence(seed, spawn_key=(r, a)),
     so results are reproducible and independent of execution order and
@@ -316,6 +317,7 @@ def bootstrap_cite(dr, weight_mode, replications, seed):
     check_weight_mode(weight_mode)
     if replications < 50:
         raise ValueError(f"need at least 50 replications, got {replications}")
+    dr.pooled  # blocks no draw could fit raise their RankDeficient here
     n, K_h = dr.H.shape
     summaries = unit_summaries(dr)
     chunk = _draw_chunk(summaries)

@@ -76,7 +76,7 @@ def solve_ols(design, response):
     Parameters
     ----------
     design : (m, k) array_like
-        Design matrix with m >= k.
+        Design matrix, m rows and k columns.
     response : (m,) array_like
 
     Returns
@@ -86,8 +86,9 @@ def solve_ols(design, response):
     Raises
     ------
     RankDeficient
-        If the smallest singular value of the design is below RANK_TOL
-        times the largest, or at that tie (lstsq truncates it).
+        If the design has fewer rows than columns (condition inf), or
+        its smallest singular value is below RANK_TOL times the largest,
+        or at that tie (lstsq truncates it).
     """
     A = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).reshape(-1)
@@ -97,7 +98,7 @@ def solve_ols(design, response):
     if y.shape[0] != m:
         raise ValueError(f"response length {y.shape[0]} != design rows {m}")
     if m < k:
-        raise ValueError(f"underdetermined system: {m} rows < {k} columns")
+        raise RankDeficient(f"underdetermined system: {m} rows < {k} columns")
     if k == 0:
         return LeastSquaresFit(np.zeros(0), 1.0)
 

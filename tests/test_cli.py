@@ -362,6 +362,33 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_too_few_rows_for_psi_fail_a_check(self, tmp_path, capsys):
+        # nT = 6 rows against the 6 columns of Psi: the panel loads,
+        # validate reports the failing check, and the fit names its stage
+        rng = np.random.default_rng(18)
+        ds = make_dataset(rng.normal(size=(3, 2)), rng.normal(size=(3, 2, 1)),
+                          Z=rng.normal(size=(3, 2, 6)))
+        path = tmp_path / "panel.csv"
+        write_csv(ds, path)
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["checks"]["pooled_psi_rank"] is False
+        assert doc["pooled_margins"]["psi_m_psi"] < 1e-20
+        code, out, err = run(capsys, "estimate", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: CITE pooled stage: design is "
+                              "numerically rank deficient (gram condition ~ ")
+
+    @pytest.mark.parametrize("block", ["x", "g", "z", "h"])
+    def test_outcome_as_a_regressor_is_an_error(self, sim_csv, capsys, block):
+        path, _ = sim_csv
+        code, out, err = run(capsys, "validate", "--input", path,
+                             "--schema", f"{block}=y")
+        assert (code, out) == (1, "")
+        assert err == f"error: column 'y' is both y and one of the " \
+                      f"{block} columns\n"
+
 
 PINNED_COMMANDS = {
     "cluster": ("estimate", "--se", "cluster"),
@@ -418,6 +445,64 @@ class TestCommandBytes:
                      out_json.read_bytes()):
             digest.update(hashlib.sha256(part).digest())
         assert digest.hexdigest() == PINNED_SHA[config, command]
+
+
+# (argv, option, the option it clashes with): the last path of argv names
+# a file that the command also reads or writes, spelled by `spell`
+SAME_FILE = {
+    "simulate-truth-is-output": (lambda spell: [
+        "simulate", "--config", "dgp.json", "--output", "P",
+        "--truth", spell("P")], "truth", "output"),
+    "simulate-output-is-config": (lambda spell: [
+        "simulate", "--config", "dgp.json", "--output", spell("dgp.json")],
+        "output", "config"),
+    "simulate-truth-is-config": (lambda spell: [
+        "simulate", "--config", "dgp.json", "--output", "sim.csv",
+        "--truth", spell("dgp.json")], "truth", "config"),
+    # the default sidecar, OUTPUT.truth.json
+    "simulate-default-truth-is-config": (lambda spell: [
+        "simulate", "--config", "sim.csv.truth.json",
+        "--output", spell("sim.csv")], "truth", "config"),
+    "mc-output-is-table": (lambda spell: [
+        "mc", "--config", "exp.json", "--table", "P", "--output", spell("P")],
+        "output", "table"),
+    "mc-output-is-config": (lambda spell: [
+        "mc", "--config", "exp.json", "--output", spell("exp.json")],
+        "output", "config"),
+    "mc-table-is-config": (lambda spell: [
+        "mc", "--config", "exp.json", "--table", spell("exp.json")],
+        "table", "config"),
+    "estimate-output-is-input": (lambda spell: [
+        "estimate", "--input", "panel.csv", "--output", spell("panel.csv")],
+        "output", "input"),
+    "validate-output-is-input": (lambda spell: [
+        "validate", "--input", "panel.csv", "--output", spell("panel.csv")],
+        "output", "input"),
+}
+
+
+class TestSameFile:
+    @pytest.mark.parametrize("spell", [str, "./{}".format], ids=["P", "./P"])
+    @pytest.mark.parametrize("argv, option, other", SAME_FILE.values(),
+                             ids=SAME_FILE)
+    def test_is_a_usage_error_that_touches_no_file(self, argv, option, other,
+                                                   spell, sim_csv, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        mini_mc_config(tmp_path)
+        config = Path(packaged_config_path("baseline")).read_text()
+        for name in ("dgp.json", "sim.csv.truth.json"):
+            (tmp_path / name).write_text(config)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = argv(spell)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: argument --{option}: names the same file as " \
+               f"--{other}: {argv[-1]}" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestSchema:
@@ -735,6 +820,17 @@ def failing_replications(tmp_path):
     return ["mc", "--config", str(tmp_path / "exp.json")]
 
 
+def underdetermined_replications(tmp_path):
+    # 2 rows against the 3 columns of PsiTilde: each fit is RankDeficient,
+    # counted against the failure-rate limit like any other
+    cfg = {"dgp": {"dims": {"n": 2, "T": 1, "K_x": 1, "K_z": 1, "K_h": 2},
+                   "kappa": [0.5, 0.2]},
+           "sample_sizes": [2], "replications": 3, "estimators": ["ite"],
+           "oracle": {"draws": 1000, "blocks": 2}}
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    return ["mc", "--config", str(tmp_path / "exp.json")]
+
+
 def exactly_identified(tmp_path):
     # ite_se stacks N = 2 rows on k = 2 columns: (N-1)/(N-k) is 1/0
     (tmp_path / "panel.csv").write_text(
@@ -750,11 +846,13 @@ class TestUsage:
     @pytest.mark.parametrize("argv, message", [
         (degenerate_bootstrap, "exceeded 500 redraws"),
         (failing_replications, "estimator 'cite' failed 5/5 replications"),
+        (underdetermined_replications,
+         "estimator 'ite' failed 3/3 replications at n=2 (limit 1%)"),
         (exactly_identified, "the small-sample factor (N-1)/(N-k) needs more "
                              "rows than columns, got N = 2, k = 2"),
         (missing_input, "[Errno 2] No such file or directory"),
-    ], ids=["degenerate-bootstrap", "mc-failure-rate", "cluster-N-equals-k",
-            "missing-input"])
+    ], ids=["degenerate-bootstrap", "mc-failure-rate", "mc-underdetermined",
+            "cluster-N-equals-k", "missing-input"])
     def test_failure_is_one_error_line(self, argv, message, tmp_path,
                                        capsys):
         code, out, err = run(capsys, *argv(tmp_path))

@@ -45,7 +45,7 @@ class TestDims:
         dict(n=4, T=0, K_x=1),
         dict(n=4, T=2, K_x=3),
         dict(n=4, T=3, K_x=1, K_g=-1),
-        dict(n=2, T=1, K_x=1, K_g=5, K_z=0),
+        dict(n=4, T=3, K_x=0),
         dict(n=2 ** 62, T=6, K_x=2),  # more values than an array can hold
     ])
     def test_invalid(self, kwargs):
@@ -229,6 +229,28 @@ class TestLoadCsv:
                                     "g": ["unemp"], "h": ["mormon"]})
         assert ds.dims.K_g == 1 and ds.dims.K_h == 1
         assert ds.columns["x"] == ["tax"]
+
+    @pytest.mark.parametrize("schema, block", [
+        ({"x": "y"}, "x"), ({"x": ["x1", "y"]}, "x"), ({"g": ["y"]}, "g"),
+        ({"z": ["y"]}, "z"), ({"h": ["y"]}, "h")])
+    def test_outcome_is_no_regressor(self, tmp_path, schema, block):
+        path = tmp_path / "p.csv"
+        rows = [[u, t, 0.5 * u + t, u * t + 1.0] for u in (1, 2)
+                for t in (1, 2, 3)]
+        write_rows(path, ["unit", "time", "y", "x1"], rows)
+        with pytest.raises(PanelDataError) as err:
+            load_csv(path, schema=schema)
+        assert str(err.value) == \
+            f"column 'y' is both y and one of the {block} columns"
+
+    def test_time_column_may_be_a_regressor(self, tmp_path):
+        # a trend regressor reads the time column; the record reader loads it
+        path = tmp_path / "p.csv"
+        rows = [[u, t, 0.5 * u + t, u * t] for u in (1, 2) for t in (1, 2, 3)]
+        write_rows(path, ["unit", "time", "y", "x1"], rows)
+        ds = load_csv(path, schema={"x": ["x1", "time"]})
+        assert ds.columns["x"] == ["x1", "time"]
+        assert np.array_equal(ds.X[:, :, 1], [[1, 2, 3], [1, 2, 3]])
 
     @pytest.mark.parametrize("units, want", [
         ((10, 2), (2, 10)),                # all numeric: numeric order
@@ -911,10 +933,45 @@ class TestValidate:
         checks = ("pooled_psi_rank", "pooled_psi_tilde_rank", "h_rank")
         assert [report.checks[c] for c in checks] == [m == 1.0 for m in margins]
         if margins[1] == 0.0:
-            # the check never asked the blocks for that fit; the fit itself
-            # is the solver's error on an underdetermined system
-            with pytest.raises(ValueError, match="underdetermined"):
+            # the check read the blocks' fit: the solver's error on an
+            # underdetermined system, at condition inf
+            with pytest.raises(RankDeficient, match="underdetermined") as exc:
                 ite(report.regressors.ite)
+            assert exc.value.condition == np.inf
+
+    def test_too_few_rows_for_psi_is_a_failing_check(self):
+        # nT = 2 rows against the 5 columns of Psi: the panel is made, its
+        # blocks are built, and the pooled check fails at margin 0.0
+        rng = np.random.default_rng(23)
+        ds = make_dataset(rng.normal(size=(2, 1)), rng.normal(size=(2, 1, 1)),
+                          Z=rng.normal(size=(2, 1, 5)))
+        assert ds.dims.T * ds.dims.n <= ds.dims.n_psi
+        report = validate(ds)
+        assert report.panel is ds and report.regressors is not None
+        assert report.pooled_margins["psi_m_psi"] == 0.0
+        assert not report.checks["pooled_psi_rank"] and not report.passed
+        with pytest.raises(RankDeficient, match="underdetermined"):
+            fit_cite(report.regressors.cite)
+
+    @pytest.mark.parametrize("part, stage, dims", [
+        # 6 rows of Psi, of rank 3 after M_i: rank deficient
+        ("cite", "CITE pooled stage",
+         {"n": 3, "T": 2, "K_g": 0, "K_z": 6, "K_h": 0}),
+        # 2 rows against the 3 columns of PsiTilde: underdetermined
+        ("ite", "ITE one-step fit",
+         {"n": 2, "T": 1, "K_g": 0, "K_z": 1, "K_h": 2}),
+    ])
+    def test_a_failing_pooled_fit_names_its_stage(self, part, stage, dims):
+        blocks = getattr(build_regressors(random_panel(24, K_x=1, **dims)),
+                         part)
+        design = blocks.MPsi if part == "cite" else blocks.M1PsiTilde
+        rows = dims["n"] * dims["T"]
+        with pytest.raises(RankDeficient) as want:
+            solve_ols(design.reshape(rows, -1), np.zeros(rows))
+        with pytest.raises(RankDeficient) as exc:
+            blocks.pooled
+        assert str(exc.value) == f"{stage}: {want.value}"
+        assert exc.value.condition == want.value.condition
 
     def test_each_pooled_check_is_its_blocks_fit(self):
         # validate solves each stacked design once, on its blocks; the
@@ -1002,16 +1059,18 @@ class TestValidate:
         with pytest.raises(PanelDataError, match="^fewer than 2 units remain "
                            "after dropping 3 failing units$"):
             drop_failing_units(ds, validate(ds))
-        # two units of one period pass, against the two columns of Psi: the
-        # pooled stage has too few rows, and its error is subset_units'
+        # two units of one period pass, against the two columns of Psi:
+        # their panel is returned, and the pooled check is the solver's
         X = rng.normal(size=(4, 1, 1))
         X[1:3] = 0.0
         ds = make_dataset(rng.normal(size=(4, 1)), X,
                           Z=rng.normal(size=(4, 1, 2)))
         report = validate(ds)
-        assert report.panel is None and list(report.kept) == [0, 3]
-        with pytest.raises(ValueError, match="^not enough observations"):
-            drop_failing_units(ds, report)
+        assert list(report.kept) == [0, 3]
+        assert drop_failing_units(ds, report) == (report.panel, (2, 3))
+        assert report.panel.unit_labels == (1, 4)
+        assert report.pooled_margins["psi_m_psi"] == 0.0
+        assert not report.checks["pooled_psi_rank"]
 
     def test_regressors_built_on_the_input_when_nothing_fails(self):
         ds = random_panel(13, n=10)

@@ -448,6 +448,18 @@ class TestBootstrap:
         with pytest.raises(DegenerateResample):
             bootstrap(ds, replications=50, seed=3)
 
+    @pytest.mark.parametrize("n, T, K_z", [(2, 1, 5), (3, 2, 6)])
+    def test_blocks_whose_full_fit_fails_raise_it(self, n, T, K_z):
+        # no resample of these units can fit the pooled stage (2 rows for 5
+        # columns; 6 rows of rank 3 after M_i): the full fit's RankDeficient
+        # is raised before any draw, not a broadcast error in _solve_r nor
+        # DegenerateResample after the redraw cap
+        dr = build_regressors(random_panel(25, n=n, T=T, K_x=1, K_g=0,
+                                           K_z=K_z, K_h=1)).cite
+        with pytest.raises(linalg.RankDeficient) as exc:
+            bootstrap_cite(dr, "none", 50, 0)
+        assert str(exc.value).startswith("CITE pooled stage: ")
+
     @pytest.mark.parametrize("ds, idx, mode, error", [
         # 2 distinct units cannot fit K_h = 3 kappas
         *[pytest.param(random_panel(23, n=8, K_h=3), [0, 1] * 4, mode,

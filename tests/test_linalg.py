@@ -59,8 +59,13 @@ class TestSolveOls:
                 solve_ols(A, U[:, 1])
 
     def test_underdetermined_raises(self):
-        with pytest.raises(ValueError):
+        # the one rule for a design with too few rows: RankDeficient, whose
+        # Gram has a zero eigenvalue, so its condition is inf
+        with pytest.raises(RankDeficient,
+                           match="^underdetermined system: 2 rows < 3 columns$"
+                           ) as exc:
             solve_ols(np.ones((2, 3)), np.ones(2))
+        assert exc.value.condition == np.inf
 
     def test_empty_design(self):
         A, y = np.empty((4, 0)), np.arange(4.0)

@@ -14,11 +14,25 @@ from pathlib import Path
 import pytest
 
 import interpanel
+from interpanel import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "interpanel").glob("*.py"))
 CHECKED = [path for path in SRC + sorted((ROOT / "tests").glob("*.py"))
            if path.name != "__init__.py"]
+
+
+def test_one_version(capsys):
+    # pyproject's [project] version, read by a regex (tomllib is new in
+    # Python 3.11), is the package's, which `interpanel --version` prints
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    version = re.search(r'^version\s*=\s*"([^"]+)"$', project.group(1), re.M)
+    assert version.group(1) == interpanel.__version__
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == interpanel.__version__ + "\n"
 
 
 def test_every_public_name_is_unique_and_resolves():
