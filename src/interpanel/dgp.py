@@ -142,9 +142,11 @@ def _K_h(v, d):
 
 
 # Dims' fields as _FIELDS rows, with check(value, sizes checked so far).
-# Every size is bounded here, so a huge one fails at its path, not where a
-# default list is built. Dims bounds K_x by T, and K_g and K_z by the cell
-# bound on n and T; K_h, the length of the kappa default, is bounded by n.
+# Here each size must be an index-sized integer, and K_h, the length of the
+# kappa default, at most n. Dims then bounds K_x by T, and n * T * (1 + K_x
+# + K_g + K_z + K_h) by the cells one float64 array can address. That bounds
+# no memory: the phi and gamma defaults (K_x * K_g and K_z entries) are
+# built up to it.
 _DIMS = (*(("dims", k, _size, k) for k in ("n", "T", "K_x", "K_g", "K_z")),
          ("dims", "K_h", _K_h, "K_h"))
 

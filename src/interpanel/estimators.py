@@ -38,15 +38,9 @@ class MissingWeights(ValueError):
 
 
 class ZeroDegreesOfFreedom(ValueError):
-    """T <= K_x, which in a balanced panel holds for every unit or none."""
-
-    def __init__(self, T, K_x):
-        self.T, self.K_x = T, K_x
-        super().__init__(
-            f"every unit has T <= K_x (T = {T}, K_x = {K_x}): first-stage "
-            "residuals have no degrees of freedom and their standard errors "
-            "are undefined"
-        )
+    """Residuals with no degrees of freedom: a fit with no more rows than
+    columns, whose residual variance is undefined (`first_stage_dof`,
+    `inference.cluster_robust_se`)."""
 
 
 def theta_tilde_labels(columns):
@@ -117,10 +111,16 @@ def cite_kappa(delta1, H, weights=None):
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != delta1.shape[0]:
         raise LengthMismatch("weights length must match delta1")
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
+    if not usable_weights(w).all():
         raise MissingWeights("weights must be strictly positive and finite")
     sw = np.sqrt(w)
     return solve_ols(H * sw[:, None], delta1 * sw).coefficients
+
+
+def usable_weights(w):
+    """True where a second-stage weight w_i is usable: finite and strictly
+    positive. A fit with any other weight raises MissingWeights."""
+    return np.isfinite(w) & (w > 0)
 
 
 def check_weight_mode(mode):
@@ -150,12 +150,22 @@ def first_stage_se(dr, theta_hat, delta_hat):
     s_i^2 = RSS_i / (T - K_x) from the residuals of
     Y_i - Psi_i theta_hat - X_i delta_hat_i.
     """
-    T, K_x = dr.X.shape[1:]
-    if T <= K_x:
-        raise ZeroDegreesOfFreedom(T, K_x)
+    dof = first_stage_dof(*dr.X.shape[1:])
     resid = dr.Y - dr.Psi @ theta_hat - np.einsum("ntk,nk->nt", dr.X, delta_hat)
-    s2 = np.sum(resid * resid, axis=1) / (T - K_x)
+    s2 = np.sum(resid * resid, axis=1) / dof
     return np.sqrt(s2 * inv11(dr.r_x))
+
+
+def first_stage_dof(T, K_x):
+    """T - K_x, the degrees of freedom of each unit's first-stage
+    residuals; ZeroDegreesOfFreedom where T <= K_x, which in a balanced
+    panel holds for every unit or none."""
+    if T <= K_x:
+        raise ZeroDegreesOfFreedom(
+            f"every unit has T <= K_x (T = {T}, K_x = {K_x}): first-stage "
+            "residuals have no degrees of freedom and their standard errors "
+            "are undefined")
+    return T - K_x
 
 
 def inv11(r_x):

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (MissingWeights, ZeroDegreesOfFreedom,  # noqa: F401
-                         check_weight_mode, first_stage_se, fit_cite, inv11,
-                         second_stage_weights)
+                         first_stage_dof, first_stage_se, fit_cite, inv11,
+                         second_stage_weights, usable_weights)
 from .linalg import solve_units, unit_rank_deficient
 
 BOOTSTRAP_REDRAW_FACTOR = 10
@@ -66,8 +66,10 @@ def cluster_robust_se(design, residuals, cluster_ids, small_sample=True):
 
     V = c * (X'X)^{-1} (sum_g s_g s_g') (X'X)^{-1} with per-cluster score
     sums s_g = sum_{i in g} x_i e_i. The small-sample factor
-    c = G/(G-1) * (N-1)/(N-k) is applied by default. With one observation
-    per cluster and c disabled this is exactly the HC0 variance.
+    c = G/(G-1) * (N-1)/(N-k) is applied by default; it needs N > k
+    (ZeroDegreesOfFreedom otherwise), which a fit that passed may miss
+    with exactly as many rows as columns. With one observation per
+    cluster and c disabled this is exactly the HC0 variance.
 
     The s_g add each cluster's rows in row order from 0, as np.add.at
     adds them, bit for bit; cluster g is the g-th smallest id (np.unique's
@@ -86,8 +88,9 @@ def cluster_robust_se(design, residuals, cluster_ids, small_sample=True):
     if G < 2:
         raise TooFewClusters(f"need at least 2 clusters, got {G}")
     if small_sample and N <= k:
-        raise ValueError(f"the small-sample factor (N-1)/(N-k) needs more "
-                         f"rows than columns, got N = {N}, k = {k}")
+        raise ZeroDegreesOfFreedom(f"the small-sample factor (N-1)/(N-k) "
+                                   f"needs more rows than columns, got "
+                                   f"N = {N}, k = {k}")
 
     # V = W W' with W = (X'X)^{-1} [s_1 .. s_G]: one solve on the k x k
     # Gram, no inverse, and no meat S'S, whose condition is the square of S's
@@ -202,7 +205,9 @@ def unit_summaries(dr):
 def draw_kappas(s, counts, weight_mode, work=None):
     """kappa_hat of `fit_cite` on each of b resamples at once, from the
     UnitSummaries `s` and a (b, n) count matrix, row j holding unit i
-    counts[j, i] times. Returns (kappa, failed), (b, K_h) and (b,):
+    counts[j, i] times. `s` must summarize blocks whose full fit,
+    fit_cite(dr, weight_mode), works: then n >= K_h, so the kappa
+    stage's R11 is square. Returns (kappa, failed), (b, K_h) and (b,):
     kappa[j] equals fit_cite on the resample subset_units(ds, idx) for
     counts[j] = np.bincount(idx, minlength=n), up to the order of the
     sums, and failed[j] is True (kappa[j] 0) where that refit raises
@@ -216,10 +221,12 @@ def draw_kappas(s, counts, weight_mode, work=None):
     from theta. The kappa stage factors the rows sqrt(w_i) [H_i | delta_i1]
     with w_i = c_i (times 1/se_i or 1/se_i^2), so an undrawn unit's rows
     are 0. A draw fails where the singular values of a stage's R11 fail
-    linalg.rank_deficient, or where it holds fewer distinct units than
-    K_h. No product spans two draws, so a draw's kappa does not depend on
-    the others in the call. Raises what the refit raises for a draw that
-    does not fail: ZeroDegreesOfFreedom, MissingWeights.
+    linalg.rank_deficient; one with fewer distinct units than K_h has
+    fewer than K_h nonzero rows there, so it fails by that verdict. No
+    product spans two draws, so a draw's kappa does not depend on the
+    others in the call. Raises what the refit raises for a draw whose
+    pooled stage does not fail: ZeroDegreesOfFreedom, MissingWeights
+    (checked before the kappa stage is solved, as `cite_kappa` checks).
     """
     b, n = counts.shape
     q = s.Rb.shape[0]
@@ -234,18 +241,16 @@ def draw_kappas(s, counts, weight_mode, work=None):
     K_h = s.H.shape[1]
     if K_h == 0:
         return np.zeros((b, 0)), failed
-    drawn = counts > 0
-    failed |= drawn.sum(axis=1) < K_h
     w = counts.astype(float)
     if weight_mode != "none":
-        if s.T <= s.K_x:
-            raise ZeroDegreesOfFreedom(s.T, s.K_x)
+        dof = first_stage_dof(s.T, s.K_x)
         v = np.concatenate([-theta, np.ones((b, 1))], axis=1)
         e = (v[:, None, :] @ s.Rb.reshape(q, -1)).reshape(b, -1, n)
-        s2 = np.einsum("brn,brn->bn", e, e) / (s.T - s.K_x)
+        s2 = np.einsum("brn,brn->bn", e, e) / dof
+        drawn = counts > 0
         w *= np.where(drawn, second_stage_weights(np.sqrt(s2 * s.inv11),
                                                   weight_mode), 1.0)
-        bad = drawn & ~(np.isfinite(w) & (w > 0))
+        bad = drawn & ~usable_weights(w)
         if np.any(bad[~failed]):
             raise MissingWeights("weights must be strictly positive and finite")
         w[failed] = 0.0
@@ -294,7 +299,12 @@ def _draw_counts(seed, rs, attempt, n):
 
 def bootstrap_cite(dr, weight_mode, replications, seed):
     """Unit bootstrap of the full two-step pipeline on the CITE blocks
-    `dr` under `weight_mode` (one of WEIGHT_MODES, else ValueError).
+    `dr` under `weight_mode`. It first runs the full fit,
+    fit_cite(dr, weight_mode), and raises what that raises before any
+    draw: ValueError for a mode not in WEIGHT_MODES, the RankDeficient
+    of a stage that cannot be fitted (fewer units than K_h included),
+    ZeroDegreesOfFreedom or MissingWeights: there is then no estimate
+    for the draws to give an SE of.
 
     The SEs are those of kappa, one per column of H. The per-unit
     summaries are taken once (`unit_summaries`); then units are
@@ -306,18 +316,17 @@ def bootstrap_cite(dr, weight_mode, replications, seed):
     until every draw fits. A draw fails a rank check (`draw_kappas`
     flags it); the total number of redraws is capped at
     BOOTSTRAP_REDRAW_FACTOR * replications (DegenerateResample past it)
-    and reported as the result's `redraws`. MissingWeights aborts, and so
-    does the RankDeficient of blocks whose own pooled fit fails.
+    and reported as the result's `redraws`. A draw whose refit raises
+    MissingWeights aborts with it.
 
     Draw r's attempt a is drawn from SeedSequence(seed, spawn_key=(r, a)),
     so results are reproducible and independent of execution order and
     chunking. At K_h = 0 every mode gives the draws of "none", as
     `fit_cite` fits it.
     """
-    check_weight_mode(weight_mode)
+    fit_cite(dr, weight_mode)  # a full fit that fails raises before any draw
     if replications < 50:
         raise ValueError(f"need at least 50 replications, got {replications}")
-    dr.pooled  # blocks no draw could fit raise their RankDeficient here
     n, K_h = dr.H.shape
     summaries = unit_summaries(dr)
     chunk = _draw_chunk(summaries)

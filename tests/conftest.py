@@ -14,8 +14,23 @@ import numpy as np
 import pytest
 
 from interpanel import data
-from interpanel.data import load_csv, make_dataset
-from interpanel.dgp import packaged_config_path
+from interpanel.data import PanelDataError, load_csv, make_dataset
+from interpanel.dgp import (ConfigInvalid, ScenarioUnsupported,
+                           packaged_config_path)
+from interpanel.estimators import (LengthMismatch, MissingWeights,
+                                   ZeroDegreesOfFreedom)
+from interpanel.harness import FailureRateExceeded
+from interpanel.inference import DegenerateResample, TooFewClusters
+from interpanel.linalg import RankDeficient
+
+# The package's named errors: a fit, an SE or a command on any panel may
+# fail only by one of these (`test_properties.py`'s fuzz test), and every
+# exception class under src/ is one of them or a subclass
+# (`test_package.py`).
+NAMED_ERRORS = (PanelDataError, ConfigInvalid, ScenarioUnsupported,
+                LengthMismatch, MissingWeights, ZeroDegreesOfFreedom,
+                FailureRateExceeded, TooFewClusters, DegenerateResample,
+                RankDeficient)
 
 # The packaged baseline's dims with n = 2**62: index-sized, but the panel's
 # n * T * (1 + K) values fit no float64 array.

@@ -43,6 +43,15 @@ def exact_residual_panel(K_z):
                         H=H)
 
 
+def one_exact_unit_panel():
+    """n = 8, T = 4, K_x = 1, K_h = 3, with unit 0 at X = 1 and Y constant
+    in time: its first-stage residuals, and so its se_i, are exactly 0."""
+    ds = random_panel(26, n=8, T=4, K_x=1, K_g=0, K_z=0, K_h=3)
+    X, Y = ds.X.copy(), ds.Y.copy()
+    X[0], Y[0] = 1.0, 2.0
+    return make_dataset(Y, X, H=ds.H)
+
+
 def bootstrap(ds, replications, seed, weight_mode="none"):
     """bootstrap_cite on the CITE blocks built here."""
     return bootstrap_cite(build_regressors(ds).cite, weight_mode,
@@ -179,6 +188,17 @@ class TestClusterRobust:
     def test_too_few_clusters(self):
         with pytest.raises(TooFewClusters):
             cluster_robust_se(np.ones((5, 1)), np.ones(5), np.zeros(5))
+
+    def test_as_many_rows_as_columns_is_zero_degrees_of_freedom(self):
+        # (N-1)/(N-k) is 1/0: the package's error for residuals with no
+        # degrees of freedom; HC0, with no factor, still has its variance
+        X, e = np.array([[1.0, 2.0], [3.0, 1.0]]), np.array([0.5, -0.5])
+        with pytest.raises(ZeroDegreesOfFreedom) as err:
+            cluster_robust_se(X, e, np.arange(2))
+        assert str(err.value) == ("the small-sample factor (N-1)/(N-k) needs "
+                                  "more rows than columns, got N = 2, k = 2")
+        hc0 = cluster_robust_se(X, e, np.arange(2), small_sample=False)
+        assert np.isfinite(hc0.se).all()
 
     def test_variance_matrix_invariants(self):
         ds = small_baseline(n=50, seed=9)
@@ -391,7 +411,7 @@ class TestBootstrap:
             bootstrap(ds, replications=10, seed=0)
 
     def test_unknown_weight_mode(self):
-        # no fit vouches for the mode, so the bootstrap checks it itself
+        # the bootstrap's full fit rejects the mode before any draw
         ds = small_baseline(n=30, seed=13)
         with pytest.raises(ValueError) as err:
             bootstrap(ds, replications=50, seed=0, weight_mode="inv_sd")
@@ -448,17 +468,31 @@ class TestBootstrap:
         with pytest.raises(DegenerateResample):
             bootstrap(ds, replications=50, seed=3)
 
-    @pytest.mark.parametrize("n, T, K_z", [(2, 1, 5), (3, 2, 6)])
-    def test_blocks_whose_full_fit_fails_raise_it(self, n, T, K_z):
-        # no resample of these units can fit the pooled stage (2 rows for 5
-        # columns; 6 rows of rank 3 after M_i): the full fit's RankDeficient
-        # is raised before any draw, not a broadcast error in _solve_r nor
+    @pytest.mark.parametrize("dims, mode, error, message", [
+        # 2 rows for 5 pooled columns; 6 rows of rank 3 after M_i
+        (dict(n=2, T=1, K_z=5, K_h=1), "none", linalg.RankDeficient,
+         "CITE pooled stage: "),
+        (dict(n=3, T=2, K_z=6, K_h=1), "none", linalg.RankDeficient,
+         "CITE pooled stage: "),
+        # 2 units for K_h = 3 kappas
+        (dict(n=2, T=3, K_z=0, K_h=3), "none", linalg.RankDeficient,
+         "underdetermined system: 2 rows < 3 columns"),
+        # T = K_x: no first-stage SEs, so no weights
+        (dict(n=8, T=1, K_z=0, K_h=1), "inv_se", ZeroDegreesOfFreedom,
+         "every unit has T <= K_x (T = 1, K_x = 1)"),
+    ], ids=["2-1-5", "3-2-6", "n<K_h", "T=K_x"])
+    def test_blocks_whose_full_fit_fails_raise_it(self, dims, mode, error,
+                                                  message):
+        # no resample of these units can be fitted: the full fit's error is
+        # raised before any draw, not a broadcast error in _solve_r nor
         # DegenerateResample after the redraw cap
-        dr = build_regressors(random_panel(25, n=n, T=T, K_x=1, K_g=0,
-                                           K_z=K_z, K_h=1)).cite
-        with pytest.raises(linalg.RankDeficient) as exc:
-            bootstrap_cite(dr, "none", 50, 0)
-        assert str(exc.value).startswith("CITE pooled stage: ")
+        dr = build_regressors(random_panel(25, K_x=1, K_g=0, **dims)).cite
+        with pytest.raises(error) as fit_err:
+            fit_cite(dr, mode)
+        with pytest.raises(error) as exc:
+            bootstrap_cite(dr, mode, 50, 0)
+        assert str(exc.value) == str(fit_err.value)
+        assert str(exc.value).startswith(message)
 
     @pytest.mark.parametrize("ds, idx, mode, error", [
         # 2 distinct units cannot fit K_h = 3 kappas
@@ -470,6 +504,10 @@ class TestBootstrap:
           for K_z in (0, 1) for mode in ("inv_se", "inv_var")],
         pytest.param(random_panel(24, n=8, T=2, K_x=2, K_g=0, K_z=0, K_h=1),
                      [1, 2] * 4, "inv_se", ZeroDegreesOfFreedom, id="T=K_x"),
+        # 2 distinct units for K_h = 3, one with an exact fit: its infinite
+        # weight is rejected before the kappa stage is solved
+        pytest.param(one_exact_unit_panel(), [0, 1] * 4, "inv_se",
+                     MissingWeights, id="too-few-units-zero-se"),
     ])
     def test_draw_kernel_raises_what_the_refit_raises(self, ds, idx, mode,
                                                         error):

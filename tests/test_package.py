@@ -16,6 +16,8 @@ import pytest
 import interpanel
 from interpanel import cli
 
+from conftest import NAMED_ERRORS
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "interpanel").glob("*.py"))
 CHECKED = [path for path in SRC + sorted((ROOT / "tests").glob("*.py"))
@@ -33,6 +35,22 @@ def test_one_version(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == interpanel.__version__ + "\n"
+
+
+def test_every_error_class_is_a_named_error():
+    # the fuzz test lets only NAMED_ERRORS through, each the package's own
+    # (a builtin such as ValueError there would let any error through), so
+    # an error class added under src/ must be one of them or a subclass
+    assert [cls for cls in NAMED_ERRORS
+            if not cls.__module__.startswith("interpanel.")] == []
+    modules = [importlib.import_module(f"interpanel.{info.name}")
+               for info in pkgutil.iter_modules(interpanel.__path__)]
+    errors = [value for module in modules for value in vars(module).values()
+              if inspect.isclass(value) and issubclass(value, BaseException)
+              and value.__module__ == module.__name__]
+    assert len(errors) >= len(NAMED_ERRORS)
+    assert [f"{cls.__module__}.{cls.__qualname__}" for cls in errors
+            if not issubclass(cls, NAMED_ERRORS)] == []
 
 
 def test_every_public_name_is_unique_and_resolves():

@@ -5,7 +5,9 @@ Each estimator property holds exactly in exact arithmetic; the tolerances
 only absorb rounding in the per-unit projections and the pooled solve.
 """
 
+import contextlib
 import csv
+import io
 import json
 import os
 import tempfile
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
+from interpanel import cli
 from interpanel.cli import _float_array_json
 from interpanel.data import (FLOAT_FORMAT, _parse_label, _sorted_labels,
                              build_regressors, factor_units, load_csv,
@@ -28,10 +31,13 @@ from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
 from interpanel.estimators import (WEIGHT_MODES, cite_delta, cite_kappa,
                                    cite_theta, fit_cite, inv11, ite)
 from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
-from interpanel.inference import draw_kappas, unit_summaries
+from interpanel.inference import (bootstrap_cite, cite_kappa_se,
+                                  cite_theta_se, draw_kappas, ite_se,
+                                  unit_summaries)
 from interpanel.linalg import RankDeficient, unit_rank_deficient
 
-from conftest import assert_same_bits, load_outcome, random_panel
+from conftest import (NAMED_ERRORS, assert_same_bits, load_outcome,
+                      random_panel)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -291,6 +297,68 @@ def test_ite_is_a_weighted_cite(ds):
     delta1 = cite_delta(dr.cite, res[K_h:])[:, 0]
     want = cite_kappa(delta1, ds.H, 1 / inv11(dr.cite.r_x))
     assert_allclose(res[:K_h], want, rtol=0, atol=1e-8)
+
+
+@st.composite
+def tiny_panels(draw):
+    """Panels down to the smallest dims: n <= 5, T <= 3, each K <= 5 and
+    K_x <= T. They are drawn directly, not through a DgpConfig, so that
+    fewer units than K_h, fewer rows than columns and T = K_x all occur."""
+    T = draw(st.integers(1, 3))
+    return random_panel(draw(st.integers(0, 2**32 - 1)),
+                        n=draw(st.integers(2, 5)), T=T,
+                        K_x=draw(st.integers(1, T)),
+                        K_g=draw(st.integers(0, 5)),
+                        K_z=draw(st.integers(0, 5)),
+                        K_h=draw(st.integers(0, 5)))
+
+
+def named_outcome(fit, *args):
+    """What `fit(*args)` returns, or the named error it raises; any other
+    error propagates."""
+    try:
+        return fit(*args)
+    except NAMED_ERRORS as exc:
+        return exc
+
+
+ESTIMATE_ARGS = [None, ["--se", "cluster"],
+                 ["--estimator", "cite", "--se", "bootstrap", "--weight-mode",
+                  "inv_se", "--bootstrap-reps", "50"]]
+
+
+@settings(PROPERTY, max_examples=100)
+@given(ds=tiny_panels(), estimate=st.sampled_from(ESTIMATE_ARGS))
+def test_fits_and_ses_fail_only_by_named_errors(ds, estimate):
+    # every fit and SE on any panel returns or raises one of the package's
+    # named errors; the bootstrap raises what its full fit raises; and
+    # `estimate` on the panel's CSV exits 0, or 1 with one error line
+    named_outcome(validate, ds)
+    dr = named_outcome(build_regressors, ds)
+    if not isinstance(dr, Exception):
+        named_outcome(ite, dr.ite)
+        named_outcome(ite_se, dr.ite)
+        named_outcome(cite_theta_se, dr.cite)
+        for mode in ("none", "inv_se"):
+            res = named_outcome(fit_cite, dr.cite, mode)
+            boot = named_outcome(bootstrap_cite, dr.cite, mode, 50, 0)
+            if isinstance(res, Exception):
+                assert type(boot) is type(res)
+            else:
+                named_outcome(cite_kappa_se, dr.cite, res)
+    if estimate is None:
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        write_csv(ds, path)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["estimate", "--input", path] + estimate)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert "Traceback" not in err.getvalue()
+    assert (code, len(errors)) in ((0, 0), (1, 1))
+    if code:
+        assert errors[0].startswith("error: ") and out.getvalue() == ""
 
 
 # Text labels that stay text: quoting, commas and line breaks included.
