@@ -164,8 +164,8 @@ def _cmd_estimate(args):
                     cite_theta_se(dr.cite).se.tolist()
                 entry["se_method"] = "hc_robust (kappa), cluster_robust (theta)"
             elif args.se == "bootstrap":
-                b = bootstrap_cite(dr.cite, res.weight_mode,
-                                   args.bootstrap_reps, args.seed)
+                b = bootstrap_cite(dr.cite, res, args.bootstrap_reps,
+                                   args.seed)
                 entry["se"] = b.se.tolist() + [None] * len(res.theta_hat)
                 entry["se_method"] = "bootstrap (kappa only)"
         else:

@@ -517,12 +517,9 @@ def add_intercept_h(ds):
 def _stacked_fit(design, response, stage):
     """`solve_ols` on per-unit blocks stacked over units: the design
     (n, T, k) as nT rows of k columns, the response (n, T) as nT values.
-    Its RankDeficient names the `stage` and keeps the solver's condition."""
-    try:
-        return solve_ols(design.reshape(response.size, design.shape[2]),
-                         response.reshape(-1))
-    except RankDeficient as exc:
-        raise RankDeficient(f"{stage}: {exc}", exc.condition) from None
+    Its RankDeficient names the `stage`."""
+    return solve_ols(design.reshape(response.size, design.shape[2]),
+                     response.reshape(-1), stage)
 
 
 @dataclass(frozen=True)

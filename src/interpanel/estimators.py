@@ -100,21 +100,23 @@ def cite_kappa(delta1, H, weights=None):
 
     Without `weights` it solves (sum H_i'H_i)^{-1} sum H_i' delta1_i;
     with per-unit weights w_i (second_stage_weights) it runs weighted
-    least squares, (sum w_i H_i'H_i)^{-1} sum w_i H_i' delta1_i.
+    least squares, (sum w_i H_i'H_i)^{-1} sum w_i H_i' delta1_i. Its
+    RankDeficient names the "CITE kappa stage".
     """
     delta1 = np.asarray(delta1, dtype=float).reshape(-1)
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != delta1.shape[0]:
         raise LengthMismatch("H and delta1 must have matching unit counts")
     if weights is None:
-        return solve_ols(H, delta1).coefficients
+        return solve_ols(H, delta1, "CITE kappa stage").coefficients
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != delta1.shape[0]:
         raise LengthMismatch("weights length must match delta1")
     if not usable_weights(w).all():
         raise MissingWeights("weights must be strictly positive and finite")
     sw = np.sqrt(w)
-    return solve_ols(H * sw[:, None], delta1 * sw).coefficients
+    return solve_ols(H * sw[:, None], delta1 * sw,
+                     "CITE kappa stage").coefficients
 
 
 def usable_weights(w):

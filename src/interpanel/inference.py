@@ -12,8 +12,10 @@ which propagates both.
 The stacked fits' SEs take only their blocks: `ite_se(dr)` and
 `cite_theta_se(dr)` read the coefficients of `dr.pooled`, which are
 `ite(dr)` and `fit_cite(dr).theta_hat` themselves, so no estimate can be
-paired with other blocks. `cite_kappa_se(dr, result)` also takes the
-CiteResult, whose slopes, kappa and weights it reads.
+paired with other blocks. The two SEs of the two-step fit,
+`cite_kappa_se(dr, result)` and `bootstrap_cite(dr, result, ...)`, take
+its CiteResult, that of `fit_cite(dr, mode)`: the first reads its slopes,
+kappa and weights, the second its weight mode, and neither fits again.
 
 A bootstrap draw is a count vector over units, not a copy of the blocks:
 `unit_summaries` takes once what a refit reads of each unit (the R
@@ -297,14 +299,11 @@ def _draw_counts(seed, rs, attempt, n):
     ).integers(0, n, size=n), minlength=n) for r in rs])
 
 
-def bootstrap_cite(dr, weight_mode, replications, seed):
+def bootstrap_cite(dr, result, replications, seed):
     """Unit bootstrap of the full two-step pipeline on the CITE blocks
-    `dr` under `weight_mode`. It first runs the full fit,
-    fit_cite(dr, weight_mode), and raises what that raises before any
-    draw: ValueError for a mode not in WEIGHT_MODES, the RankDeficient
-    of a stage that cannot be fitted (fewer units than K_h included),
-    ZeroDegreesOfFreedom or MissingWeights: there is then no estimate
-    for the draws to give an SE of.
+    `dr`, whose fit is `result`, the CiteResult of fit_cite(dr, mode);
+    the draws run under result.weight_mode. A result exists only where
+    the full fit passed, so n >= K_h and the pooled stage fits.
 
     The SEs are those of kappa, one per column of H. The per-unit
     summaries are taken once (`unit_summaries`); then units are
@@ -321,12 +320,12 @@ def bootstrap_cite(dr, weight_mode, replications, seed):
 
     Draw r's attempt a is drawn from SeedSequence(seed, spawn_key=(r, a)),
     so results are reproducible and independent of execution order and
-    chunking. At K_h = 0 every mode gives the draws of "none", as
-    `fit_cite` fits it.
+    chunking.
     """
-    fit_cite(dr, weight_mode)  # a full fit that fails raises before any draw
     if replications < 50:
         raise ValueError(f"need at least 50 replications, got {replications}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n, K_h = dr.H.shape
     summaries = unit_summaries(dr)
     chunk = _draw_chunk(summaries)
@@ -343,8 +342,8 @@ def bootstrap_cite(dr, weight_mode, replications, seed):
         for start in range(0, todo.size, chunk):
             rs = todo[start:start + chunk]
             kappa, failed = draw_kappas(
-                summaries, _draw_counts(seed, rs, attempt, n), weight_mode,
-                work)
+                summaries, _draw_counts(seed, rs, attempt, n),
+                result.weight_mode, work)
             draws[rs[~failed]] = kappa[~failed]
             retry.append(rs[failed])
         todo, attempt = np.concatenate(retry), attempt + 1

@@ -70,7 +70,7 @@ class LeastSquaresFit:
     gram_condition: float
 
 
-def solve_ols(design, response):
+def solve_ols(design, response, stage=None):
     """Solve an ordinary least-squares problem via SVD.
 
     Parameters
@@ -78,6 +78,9 @@ def solve_ols(design, response):
     design : (m, k) array_like
         Design matrix, m rows and k columns.
     response : (m,) array_like
+    stage : str, optional
+        The fit's name, put before the reason of its RankDeficient as
+        "stage: reason".
 
     Returns
     -------
@@ -97,8 +100,10 @@ def solve_ols(design, response):
     m, k = A.shape
     if y.shape[0] != m:
         raise ValueError(f"response length {y.shape[0]} != design rows {m}")
+    prefix = "" if stage is None else f"{stage}: "
     if m < k:
-        raise RankDeficient(f"underdetermined system: {m} rows < {k} columns")
+        raise RankDeficient(
+            f"{prefix}underdetermined system: {m} rows < {k} columns")
     if k == 0:
         return LeastSquaresFit(np.zeros(0), 1.0)
 
@@ -107,7 +112,8 @@ def solve_ols(design, response):
     cond = gram_condition(sv)
     if rank_deficient(sv) or rank < k:
         raise RankDeficient(
-            f"design is numerically rank deficient (gram condition ~ {cond:.3e})",
+            f"{prefix}design is numerically rank deficient "
+            f"(gram condition ~ {cond:.3e})",
             condition=cond,
         )
     return LeastSquaresFit(coef, cond)

@@ -842,6 +842,20 @@ def missing_input(tmp_path):
     return ["estimate", "--input", str(tmp_path / "missing.csv")]
 
 
+def too_few_units_for_kappa(tmp_path):
+    # 2 units for K_h = 3 kappas: the kappa stage names itself
+    write_csv(random_panel(25, n=2, T=3, K_x=1, K_g=0, K_z=0, K_h=3),
+              tmp_path / "panel.csv")
+    return ["estimate", "--input", str(tmp_path / "panel.csv"),
+            "--estimator", "cite"]
+
+
+def negative_seed(tmp_path):
+    write_csv(random_panel(26, n=20, K_h=1), tmp_path / "panel.csv")
+    return ["estimate", "--input", str(tmp_path / "panel.csv"),
+            "--estimator", "cite", "--se", "bootstrap", "--seed", "-1"]
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv, message", [
         (degenerate_bootstrap, "exceeded 500 redraws"),
@@ -851,8 +865,12 @@ class TestUsage:
         (exactly_identified, "the small-sample factor (N-1)/(N-k) needs more "
                              "rows than columns, got N = 2, k = 2"),
         (missing_input, "[Errno 2] No such file or directory"),
+        (too_few_units_for_kappa, "CITE kappa stage: underdetermined "
+                                  "system: 2 rows < 3 columns"),
+        (negative_seed, "seed must be >= 0, got -1"),
     ], ids=["degenerate-bootstrap", "mc-failure-rate", "mc-underdetermined",
-            "cluster-N-equals-k", "missing-input"])
+            "cluster-N-equals-k", "missing-input", "n-below-K_h",
+            "negative-seed"])
     def test_failure_is_one_error_line(self, argv, message, tmp_path,
                                        capsys):
         code, out, err = run(capsys, *argv(tmp_path))

@@ -214,6 +214,27 @@ class TestPlimTargets:
         assert abs(t.ite_plim_kappa1 - analytic) < 4 * t.ite_plim_kappa1_se
         assert np.sign(t.kappa_tilde[0]) != np.sign(t.ite_plim_kappa1)
 
+    def test_ite_gap_targets_match_their_exact_limits(self):
+        # ite_gap: H and the hidden h are standard normal with corr rho,
+        # delta_i1 = -0.75 H + 1.0 h + eps (eps independent, mean 0), K_x = 1
+        # and X_it = sqrt(1 + h^2) xi_it. The projection on H is
+        #   kappa_tilde = E[H delta] / E[H^2] = -0.75 + E[Hh] = -0.75 + rho.
+        # The one-step fit weights unit i by E[x_i'x_i | unit] = T (1 + h^2)
+        # (V and U add mean-0 terms), so its limit is
+        #   -0.75 + E[(1 + h^2) H h] / E[(1 + h^2) H^2],
+        # where Isserlis' theorem gives E[Hh] = rho, E[H h^3] = 3 rho,
+        # E[H^2] = 1 and E[H^2 h^2] = 1 + 2 rho^2: -0.75 + 4 rho / (2 + 2 rho^2)
+        cfg = packaged_config("ite_gap")
+        rho = cfg.hidden_corr
+        assert (rho, cfg.kappa, cfg.hidden_kappa) == (0.6, (-0.75,), 1.0)
+        assert (cfg.h_mean, cfg.h_scale, cfg.x_mean, cfg.x_scale,
+                cfg.x_hidden_scale_slope) == (0.0, 1.0, 0.0, 1.0, 1.0)
+        t = plim_targets(cfg, oracle_draws=2_000_000, n_blocks=40, seed=0)
+        assert abs(t.kappa_tilde[0] - (-0.75 + rho)) < 4 * t.kappa_tilde_se[0]
+        ite_limit = -0.75 + 4 * rho / (2 + 2 * rho**2)
+        assert ite_limit == pytest.approx(-0.75 + 2.4 / 2.72)
+        assert abs(t.ite_plim_kappa1 - ite_limit) < 4 * t.ite_plim_kappa1_se
+
     def test_measurement_error_attenuation(self):
         # projection on the noisy h shrinks by var(h)/(var(h)+noise^2)
         cfg = scalar_config(scenario="measurement_error", h_noise_scale=0.5,

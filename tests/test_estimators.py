@@ -13,7 +13,7 @@ from interpanel.dgp import packaged_config, simulate
 from interpanel.estimators import (LengthMismatch, MissingWeights, cite_delta,
                                    cite_kappa, cite_theta, fit_cite, inv11,
                                    ite, mean_effect, second_stage_weights)
-from interpanel.linalg import solve_ols
+from interpanel.linalg import RankDeficient, solve_ols
 
 from conftest import (assert_same_bits, dummy_variable_oracle, random_panel,
                       within_ols_oracle)
@@ -192,6 +192,18 @@ class TestCiteKappa:
     def test_weights_length_must_match(self):
         with pytest.raises(LengthMismatch):
             cite_kappa(np.zeros(10), np.ones((10, 1)), np.ones(9))
+
+    @pytest.mark.parametrize("weights", [None, np.ones(4)],
+                             ids=["unweighted", "weighted"])
+    def test_rank_deficient_names_the_stage(self, weights):
+        # a repeated column of H: the solver's reason and condition, named
+        H = np.repeat(np.arange(1.0, 5.0)[:, None], 2, axis=1)
+        with pytest.raises(RankDeficient) as exc:
+            cite_kappa(np.arange(4.0), H, weights)
+        assert str(exc.value).startswith(
+            "CITE kappa stage: design is numerically rank deficient "
+            "(gram condition ~ ")
+        assert exc.value.condition > 1e20
 
 
 class TestIte:

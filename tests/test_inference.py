@@ -53,9 +53,9 @@ def one_exact_unit_panel():
 
 
 def bootstrap(ds, replications, seed, weight_mode="none"):
-    """bootstrap_cite on the CITE blocks built here."""
-    return bootstrap_cite(build_regressors(ds).cite, weight_mode,
-                          replications, seed)
+    """bootstrap_cite on the CITE blocks built here and their fit."""
+    dr = build_regressors(ds).cite
+    return bootstrap_cite(dr, fit_cite(dr, weight_mode), replications, seed)
 
 
 class TestFirstStageSe:
@@ -411,7 +411,7 @@ class TestBootstrap:
             bootstrap(ds, replications=10, seed=0)
 
     def test_unknown_weight_mode(self):
-        # the bootstrap's full fit rejects the mode before any draw
+        # the full fit the bootstrap is given rejects the mode first
         ds = small_baseline(n=30, seed=13)
         with pytest.raises(ValueError) as err:
             bootstrap(ds, replications=50, seed=0, weight_mode="inv_sd")
@@ -476,22 +476,18 @@ class TestBootstrap:
          "CITE pooled stage: "),
         # 2 units for K_h = 3 kappas
         (dict(n=2, T=3, K_z=0, K_h=3), "none", linalg.RankDeficient,
-         "underdetermined system: 2 rows < 3 columns"),
+         "CITE kappa stage: underdetermined system: 2 rows < 3 columns"),
         # T = K_x: no first-stage SEs, so no weights
         (dict(n=8, T=1, K_z=0, K_h=1), "inv_se", ZeroDegreesOfFreedom,
          "every unit has T <= K_x (T = 1, K_x = 1)"),
     ], ids=["2-1-5", "3-2-6", "n<K_h", "T=K_x"])
     def test_blocks_whose_full_fit_fails_raise_it(self, dims, mode, error,
                                                   message):
-        # no resample of these units can be fitted: the full fit's error is
-        # raised before any draw, not a broadcast error in _solve_r nor
-        # DegenerateResample after the redraw cap
+        # no resample of these units can be fitted, and the full fit, which
+        # the bootstrap needs as its input, raises first
         dr = build_regressors(random_panel(25, K_x=1, K_g=0, **dims)).cite
-        with pytest.raises(error) as fit_err:
-            fit_cite(dr, mode)
         with pytest.raises(error) as exc:
-            bootstrap_cite(dr, mode, 50, 0)
-        assert str(exc.value) == str(fit_err.value)
+            fit_cite(dr, mode)
         assert str(exc.value).startswith(message)
 
     @pytest.mark.parametrize("ds, idx, mode, error", [
@@ -526,13 +522,25 @@ class TestBootstrap:
                 draw_kappas(unit_summaries(dr), counts, mode)
 
     def test_zero_first_stage_se_aborts_the_bootstrap(self):
-        # every unit's residuals are exactly 0, so each draw of at least
-        # K_h = 1 distinct units has an infinite weight: the bootstrap stops
-        # at the first chunk, as the refit of that draw would
-        ds = exact_residual_panel(K_z=0)
+        # units 0-6 have X = 1 and Y constant in time, unit 7 a Y that
+        # varies: the full fit's theta is not 0, so it passes, but a draw
+        # without unit 7 has theta exactly 0, and its units' first-stage
+        # residuals, so their se_i, are exactly 0. Such a draw's refit
+        # raises MissingWeights, and the bootstrap stops with it
+        ds = exact_residual_panel(K_z=1)
+        Y = ds.Y.copy()
+        Y[7] = [1.0, 3.0, 2.0, 5.0]
+        ds = make_dataset(Y, ds.X, Z=ds.Z, H=ds.H)
         dr = build_regressors(ds).cite
+        res = fit_cite(dr, "inv_se")
+        assert np.all(res.theta_hat != 0.0)
+        counts = inference._draw_counts(1, np.arange(50), 0, ds.dims.n)
+        first = np.flatnonzero(counts[:, 7] == 0)[0]
+        idx = np.repeat(np.arange(ds.dims.n), counts[first])
         with pytest.raises(MissingWeights):
-            bootstrap_cite(dr, "inv_se", replications=50, seed=1)
+            fit_cite(build_regressors(subset_units(ds, idx)).cite, "inv_se")
+        with pytest.raises(MissingWeights):
+            bootstrap_cite(dr, res, replications=50, seed=1)
 
     @pytest.mark.parametrize("mode", WEIGHT_MODES)
     def test_draws_do_not_depend_on_the_chunk(self, mode, monkeypatch):
@@ -540,6 +548,7 @@ class TestBootstrap:
         # bootstrap, has the same bits in chunks of 1, 3 or all draws
         ds = add_intercept_h(small_baseline(n=60, seed=19))
         dr = build_regressors(ds).cite
+        res = fit_cite(dr, mode)
         s = unit_summaries(dr)
         counts = inference._draw_counts(7, np.arange(60), 0, ds.dims.n)
         whole = draw_kappas(s, counts, mode)[0]
@@ -549,7 +558,7 @@ class TestBootstrap:
                     for j in range(0, 60, chunk)]
             assert np.array_equal(np.concatenate(rows), whole), chunk
             monkeypatch.setattr(inference, "_draw_chunk", lambda s: chunk)
-            boots.append(bootstrap_cite(dr, mode, 60, 7))
+            boots.append(bootstrap_cite(dr, res, 60, 7))
         for boot in boots[1:]:
             assert np.array_equal(boot.se, boots[0].se)
             assert np.array_equal(boot.vcov, boots[0].vcov)
@@ -560,9 +569,10 @@ class TestBootstrap:
         # (a 16 MB peak); in chunks of 6 draws the peak is 0.55 MB
         ds = random_panel(41, n=300, T=6, K_x=2, K_g=1, K_z=1, K_h=3)
         dr = build_regressors(ds).cite
+        res = fit_cite(dr, "inv_se")
         tracemalloc.start()
         try:
-            bootstrap_cite(dr, "inv_se", 200, 3)
+            bootstrap_cite(dr, res, 200, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -67,6 +67,16 @@ class TestSolveOls:
             solve_ols(np.ones((2, 3)), np.ones(2))
         assert exc.value.condition == np.inf
 
+    def test_stage_names_the_fit_before_the_reason(self):
+        with pytest.raises(RankDeficient, match="^S: underdetermined system: "
+                                                "2 rows < 3 columns$") as exc:
+            solve_ols(np.ones((2, 3)), np.ones(2), stage="S")
+        assert exc.value.condition == np.inf
+        with pytest.raises(RankDeficient, match="^S: design is numerically "
+                                                "rank deficient") as exc:
+            solve_ols(np.ones((4, 2)), np.ones(4), stage="S")
+        assert exc.value.condition > 1e20
+
     def test_empty_design(self):
         A, y = np.empty((4, 0)), np.arange(4.0)
         fit = solve_ols(A, y)

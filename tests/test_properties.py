@@ -331,7 +331,7 @@ ESTIMATE_ARGS = [None, ["--se", "cluster"],
 @given(ds=tiny_panels(), estimate=st.sampled_from(ESTIMATE_ARGS))
 def test_fits_and_ses_fail_only_by_named_errors(ds, estimate):
     # every fit and SE on any panel returns or raises one of the package's
-    # named errors; the bootstrap raises what its full fit raises; and
+    # named errors, the bootstrap of every fit that passes included; and
     # `estimate` on the panel's CSV exits 0, or 1 with one error line
     named_outcome(validate, ds)
     dr = named_outcome(build_regressors, ds)
@@ -341,11 +341,9 @@ def test_fits_and_ses_fail_only_by_named_errors(ds, estimate):
         named_outcome(cite_theta_se, dr.cite)
         for mode in ("none", "inv_se"):
             res = named_outcome(fit_cite, dr.cite, mode)
-            boot = named_outcome(bootstrap_cite, dr.cite, mode, 50, 0)
-            if isinstance(res, Exception):
-                assert type(boot) is type(res)
-            else:
+            if not isinstance(res, Exception):
                 named_outcome(cite_kappa_se, dr.cite, res)
+                named_outcome(bootstrap_cite, dr.cite, res, 50, 0)
     if estimate is None:
         return
     out, err = io.StringIO(), io.StringIO()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from interpanel import data, estimators, inference, linalg
+from interpanel import cli, data, estimators, inference, linalg
 
 from conftest import random_panel
 
@@ -125,3 +125,21 @@ def test_every_sandwich_is_one_cluster_robust_se_call(tracer):
     assert calls == 3
     assert all(se.se.size for se in ses)
     assert inference.cluster_robust_se is original
+
+
+@pytest.mark.parametrize("mode", ["none", "inv_se", "inv_var"])
+def test_bootstrap_estimate_fits_cite_once(tracer, mode, tmp_path, capsys):
+    # `estimate` fits CITE once and hands that fit to the bootstrap, whose
+    # draws refit from unit summaries, not through fit_cite
+    path = tmp_path / "panel.csv"
+    data.write_csv(random_panel(5, n=30, K_x=2, K_g=1, K_z=1, K_h=2), path)
+    argv = ["estimate", "--input", str(path), "--estimator", "cite",
+            "--se", "bootstrap", "--weight-mode", mode,
+            "--bootstrap-reps", "50"]
+
+    original = estimators.fit_cite
+    calls, code = counted_calls(tracer, "estimators.fit_cite",
+                                lambda: cli.main(argv))
+    assert code == 0, capsys.readouterr().err
+    assert calls == 1
+    assert estimators.fit_cite is original
