@@ -47,8 +47,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import Dims, build_ite_blocks, default_columns, make_dataset
-from .estimators import ite
-from .linalg import solve_ols
+from .estimators import cite_kappa, ite
 
 SCENARIOS = (
     "baseline",
@@ -423,11 +422,12 @@ class PlimTargets:
     """Large-n targets estimated by fresh-draw moment simulation.
 
     kappa_tilde is the population projection coefficient of delta_i1 on
-    the *observed* H (which equals the true kappa whenever eps is mean
-    independent of H). ite_plim_kappa1 is the limit of the one-step
-    estimator's first kappa component, available for scalar-X shapes
-    (exactly one non-constant x column). Values are block means over
-    independent draws; simulation SEs are SD across blocks / sqrt(blocks).
+    the *observed* H, CITE's kappa stage on the true slopes (it equals
+    the true kappa whenever eps is mean independent of H).
+    ite_plim_kappa1 is the limit of the one-step estimator's first kappa
+    component, available for scalar-X shapes (exactly one non-constant x
+    column). Values are block means over independent draws; simulation
+    SEs are SD across blocks / sqrt(blocks).
     """
 
     kappa_tilde: np.ndarray
@@ -448,31 +448,28 @@ class PlimTargets:
         }
 
 
-def _ite_plim_shape_ok(cfg):
-    return (cfg.dims.K_x - len(cfg.x_constant_cols) == 1
-            and 1 not in cfg.x_constant_cols
-            and cfg.dims.K_h >= 1)
-
-
-def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20):
+def plim_targets(cfg, oracle_draws, seed, n_blocks):
     """Estimate the projection target and the one-step limit by simulation.
 
     Fresh draws only (never the estimation sample): `oracle_draws` units
-    are simulated in `n_blocks` independent blocks; each block yields one
-    estimate of each target, and the block spread gives the simulation SE.
+    are simulated, from `seed`, in `n_blocks` independent blocks; each
+    block yields one estimate of each target, and the block spread gives
+    the simulation SE. A block's kappa_tilde is CITE's own kappa stage,
+    `cite_kappa`, on the true slopes delta_i1 and the observed H.
 
     The one-step limit is computed only when the model has exactly one
-    non-constant x column; otherwise ite_plim_kappa1 and its SE are None.
-    Each block builds only the one-step fit's blocks: no X_i is factored.
+    non-constant x column, the first; otherwise ite_plim_kappa1 and its
+    SE are None. Each block builds only the one-step fit's blocks: no X_i
+    is factored.
     """
     if cfg.dims.K_h < 1:
         raise ScenarioUnsupported("plim targets need at least one H column")
     if n_blocks < 2:
         raise ValueError("need at least 2 oracle blocks")
     block_n = max(oracle_draws // n_blocks, 2)
-    want_ite = _ite_plim_shape_ok(cfg)
+    want_ite = (cfg.dims.K_x - len(cfg.x_constant_cols) == 1
+                and 1 not in cfg.x_constant_cols)
 
-    seed = cfg.seed if seed is None else seed
     root = np.random.SeedSequence(entropy=int(seed), spawn_key=(0x0A11CE,))
     children = root.spawn(n_blocks)
 
@@ -483,23 +480,18 @@ def plim_targets(cfg, oracle_draws=200_000, seed=None, n_blocks=20):
         cfg_b = replace(cfg, dims=replace(cfg.dims, n=block_n), seed=child_seed)
         truth = simulate(cfg_b)
         ds = truth.dataset
-        kt_blocks[b] = solve_ols(ds.H, truth.delta[:, 0]).coefficients
+        kt_blocks[b] = cite_kappa(truth.delta[:, 0], ds.H)
         if want_ite:
             ite_blocks[b] = ite(build_ite_blocks(ds))[0]
 
-    kt = kt_blocks.mean(axis=0)
-    kt_se = kt_blocks.std(axis=0, ddof=1) / np.sqrt(n_blocks)
-    if want_ite:
-        ite_val = float(ite_blocks.mean())
-        ite_se_val = float(ite_blocks.std(ddof=1) / np.sqrt(n_blocks))
-    else:
-        ite_val = None
-        ite_se_val = None
+    ite_val, ite_se = (None, None) if not want_ite else (
+        float(ite_blocks.mean()),
+        float(ite_blocks.std(ddof=1) / np.sqrt(n_blocks)))
     return PlimTargets(
-        kappa_tilde=kt,
-        kappa_tilde_se=kt_se,
+        kappa_tilde=kt_blocks.mean(axis=0),
+        kappa_tilde_se=kt_blocks.std(axis=0, ddof=1) / np.sqrt(n_blocks),
         ite_plim_kappa1=ite_val,
-        ite_plim_kappa1_se=ite_se_val,
+        ite_plim_kappa1_se=ite_se,
         oracle_draws=block_n * n_blocks,
         n_blocks=n_blocks,
     )

@@ -222,7 +222,9 @@ def draw_kappas(s, counts, weight_mode, work=None):
     and, under a weighted mode, the first-stage SEs and weights follow
     from theta. The kappa stage factors the rows sqrt(w_i) [H_i | delta_i1]
     with w_i = c_i (times 1/se_i or 1/se_i^2), so an undrawn unit's rows
-    are 0. A draw fails where the singular values of a stage's R11 fail
+    are 0; where c_i times a finite weight passes DBL_MAX, the rows are
+    scaled by sqrt(c_i) times its root, as the refit's c_i copies of
+    them are. A draw fails where the singular values of a stage's R11 fail
     linalg.rank_deficient; one with fewer distinct units than K_h has
     fewer than K_h nonzero rows there, so it fails by that verdict. No
     product spans two draws, so a draw's kappa does not depend on the
@@ -243,23 +245,26 @@ def draw_kappas(s, counts, weight_mode, work=None):
     K_h = s.H.shape[1]
     if K_h == 0:
         return np.zeros((b, 0)), failed
-    w = counts.astype(float)
+    sw = np.sqrt(counts)
     if weight_mode != "none":
         dof = first_stage_dof(s.T, s.K_x)
         v = np.concatenate([-theta, np.ones((b, 1))], axis=1)
         e = (v[:, None, :] @ s.Rb.reshape(q, -1)).reshape(b, -1, n)
         s2 = np.einsum("brn,brn->bn", e, e) / dof
         drawn = counts > 0
-        w *= np.where(drawn, second_stage_weights(np.sqrt(s2 * s.inv11),
-                                                  weight_mode), 1.0)
-        bad = drawn & ~usable_weights(w)
-        if np.any(bad[~failed]):
+        w = second_stage_weights(np.sqrt(s2 * s.inv11), weight_mode)
+        if np.any((drawn & ~usable_weights(w))[~failed]):
             raise MissingWeights("weights must be strictly positive and finite")
+        w = np.where(drawn, w, 1.0)
         w[failed] = 0.0
+        with np.errstate(over="ignore"):  # inf where c_i w_i > DBL_MAX
+            sw = np.sqrt(counts * w)
+        over = np.isinf(sw)
+        sw[over] = np.sqrt(counts[over]) * np.sqrt(w[over])
     A = np.empty((b, K_h + 1, n))
     A[:, :K_h] = s.H.T
     A[:, K_h] = s.d01 - (s.D1 @ theta[:, :, None])[:, :, 0]
-    A *= np.sqrt(w)[:, None, :]
+    A *= sw[:, None, :]
     kappa, bad = _solve_r(np.linalg.qr(A.transpose(0, 2, 1), mode="r"), K_h)
     failed |= bad
     kappa[failed] = 0.0

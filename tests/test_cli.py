@@ -429,6 +429,50 @@ PINNED_SHA = {
 }
 
 
+def small_dgp(name, **dims):
+    cfg = packaged_config(name)
+    return replace(cfg, dims=replace(cfg.dims, **dims)).to_dict()
+
+
+# `mini_mc_config` fields of each pinned `mc --config exp.json --output
+# mc.json` run: both omitted_variable contracts; the cite one alone, as two
+# non-constant x columns leave the one-step limit undefined; the
+# correlated_random_effects contracts; K_h = 0, so no simulated target; and
+# a weighted cite-only run whose contract fails (exit 1)
+MC_PINNED = {
+    "omitted_variable": dict(dgp=small_dgp("ite_gap", n=50),
+                             sample_sizes=[40, 80],
+                             estimators=["cite", "ite"]),
+    "omitted_variable_two_x": dict(dgp={
+        "dims": {"n": 50, "T": 4, "K_x": 2, "K_g": 0, "K_z": 0, "K_h": 1},
+        "kappa": [-0.75], "scenario": "omitted_variable",
+        "hidden": {"kappa": 1.0, "corr": 0.6}}, estimators=["cite", "ite"]),
+    "correlated_random_effects": dict(dgp=small_dgp("correlated_re", n=50),
+                                      estimators=["cite", "ite"]),
+    "no_h": dict(dgp={
+        "dims": {"n": 50, "T": 4, "K_x": 2, "K_g": 1, "K_z": 1, "K_h": 0},
+        "kappa": [], "phi": [[0.8], [0.3]], "gamma": [1.0],
+        "x": {"constant_cols": [2]}}, estimators=["cite", "ite"]),
+    "cite_inv_se_fails": dict(dgp=small_dgp("ite_gap", n=50),
+                              sample_sizes=[400], weight_mode="inv_se"),
+}
+
+# sha256 over the sha256 of the exit code, stdout, stderr and --output file
+# of each MC_PINNED run, on the same terms as PINNED_SHA
+MC_PINNED_SHA = {
+    "omitted_variable":
+        "a6f339fb26c35f7a88ec2cda43c05c1f2e6fa7f96ef16a9452194903c94b7db3",
+    "omitted_variable_two_x":
+        "563a0f355d1c1632b1512ad15102590c78095151e229cfb281ed1a119828b581",
+    "correlated_random_effects":
+        "445919454d334aeafc2bec7d0a4ec15165155842c5f067bb96ce99129afa17c2",
+    "no_h":
+        "11a2975b2feef26c42cd882ce37c918280727229d9559e98a40e8146db738b37",
+    "cite_inv_se_fails":
+        "eb3d8d98d8a29511e457499ef8114ea4d32a32c38e92531b21eb1bb41d51d3b7",
+}
+
+
 class TestCommandBytes:
     @pytest.mark.parametrize("config, command", PINNED_SHA)
     def test_output_bytes_are_pinned(self, config, command, tmp_path,
@@ -445,6 +489,17 @@ class TestCommandBytes:
                      out_json.read_bytes()):
             digest.update(hashlib.sha256(part).digest())
         assert digest.hexdigest() == PINNED_SHA[config, command]
+
+    @pytest.mark.parametrize("name", MC_PINNED_SHA)
+    def test_mc_bytes_are_pinned(self, name, tmp_path, capsys):
+        out_json = tmp_path / "mc.json"
+        code, out, err = run(capsys, "mc", "--config", str(mini_mc_config(
+            tmp_path, **MC_PINNED[name])), "--output", str(out_json))
+        digest = hashlib.sha256()
+        for part in (str(code).encode(), out.encode(), err.encode(),
+                     out_json.read_bytes()):
+            digest.update(hashlib.sha256(part).digest())
+        assert digest.hexdigest() == MC_PINNED_SHA[name]
 
 
 # (argv, option, the option it clashes with): the last path of argv names

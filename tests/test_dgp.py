@@ -235,6 +235,23 @@ class TestPlimTargets:
         assert ite_limit == pytest.approx(-0.75 + 2.4 / 2.72)
         assert abs(t.ite_plim_kappa1 - ite_limit) < 4 * t.ite_plim_kappa1_se
 
+    def test_correlated_random_effects_targets_are_kappa(self):
+        # K_x = 1, K_g = K_z = 0: delta_i1 = H_i kappa + eps_i and
+        # Y_it = X_it (delta_i1 + V_it) + U_it, with eps, V and U mean 0 and
+        # independent of X, H and each other. The projection on H is
+        #   kappa_tilde = E[H delta] / E[H^2] = kappa + E[H eps] / E[H^2],
+        # and E[H eps] = E[H] E[eps] = 0. The one-step fit regresses Y_it
+        # on X_it H_i, so its limit is
+        #   kappa + E[X^2 H eps + X^2 H V + X H U] / E[X^2 H^2],
+        # where each term of the numerator has a mean-0 factor independent
+        # of the rest: both limits are kappa exactly
+        cfg = scalar_config(dims=Dims(n=200, T=4, K_x=1, K_g=0, K_z=0, K_h=1),
+                            kappa=(-0.75,), phi=((),), gamma=(),
+                            scenario="correlated_random_effects")
+        t = plim_targets(cfg, oracle_draws=400_000, seed=38, n_blocks=40)
+        assert abs(t.kappa_tilde[0] - (-0.75)) < 4 * t.kappa_tilde_se[0]
+        assert abs(t.ite_plim_kappa1 - (-0.75)) < 4 * t.ite_plim_kappa1_se
+
     def test_measurement_error_attenuation(self):
         # projection on the noisy h shrinks by var(h)/(var(h)+noise^2)
         cfg = scalar_config(scenario="measurement_error", h_noise_scale=0.5,

@@ -260,6 +260,34 @@ class TestContracts:
                       if "cite recovers the truth" in c["name"]][0]
         assert not cite_check["passed"]
 
+    def test_omitted_variable_contracts_read_the_cell(self):
+        # each contract holds its first-kappa cell to the target and SE
+        # that the cell carries: other targets attached to the report move
+        # no contract, and a moved bias_vs_target moves its own contract
+        report = run_experiment(mini_experiment(
+            dgp=packaged_config("ite_gap"), sample_sizes=(80,)))
+        checks = evaluate_contracts(report)
+        assert [c["name"] for c in checks] == [
+            "omitted_variable: cite tracks the projection target",
+            "omitted_variable: ite tracks its own (different) limit"]
+        t = report.targets
+        other = replace(t, kappa_tilde=t.kappa_tilde + 1.0,
+                        kappa_tilde_se=t.kappa_tilde_se * 0.0,
+                        ite_plim_kappa1=t.ite_plim_kappa1 + 1.0,
+                        ite_plim_kappa1_se=0.0)
+        assert evaluate_contracts(replace(report, targets=other)) == checks
+        assert evaluate_contracts(replace(report, targets=None)) == checks
+        cell = report.cell("ite", 80, "kappa[h1]")
+        moved = replace(cell, bias_vs_target=cell.bias_vs_target + 1.0)
+        got = evaluate_contracts(replace(report, cells=tuple(
+            moved if c is cell else c for c in report.cells)))
+        se = np.hypot(cell.mc_se, cell.target_se)
+        assert got[0] == checks[0]
+        assert got[1] == {
+            "name": checks[1]["name"], "passed": False,
+            "detail": f"|mean - plim| = {abs(moved.bias_vs_target):.4g}, "
+                      f"3*se = {3 * se:.4g} at n=80"}
+
     @pytest.mark.parametrize("bias, shown, passed", [
         (0.0, "0.00", True), (0.5, "inf", False)])
     def test_table_and_contract_share_the_bias_ratio(self, bias, shown,

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -520,6 +521,28 @@ class TestBootstrap:
         else:
             with pytest.raises(error):
                 draw_kappas(unit_summaries(dr), counts, mode)
+
+    def test_weight_above_half_dbl_max_drawn_twice(self):
+        # unit 0's Y is scaled down until its inv_var weight w_0 is about
+        # 1.2e308: the refit of a draw holding it twice has two rows of
+        # sqrt(w_0), finite, while 2 w_0 passes DBL_MAX. The draw matches
+        # that refit, with no overflow warning and no MissingWeights
+        ds = random_panel(5, n=6, T=4, K_x=1, K_g=0, K_z=0, K_h=1)
+        w_0 = weighted_fit(ds, "inv_var").weights[0]
+        Y = ds.Y.copy()
+        Y[0] /= np.sqrt(1.2e308 / w_0)
+        ds = make_dataset(Y, ds.X, H=ds.H)
+        dr = build_regressors(ds).cite
+        w_0 = fit_cite(dr, "inv_var").weights[0]
+        assert sys.float_info.max / 2 < w_0 < sys.float_info.max
+        idx = [0, 0, 1, 2, 3, 4]
+        refit = weighted_fit(subset_units(ds, idx), "inv_var").kappa_hat
+        counts = np.bincount(idx, minlength=ds.dims.n)[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kappa, failed = draw_kappas(unit_summaries(dr), counts, "inv_var")
+        assert failed.tolist() == [False]
+        assert_allclose(kappa[0], refit, rtol=1e-10, atol=0)
 
     def test_zero_first_stage_se_aborts_the_bootstrap(self):
         # units 0-6 have X = 1 and Y constant in time, unit 7 a Y that
