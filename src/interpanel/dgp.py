@@ -46,7 +46,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dims, build_ite_blocks, default_columns, make_dataset
+from .data import Dims, build_ite_blocks, make_dataset
 from .estimators import cite_kappa, ite
 
 SCENARIOS = (
@@ -95,7 +95,15 @@ def _columns(v, k, low=-math.inf):
     return tuple(_columns(x, k, low) for x in v)
 
 
+# The default of kappa, phi and gamma: zeros of the shape the dims give them,
+# built by their checks once the dims have passed, so K_h <= n bounds kappa's.
+# A sentinel, not None, so that JSON null stays an error.
+_ZEROS = object()
+
+
 def _coefficients(v, k, dim):
+    if v is _ZEROS:
+        return (0.0,) * k
     n = len(v) if isinstance(v, _SEQUENCE) else f"of {v!r}"
     if n != k:
         raise ValueError(f"length {n} != {dim}={k}")
@@ -103,6 +111,8 @@ def _coefficients(v, k, dim):
 
 
 def _phi(v, d):
+    if v is _ZEROS:
+        return ((0.0,) * d.K_g,) * d.K_x
     if not isinstance(v, _SEQUENCE) or len(v) != d.K_x or any(
             not isinstance(row, _SEQUENCE) or len(row) != d.K_g for row in v):
         raise ValueError(f"need shape ({d.K_x}, {d.K_g})")
@@ -145,7 +155,8 @@ def _K_h(v, d):
 # kappa default, at most n. Dims then bounds K_x by T, and n * T * (1 + K_x
 # + K_g + K_z + K_h) by the cells one float64 array can address. That bounds
 # no memory: the phi and gamma defaults (K_x * K_g and K_z entries) are
-# built up to it.
+# built up to it. DgpConfig runs these checks on its dims however it is
+# built (`from_dict`, the constructor, `replace`).
 _DIMS = (*(("dims", k, _size, k) for k in ("n", "T", "K_x", "K_g", "K_z")),
          ("dims", "K_h", _K_h, "K_h"))
 
@@ -219,10 +230,10 @@ class DgpConfig:
     dims: Dims
     # check(value, dims) for the rest, declared in JSON order
     kappa: tuple = _json(None, "kappa",
-                         lambda v, d: _coefficients(v, d.K_h, "K_h"))
-    phi: tuple = _json(None, "phi", _phi, ())
+                         lambda v, d: _coefficients(v, d.K_h, "K_h"), _ZEROS)
+    phi: tuple = _json(None, "phi", _phi, _ZEROS)
     gamma: tuple = _json(None, "gamma",
-                         lambda v, d: _coefficients(v, d.K_z, "K_z"), ())
+                         lambda v, d: _coefficients(v, d.K_z, "K_z"), _ZEROS)
     scenario: str = _json(None, "scenario", _scenario, "baseline")
     seed: int = _json(None, "seed", lambda v, d: _number(
         v, True, 0, reason="must be >= 0"), 0)
@@ -255,6 +266,8 @@ class DgpConfig:
         v, low=-1.0, high=1.0, reason="correlation must be in [-1, 1]"), 0.6)
 
     def __post_init__(self):
+        sizes = dict(vars(self.dims))
+        _check(sizes, _DIMS, sizes)
         _check(self.__dict__, _FIELDS, self.dims)
         if self.scenario in _HIDDEN_SCENARIOS and self.dims.K_h < 1:
             raise ConfigInvalid("dims.K_h",
@@ -279,9 +292,7 @@ class DgpConfig:
             dims = Dims(**sizes)
         except ValueError as exc:
             raise ConfigInvalid("dims", exc) from None
-        return cls(**{"dims": dims, "kappa": [0.0] * dims.K_h,
-                      "phi": [[0.0] * dims.K_g] * dims.K_x,
-                      "gamma": [0.0] * dims.K_z, **kwargs})
+        return cls(dims=dims, **kwargs)
 
 
 # (group, key, check, name) of each field declared with _json, in
@@ -359,10 +370,9 @@ def simulate(cfg):
     # 2. Unobserved slope heterogeneity.
     eps = float(cfg.eps_scale) * rng.standard_normal(d.n)
     delta = np.empty((d.n, d.K_x))
-    if d.K_x > 1:
-        dm = _broadcast(cfg.delta_mean, (d.K_x - 1,))
-        dsc = _broadcast(cfg.delta_scale, (d.K_x - 1,))
-        delta[:, 1:] = dm + dsc * rng.standard_normal((d.n, d.K_x - 1))
+    dm = _broadcast(cfg.delta_mean, (d.K_x - 1,))
+    dsc = _broadcast(cfg.delta_scale, (d.K_x - 1,))
+    delta[:, 1:] = dm + dsc * rng.standard_normal((d.n, d.K_x - 1))
     if hidden is None:
         h_used = H
         kappa_full = np.asarray(cfg.kappa, dtype=float)
@@ -411,9 +421,8 @@ def simulate(cfg):
     if cfg.scenario == "measurement_error" and d.K_h > 0:
         H_obs[:, 0] = H[:, 0] + float(cfg.h_noise_scale) * rng.standard_normal(d.n)
 
-    ds = make_dataset(Y, X, G, Z, H_obs, columns=default_columns(d))
-    h_full = h_used if hidden is not None else H
-    return SimulatedTruth(dataset=ds, delta=delta, eps=eps, h_full=h_full,
+    return SimulatedTruth(dataset=make_dataset(Y, X, G, Z, H_obs),
+                          delta=delta, eps=eps, h_full=h_used,
                           kappa_full=kappa_full)
 
 

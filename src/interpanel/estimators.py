@@ -58,14 +58,15 @@ class CiteResult:
     theta_hat stacks the phi blocks (one per x column) and gamma.
     delta_hat is (n, K_x): the per-unit slope estimates. kappa_hat is the
     cross-sectional projection of delta_hat[:, 0] on H (empty if K_h=0).
-    weights holds the w_i of a weighted kappa stage (None if unweighted).
+    weights holds the kappa stage's w_i: 1/se_i or 1/se_i^2 under a
+    weighted mode, all 1 under "none".
     """
 
     theta_hat: np.ndarray
     delta_hat: np.ndarray
     kappa_hat: np.ndarray
-    weight_mode: str = "none"
-    weights: np.ndarray = None
+    weight_mode: str
+    weights: np.ndarray
 
     def coefficients(self):
         """(kappa_hat, theta_hat) as one vector, in the order of `ite`."""
@@ -96,20 +97,19 @@ def cite_delta(dr, theta_hat):
 
 
 def cite_kappa(delta1, H, weights=None):
-    """Cross-sectional projection of the unit slopes onto H.
-
-    Without `weights` it solves (sum H_i'H_i)^{-1} sum H_i' delta1_i;
-    with per-unit weights w_i (second_stage_weights) it runs weighted
-    least squares, (sum w_i H_i'H_i)^{-1} sum w_i H_i' delta1_i. Its
-    RankDeficient names the "CITE kappa stage".
+    """Cross-sectional projection of the unit slopes onto H: weighted
+    least squares with per-unit weights w_i (second_stage_weights),
+    (sum w_i H_i'H_i)^{-1} sum w_i H_i' delta1_i, solved on the rows
+    sqrt(w_i) [H_i | delta1_i]. Without `weights` every w_i is 1, and
+    the solve is that of (H, delta1) bit for bit: sqrt(1.0) is 1.0 and
+    x * 1.0 is x. Its RankDeficient names the "CITE kappa stage".
     """
     delta1 = np.asarray(delta1, dtype=float).reshape(-1)
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != delta1.shape[0]:
         raise LengthMismatch("H and delta1 must have matching unit counts")
-    if weights is None:
-        return solve_ols(H, delta1, "CITE kappa stage").coefficients
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = np.ones(delta1.shape[0]) if weights is None else np.asarray(
+        weights, dtype=float).reshape(-1)
     if w.shape[0] != delta1.shape[0]:
         raise LengthMismatch("weights length must match delta1")
     if not usable_weights(w).all():
@@ -188,18 +188,16 @@ def fit_cite(dr, weight_mode="none"):
     """Run the two-step pipeline on the CITE blocks `dr`.
 
     Under "inv_se" or "inv_var" with K_h > 0 the kappa stage weights unit
-    i by w_i = 1/se_i or 1/se_i^2, se_i from first_stage_se; otherwise it
-    is unweighted and the result's weight_mode is "none". An unknown mode
-    raises ValueError.
+    i by w_i = 1/se_i or 1/se_i^2, se_i from first_stage_se; otherwise
+    every w_i is 1, no first-stage SE is formed and the result's
+    weight_mode is "none". An unknown mode raises ValueError.
     """
     check_weight_mode(weight_mode)
     theta = cite_theta(dr)
     delta = cite_delta(dr, theta)
-    if dr.H.shape[1] == 0:
-        return CiteResult(theta_hat=theta, delta_hat=delta,
-                          kappa_hat=np.zeros(0))
-    weights = None if weight_mode == "none" else second_stage_weights(
-        first_stage_se(dr, theta, delta), weight_mode)
+    weight_mode = weight_mode if dr.H.shape[1] else "none"
+    weights = np.ones(len(delta)) if weight_mode == "none" else \
+        second_stage_weights(first_stage_se(dr, theta, delta), weight_mode)
     return CiteResult(theta_hat=theta, delta_hat=delta,
                       kappa_hat=cite_kappa(delta[:, 0], dr.H, weights),
                       weight_mode=weight_mode, weights=weights)

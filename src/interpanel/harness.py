@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import build_regressors, default_columns
-from .dgp import (_SEQUENCE, DgpConfig, _check, _json, _number, _read,
-                  _section, plim_targets, simulate)
+from .dgp import (_SEQUENCE, ConfigInvalid, DgpConfig, _check, _json,
+                  _number, _read, _section, plim_targets, simulate)
 from .estimators import ite as _fit_ite
 from .estimators import check_weight_mode, fit_cite, theta_tilde_labels
 
@@ -46,8 +46,9 @@ def true_parameters(cfg):
 
 
 def _sample_sizes(v, cfg):
-    """The sizes as a tuple; each must make a valid Dims with the dgp's
-    other sizes (the cell bound included), as run_experiment builds it."""
+    """The sizes as a tuple; each must make a valid dgp as run_experiment
+    builds it, replace(dgp, dims=replace(dgp.dims, n=n)): its Dims (the
+    cell bound included) and its dims checks (K_h <= n)."""
     if not isinstance(v, _SEQUENCE):
         raise ValueError(f"must be a list, got {v!r}")
     sizes = tuple(_number(n, True, 2, reason="sample sizes must be >= 2")
@@ -56,8 +57,12 @@ def _sample_sizes(v, cfg):
         raise ValueError("need at least one sample size")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sample sizes must be strictly increasing")
+    dgp = cfg["dgp"]
     for n in sizes:
-        replace(cfg["dgp"].dims, n=n)
+        try:
+            replace(dgp, dims=replace(dgp.dims, n=n))
+        except ConfigInvalid as exc:  # at the dgp's path, not ours
+            raise ValueError(str(exc)) from None
     return sizes
 
 
@@ -230,8 +235,7 @@ def run_experiment(cfg):
 
     # Replications first: a DGP that cannot satisfy the rank conditions
     # should abort on the failure-rate limit, not inside the oracle.
-    all_draws = {}
-    all_ok = {}
+    good = {}  # (n, estimator) -> the good draws, in n-major order
     failure_types = {}
     sign_agreement = {}
     for n in cfg.sample_sizes:
@@ -264,8 +268,7 @@ def run_experiment(cfg):
                     f"replications at n={n} (limit "
                     f"{FAILURE_RATE_LIMIT:.0%}); check the DGP rank conditions"
                 )
-        all_draws[n] = draws
-        all_ok[n] = ok
+            good[n, est] = draws[est][ok[est]]
         if "cite" in cfg.estimators and "ite" in cfg.estimators \
                 and dgp.dims.K_h >= 1:
             both = ok["cite"] & ok["ite"]
@@ -281,10 +284,8 @@ def run_experiment(cfg):
                                seed=oracle_seed, n_blocks=cfg.oracle_blocks)
 
     cells = []
-    for n in cfg.sample_sizes:
-        for est in cfg.estimators:
-            good = all_draws[n][est][all_ok[n][est]]
-            cells.extend(_summarize(est, n, labels, truth, good, targets))
+    for (n, est), draws_ok in good.items():
+        cells.extend(_summarize(est, n, labels, truth, draws_ok, targets))
 
     return MonteCarloReport(
         scenario=dgp.scenario,

@@ -160,10 +160,9 @@ def cite_kappa_se(dr, result):
     Each unit's first-step noise is in its residual e_i, so it is
     covered; the sampling noise of theta and of estimated weights is not
     (bootstrap_cite propagates those)."""
-    n = dr.H.shape[0]
-    sw = np.ones(n) if result.weights is None else np.sqrt(result.weights)
+    sw = np.sqrt(result.weights)
     e = result.delta_hat[:, 0] - dr.H @ result.kappa_hat
-    return cluster_robust_se(dr.H * sw[:, None], e * sw, np.arange(n),
+    return cluster_robust_se(dr.H * sw[:, None], e * sw, np.arange(sw.size),
                              small_sample=False)
 
 

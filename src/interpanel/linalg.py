@@ -32,16 +32,13 @@ RANK_TOL = 1e-10
 
 
 class RankDeficient(np.linalg.LinAlgError):
-    """Raised when a design or Gram matrix is numerically singular."""
+    """Raised when a design or Gram matrix is numerically singular; a
+    `unit` label, if given, ends the message as " (unit <label>)"."""
 
     def __init__(self, message, condition=np.inf, unit=None):
         self.condition = float(condition)
         self.unit = unit
-        super().__init__(message)
-
-    def __str__(self):  # formatted late, so a unit label attached later shows
-        where = "" if self.unit is None else f" (unit {self.unit})"
-        return super().__str__() + where
+        super().__init__(message if unit is None else f"{message} (unit {unit})")
 
 
 def rank_deficient(sv):

@@ -231,6 +231,66 @@ def within_ols_oracle(ds):
     return num / den
 
 
+def exact_limits(cfg):
+    """(kappa_tilde, ite_kappa1): the exact large-n limits that
+    `plim_targets` simulates, CITE's kappa (a K_h-tuple) and ITE's first
+    kappa,
+    for a simulator config whose one non-constant x column is the first,
+    with K_g = K_z = 0, under `baseline`, `correlated_random_effects` or
+    `omitted_variable` (H of mean 0 there).
+
+    The slopes are delta_i1 = H_i'kappa + c h_i + eps_i, with c =
+    hidden.kappa and h_i the hidden column under omitted_variable (c = 0
+    otherwise), and eps_i of mean 0, independent of H_i, h_i and x_i.
+
+    CITE's limit is the projection of delta_i1 on H,
+        kappa_tilde = E[HH']^{-1} E[H delta1] = kappa + c E[HH']^{-1} E[Hh].
+    Under omitted_variable H_1 = s_1 z and h = rho z + sqrt(1 - rho^2) b,
+    with z, b and the other H columns independent, mean 0, and z, b
+    standard normal (s_j = h.scale of column j, rho = hidden.corr). So
+    E[HH'] = diag(s_j^2) and E[Hh] = rho s_1 e_1, and
+        kappa_tilde = kappa + (c rho / s_1) e_1.
+
+    ITE regresses M_{i,-1} Y_i on x~_i H_i', where x~_i = M_{i,-1} x_i1 is
+    x_i1 demeaned within the unit when a constant column is present, and
+    x_i1 itself when not. Given the unit, x_it = mean + sd_i xi_it (plus
+    x.fe_loading times the constant column's unit effect, which only a
+    panel with a constant column gets, and the demeaning removes), with
+    xi_it standard normal and sd_i^2 = x.scale^2 + a^2 h_i^2, where a =
+    x.hidden_scale_slope under omitted_variable and 0 otherwise. So
+        E[x~'x~ | unit] = (T - 1) sd_i^2   with a constant column,
+                          T (mean^2 + sd_i^2)   without.
+    With K_g = K_z = 0, x~_i'M_{i,-1} Y_i is x~_i'x~_i delta_i1 plus terms
+    in V, U and the constant column's slope shocks, each of mean 0 given
+    the unit, so ITE's limit is E[w HH']^{-1} E[w H delta1], where w is
+    E[x~'x~ | unit] up to its factor T or T - 1: w = s^2 + a^2 h^2, s^2 =
+    x.scale^2 (+ mean^2 without a constant column). Both limits are kappa
+    when c = 0, whatever w. Otherwise Isserlis' theorem gives E[zh] = rho,
+    E[z h^3] = 3 rho and E[z^2 h^2] = 1 + 2 rho^2; every odd moment is 0,
+    so E[w HH'] is diagonal and E[w Hh] is along e_1:
+        E[w H_1^2] = s_1^2 (s^2 + a^2 (1 + 2 rho^2)),
+        E[w H_1 h] = s_1 rho (s^2 + 3 a^2),
+        ite_kappa1 = kappa_1 + c rho (s^2 + 3 a^2)
+                               / (s_1 (s^2 + a^2 (1 + 2 rho^2))).
+    """
+    d = cfg.dims
+    constant = bool(cfg.x_constant_cols)
+    assert d.K_g == d.K_z == 0 and 1 not in cfg.x_constant_cols
+    assert d.K_x - len(cfg.x_constant_cols) == 1
+    if cfg.scenario in ("baseline", "correlated_random_effects"):
+        return cfg.kappa, cfg.kappa[0]
+    assert cfg.scenario == "omitted_variable"
+    assert np.all(np.asarray(cfg.h_mean) == 0.0)
+    c, rho, a = cfg.hidden_kappa, cfg.hidden_corr, cfg.x_hidden_scale_slope
+    s_1, mean, scale = (float(np.broadcast_to(v, (k,))[0]) for v, k in (
+        (cfg.h_scale, d.K_h), (cfg.x_mean, d.K_x), (cfg.x_scale, d.K_x)))
+    s2 = scale ** 2 + (0.0 if constant else mean ** 2)
+    k_1, *rest = cfg.kappa
+    ite_kappa1 = k_1 + c * rho * (s2 + 3 * a ** 2) / (
+        s_1 * (s2 + a ** 2 * (1 + 2 * rho ** 2)))
+    return (k_1 + c * rho / s_1, *rest), ite_kappa1
+
+
 def inv3_cofactor(A):
     """Explicit 3x3 inverse via the adjugate."""
     a, b, c = A[0]

@@ -12,12 +12,23 @@ import pytest
 from interpanel import cli
 from interpanel.cli import main
 from interpanel.data import build_regressors, load_csv, make_dataset, write_csv
-from interpanel.dgp import packaged_config, packaged_config_path, simulate
+from interpanel.dgp import (DgpConfig, packaged_config, packaged_config_path,
+                            simulate)
 from interpanel.estimators import fit_cite, ite, theta_tilde_labels
 from interpanel.inference import cite_theta_se
 
 from conftest import (BAD_DGP_FIELDS, BAD_MC_FIELDS, dgp_json_with, json_with,
                       random_panel)
+
+
+# A simulator config with three H columns, every other field at its default
+THREE_H_DGP = {"dims": {"n": 50, "T": 3, "K_x": 1, "K_h": 3}}
+K_H_ABOVE_2 = ("dims.K_h: must be at most n = 2 (kappa is fitted on n unit "
+               "slopes)")
+
+# The packaged simulator configs (the mc_* files are Monte Carlo configs)
+DGP_CONFIGS = sorted(p.stem for p in Path(packaged_config_path(
+    "baseline")).parent.glob("*.json") if not p.stem.startswith("mc_"))
 
 
 def run(capsys, *argv):
@@ -686,6 +697,30 @@ class TestSimulateCommand:
                        f"{str(out_csv)!r}\n")
         assert not sidecar.exists()
 
+    def test_fewer_units_than_K_h_writes_nothing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "dgp.json"
+        cfg_path.write_text(json.dumps(THREE_H_DGP))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path),
+                             "--n", "2", "--output", str(tmp_path / "sim.csv"))
+        assert (code, out, err) == (1, "", f"error: {K_H_ABOVE_2}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["dgp.json"]
+
+    @pytest.mark.parametrize("flags", [False, True], ids=["as-is", "n-seed"])
+    @pytest.mark.parametrize("name", DGP_CONFIGS)
+    def test_sidecar_config_loads_back(self, name, flags, tmp_path, capsys):
+        cfg = packaged_config(name)
+        if flags:
+            cfg = replace(cfg, dims=replace(cfg.dims, n=max(2, cfg.dims.K_h)),
+                          seed=9)
+        argv = ["--n", str(cfg.dims.n), "--seed", "9"] if flags else []
+        out_csv = tmp_path / "sim.csv"
+        code, _, _ = run(capsys, "simulate", "--config",
+                         packaged_config_path(name), *argv,
+                         "--output", str(out_csv))
+        assert code == 0
+        sidecar = json.loads((tmp_path / "sim.csv.truth.json").read_text())
+        assert DgpConfig.from_dict(sidecar["config"]) == cfg
+
     @pytest.mark.parametrize("name, path, value", BAD_DGP_FIELDS)
     def test_bad_field_is_exit_1_naming_its_path(self, name, path, value,
                                                  tmp_path, capsys):
@@ -802,6 +837,25 @@ class TestMc:
         doc = json.loads(out_json.read_text())
         assert (doc["cells"], doc["contracts"]) == ([], [])
 
+    def test_sample_size_below_K_h_fails_before_simulating(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        # each size is checked against the whole DGP, K_h <= n included
+        from interpanel import harness
+
+        def no_simulation(cfg):
+            raise AssertionError("simulated before the sizes were checked")
+
+        monkeypatch.setattr(harness, "simulate", no_simulation)
+        cfg_path = mini_mc_config(tmp_path, dgp=THREE_H_DGP,
+                                  sample_sizes=[2, 50])
+        code, out, err = run(capsys, "mc", "--config", str(cfg_path),
+                             "--output", str(tmp_path / "mc.json"),
+                             "--table", str(tmp_path / "mc.txt"))
+        assert (code, out, err) == (
+            1, "", f"error: sample_sizes: {K_H_ABOVE_2}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
     def test_unknown_weight_mode_fails_before_simulating(self, tmp_path, capsys,
                                                          monkeypatch):
         from interpanel import harness
@@ -905,6 +959,15 @@ def too_few_units_for_kappa(tmp_path):
             "--estimator", "cite"]
 
 
+def oracle_blocks_below_K_h(tmp_path):
+    # oracle blocks of 4 // 2 = 2 units for K_h = 3 kappas: the block's
+    # config fails the dims checks before anything of it is drawn
+    cfg = {"dgp": THREE_H_DGP, "sample_sizes": [50], "replications": 2,
+           "estimators": ["cite"], "oracle": {"draws": 4, "blocks": 2}}
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    return ["mc", "--config", str(tmp_path / "exp.json")]
+
+
 def negative_seed(tmp_path):
     write_csv(random_panel(26, n=20, K_h=1), tmp_path / "panel.csv")
     return ["estimate", "--input", str(tmp_path / "panel.csv"),
@@ -922,10 +985,11 @@ class TestUsage:
         (missing_input, "[Errno 2] No such file or directory"),
         (too_few_units_for_kappa, "CITE kappa stage: underdetermined "
                                   "system: 2 rows < 3 columns"),
+        (oracle_blocks_below_K_h, K_H_ABOVE_2),
         (negative_seed, "seed must be >= 0, got -1"),
     ], ids=["degenerate-bootstrap", "mc-failure-rate", "mc-underdetermined",
             "cluster-N-equals-k", "missing-input", "n-below-K_h",
-            "negative-seed"])
+            "mc-oracle-below-K_h", "negative-seed"])
     def test_failure_is_one_error_line(self, argv, message, tmp_path,
                                        capsys):
         code, out, err = run(capsys, *argv(tmp_path))

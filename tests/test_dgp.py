@@ -13,7 +13,7 @@ from interpanel.dgp import (_FIELDS, ConfigInvalid, DgpConfig,
                             simulate)
 from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
 
-from conftest import BAD_DGP_FIELDS, dgp_json_with
+from conftest import BAD_DGP_FIELDS, dgp_json_with, exact_limits
 
 
 def scalar_config(**overrides):
@@ -62,6 +62,27 @@ class TestConfig:
         with pytest.raises(ConfigInvalid) as err:
             load_dgp_config(path)
         assert "x.typo" in str(err.value)
+
+    def test_built_directly_takes_zero_defaults(self):
+        # kappa, phi and gamma default to zeros of the dims' shape, as in JSON
+        cfg = DgpConfig(dims=Dims(n=10, T=3, K_x=1, K_h=1), kappa=(0.5,))
+        assert (cfg.kappa, cfg.phi, cfg.gamma) == ((0.5,), ((),), ())
+        cfg = DgpConfig(dims=Dims(n=10, T=3, K_x=2, K_g=2, K_z=1, K_h=2))
+        assert (cfg.kappa, cfg.phi, cfg.gamma) == (
+            (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), (0.0,))
+        for name in ("kappa", "phi", "gamma"):  # as JSON null, None is no default
+            with pytest.raises(ConfigInvalid) as err:
+                replace(cfg, **{name: None})
+            assert err.value.path == name
+
+    def test_replace_checks_K_h_against_n(self):
+        # the dims checks run however the config is built, not only on JSON
+        cfg = DgpConfig(dims=Dims(n=10, T=3, K_x=1, K_h=3))
+        with pytest.raises(ConfigInvalid) as err:
+            replace(cfg, dims=replace(cfg.dims, n=2))
+        assert err.value.path == "dims.K_h"
+        assert str(err.value) == ("dims.K_h: must be at most n = 2 (kappa is "
+                                  "fitted on n unit slopes)")
 
     def test_bad_constant_cols(self):
         with pytest.raises(ConfigInvalid):
@@ -214,43 +235,48 @@ class TestPlimTargets:
         assert abs(t.ite_plim_kappa1 - analytic) < 4 * t.ite_plim_kappa1_se
         assert np.sign(t.kappa_tilde[0]) != np.sign(t.ite_plim_kappa1)
 
+    def assert_on_exact_limits(self, cfg, **oracle):
+        """plim_targets' two targets within 4 SE of `exact_limits`; returns
+        the targets."""
+        kappa_tilde, ite_kappa1 = exact_limits(cfg)
+        t = plim_targets(cfg, **oracle)
+        assert np.all(np.abs(t.kappa_tilde - kappa_tilde)
+                      < 4 * t.kappa_tilde_se)
+        assert abs(t.ite_plim_kappa1 - ite_kappa1) < 4 * t.ite_plim_kappa1_se
+        return t
+
     def test_ite_gap_targets_match_their_exact_limits(self):
-        # ite_gap: H and the hidden h are standard normal with corr rho,
-        # delta_i1 = -0.75 H + 1.0 h + eps (eps independent, mean 0), K_x = 1
-        # and X_it = sqrt(1 + h^2) xi_it. The projection on H is
-        #   kappa_tilde = E[H delta] / E[H^2] = -0.75 + E[Hh] = -0.75 + rho.
-        # The one-step fit weights unit i by E[x_i'x_i | unit] = T (1 + h^2)
-        # (V and U add mean-0 terms), so its limit is
-        #   -0.75 + E[(1 + h^2) H h] / E[(1 + h^2) H^2],
-        # where Isserlis' theorem gives E[Hh] = rho, E[H h^3] = 3 rho,
-        # E[H^2] = 1 and E[H^2 h^2] = 1 + 2 rho^2: -0.75 + 4 rho / (2 + 2 rho^2)
+        # ite_gap: H and the hidden h standard normal with corr 0.6, and
+        # sd(x) = sqrt(1 + h^2), so kappa_tilde = -0.75 + 0.6 and ITE's limit
+        # is -0.75 + E[(1 + h^2) H h] / E[(1 + h^2) H^2] = -0.75 + 2.4 / 2.72
         cfg = packaged_config("ite_gap")
-        rho = cfg.hidden_corr
-        assert (rho, cfg.kappa, cfg.hidden_kappa) == (0.6, (-0.75,), 1.0)
-        assert (cfg.h_mean, cfg.h_scale, cfg.x_mean, cfg.x_scale,
-                cfg.x_hidden_scale_slope) == (0.0, 1.0, 0.0, 1.0, 1.0)
-        t = plim_targets(cfg, oracle_draws=2_000_000, n_blocks=40, seed=0)
-        assert abs(t.kappa_tilde[0] - (-0.75 + rho)) < 4 * t.kappa_tilde_se[0]
-        ite_limit = -0.75 + 4 * rho / (2 + 2 * rho**2)
-        assert ite_limit == pytest.approx(-0.75 + 2.4 / 2.72)
-        assert abs(t.ite_plim_kappa1 - ite_limit) < 4 * t.ite_plim_kappa1_se
+        kappa_tilde, ite_kappa1 = exact_limits(cfg)
+        assert kappa_tilde == pytest.approx([-0.75 + 0.6])
+        assert ite_kappa1 == pytest.approx(-0.75 + 2.4 / 2.72)
+        self.assert_on_exact_limits(cfg, oracle_draws=2_000_000, n_blocks=40,
+                                    seed=0)
 
     def test_correlated_random_effects_targets_are_kappa(self):
-        # K_x = 1, K_g = K_z = 0: delta_i1 = H_i kappa + eps_i and
-        # Y_it = X_it (delta_i1 + V_it) + U_it, with eps, V and U mean 0 and
-        # independent of X, H and each other. The projection on H is
-        #   kappa_tilde = E[H delta] / E[H^2] = kappa + E[H eps] / E[H^2],
-        # and E[H eps] = E[H] E[eps] = 0. The one-step fit regresses Y_it
-        # on X_it H_i, so its limit is
-        #   kappa + E[X^2 H eps + X^2 H V + X H U] / E[X^2 H^2],
-        # where each term of the numerator has a mean-0 factor independent
-        # of the rest: both limits are kappa exactly
+        # K_x = 1, K_g = K_z = 0 and eps independent of everything: both
+        # limits are kappa exactly
         cfg = scalar_config(dims=Dims(n=200, T=4, K_x=1, K_g=0, K_z=0, K_h=1),
                             kappa=(-0.75,), phi=((),), gamma=(),
                             scenario="correlated_random_effects")
-        t = plim_targets(cfg, oracle_draws=400_000, seed=38, n_blocks=40)
-        assert abs(t.kappa_tilde[0] - (-0.75)) < 4 * t.kappa_tilde_se[0]
-        assert abs(t.ite_plim_kappa1 - (-0.75)) < 4 * t.ite_plim_kappa1_se
+        assert exact_limits(cfg) == ((-0.75,), -0.75)
+        self.assert_on_exact_limits(cfg, oracle_draws=400_000, seed=38,
+                                    n_blocks=40)
+
+    def test_baseline_with_a_constant_column_targets_are_kappa(self):
+        # x2 constant and x1 loading on its unit effect: the demeaning of
+        # ITE's x~ removes the loading, so both limits are kappa
+        cfg = DgpConfig(dims=Dims(n=200, T=6, K_x=2, K_h=1), kappa=(0.5,),
+                        x_constant_cols=(2,), x_fe_loading=0.5,
+                        delta_mean=1.0, delta_scale=0.5, u_scale=0.5,
+                        v_scale=0.2, eps_scale=0.2)
+        assert exact_limits(cfg) == ((0.5,), 0.5)
+        t = self.assert_on_exact_limits(cfg, oracle_draws=400_000, seed=39,
+                                        n_blocks=40)
+        assert t.kappa_tilde_se[0] < 1e-3 and t.ite_plim_kappa1_se < 1e-3
 
     def test_measurement_error_attenuation(self):
         # projection on the noisy h shrinks by var(h)/(var(h)+noise^2)

@@ -206,6 +206,25 @@ class TestCiteKappa:
         assert exc.value.condition > 1e20
 
 
+class TestFitCiteWeights:
+    def test_unweighted_fit_has_unit_weights(self):
+        dr = build_regressors(random_panel(3, n=20)).cite
+        res = fit_cite(dr, "none")
+        assert (res.weight_mode, res.weights.tolist()) == ("none", [1.0] * 20)
+        assert_same_bits(res.kappa_hat,
+                         cite_kappa(res.delta_hat[:, 0], dr.H, None))
+
+    def test_no_h_is_unweighted_with_no_first_stage_se(self):
+        # K_h = 0 and an empty Psi at T = K_x: the first-stage residuals
+        # have no degrees of freedom, and none are formed, since no kappa
+        # stage reads a weight
+        dr = build_regressors(random_panel(4, n=6, T=2, K_x=2, K_g=0, K_z=0,
+                                           K_h=0)).cite
+        res = fit_cite(dr, "inv_se")
+        assert (res.weight_mode, res.weights.tolist(), res.kappa_hat.shape) \
+            == ("none", [1.0] * 6, (0,))
+
+
 class TestIte:
     def test_noiseless_exact_recovery(self):
         cfg = noiseless_config()

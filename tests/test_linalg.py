@@ -77,6 +77,13 @@ class TestSolveOls:
             solve_ols(np.ones((4, 2)), np.ones(4), stage="S")
         assert exc.value.condition > 1e20
 
+    def test_unit_label_ends_the_message(self):
+        exc = RankDeficient("X_i'X_i is numerically singular", unit=7)
+        assert (str(exc), exc.unit, exc.condition) == (
+            "X_i'X_i is numerically singular (unit 7)", 7, np.inf)
+        exc = RankDeficient("reason", condition=3.0)
+        assert (str(exc), exc.unit, exc.condition) == ("reason", None, 3.0)
+
     def test_empty_design(self):
         A, y = np.empty((4, 0)), np.arange(4.0)
         fit = solve_ols(A, y)

@@ -11,7 +11,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,7 +24,7 @@ from numpy.testing import assert_allclose
 
 from interpanel import cli
 from interpanel.cli import _float_array_json
-from interpanel.data import (FLOAT_FORMAT, _parse_label, _sorted_labels,
+from interpanel.data import (FLOAT_FORMAT, Dims, _parse_label, _sorted_labels,
                              build_regressors, factor_units, load_csv,
                              make_dataset, subset_units, validate, write_csv)
 from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
@@ -34,7 +34,7 @@ from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
 from interpanel.inference import (bootstrap_cite, cite_kappa_se,
                                   cite_theta_se, draw_kappas, ite_se,
                                   unit_summaries)
-from interpanel.linalg import RankDeficient, unit_rank_deficient
+from interpanel.linalg import RankDeficient, solve_ols, unit_rank_deficient
 
 from conftest import (NAMED_ERRORS, assert_same_bits, load_outcome,
                       random_panel)
@@ -297,6 +297,39 @@ def test_ite_is_a_weighted_cite(ds):
     delta1 = cite_delta(dr.cite, res[K_h:])[:, 0]
     want = cite_kappa(delta1, ds.H, 1 / inv11(dr.cite.r_x))
     assert_allclose(res[:K_h], want, rtol=0, atol=1e-8)
+
+
+# Entries of a kappa-stage solve: signed zeros, subnormals, magnitudes
+# near 1e-150 and 1e150, and plain numbers
+SOLVE_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-308])
+                | st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10),
+                            st.sampled_from([-155, -150, -145, 145, 150, 155]))
+                | st.floats(-1e3, 1e3))
+
+
+def solve_outcome(solve):
+    """The coefficients `solve()` returns, or the condition and the reason
+    (without its stage) of the RankDeficient it raises."""
+    try:
+        return solve()
+    except RankDeficient as exc:
+        return exc.condition, str(exc).removeprefix("CITE kappa stage: ")
+
+
+@PROPERTY
+@given(data=st.data(), n=st.integers(1, 6), K_h=st.integers(0, 3))
+def test_unweighted_kappa_stage_is_unit_weights(data, n, K_h):
+    # no weights means w_i = 1: the rows sqrt(1) [H_i | delta1_i] are
+    # [H_i | delta1_i] themselves, so the solve is that of (H, delta1)
+    H = data.draw(arrays(float, (n, K_h), elements=SOLVE_VALUES))
+    d = data.draw(arrays(float, n, elements=SOLVE_VALUES))
+    want = solve_outcome(lambda: solve_ols(H, d).coefficients)
+    for weights in (None, np.ones(n)):
+        got = solve_outcome(lambda: cite_kappa(d, H, weights))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_bits(got, want)
 
 
 @st.composite
@@ -576,6 +609,18 @@ def test_dgp_config_invalid_field_names_its_path(raw, field, bad):
     with pytest.raises(ConfigInvalid) as err:
         DgpConfig.from_dict(raw)
     assert err.value.path == path
+
+
+@PROPERTY
+@given(raw=dgp_json())
+def test_dgp_config_built_directly_takes_the_json_defaults(raw):
+    # kappa, phi and gamma default to zeros of the dims' shape, however
+    # the config is built
+    d = Dims(**raw["dims"])
+    zeros = {"kappa": [0.0] * d.K_h, "phi": [[0.0] * d.K_g] * d.K_x,
+             "gamma": [0.0] * d.K_z}
+    assert DgpConfig(dims=d) == DgpConfig.from_dict({"dims": asdict(d)}) \
+        == DgpConfig.from_dict({"dims": asdict(d), **zeros})
 
 
 def assert_each_field_checked(cfg, fields, bad):
