@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .data import (add_intercept_h, drop_failing_units, load_csv, validate,
-                   write_csv, DEFAULT_H_MIN)
+from .data import (BLOCKS, add_intercept_h, drop_failing_units, load_csv,
+                   validate, write_csv, DEFAULT_H_MIN)
 from .dgp import load_dgp_config, simulate
 from .estimators import (WEIGHT_MODES, fit_cite, ite, mean_effect,
                          theta_tilde_labels)
@@ -45,7 +45,7 @@ def _parse_schema(entries):
         role = role.strip()
         if role in ("unit", "time", "y"):
             schema[role] = names.strip()
-        elif role in ("x", "g", "z", "h"):
+        elif role in BLOCKS:
             schema[role] = [c.strip() for c in names.split("|") if c.strip()]
         else:
             raise ValueError(f"unknown schema role {role!r}")

@@ -149,14 +149,21 @@ class Dims:
         return self.K_x * self.K_g + self.K_z
 
 
+# The regressor blocks, in the order their columns follow unit, time and y
+# in the CSV format; the reader, the writer, the schema and the default
+# names all go by it.
+BLOCKS = ("x", "g", "z", "h")
+
+
 def default_columns(dims):
     """Default column names: x1.., g1.., z1.., h1.. ."""
-    return {
-        "x": [f"x{j + 1}" for j in range(dims.K_x)],
-        "g": [f"g{j + 1}" for j in range(dims.K_g)],
-        "z": [f"z{j + 1}" for j in range(dims.K_z)],
-        "h": [f"h{j + 1}" for j in range(dims.K_h)],
-    }
+    return {b: [f"{b}{j + 1}" for j in range(getattr(dims, f"K_{b}"))]
+            for b in BLOCKS}
+
+
+def _value_columns(roles):
+    """A role map's value columns in layout order: y, then each block's."""
+    return [roles["y"], *(c for b in BLOCKS for c in roles[b])]
 
 
 @dataclass(frozen=True)
@@ -180,18 +187,17 @@ class PanelDataset:
 
     def __post_init__(self):
         d = self.dims
-        shapes = {
-            "Y": (self.Y.shape, (d.n, d.T)),
-            "X": (self.X.shape, (d.n, d.T, d.K_x)),
-            "G": (self.G.shape, (d.n, d.T, d.K_g)),
-            "Z": (self.Z.shape, (d.n, d.T, d.K_z)),
-            "H": (self.H.shape, (d.n, d.K_h)),
+        arrays = {
+            "Y": (self.Y, (d.n, d.T)),
+            "X": (self.X, (d.n, d.T, d.K_x)),
+            "G": (self.G, (d.n, d.T, d.K_g)),
+            "Z": (self.Z, (d.n, d.T, d.K_z)),
+            "H": (self.H, (d.n, d.K_h)),
         }
-        for name, (got, want) in shapes.items():
-            if got != want:
-                raise ValueError(f"{name} has shape {got}, expected {want}")
-        for name in ("Y", "X", "G", "Z", "H"):
-            arr = getattr(self, name)
+        for name, (arr, want) in arrays.items():  # every shape, then values
+            if arr.shape != want:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
+        for name, (arr, _) in arrays.items():
             if arr.size and not np.all(np.isfinite(arr)):
                 raise NonFiniteValue(row=int(np.argmax(~np.isfinite(arr.reshape(-1)))),
                                      column=name)
@@ -257,7 +263,7 @@ def _resolve_schema(header, schema):
         "time": schema.pop("time", "time"),
         "y": schema.pop("y", "y"),
     }
-    for block in ("x", "g", "z", "h"):
+    for block in BLOCKS:
         names = schema.pop(block, None)
         if names is None:
             pat = re.compile(rf"^{block}(\d+)$")
@@ -271,7 +277,7 @@ def _resolve_schema(header, schema):
     for key in ("unit", "time", "y"):
         if roles[key] not in header:
             raise MissingColumn(roles[key])
-    for block in ("x", "g", "z", "h"):
+    for block in BLOCKS:
         for c in roles[block]:
             if c not in header:
                 raise MissingColumn(c)
@@ -280,8 +286,7 @@ def _resolve_schema(header, schema):
                                      f"the {block} columns")
     if not roles["x"]:
         raise MissingColumn("x1")
-    for c in [roles["unit"], roles["time"], roles["y"], *roles["x"], *roles["g"],
-              *roles["z"], *roles["h"]]:
+    for c in [roles["unit"], roles["time"], *_value_columns(roles)]:
         if header.count(c) > 1:
             raise DuplicateColumn(c, header.count(c))
     return roles
@@ -319,8 +324,7 @@ def load_csv(path, schema=None):
             if header is None:
                 raise PanelDataError(f"empty CSV: {path}")
             roles = _resolve_schema(header, schema)
-            value_cols = ([roles["y"]] + roles["x"] + roles["g"] + roles["z"]
-                          + roles["h"])
+            value_cols = _value_columns(roles)
             label_at = [header.index(roles["unit"]), header.index(roles["time"])]
             value_at = [header.index(c) for c in value_cols]
             read = None
@@ -349,15 +353,13 @@ def load_csv(path, schema=None):
         i = int(np.argmax(unbalanced))
         raise UnbalancedPanel(unit=unit_labels[i], expected=T, found=int(counts[i]))
 
-    K_x, K_g, K_z, K_h = (len(roles[b]) for b in ("x", "g", "z", "h"))
-    ofs = 1
-    Y = grid[:, :, 0]
-    X = grid[:, :, ofs:ofs + K_x]; ofs += K_x
-    G = grid[:, :, ofs:ofs + K_g]; ofs += K_g
-    Z = grid[:, :, ofs:ofs + K_z]; ofs += K_z
-    H_long = grid[:, :, ofs:ofs + K_h]
+    # views of the grid, not copies: einsum would sum a copy of Y in
+    # another order (as in `validate`)
+    Y, X, G, Z, H_long = np.split(
+        grid, np.cumsum([1, *(len(roles[b]) for b in BLOCKS[:-1])]), axis=2)
+    Y = Y[:, :, 0]
 
-    for c in range(K_h):
+    for c in range(H_long.shape[2]):
         varies = np.any(H_long[:, :, c] != H_long[:, :1, c], axis=1)
         if np.any(varies):
             i = int(np.argmax(varies))
@@ -366,7 +368,7 @@ def load_csv(path, schema=None):
 
     return make_dataset(
         Y, X, G, Z, H, unit_labels, time_labels,
-        columns={"x": roles["x"], "g": roles["g"], "z": roles["z"], "h": roles["h"]},
+        columns={b: roles[b] for b in BLOCKS},
     )
 
 
@@ -479,9 +481,7 @@ def write_csv(ds, path):
     H is constant within a unit, so each unit's h values are formatted
     once, into the tail (with the line end) that all its rows share.
     """
-    cols = ds.columns
-    header = (["unit", "time", "y"] + list(cols["x"]) + list(cols["g"])
-              + list(cols["z"]) + list(cols["h"]))
+    header = ["unit", "time", *_value_columns({"y": "y", **ds.columns})]
     block = np.concatenate([ds.Y[:, :, None], ds.X, ds.G, ds.Z], axis=2)
     row = "%s,%s," + ",".join([FLOAT_FORMAT] * block.shape[2]) + "%s"
     tail = ("," + FLOAT_FORMAT) * ds.H.shape[1] + "\r\n"

@@ -457,6 +457,11 @@ class PlimTargets:
         }
 
 
+def oracle_block_size(oracle_draws, n_blocks):
+    """Units per block of `plim_targets`: at least 2."""
+    return max(oracle_draws // n_blocks, 2)
+
+
 def plim_targets(cfg, oracle_draws, seed, n_blocks):
     """Estimate the projection target and the one-step limit by simulation.
 
@@ -475,7 +480,7 @@ def plim_targets(cfg, oracle_draws, seed, n_blocks):
         raise ScenarioUnsupported("plim targets need at least one H column")
     if n_blocks < 2:
         raise ValueError("need at least 2 oracle blocks")
-    block_n = max(oracle_draws // n_blocks, 2)
+    block_n = oracle_block_size(oracle_draws, n_blocks)
     want_ite = (cfg.dims.K_x - len(cfg.x_constant_cols) == 1
                 and 1 not in cfg.x_constant_cols)
 

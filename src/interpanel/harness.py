@@ -21,7 +21,8 @@ import numpy as np
 
 from .data import build_regressors, default_columns
 from .dgp import (_SEQUENCE, ConfigInvalid, DgpConfig, _check, _json,
-                  _number, _read, _section, plim_targets, simulate)
+                  _number, _read, _section, oracle_block_size, plim_targets,
+                  simulate)
 from .estimators import ite as _fit_ite
 from .estimators import check_weight_mode, fit_cite, theta_tilde_labels
 
@@ -33,11 +34,6 @@ class FailureRateExceeded(RuntimeError):
     """More than FAILURE_RATE_LIMIT of a cell's replications failed."""
 
 
-def parameter_labels(dims):
-    """Labels in (kappa, phi, gamma) order for a given dimension set."""
-    return theta_tilde_labels(default_columns(dims))
-
-
 def true_parameters(cfg):
     """The (kappa, phi, gamma) vector of a DgpConfig."""
     phi = np.asarray(cfg.phi, dtype=float).reshape(-1)
@@ -45,10 +41,19 @@ def true_parameters(cfg):
                            np.asarray(cfg.gamma, dtype=float)])
 
 
+def _check_sized(dgp, n):
+    """Raise ValueError unless replace(dgp, dims=replace(dgp.dims, n=n)),
+    the dgp that `run_experiment` and `plim_targets` draw at n units, is
+    valid: its Dims (the cell bound included) and its dims checks
+    (K_h <= n). The error keeps the dgp's path, under the caller's."""
+    try:
+        replace(dgp, dims=replace(dgp.dims, n=n))
+    except ConfigInvalid as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _sample_sizes(v, cfg):
-    """The sizes as a tuple; each must make a valid dgp as run_experiment
-    builds it, replace(dgp, dims=replace(dgp.dims, n=n)): its Dims (the
-    cell bound included) and its dims checks (K_h <= n)."""
+    """The sizes as a tuple, each valid for the dgp (`_check_sized`)."""
     if not isinstance(v, _SEQUENCE):
         raise ValueError(f"must be a list, got {v!r}")
     sizes = tuple(_number(n, True, 2, reason="sample sizes must be >= 2")
@@ -57,13 +62,18 @@ def _sample_sizes(v, cfg):
         raise ValueError("need at least one sample size")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sample sizes must be strictly increasing")
-    dgp = cfg["dgp"]
     for n in sizes:
-        try:
-            replace(dgp, dims=replace(dgp.dims, n=n))
-        except ConfigInvalid as exc:  # at the dgp's path, not ours
-            raise ValueError(str(exc)) from None
+        _check_sized(cfg["dgp"], n)
     return sizes
+
+
+def _oracle_blocks(v, cfg):
+    """The block count; with K_h >= 1, where the oracle runs, its blocks
+    of `oracle_block_size` units must be valid for the dgp too."""
+    blocks = _number(v, True, 2, reason="need at least 2 oracle blocks")
+    if cfg["dgp"].dims.K_h >= 1:
+        _check_sized(cfg["dgp"], oracle_block_size(cfg["oracle_draws"], blocks))
+    return blocks
 
 
 def _estimators(v, _):
@@ -87,7 +97,8 @@ class ExperimentConfig:
     estimators, a list of distinct names among "cite" and "ite", in any
     case [both]; seed, an integer >= 0 [0]; weight_mode, one of
     WEIGHT_MODES ["none"]; oracle.draws, an integer >= 0 [100000];
-    oracle.blocks, an integer >= 2 [20].
+    oracle.blocks, an integer >= 2 [20], and with K_h >= 1 a valid
+    dims.n for dgp of oracle_block_size(draws, blocks) units.
     """
 
     # declared in JSON order; check(value, fields) returns the value to
@@ -105,8 +116,7 @@ class ExperimentConfig:
                              lambda v, _: check_weight_mode(v), "none")
     oracle_draws: int = _json("oracle", "draws", lambda v, _: _number(
         v, True, 0, reason="must be >= 0"), 100_000)
-    oracle_blocks: int = _json("oracle", "blocks", lambda v, _: _number(
-        v, True, 2, reason="need at least 2 oracle blocks"), 20)
+    oracle_blocks: int = _json("oracle", "blocks", _oracle_blocks, 20)
 
     def __post_init__(self):
         _check(self.__dict__, _FIELDS, self.__dict__)
@@ -229,7 +239,7 @@ def _fit_one(estimator, dr, weight_mode):
 def run_experiment(cfg):
     """Run the full Monte Carlo grid; deterministic given cfg.seed."""
     dgp = cfg.dgp
-    labels = parameter_labels(dgp.dims)
+    labels = theta_tilde_labels(default_columns(dgp.dims))
     truth = true_parameters(dgp)
     n_params = len(labels)
 
@@ -271,11 +281,11 @@ def run_experiment(cfg):
             good[n, est] = draws[est][ok[est]]
         if "cite" in cfg.estimators and "ite" in cfg.estimators \
                 and dgp.dims.K_h >= 1:
+            # never empty: each estimator failed at most 1% of the draws
             both = ok["cite"] & ok["ite"]
-            if np.any(both):
-                same = (np.sign(draws["cite"][both, 0])
-                        == np.sign(draws["ite"][both, 0]))
-                sign_agreement[n] = float(np.mean(same))
+            same = (np.sign(draws["cite"][both, 0])
+                    == np.sign(draws["ite"][both, 0]))
+            sign_agreement[n] = float(np.mean(same))
 
     targets = None
     if dgp.dims.K_h >= 1:

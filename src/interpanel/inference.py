@@ -197,7 +197,7 @@ def unit_summaries(dr):
     Rb = np.linalg.qr(np.concatenate([dr.MPsi, dr.MY[:, :, None]], axis=2),
                       mode="r")
     B = np.concatenate([dr.Psi, dr.Y[:, :, None]], axis=2)
-    D = np.linalg.solve(R, np.einsum("ntk,ntp->nkp", Q, B))[:, 0, :]
+    D = solve_units(R, np.einsum("ntk,ntp->nkp", Q, B))[:, 0, :]
     return UnitSummaries(Rb=np.ascontiguousarray(Rb.transpose(2, 1, 0)),
                          D1=D[:, :-1], d01=D[:, -1], inv11=inv11(R),
                          H=dr.H, T=T, K_x=K_x)
@@ -281,8 +281,7 @@ def _solve_r(R, k):
     x is one division."""
     R11, r12 = R[:, :k, :k], R[:, :k, k:]
     bad = unit_rank_deficient(R11)[0]
-    if bad.any():
-        R11 = np.where(bad[:, None, None], np.eye(k), R11)
+    R11 = np.where(bad[:, None, None], np.eye(k), R11)
     return solve_units(R11, r12)[:, :, 0], bad
 
 

@@ -856,6 +856,38 @@ class TestMc:
             1, "", f"error: sample_sizes: {K_H_ABOVE_2}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
+    def test_oracle_blocks_below_K_h_fail_before_simulating(self, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+        # the oracle's blocks of max(4 // 2, 2) = 2 units are checked
+        # against the whole DGP at load, as each sample size is
+        from interpanel import dgp, harness
+
+        calls = []
+        for module in (harness, dgp):
+            monkeypatch.setattr(module, "simulate",
+                                lambda cfg, f=module.simulate: calls.append(
+                                    cfg) or f(cfg))
+        cfg_path = mini_mc_config(tmp_path, dgp=THREE_H_DGP,
+                                  sample_sizes=[50], replications=2,
+                                  oracle={"draws": 4, "blocks": 2})
+        code, out, err = run(capsys, "mc", "--config", str(cfg_path))
+        assert (code, out, err) == (
+            1, "", f"error: oracle.blocks: {K_H_ABOVE_2}\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("draws", [0, 2**64])
+    def test_oracle_blocks_are_not_checked_without_H(self, tmp_path, draws):
+        # with K_h = 0 no oracle runs, so no block size is checked: blocks of
+        # 2**63 units would pass no Dims
+        from interpanel.harness import load_experiment_config
+
+        cfg_path = mini_mc_config(
+            tmp_path, dgp={"dims": {"n": 50, "T": 3, "K_x": 1}},
+            oracle={"draws": draws, "blocks": 2})
+        cfg = load_experiment_config(cfg_path)
+        assert (cfg.dgp.dims.K_h, cfg.oracle_draws) == (0, draws)
+
     def test_unknown_weight_mode_fails_before_simulating(self, tmp_path, capsys,
                                                          monkeypatch):
         from interpanel import harness
@@ -961,7 +993,7 @@ def too_few_units_for_kappa(tmp_path):
 
 def oracle_blocks_below_K_h(tmp_path):
     # oracle blocks of 4 // 2 = 2 units for K_h = 3 kappas: the block's
-    # config fails the dims checks before anything of it is drawn
+    # config fails the dims checks when the config is loaded
     cfg = {"dgp": THREE_H_DGP, "sample_sizes": [50], "replications": 2,
            "estimators": ["cite"], "oracle": {"draws": 4, "blocks": 2}}
     (tmp_path / "exp.json").write_text(json.dumps(cfg))
@@ -985,7 +1017,7 @@ class TestUsage:
         (missing_input, "[Errno 2] No such file or directory"),
         (too_few_units_for_kappa, "CITE kappa stage: underdetermined "
                                   "system: 2 rows < 3 columns"),
-        (oracle_blocks_below_K_h, K_H_ABOVE_2),
+        (oracle_blocks_below_K_h, f"oracle.blocks: {K_H_ABOVE_2}"),
         (negative_seed, "seed must be >= 0, got -1"),
     ], ids=["degenerate-bootstrap", "mc-failure-rate", "mc-underdetermined",
             "cluster-N-equals-k", "missing-input", "n-below-K_h",

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from interpanel.data import Dims
+from interpanel.data import Dims, build_regressors
 from interpanel.dgp import (_FIELDS, ConfigInvalid, DgpConfig,
                             load_dgp_config, packaged_config, plim_targets,
                             simulate)
+from interpanel.estimators import cite_kappa, fit_cite, inv11, ite
 from interpanel.harness import _FIELDS as MC_FIELDS, ExperimentConfig
 
 from conftest import BAD_DGP_FIELDS, dgp_json_with, exact_limits
@@ -255,6 +256,29 @@ class TestPlimTargets:
         assert ite_kappa1 == pytest.approx(-0.75 + 2.4 / 2.72)
         self.assert_on_exact_limits(cfg, oracle_draws=2_000_000, n_blocks=40,
                                     seed=0)
+
+    def test_ite_gap_gap_is_all_weight_part(self):
+        # ROADMAP item 8's split of ITE's kappa minus CITE's: a theta part,
+        # ite - k_w, and a weight part, k_w - kappa_CITE, where k_w is
+        # CITE's kappa stage on CITE's slopes with ITE's weights x~'x~. With
+        # Psi empty the theta part is 0 up to rounding in every block, so
+        # the weight part's limit is the whole gap of `exact_limits`,
+        # 0.132353 + 0.15 (40 blocks of 10^4 units, seed 40: z = -0.15)
+        cfg = packaged_config("ite_gap")
+        kappa_tilde, ite_kappa1 = exact_limits(cfg)
+        weight_part = []
+        for seed in np.random.SeedSequence(40).generate_state(40):
+            ds = simulate(replace(cfg, dims=replace(cfg.dims, n=10_000),
+                                  seed=int(seed))).dataset
+            dr = build_regressors(ds)
+            res = fit_cite(dr.cite, "none")
+            k_w = cite_kappa(res.delta_hat[:, 0], ds.H, 1 / inv11(dr.cite.r_x))
+            assert_allclose(ite(dr.ite)[0], k_w[0], rtol=0, atol=1e-12)
+            weight_part.append(k_w[0] - res.kappa_hat[0])
+        se = np.std(weight_part, ddof=1) / np.sqrt(len(weight_part))
+        gap = ite_kappa1 - kappa_tilde[0]
+        assert gap == pytest.approx(0.132353 + 0.15, abs=1e-6)
+        assert abs(np.mean(weight_part) - gap) < 4 * se
 
     def test_correlated_random_effects_targets_are_kappa(self):
         # K_x = 1, K_g = K_z = 0 and eps independent of everything: both

@@ -24,9 +24,10 @@ from numpy.testing import assert_allclose
 
 from interpanel import cli
 from interpanel.cli import _float_array_json
-from interpanel.data import (FLOAT_FORMAT, Dims, _parse_label, _sorted_labels,
-                             build_regressors, factor_units, load_csv,
-                             make_dataset, subset_units, validate, write_csv)
+from interpanel.data import (BLOCKS, FLOAT_FORMAT, Dims, _parse_label,
+                             _sorted_labels, build_regressors, factor_units,
+                             load_csv, make_dataset, subset_units, validate,
+                             write_csv)
 from interpanel.dgp import _FIELDS, SCENARIOS, ConfigInvalid, DgpConfig
 from interpanel.estimators import (WEIGHT_MODES, cite_delta, cite_kappa,
                                    cite_theta, fit_cite, inv11, ite)
@@ -462,6 +463,9 @@ def test_write_csv_bytes_match_the_per_cell_writer(ds):
 @PROPERTY
 @given(data=st.data(), base=panels())
 def test_csv_round_trip_is_bit_exact(data, base):
+    # the rows and the columns shuffled, and every column renamed to
+    # another one's name plus a quote (y may become "x1'"): the schema
+    # alone says which column is which
     labels = _sorted_labels(data.draw(unit_labels(base.dims.n)))
     ds = make_dataset(base.Y, base.X, base.G, base.Z, base.H, labels)
     with tempfile.TemporaryDirectory() as tmp:
@@ -469,15 +473,23 @@ def test_csv_round_trip_is_bit_exact(data, base):
         write_csv(ds, path)
         with open(path, newline="", encoding="utf-8") as fh:
             header, *records = csv.reader(fh)
+        rename = dict(zip(header, (f"{c}'" for c in data.draw(
+            st.permutations(header)))))
+        cols = data.draw(st.permutations(range(len(header))))
         order = data.draw(st.permutations(range(len(records))))
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([header] + [records[r] for r in order])
-        back = load_csv(path)
+            csv.writer(fh).writerows(
+                [[rename[header[c]] for c in cols]]
+                + [[records[r][c] for c in cols] for r in order])
+        columns = {b: [rename[c] for c in ds.columns[b]] for b in BLOCKS}
+        back = load_csv(path, schema={
+            **{role: rename[role] for role in ("unit", "time", "y")},
+            **columns})
     for name in ("Y", "X", "G", "Z", "H"):
         assert np.array_equal(getattr(back, name), getattr(ds, name)), name
     assert back.unit_labels == ds.unit_labels
     assert back.time_labels == ds.time_labels
-    assert back.columns == ds.columns
+    assert back.columns == columns
     assert all(type(label) in (int, str)
                for label in back.unit_labels + back.time_labels)
 
