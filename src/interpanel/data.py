@@ -267,7 +267,8 @@ def _resolve_schema(header, schema):
         names = schema.pop(block, None)
         if names is None:
             pat = re.compile(rf"^{block}(\d+)$")
-            found = [(int(pat.match(c).group(1)), c) for c in header if pat.match(c)]
+            # a set: a name twice in the header is DuplicateColumn's error
+            found = {(int(pat.match(c).group(1)), c) for c in header if pat.match(c)}
             names = [c for _, c in sorted(found)]
         elif isinstance(names, str):
             names = [names]
@@ -284,6 +285,8 @@ def _resolve_schema(header, schema):
             if c == roles["y"]:  # every slope on it would be 1
                 raise PanelDataError(f"column {c!r} is both y and one of "
                                      f"the {block} columns")
+            if roles[block].count(c) > 1:  # two equal columns are collinear
+                raise PanelDataError(f"column {c!r} is listed twice as {block}")
     if not roles["x"]:
         raise MissingColumn("x1")
     for c in [roles["unit"], roles["time"], *_value_columns(roles)]:
@@ -298,13 +301,14 @@ def load_csv(path, schema=None):
     Required columns: unit, time, y, and x1..xK (or the names given in
     `schema`, a mapping with keys among unit/time/y/x/g/z/h where the
     block entries are lists of column names). Optional blocks g*, z*, h*.
-    A column with a role must appear once in the header, and the y column
-    may not also be an x, g, z or h column. Rows may be in
-    any order; they are sorted by (unit, time). Blank lines are skipped.
-    Values are read as Python's `float()` reads text and must be finite.
-    h columns must be constant within each unit. A leading UTF-8 BOM is
-    dropped. A record that `csv` cannot read (a field longer than
-    `csv.field_size_limit()`) raises PanelDataError naming its file line.
+    A column with a role must appear once in the header and once in its
+    role's list, and the y column may not also be an x, g, z or h column.
+    Rows may be in any order; they are sorted by (unit, time). Blank
+    lines are skipped. Values are read as Python's `float()` reads text
+    and must be finite. h columns must be constant within each unit. A
+    leading UTF-8 BOM is dropped. A record that `csv` cannot read (a
+    field longer than `csv.field_size_limit()`) raises PanelDataError
+    naming its file line.
 
     After the header, the records are read by numpy's C parser in one
     `np.loadtxt` pass (`_loadtxt_columns`). Where that pass fails, finds
@@ -529,11 +533,8 @@ class CiteBlocks:
     projection.
 
     Psi is (n, T, K_x*K_g + K_z): row t holds (X_t kron G_t, Z_t). MPsi
-    and MY are Psi_i and Y_i with X_i projected out (M_i Psi_i, M_i Y_i);
-    the (T, T) makers M_i are formed one unit chunk at a time and never
-    kept, so memory is O(chunk * T^2) plus these O(nTK) arrays. When Psi
-    has no columns no M_i is formed: MPsi is the empty Psi and MY is
-    Y_i - Q_i Q_i'Y_i. q_x/r_x are the QR factors of X_i. `pooled` is the
+    and MY are Psi_i and Y_i with X_i projected out (M_i Psi_i, M_i Y_i,
+    by `_project`). q_x/r_x are the QR factors of X_i. `pooled` is the
     pooled stage's fit.
     """
 
@@ -557,9 +558,8 @@ class CiteBlocks:
 @dataclass(frozen=True)
 class IteBlocks:
     """The per-unit arrays the one-step (ITE) fit reads: PsiTilde_i and
-    Y_i with X_{i,-1} projected out, where PsiTilde is
-    (n, T, K_h + K_x*K_g + K_z) and row t holds (X_t1 * H, Psi_t). At
-    K_x = 1, M_{i,-1} = I and the two are PsiTilde and Y themselves.
+    Y_i with X_{i,-1} projected out (`_project`), where PsiTilde is
+    (n, T, K_h + K_x*K_g + K_z) and row t holds (X_t1 * H, Psi_t).
     `pooled` is the one-step fit."""
 
     M1PsiTilde: np.ndarray
@@ -601,6 +601,9 @@ def factor_units(A):
     one batched `np.linalg.qr`, none at k = 0 (Q is A, R is (n, 0, 0)).
     Each command factors X and X_{i,-1} = X[:, :, 1:] once this way."""
     n, _, k = A.shape
+    # np.linalg.qr takes an (n, T, 0) stack too, at 73, 147 and 783 us a
+    # call for n = 500, 2000 and 10000, T = 6 (timeit, 2-core VM): about
+    # 80 ms of `mc` on mc_ite_gap.json, whose builds are all at K_x = 1
     return np.linalg.qr(A) if k else (A, np.empty((n, 0, 0)))
 
 
@@ -636,19 +639,10 @@ def _checked_factors(ds, A):
 
 def _blocks(ds, x_factors, x1_factors):
     """Both parts of the blocks from the panel and the QR factors of its
-    X_i and X_{i,-1}. When Psi has columns X_i is projected out of Psi
-    and Y by `_project`; otherwise no M_i is formed, and
-    M_i Y_i = Y_i - Q_i Q_i'Y_i."""
+    X_i and X_{i,-1}: X_i is projected out of Psi and Y (`_project`)."""
     q_x, r_x = x_factors
     Psi = psi_block(ds)
-    assert Psi.shape[2] == ds.dims.n_psi
-    if Psi.shape[2]:
-        MPsi, MY = _project(q_x, Psi, ds.Y)
-    else:
-        MPsi, MY = Psi, ds.Y - np.einsum(
-            "ntk,nk->nt", q_x, np.einsum("ntk,nt->nk", q_x, ds.Y))
-    cite = CiteBlocks(Y=ds.Y, X=ds.X, H=ds.H, Psi=Psi, MPsi=MPsi, MY=MY,
-                      q_x=q_x, r_x=r_x)
+    cite = CiteBlocks(ds.Y, ds.X, ds.H, Psi, *_project(q_x, Psi, ds.Y), q_x, r_x)
     return DerivedRegressors(cite=cite, ite=_ite_blocks(ds, Psi, x1_factors[0]))
 
 
@@ -656,28 +650,37 @@ def _ite_blocks(ds, Psi, q_1):
     """ITE blocks from the panel, its `psi_block` and the Q factors of
     X_{i,-1}, projected out of PsiTilde and Y (`_project`)."""
     PsiTilde = np.concatenate([ds.X[:, :, 0:1] * ds.H[:, None, :], Psi], axis=2)
-    if not q_1.shape[2]:  # K_x = 1: M_{i,-1} = I, nothing to do
-        return IteBlocks(M1PsiTilde=PsiTilde, M1Y=ds.Y)
     return IteBlocks(*_project(q_1, PsiTilde, ds.Y))
 
 
 def _project(Q, block, Y):
     """(M_i block_i, M_i Y_i) for every unit, where M_i = I - Q_i Q_i' is
-    the residual maker of X_i = Q_i R_i (`residual_makers`).
+    the residual maker of X_i = Q_i R_i. The one place a unit's residual
+    maker is applied, by the first of three rules that holds:
 
-    The (T, T) makers are formed for a chunk of about `_PROJECT_BYTES` of
-    units at a time and dropped after their chunk, so memory is one chunk
-    of makers plus the outputs. Each output unit is the same einsum sum
-    as on the whole panel, np.einsum("nij,njp->nip", M, block), bit for
-    bit. With p >= 2 columns that einsum runs its inner loop along p, a
-    few columns long; since M_i is exactly symmetric, "nji,njp->npi"
-    adds the same products M_ij B_jp in the same j order with its inner
-    loop along i, T long, and its (p, T) result is written back
-    transposed (pinned by `tests/test_data.py`). At p = 1 the
-    reference's inner loop is the j sum itself, in SIMD partial sums no
-    other order reproduces, so it stays, as for M_i Y_i.
+    1. Q has no columns (X_{i,-1} at K_x = 1): M_i = I, and `block` and
+       `Y` themselves are returned.
+    2. `block` has no columns (CITE's Psi in the plain X x H design): no
+       M_i is formed; `block` itself and Y_i - Q_i (Q_i'Y_i) are returned.
+    3. Otherwise the makers are formed (`residual_makers`) and applied.
+       The (T, T) makers are formed for a chunk of about `_PROJECT_BYTES`
+       of units at a time and dropped after their chunk, so memory is one
+       chunk of makers plus the outputs. Each output unit is the same
+       einsum sum as on the whole panel,
+       np.einsum("nij,njp->nip", M, block), bit for bit. With p >= 2
+       columns that einsum runs its inner loop along p, a few columns
+       long; since M_i is exactly symmetric, "nji,njp->npi" adds the same
+       products M_ij B_jp in the same j order with its inner loop along
+       i, T long, and its (p, T) result is written back transposed
+       (pinned by `tests/test_data.py`). At p = 1 the reference's inner
+       loop is the j sum itself, in SIMD partial sums no other order
+       reproduces, so it stays, as for M_i Y_i.
     """
     n, T, p = block.shape
+    if not Q.shape[2]:  # avoids forming n identity makers and multiplying by them
+        return block, Y
+    if not p:  # avoids n (T, T) makers for one column: O(nTk), not O(nT^2)
+        return block, Y - np.einsum("ntk,nk->nt", Q, np.einsum("ntk,nt->nk", Q, Y))
     MB, MY = np.empty(block.shape), np.empty(Y.shape)
     step = max(1, _PROJECT_BYTES // (8 * T * T))
     for s in range(0, n, step):
@@ -700,14 +703,15 @@ class ValidationReport:
     with, so never negative (1.0 for the empty X_{i,-1} at K_x = 1), and
     inf past the float range. Normalized by (T * mean(X_i^2))^k, they give
     the margins, formed as prod(|r_jj| / sqrt(T * mean(X_i^2)))^2, which
-    never overflow: the h_min threshold is scale free per unit. A pooled
-    check is the solver's verdict on its fit's design over the passing
-    units (`validate`); its margin, (sigma_min / sigma_max)^2 of that
-    design, is 1 / gram_condition. The passing units are at the input's
-    positions `kept`; they are `panel` (the input itself when none fails),
-    with blocks `regressors` (both None, and the pooled checks fail at
-    margin 0.0, only when fewer than 2 units pass). `to_dict` omits these
-    three.
+    never overflow, with the mean square taken on X_i over its largest
+    |x|, which neither overflows nor underflows: the h_min threshold is
+    scale free per unit. A pooled check is the solver's verdict on its
+    fit's design over the passing units (`validate`); its margin,
+    (sigma_min / sigma_max)^2 of that design, is 1 / gram_condition. The
+    passing units are at the input's positions `kept`; they are `panel`
+    (the input itself when none fails), with blocks `regressors` (both
+    None, and the pooled checks fail at margin 0.0, only when fewer than
+    2 units pass). `to_dict` omits these three.
     """
 
     h_min: float
@@ -770,10 +774,13 @@ def validate(ds, h_min=DEFAULT_H_MIN):
     diags = [np.abs(np.diagonal(R, axis1=1, axis2=2)) for _, R in factors]
     with np.errstate(over="ignore"):  # a large X_i's determinant is inf
         det_x, det_x1 = (np.prod(diag, axis=1) ** 2 for diag in diags)
-    scale2 = np.mean(X * X, axis=(1, 2))
-    scale2[scale2 == 0.0] = 1.0
-    # each |r_jj| / sqrt(T mean(X_i^2)) is at most sqrt(K_x): no overflow
-    scale = np.sqrt(d.T * scale2)[:, None]
+    # sqrt(T mean(X_i^2)), squared on X_i over its largest |x|: the square
+    # of X_i itself overflows past |x| ~ 1e154 and underflows below 1e-154
+    peak = np.max(np.abs(X), axis=(1, 2), keepdims=True)
+    mean2 = np.mean(np.square(X / np.where(peak == 0.0, 1.0, peak)), axis=(1, 2))
+    scale = peak[:, 0] * np.sqrt(d.T * mean2)[:, None]
+    scale[scale == 0.0] = 1.0
+    # each |r_jj| / scale is at most sqrt(K_x): no overflow
     margin_x, margin_x1 = (np.prod(diag / scale, axis=1) ** 2 for diag in diags)
 
     ok_x, ok_x1 = ((margin > h_min) & ~unit_rank_deficient(R)[0]

@@ -14,10 +14,14 @@ A solve on the R_i with one right-hand side per unit goes through
 broadcast product per column of Q at k <= 2, where that is the einsum's
 answer bit for bit, and by the einsum at k >= 3, where the einsum's
 two-lane sums round in an order no column loop reproduces. The one
-projection kernel, `data._project`, applies the M_i by the same rule:
-to a block of two or more columns by an einsum whose inner loop runs
-along T, which the exact symmetry of M_i makes the reference einsum's
-sum bit for bit, and to one column or to Y by the reference einsum.
+projection kernel, `data._project`, applies the M_i by the first of
+three rules that holds: where Q has no columns, M_i = I and the block
+and Y themselves are returned; where the block has no columns, no M_i
+is formed and M_i Y_i is Y_i - Q_i (Q_i'Y_i); otherwise the makers are
+formed and applied by the same rule as above: to a block of two or more
+columns by an einsum whose inner loop runs along T, which the exact
+symmetry of M_i makes the reference einsum's sum bit for bit, and to
+one column or to Y by the reference einsum.
 """
 
 from __future__ import annotations

@@ -400,6 +400,16 @@ class TestValidate:
         assert err == f"error: column 'y' is both y and one of the " \
                       f"{block} columns\n"
 
+    @pytest.mark.parametrize("command", ["validate", "estimate"])
+    @pytest.mark.parametrize("block", ["x", "g", "z", "h"])
+    def test_a_column_listed_twice_in_one_role_is_an_error(
+            self, sim_csv, capsys, command, block):
+        path, _ = sim_csv
+        code, out, err = run(capsys, command, "--input", path,
+                             "--schema", f"{block}={block}1|{block}1")
+        assert (code, out) == (1, "")
+        assert err == f"error: column '{block}1' is listed twice as {block}\n"
+
 
 PINNED_COMMANDS = {
     "cluster": ("estimate", "--se", "cluster"),

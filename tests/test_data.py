@@ -243,6 +243,20 @@ class TestLoadCsv:
         assert str(err.value) == \
             f"column 'y' is both y and one of the {block} columns"
 
+    @pytest.mark.parametrize("block", ["x", "g", "z", "h"])
+    def test_a_column_listed_twice_in_one_role(self, tmp_path, block):
+        # two equal columns of one block are collinear; one column in two
+        # roles (a main effect plus its interactions) stays allowed
+        path = tmp_path / "p.csv"
+        rows = [[u, t, 0.5 * u + t, u * t + 1.0, u] for u in (1, 2)
+                for t in (1, 2, 3)]
+        write_rows(path, ["unit", "time", "y", "x1", "c"], rows)
+        with pytest.raises(PanelDataError) as err:
+            load_csv(path, schema={block: ["c", "c"]})
+        assert str(err.value) == f"column 'c' is listed twice as {block}"
+        ds = load_csv(path, schema={"x": ["x1", "c"], block: ["c"]})
+        assert ds.columns[block] == ["c"]
+
     def test_time_column_may_be_a_regressor(self, tmp_path):
         # a trend regressor reads the time column; the record reader loads it
         path = tmp_path / "p.csv"
@@ -599,19 +613,25 @@ class TestBuildRegressors:
         assert np.array_equal(dr.ite.M1PsiTilde, PsiTilde)
         assert dr.ite.M1Y is ds.Y
 
+    @pytest.mark.parametrize("K_h", [0, 2])
     @pytest.mark.parametrize("K_x", [1, 2])
-    def test_empty_psi_forms_no_residual_maker_of_x(self, made, K_x):
+    def test_empty_psi_forms_no_residual_maker_of_x(self, made, K_x, K_h):
         # K_g = K_z = 0: Psi has no columns, so X_i is only factored (for
-        # the slopes) and no M_i is formed; the fits match, bit for bit,
-        # the dense path that applies M_i = I - Q_i Q_i' to every block
-        ds = random_panel(8, n=15, K_x=K_x, K_g=0, K_z=0, K_h=2)
+        # the slopes) and no M_i is formed, nor one of X_{i,-1} when
+        # PsiTilde has no columns either (K_h = 0); the fits match, bit for
+        # bit, the dense path that applies M_i = I - Q_i Q_i' to every block
+        ds = random_panel(8, n=15, K_x=K_x, K_g=0, K_z=0, K_h=K_h)
         dr = build_regressors(ds)
-        assert made == ([] if K_x == 1 else [ds.X[:, :, 1:].shape])
+        assert made == ([ds.X[:, :, 1:].shape] if K_x == 2 and K_h else [])
         Q, R = factor_units(ds.X)
         M = residual_makers(Q)
         assert np.array_equal(dr.cite.MY, ds.Y - np.einsum(
             "ntk,nk->nt", Q, np.einsum("ntk,nt->nk", Q, ds.Y)))
         assert dr.cite.MPsi.shape == (15, 6, 0)
+        if K_x == 2 and not K_h:
+            Q1 = factor_units(ds.X[:, :, 1:])[0]
+            assert np.array_equal(dr.ite.M1Y, ds.Y - np.einsum(
+                "ntk,nk->nt", Q1, np.einsum("ntk,nt->nk", Q1, ds.Y)))
         M1 = makers(ds.X[:, :, 1:])
         Psi = np.zeros((15, 6, 0))
         PsiTilde = ds.X[:, :, 0:1] * ds.H[:, None, :]
@@ -1121,34 +1141,39 @@ class TestValidate:
         assert after.failing_units_x_minus1 == before.failing_units_x_minus1
         assert_allclose(after.unit_margin_x, before.unit_margin_x, rtol=1e-9)
 
-    def test_a_unit_scaled_past_the_float_range_keeps_its_verdict(self):
-        # X_i * 1e80 (K_x = 2) puts det(X_i'X_i) past the float range: it
-        # reads inf, with no warning, and the unit's margins and verdicts
-        # are those of the unscaled unit
+    @pytest.mark.parametrize("factor", [1e80, 1e160, 1e-170, 1e300, 1e-300])
+    def test_a_unit_scaled_past_the_float_range_keeps_its_verdict(self, factor):
+        # X_i * factor (K_x = 2) puts det(X_i'X_i) past the float range: it
+        # reads inf (0 for a factor below 1), with no warning, and the
+        # unit's margins and verdicts are those of the unscaled unit, also
+        # where X_i * X_i itself overflows (1e160) or underflows (1e-170)
         ds = random_panel(3, K_x=2)
         X = ds.X.copy()
-        X[4] *= 1e80
+        X[4] *= factor
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             before = validate(ds)
             after = validate(make_dataset(ds.Y, X, ds.G, ds.Z, ds.H))
-        assert after.unit_gram_det_x[4] == np.inf
+        assert after.unit_gram_det_x[4] == (np.inf if factor > 1 else 0.0)
         assert after.failing_units_x == before.failing_units_x == ()
         assert after.failing_units_x_minus1 == \
             before.failing_units_x_minus1 == ()
         for name in ("unit_margin_x", "unit_margin_x_minus1"):
             assert_allclose(getattr(after, name)[4], getattr(before, name)[4],
                             rtol=1e-14)
-        # the pooled designs span 80 decades: both fits raise, so both
-        # pooled checks fail, with margins (sigma_min / sigma_max)^2 >= 0
+        # a large unit makes the pooled designs span 80 decades or more:
+        # both fits raise, so both pooled checks fail, with margins
+        # (sigma_min / sigma_max)^2 >= 0; a small one leaves those designs
+        # to the other units, and both checks pass
         assert before.passed
         assert all(m >= 0.0 for m in after.pooled_margins.values())
-        assert not after.checks["pooled_psi_rank"]
-        assert not after.checks["pooled_psi_tilde_rank"]
-        with pytest.raises(RankDeficient):
-            cite_theta(after.regressors.cite)
-        with pytest.raises(RankDeficient):
-            ite(after.regressors.ite)
+        assert after.checks["pooled_psi_rank"] == (factor < 1)
+        assert after.checks["pooled_psi_tilde_rank"] == (factor < 1)
+        if factor > 1:
+            with pytest.raises(RankDeficient):
+                cite_theta(after.regressors.cite)
+            with pytest.raises(RankDeficient):
+                ite(after.regressors.ite)
 
     def test_gram_det_of_a_ones_column_is_T(self):
         # K_x = 1: det(1'1) = T from R_i = [-sqrt(T)]
